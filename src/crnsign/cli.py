@@ -100,6 +100,8 @@ def _k_grid(raw: str) -> List[float]:
 
 
 def _sample_points(rng: random.Random, dim: int, count: int) -> List[List[float]]:
+    if count < 1:
+        raise _InputError(f"--samples must be at least 1, got {count}")
     return [[10 ** rng.uniform(-1, 1) for _ in range(dim)] for _ in range(count)]
 
 

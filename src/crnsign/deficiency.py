@@ -7,8 +7,11 @@ by two small case functions (phi for new complexes, psi for new linkage
 classes) evaluated on the step's cast of characters: the fresh species
 B', the rewritten product B' + C2, and the restored complex p2*B.
 ``delta_audit`` computes phi/psi literally from their case definitions
-and cross-checks them against from-scratch recounts of both networks;
-a mismatch means the implementation is wrong, not the input.
+and cross-checks them, step by step, against from-scratch recounts of n
+and ell of every network.  The rank is not recomputed per step: each
+step is checked to be exactly the documented bordering, which raises the
+rank by one, and one from-scratch rank of the final network confirms the
+total.  A mismatch means the implementation is wrong, not the input.
 
 Also here: the decomposition S v(x) = Y A_k psi(x) of the right-hand
 side through complex space (Y lists complex coefficients, A_k is the
@@ -19,15 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import exactla
 from .kinetics import MassActionSystem
-from .model import Complex, Network, RationalMatrix, stoichiometric_matrix
+from .model import Complex, Network, RationalMatrix, Reaction, stoichiometric_matrix
 from .signcheck import find_bad_submatrices
-from .signfix import FixReport
+from .signfix import FixReport, FixStep
 
 
 def complexes_of(net: Network) -> List[Complex]:
@@ -77,10 +80,12 @@ class DeficiencyReport:
     classes: Tuple[FrozenSet[int], ...]
 
 
-def deficiency(net: Network) -> DeficiencyReport:
+def deficiency(net: Network, *, rank: Optional[int] = None) -> DeficiencyReport:
+    """Count complexes and linkage classes; ``rank``, when the caller
+    already knows the exact rank of S, is used instead of computing it."""
     complexes = complexes_of(net)
     classes = _linkage_classes(net, complexes)
-    s = exactla.rank(stoichiometric_matrix(net))
+    s = exactla.rank(stoichiometric_matrix(net)) if rank is None else rank
     n, ell = len(complexes), len(classes)
     return DeficiencyReport(
         n=n,
@@ -115,23 +120,72 @@ def _class_of(classes: Sequence[FrozenSet[int]], index: int) -> FrozenSet[int]:
     raise AssertionError("complex missing from its own linkage partition")
 
 
+def _check_bordering(step: FixStep, before: Network, after: Network) -> None:
+    """Require ``after`` to be ``before`` with exactly the step's changes.
+
+    Reaction l's product loses p2*B and gains one B' (reactant, rate and
+    label kept), every other reaction is unchanged, B' is appended to the
+    species and B' -> p2*B to the reactions.  Then S_after with column l
+    plus the new column is [[S_before, p2*e_q], [0, -1]], so the rank of S
+    rises by exactly one.
+    """
+    q, p2 = step.zeroed_entry
+    ell = step.modified_column
+    d, r = before.species_count, before.reaction_count
+    if (
+        step.added_species_index != d
+        or step.added_reaction_index != r
+        or after.species[:d] != before.species
+        or [s.name for s in after.species[d:]] != [step.added_species]
+        or len(after.reactions) != r + 1
+    ):
+        raise AssertionError("step does not add exactly one species and one reaction")
+    if not 0 <= ell < r or any(
+        a != b for j, (a, b) in enumerate(zip(before.reactions, after.reactions)) if j != ell
+    ):
+        raise AssertionError("step changed a reaction other than its column")
+    old = before.reactions[ell]
+    if not p2 > 0 or old.reactant.coefficient(q) != 0 or old.product.coefficient(q) != p2:
+        raise AssertionError("zeroed entry is not the positive entry of the rewritten column")
+    terms = dict(old.product.terms)
+    del terms[q]
+    terms[d] = Fraction(1)
+    rewritten = Reaction(old.reactant, Complex.from_dict(terms), old.rate, old.label)
+    if after.reactions[ell] != rewritten:
+        raise AssertionError("reaction l is not rewritten as documented")
+    added = after.reactions[r]
+    fresh, restored = Complex.from_dict({d: 1}), Complex.from_dict({q: p2})
+    if (added.reactant, added.product) != (fresh, restored):
+        raise AssertionError("appended reaction is not B' -> p2*B")
+
+
 def delta_audit(report: FixReport) -> List[DeltaAudit]:
     """Replay a fixing run and audit each step's deficiency change.
 
-    For every step, phi and psi are evaluated verbatim from their case
-    definitions, and independently n and ell of both networks are
-    recounted from scratch; Delta-n must equal the phi sum and Delta-ell
-    the psi sum.  Each step must also satisfy ds = 1, 1 <= dn <= 3,
-    dl <= 2, and 0 <= ddelta <= 1.
+    Per step: the step must be exactly the documented bordering (see
+    ``_check_bordering``); phi and psi are evaluated verbatim from their
+    case definitions; n and ell of the new network are recounted from
+    scratch, the previous network's recount is reused; Delta-n must equal
+    the phi sum and Delta-ell the psi sum; and each step must satisfy
+    ds = 1, 1 <= dn <= 3, dl <= 2, and 0 <= ddelta <= 1.  The bordering
+    check makes ds = 1 exact, so the rank is carried forward.
+
+    Once: the exact rank of S is computed from scratch for the original
+    network and for the final one, and the final rank must be the
+    original plus the number of steps.
 
     Raises:
         AssertionError: on any disagreement (internal-consistency
             failure, not an input error).
     """
     audits: List[DeltaAudit] = []
+    if not report.steps:
+        return audits
+    pre = deficiency(report.original)
+    s0 = pre.s
     for step, before, after in zip(report.steps, report.networks, report.networks[1:]):
-        pre = deficiency(before)
-        post = deficiency(after)
+        _check_bordering(step, before, after)
+        post = deficiency(after, rank=pre.s + 1)
         dn = post.n - pre.n
         dl = post.ell - pre.ell
         ds = post.s - pre.s
@@ -186,6 +240,14 @@ def delta_audit(report: FixReport) -> List[DeltaAudit]:
         audits.append(
             DeltaAudit(dn, dl, ds, ddelta, (phi_rewritten, phi_restored),
                        (psi_rewritten, psi_fresh))
+        )
+        pre = post
+
+    final = exactla.rank(stoichiometric_matrix(report.result))
+    if final != s0 + len(report.steps):
+        raise AssertionError(
+            f"final rank {final} is not the original {s0} plus "
+            f"{len(report.steps)} steps"
         )
     return audits
 

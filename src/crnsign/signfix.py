@@ -119,8 +119,6 @@ def fix_one(net: Network, cls: BadClass, rate: float = 1.0) -> Tuple[Network, Fi
             current bad class of the network), or if the rate is not
             strictly positive.
     """
-    if not rate > 0:
-        raise ValueError("added rate constant must be strictly positive")
     S = stoichiometric_matrix(net)
     q, ell = cls.positive_entry
     current = {c.positive_entry for c in find_bad_submatrices(S)}
@@ -129,15 +127,27 @@ def fix_one(net: Network, cls: BadClass, rate: float = 1.0) -> Tuple[Network, Fi
             f"class at entry ({q}, {ell}) is stale: not a bad class of the "
             "current matrix"
         )
-    p2 = S[q, ell]
+    fixed, step = _rewrite(net, cls, rate)
+    if step.zeroed_entry[1] != S[q, ell]:
+        raise AssertionError("matrix entry disagrees with reaction product")
+    return fixed, step
+
+
+def _rewrite(net: Network, cls: BadClass, rate: float) -> Tuple[Network, FixStep]:
+    """The rewrite of ``fix_one`` without its stale-class check.
+
+    p2 is read from reaction l itself, so S is not built.
+    """
+    if not rate > 0:
+        raise ValueError("added rate constant must be strictly positive")
+    q, ell = cls.positive_entry
     reaction = net.reactions[ell]
     if reaction.reactant.coefficient(q) != 0:
         raise ValueError(
             f"species {net.species[q].name!r} is consumed by reaction {ell}; "
             "cannot rewrite its production"
         )
-    if reaction.product.coefficient(q) != p2:
-        raise AssertionError("matrix entry disagrees with reaction product")
+    p2 = reaction.product.coefficient(q)
 
     taken = {s.name for s in net.species}
     name = _fresh_species_name(net.species[q].name, taken)
@@ -179,6 +189,22 @@ def fix_one(net: Network, cls: BadClass, rate: float = 1.0) -> Tuple[Network, Fi
         added_rate=float(rate),
     )
     return fixed, step
+
+
+def _is_still_bad(net: Network, cls: BadClass) -> bool:
+    """True iff every member of ``cls`` is still a bad submatrix of net.
+
+    Reads the four entries of each member from the reactions, so S is not
+    built.
+    """
+    for member in cls.members:
+        for i in member.rows:
+            for j in member.cols:
+                reaction = net.reactions[j]
+                value = reaction.product.coefficient(i) - reaction.reactant.coefficient(i)
+                if not (value > 0 if (i, j) == member.positive_at else value < 0):
+                    return False
+    return True
 
 
 def fix_one_report(
@@ -238,9 +264,19 @@ def sign_fix(
         of added species equals the number of added reactions equals the
         number of equivalence classes of the original matrix.
 
+    The classes are enumerated once.  By non-interference each step
+    removes exactly its own class and leaves the other classes' members
+    in place, so the steps apply the rewrites in order; before each step
+    the target's members are re-read from the current reactions to check
+    that it is still bad.  One enumeration at the end checks that no bad
+    class remains.
+
     Raises:
         ValueError: if ``order`` is not a permutation of the class indices
             or the rates are invalid.
+        AssertionError: if a target class is no longer bad before its
+            step, or bad classes remain after the last step (an
+            implementation fault, not an input error).
     """
     classes = find_bad_submatrices(stoichiometric_matrix(net))
     n = len(classes)
@@ -262,27 +298,18 @@ def sign_fix(
     networks = [net]
     steps: List[FixStep] = []
     current = net
-    remaining = n
     for position, class_index in enumerate(order):
-        target_entry = classes[class_index].positive_entry
-        current_classes = find_bad_submatrices(stoichiometric_matrix(current))
-        match = next(
-            (c for c in current_classes if c.positive_entry == target_entry), None
-        )
-        if match is None:
+        target = classes[class_index]
+        if not _is_still_bad(current, target):
             raise AssertionError(
-                f"class at {target_entry} vanished before its step; "
-                "fixing steps must not interfere"
+                f"class at {target.positive_entry} is no longer bad before its "
+                "step; fixing steps must not interfere"
             )
-        current, step = fix_one(current, match, rates[position])
-        count = len(find_bad_submatrices(stoichiometric_matrix(current)))
-        if count >= remaining:
-            raise AssertionError("bad-class count failed to decrease after a step")
-        remaining = count
+        current, step = _rewrite(current, target, rates[position])
         networks.append(current)
         steps.append(step)
 
-    if remaining != 0:
+    if find_bad_submatrices(stoichiometric_matrix(current)):
         raise AssertionError("fixing run finished with bad classes remaining")
     return FixReport(tuple(steps), tuple(networks), tuple(order))
 
@@ -296,7 +323,9 @@ def verify_permutation_relation(
     results satisfy
     ``S_sigma = diag(I_d, P) * S_tau * diag(I_d', P)^t`` where P is the
     permutation matrix with ``P[i][j] = 1`` iff ``tau[j] == sigma[i]``.
-    The identity is checked by exact multiplication.
+    So S_sigma[i][j] must equal S_tau at the row and column indices that
+    P maps i and j to (the first d rows and d' columns map to
+    themselves); the identity is checked exactly, entry by entry.
 
     Returns:
         P as a RationalMatrix.
@@ -314,39 +343,33 @@ def verify_permutation_relation(
     sigma, tau = report_a.order, report_b.order
     d = report_a.original.species_count
     d_prime = report_a.original.reaction_count
-
-    p_entries = [[1 if tau[j] == sigma[i] else 0 for j in range(n)] for i in range(n)]
-    if n == 0:
-        s_a = stoichiometric_matrix(report_a.result)
-        s_b = stoichiometric_matrix(report_b.result)
-        if s_a != s_b:
-            raise ValueError("zero-step reports disagree")
-        return RationalMatrix([[1]])
-    P = RationalMatrix(p_entries)
-
-    def embed(perm: RationalMatrix, size: int) -> RationalMatrix:
-        rows = []
-        for i in range(size + n):
-            row = []
-            for j in range(size + n):
-                if i < size or j < size:
-                    row.append(Fraction(1) if i == j else Fraction(0))
-                else:
-                    row.append(perm[i - size, j - size])
-            rows.append(row)
-        return RationalMatrix(rows)
-
-    left = embed(P, d)
-    right = embed(P, d_prime).transpose()
     s_sigma = stoichiometric_matrix(report_a.result)
     s_tau = stoichiometric_matrix(report_b.result)
-    product = left.multiply(s_tau).multiply(right)
-    if product != s_sigma:
+    if n == 0:
+        if s_sigma != s_tau:
+            raise ValueError("zero-step reports disagree")
+        return RationalMatrix([[1]])
+
+    position_in_tau = {cls: j for j, cls in enumerate(tau)}
+    perm = [position_in_tau[cls] for cls in sigma]  # P[i][perm[i]] == 1
+    row_map = list(range(d)) + [d + j for j in perm]
+    col_map = list(range(d_prime)) + [d_prime + j for j in perm]
+    shape = (d + n, d_prime + n)
+    tau_rows = s_tau.entries()
+    if (
+        (s_sigma.rows, s_sigma.cols) != shape
+        or (s_tau.rows, s_tau.cols) != shape
+        or any(
+            row[j] != tau_rows[i][c]
+            for i, row in zip(row_map, s_sigma.entries())
+            for j, c in enumerate(col_map)
+        )
+    ):
         raise ValueError(
             "permutation relation failed: the two results are not "
             "conjugate by the order permutation"
         )
-    return P
+    return RationalMatrix([[1 if j == perm[i] else 0 for j in range(n)] for i in range(n)])
 
 
 def altfix(net: Network) -> Tuple[RationalMatrix, AltFixReport]:

@@ -33,7 +33,6 @@ from .model import (
     Complex,
     Network,
     Reaction,
-    RationalMatrix,
     Species,
 )
 
@@ -227,7 +226,7 @@ class _LineParser:
             num_tok = self.expect("NUMBER", "a rate value")
             try:
                 value = float(Fraction(num_tok.text))
-            except (ValueError, ZeroDivisionError):
+            except (ValueError, ZeroDivisionError, OverflowError):
                 raise ParseError(
                     self.lineno,
                     num_tok.column,
@@ -426,10 +425,6 @@ def network_to_json(net: Network) -> dict:
         ],
         "reversible_pairs": [list(p) for p in net.reversible_pairs],
     }
-
-
-def matrix_to_exact_json(matrix: RationalMatrix) -> List[List[str]]:
-    return matrix.to_string_rows()
 
 
 def vector_to_exact_json(vector: Sequence[Fraction]) -> List[str]:

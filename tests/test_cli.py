@@ -232,6 +232,23 @@ def test_spectra_requires_bad_classes(capsys):
     assert "error:" in err
 
 
+def test_out_of_range_rate_is_an_input_error(capsys, tmp_path):
+    net = tmp_path / "huge_rate.crn"
+    net.write_text("A -> B ; k=1e400\n")
+    code, _, err = _run(capsys, "analyze", str(net))
+    assert code == 2
+    assert "line 1, column 12" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["spectra", "decompose"])
+def test_zero_samples_is_an_input_error(capsys, command):
+    code, _, err = _run(capsys, command, DEF_JUMP, "--samples", "0")
+    assert code == 2
+    assert "--samples" in err
+    assert "Traceback" not in err
+
+
 def test_graph_dot_output(capsys, deficiency_jump):
     code, out, _ = _run(capsys, "graph", DEF_JUMP)
     assert code == 0

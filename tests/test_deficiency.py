@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -149,6 +150,38 @@ def test_audit_rejects_forged_report(two_ambiguous):
         order=report.order,
     )
     with pytest.raises(AssertionError):
+        delta_audit(forged)
+
+
+def test_audit_rejects_other_reaction_changed(deficiency_jump):
+    report = sign_fix(deficiency_jump)
+    middle = report.networks[1]
+    j = next(j for j in range(3) if j != report.steps[0].modified_column)
+    reaction = middle.reactions[j]
+    doubled = Complex.from_dict({i: 2 * c for i, c in reaction.product.terms})
+    reactions = list(middle.reactions)
+    reactions[j] = Reaction(reaction.reactant, doubled, reaction.rate, reaction.label)
+    networks = list(report.networks)
+    networks[1] = dataclasses.replace(middle, reactions=tuple(reactions))
+    forged = FixReport(report.steps, tuple(networks), report.order)
+    with pytest.raises(AssertionError, match="other than its column"):
+        delta_audit(forged)
+
+
+def test_audit_rejects_wrong_zeroed_value(two_ambiguous):
+    report = sign_fix(two_ambiguous)
+    q, p2 = report.steps[0].zeroed_entry
+    wrong = dataclasses.replace(report.steps[0], zeroed_entry=(q, p2 + 1))
+    forged = FixReport((wrong,) + report.steps[1:], report.networks, report.order)
+    with pytest.raises(AssertionError, match="zeroed entry"):
+        delta_audit(forged)
+
+
+def test_audit_rejects_species_no_step_added(deficiency_jump):
+    report = sign_fix(deficiency_jump)
+    # one step, but its network is two steps on: one fresh species unexplained
+    forged = FixReport(report.steps[:1], (report.networks[0], report.networks[2]), (0,))
+    with pytest.raises(AssertionError, match="exactly one species"):
         delta_audit(forged)
 
 

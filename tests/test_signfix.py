@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from crnsign import signfix
+
 from crnsign.exactla import kernel_basis
 from crnsign.model import RationalMatrix, stoichiometric_matrix
 from crnsign.signcheck import find_bad_submatrices
@@ -151,6 +153,23 @@ def test_stale_class_is_rejected(two_ambiguous):
     fixed, _ = fix_one(two_ambiguous, classes[0])
     with pytest.raises(ValueError, match="stale"):
         fix_one(fixed, classes[0])
+
+
+def test_sign_fix_rejects_target_no_longer_bad(monkeypatch, deficiency_jump):
+    classes = find_bad_submatrices(stoichiometric_matrix(deficiency_jump))
+    later = classes[default_order(classes)[-1]]
+    rewrite = signfix._rewrite
+
+    def interfering(net, cls, rate):
+        # the first step also fixes the last target, as if steps interfered
+        fixed, step = rewrite(net, cls, rate)
+        if signfix._is_still_bad(fixed, later):
+            fixed, _ = rewrite(fixed, later, rate)
+        return fixed, step
+
+    monkeypatch.setattr(signfix, "_rewrite", interfering)
+    with pytest.raises(AssertionError, match="no longer bad"):
+        sign_fix(deficiency_jump)
 
 
 def test_clean_network_gives_identity_report(two_ambiguous):
