@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import random
 import sys
 from pathlib import Path
@@ -62,6 +63,8 @@ def _floats(raw: str, expected: int, what: str) -> List[float]:
         values = [float(part) for part in raw.split(",")]
     except ValueError:
         raise _InputError(f"cannot parse {what}: {raw!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise _InputError(f"{what} values must be finite, got {raw!r}")
     if len(values) != expected:
         raise _InputError(f"{what} needs {expected} comma-separated values, got {len(values)}")
     return values
@@ -94,6 +97,8 @@ def _k_grid(raw: str) -> List[float]:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except (ValueError, IndexError):
         raise _InputError(f"--k-grid must look like lo:hi:n, got {raw!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise _InputError(f"--k-grid bounds must be finite, got {raw!r}")
     if not (0 < lo < hi) or count < 2:
         raise _InputError("--k-grid needs 0 < lo < hi and n >= 2")
     return [float(k) for k in np.geomspace(lo, hi, count)]
@@ -423,6 +428,8 @@ def _cmd_deficiency(args) -> int:
 
 
 def _cmd_equilibria(args) -> int:
+    if args.simulate and not all(math.isfinite(v) and v > 0 for v in (args.t_end, args.dt)):
+        raise _InputError("--t-end and --dt must be finite and positive")
     net = _load_network(args)
     rates = _rates_for(net, args.rates)
     sys_ = kinetics.MassActionSystem(net, rates)

@@ -1,17 +1,21 @@
-"""Exact rational dense linear algebra.
+"""Exact rational dense linear algebra, computed in integers.
 
-Rank and determinant use fraction-free (Bareiss) elimination on
-denominator-cleared rows to keep intermediate entries small; kernel bases
-come from an exact reduced row echelon form; conservation-law feasibility
-{m : S^t m = 0, m >= 1} is decided by an exact phase-1 simplex with
-Bland's rule.  Nothing in this module ever rounds.
+Rank, determinant and kernel bases all come from one fraction-free
+Gauss-Jordan elimination (Bareiss 1968) of the denominator-cleared rows:
+every row update divides exactly by the previous pivot, and the reduced
+rows are the last pivot times the reduced row echelon form.
+Conservation-law feasibility {m : S^t m = 0, m >= 1} is decided by a
+phase-1 simplex with Bland's rule on an integer tableau, pivoted with the
+same row update.  Fractions appear only at the API: kernel vectors,
+determinants and conservation witnesses are returned as ``Fraction``s.
+Nothing in this module ever rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
 from .model import RationalMatrix
@@ -51,211 +55,200 @@ class ConservationResult:
     witness: Optional[Vector] = None
 
 
-def _integer_rows(matrix: RationalMatrix) -> List[List[int]]:
-    """Scale each row by the lcm of its denominators (rank-preserving)."""
+def _denominator(values: Sequence[Fraction]) -> int:
+    """The lcm of the denominators of ``values``."""
+    return lcm(*(v.denominator for v in values))
+
+
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
+    """Scale each row by the lcm of its denominators (row space unchanged)."""
     out = []
-    for row in matrix.entries():
-        denom = 1
-        for v in row:
-            denom = lcm(denom, v.denominator)
-        out.append([int(v * denom) for v in row])
+    for row in rows:
+        scale = _denominator(row)
+        out.append([v.numerator * (scale // v.denominator) for v in row])
     return out
 
 
-def rank(matrix: RationalMatrix) -> int:
-    """Exact rank via fraction-free Gaussian elimination.
+def _update(row: List[int], pivot_row: List[int], piv: int, prev: int, c: int) -> List[int]:
+    """Fraction-free update of ``row`` against the pivot row at column c.
 
-    Pivot choice is the first nonzero entry in column order, so the
-    elimination (and any intermediate state) is deterministic.
+    The division by the previous pivot is exact (Sylvester's identity).
     """
-    a = _integer_rows(matrix)
-    rows, cols = matrix.rows, matrix.cols
-    prev = 1
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == rows:
+    f = row[c]
+    if f == 0:
+        return [piv * x // prev for x in row]
+    return [(piv * x - f * y) // prev for x, y in zip(row, pivot_row)]
+
+
+def _eliminate(
+    a: List[List[int]], reduce: bool = True
+) -> Tuple[List[List[int]], List[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows.
+
+    Pivots are the first nonzero entry in column order.  Returns the rows,
+    the pivot columns, the last pivot D (1 when there is none) and the
+    sign of the row swaps.  Row r is D times row r of the reduced row
+    echelon form, so a pivot row holds D at its own pivot column and 0 at
+    the others; for a square matrix of full rank, D is the determinant of
+    the rows times the swap sign.  With ``reduce`` false only the rows
+    below each pivot are updated: the pivots, D and the sign are the same,
+    but the rows are left in echelon form.
+    """
+    height = len(a)
+    pivots: List[int] = []
+    prev, sign = 1, 1
+    for c in range(len(a[0])):
+        r = len(pivots)
+        if r == height:
             break
-    return r
+        p = next((i for i in range(r, height) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        pivot_row, piv = a[r], a[r][c]
+        for i in range(height) if reduce else range(r + 1, height):
+            if i != r:
+                a[i] = _update(a[i], pivot_row, piv, prev, c)
+        pivots.append(c)
+        prev = piv
+    return a, pivots, prev, sign
+
+
+def rank(matrix: RationalMatrix) -> int:
+    """Exact rank: the number of pivots of the integer elimination."""
+    return len(_eliminate(_integer_rows(matrix.entries()), reduce=False)[1])
 
 
 def determinant(matrix: RationalMatrix) -> Fraction:
-    """Exact determinant (square matrices) via Bareiss elimination."""
+    """Exact determinant (square matrices): the signed last pivot of the
+    integer elimination divided by the row scales, or 0 when a pivot is
+    missing."""
     if matrix.rows != matrix.cols:
         raise ValueError("determinant needs a square matrix")
-    a = [list(row) for row in matrix.entries()]
-    n = matrix.rows
-    scale = Fraction(1)
-    for i in range(n):
-        denom = 1
-        for v in a[i]:
-            denom = lcm(denom, v.denominator)
-        scale *= denom
-        a[i] = [int(v * denom) for v in a[i]]
-    prev = 1
-    sign = 1
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            a[c], a[pivot_row] = a[pivot_row], a[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                a[i][j] = (a[c][c] * a[i][j] - a[i][c] * a[c][j]) // prev
-            a[i][c] = 0
-        prev = a[c][c]
-    return Fraction(sign * a[n - 1][n - 1]) / scale
+    _, pivots, last, sign = _eliminate(_integer_rows(matrix.entries()), reduce=False)
+    if len(pivots) < matrix.rows:
+        return Fraction(0)
+    scale = prod(_denominator(row) for row in matrix.entries())
+    return Fraction(sign * last, scale)
 
 
-def _rref(matrix: RationalMatrix) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form with the pivot columns, exact."""
-    a = [list(row) for row in matrix.entries()]
-    rows, cols = matrix.rows, matrix.cols
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot_row is None:
+def _kernel_vectors(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
+    """Integer right-kernel basis of the matrix with these rows, one vector
+    per free column in order, each coprime with a positive leading entry."""
+    a, pivots, last, _ = _eliminate(_integer_rows(rows))
+    cols = len(a[0])
+    pivot_set = set(pivots)
+    vectors = []
+    for f in range(cols):
+        if f in pivot_set:
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = a[r][c]
-        a[r] = [v / inv for v in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                factor = a[i][c]
-                a[i] = [a[i][j] - factor * a[r][j] for j in range(cols)]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
-
-
-def _normalize(vector: Sequence[Fraction]) -> Vector:
-    """Scale to coprime integers with positive leading nonzero entry."""
-    denom = 1
-    for v in vector:
-        denom = lcm(denom, v.denominator)
-    ints = [int(v * denom) for v in vector]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    leading = next((v for v in ints if v != 0), 0)
-    if leading < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
+        v = [0] * cols
+        v[f] = last
+        for r, c in enumerate(pivots):
+            v[c] = -a[r][f]
+        g = gcd(*v)
+        if next(x for x in v if x != 0) < 0:
+            g = -g
+        vectors.append([x // g for x in v])
+    return vectors
 
 
 def kernel_basis(matrix: RationalMatrix, side: str = "right") -> KernelBasis:
     """Exact kernel basis; dimension is cols - rank (right) or
     rows - rank (left).
 
-    Basis vectors are normalized to coprime integer entries with a
-    positive leading entry, and ordered by their free column.
+    Each vector is read off the integer elimination of the matrix (its
+    transpose for "left"), normalized to coprime integer entries with a
+    positive leading entry, and the vectors are ordered by their free
+    column.
     """
-    if side == "left":
-        flipped = kernel_basis(matrix.transpose(), "right")
-        return KernelBasis(flipped.vectors, "left")
-    if side != "right":
+    if side == "right":
+        rows = matrix.entries()
+    elif side == "left":
+        rows = tuple(zip(*matrix.entries()))
+    else:
         raise ValueError("side must be 'right' or 'left'")
-    a, pivots = _rref(matrix)
-    free_cols = [c for c in range(matrix.cols) if c not in pivots]
-    vectors = []
-    for f in free_cols:
-        v = [Fraction(0)] * matrix.cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -a[r][f]
-        vectors.append(_normalize(v))
-    return KernelBasis(tuple(vectors), "right")
+    vectors = _kernel_vectors(rows)
+    return KernelBasis(tuple(tuple(Fraction(x) for x in v) for v in vectors), side)
 
 
 def _phase1_simplex(
-    equations: List[List[Fraction]], rhs: List[Fraction]
-) -> Optional[List[Fraction]]:
-    """Solve {u >= 0 : A u = b} exactly; returns u or None if infeasible.
+    equations: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> Optional[Tuple[List[int], int]]:
+    """Solve {u >= 0 : A u = b} exactly; returns (numerators of u, common
+    denominator) or None if infeasible.
 
     Phase-1 simplex: one artificial variable per equation, minimize their
-    sum, entering/leaving choices by Bland's rule (anti-cycling).
+    sum, entering/leaving choices by Bland's rule (anti-cycling).  The
+    tableau is kept as integers A over the last pivot D, pivoted with the
+    elimination's row update.  It starts as the rational tableau times
+    one lcm L of all its denominators, with D = 1, so every division is
+    exact; A / D is then the rational tableau, except that the objective
+    row and the rows not yet pivoted on stay scaled by L.  No sign, ratio
+    or tie depends on a positive row scale, so the pivots are those of
+    the rational simplex, and the solution is read from pivoted rows.
     """
     m = len(equations)
     n = len(equations[0]) if m else 0
-    tableau: List[List[Fraction]] = []
+    rows = []
     for i in range(m):
         row = list(equations[i])
         b = rhs[i]
         if b < 0:
             row = [-v for v in row]
             b = -b
-        row.extend(Fraction(1) if k == i else Fraction(0) for k in range(m))
+        row.extend(1 if k == i else 0 for k in range(m))
         row.append(b)
-        tableau.append(row)
+        rows.append(row)
+    scale = lcm(*(_denominator(row) for row in rows))
+    tableau = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
     total = n + m
     basis = [n + i for i in range(m)]
     # Reduced-cost row for the phase-1 objective (artificials cost 1);
     # basic artificial columns start with reduced cost zero.
-    obj = [Fraction(0)] * (total + 1)
-    for j in range(total + 1):
-        obj[j] = -sum(tableau[i][j] for i in range(m))
+    obj = [-sum(column) for column in zip(*tableau)]
     for i in range(m):
-        obj[n + i] = Fraction(0)
+        obj[n + i] = 0
 
+    prev = 1
     while True:
         entering = next((j for j in range(total) if obj[j] < 0), None)
         if entering is None:
             break
         leaving = None
-        best_ratio: Optional[Fraction] = None
         for i in range(m):
             coeff = tableau[i][entering]
             if coeff > 0:
-                ratio = tableau[i][total] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
+                if leaving is None:
+                    leaving = i
+                    continue
+                # ratio b_i / coeff against the best row's, cross-multiplied
+                lhs = tableau[i][total] * tableau[leaving][entering]
+                best = tableau[leaving][total] * coeff
+                if lhs < best or (lhs == best and basis[i] < basis[leaving]):
                     leaving = i
         if leaving is None:
             # Unbounded phase-1 objective cannot happen (bounded below by 0);
             # defensive guard.
             return None
-        pivot = tableau[leaving][entering]
-        tableau[leaving] = [v / pivot for v in tableau[leaving]]
+        pivot_row = tableau[leaving]
+        piv = pivot_row[entering]
         for i in range(m):
-            if i != leaving and tableau[i][entering] != 0:
-                factor = tableau[i][entering]
-                tableau[i] = [
-                    tableau[i][j] - factor * tableau[leaving][j]
-                    for j in range(total + 1)
-                ]
-        if obj[entering] != 0:
-            factor = obj[entering]
-            obj = [obj[j] - factor * tableau[leaving][j] for j in range(total + 1)]
+            if i != leaving:
+                tableau[i] = _update(tableau[i], pivot_row, piv, prev, entering)
+        obj = _update(obj, pivot_row, piv, prev, entering)
+        prev = piv
         basis[leaving] = entering
 
-    objective = -obj[total]
-    if objective != 0:
+    if obj[total] != 0:
         return None
-    u = [Fraction(0)] * n
+    u = [0] * n
     for i, var in enumerate(basis):
         if var < n:
             u[var] = tableau[i][total]
-    return u
+    return u, prev
 
 
 def is_conserving(S: RationalMatrix) -> ConservationResult:
@@ -264,29 +257,30 @@ def is_conserving(S: RationalMatrix) -> ConservationResult:
     The lower bound 1 removes the scale degeneracy of the open condition
     "strictly positive left-kernel vector": a positive vector exists iff
     one with entries >= 1 does.  Substituting m = 1 + u reduces the check
-    to phase-1 feasibility of {u >= 0 : S^t u = -S^t 1}.
+    to phase-1 feasibility of {u >= 0 : S^t u = -S^t 1}, solved by the
+    integer-pivot simplex.  The witness D m (D the simplex's last pivot)
+    is checked in integers against the denominator-cleared rows of S^t
+    before it is returned as Fractions.
     """
-    d = S.rows
-    St = S.transpose()
-    ones = [Fraction(1)] * d
-    rhs = [-sum(St.row(i)[j] * ones[j] for j in range(d)) for i in range(St.rows)]
-    equations = [list(St.row(i)) for i in range(St.rows)]
-    u = _phase1_simplex(equations, rhs)
-    if u is None:
+    equations = tuple(zip(*S.entries()))
+    solved = _phase1_simplex(equations, [-sum(row) for row in equations])
+    if solved is None:
         return ConservationResult(False, None)
-    witness = tuple(Fraction(1) + value for value in u)
-    residual = S.transpose().multiply_vector(witness)
-    if any(v != 0 for v in residual) or any(v < 1 for v in witness):
+    u, denom = solved
+    scaled = [denom + value for value in u]
+    if any(_dot(row, scaled) for row in _integer_rows(equations)) or any(
+        value < denom for value in scaled
+    ):
         raise AssertionError("simplex returned an invalid conservation witness")
-    return ConservationResult(True, witness)
+    return ConservationResult(True, tuple(Fraction(value, denom) for value in scaled))
 
 
-def _is_zero(vector: Sequence[Fraction]) -> bool:
-    return all(v == 0 for v in vector)
+def _dot(row: Sequence[int], vector: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(row, vector))
 
 
-def _member_of_kernel(matrix: RationalMatrix, vector: Sequence[Fraction]) -> bool:
-    return _is_zero(matrix.multiply_vector(vector))
+def _annihilates(rows: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
+    return all(_dot(row, vector) == 0 for row in rows)
 
 
 def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixstep) -> bool:
@@ -323,26 +317,27 @@ def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixs
         raise ValueError("fix step coordinates out of range for the matrix")
     if S[q, ell] != p2 or p2 <= 0:
         raise ValueError("fix step records a positive entry the matrix lacks")
+    p2 = S[q, ell]  # the recorded value as a Fraction, whatever its type
 
-    right = kernel_basis(S, "right")
-    right_check = kernel_basis(S_check, "right")
-    if right.dim != right_check.dim:
+    # Kernel dimensions of S_check come from its rank; the bases of S and
+    # the membership checks are integer vectors (positive rescalings of
+    # the KernelBasis vectors, which changes neither sign nor membership).
+    check_rank = rank(S_check)
+    right = _kernel_vectors(S.entries())
+    if len(right) != S_check.cols - check_rank:
         return False
-    padded_right = []
-    for v in right.vectors:
-        padded = v + (v[ell],)
-        if not _member_of_kernel(S_check, padded):
-            return False
-        padded_right.append(padded)
+    check_rows = _integer_rows(S_check.entries())
+    padded_right = [v + [v[ell]] for v in right]
+    if not all(_annihilates(check_rows, padded) for padded in padded_right):
+        return False
 
-    left = kernel_basis(S, "left")
-    left_check = kernel_basis(S_check, "left")
-    if left.dim != left_check.dim:
+    left = _kernel_vectors(tuple(zip(*S.entries())))
+    if len(left) != S_check.rows - check_rank:
         return False
-    S_check_t = S_check.transpose()
-    for w in left.vectors:
-        padded = w + (w[q] * p2,)
-        if not _member_of_kernel(S_check_t, padded):
+    check_columns = _integer_rows(tuple(zip(*S_check.entries())))
+    for w in left:
+        padded = [x * p2.denominator for x in w] + [w[q] * p2.numerator]
+        if not _annihilates(check_columns, padded):
             return False
 
     # Dimensions agree and the padded images are independent (the first
@@ -352,8 +347,7 @@ def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixs
     # it on the basis and on the basis sum as a concrete spot check.
     samples = list(padded_right)
     if padded_right:
-        dim = len(padded_right[0])
-        samples.append(tuple(sum(v[j] for v in padded_right) for j in range(dim)))
+        samples.append([sum(column) for column in zip(*padded_right)])
     for padded in samples:
         head = padded[:-1]
         if (all(x > 0 for x in head)) != (all(x > 0 for x in padded)):

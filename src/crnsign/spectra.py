@@ -32,14 +32,11 @@ from .signfix import FixReport
 def eigenvalues(matrix) -> List[complex]:
     """All eigenvalues of a real square matrix, sorted by (real, imag).
 
-    Accepts anything ``np.asarray`` turns into a square 2-D float array,
-    up to 100x100.
+    Accepts anything ``np.asarray`` turns into a square 2-D float array.
     """
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("matrix must be square")
-    if arr.shape[0] > 100:
-        raise ValueError("eigenvalue extraction supported up to 100x100")
     values = np.linalg.eigvals(arr)
     return sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from pathlib import Path
+from typing import Tuple
 
 import pytest
 
@@ -18,15 +19,20 @@ def load(name: str) -> Network:
     return parse_network(fixture_text(name))
 
 
-def make_network(rng: random.Random) -> Network:
-    """Random reaction-form network with d <= 8 species, d' <= 10 reactions.
+def make_network(
+    rng: random.Random,
+    species: Tuple[int, int] = (2, 8),
+    reactions: Tuple[int, int] = (2, 10),
+) -> Network:
+    """Random reaction-form network; by default d <= 8 species and
+    d' <= 10 reactions, otherwise sizes drawn from the given ranges.
 
     Reactant and product sides are disjoint with coefficients in 1..3;
     species that end up unreferenced are compacted away so the Network
     validator is always satisfied.
     """
-    d = rng.randint(2, 8)
-    d_prime = rng.randint(2, 10)
+    d = rng.randint(*species)
+    d_prime = rng.randint(*reactions)
     drafts = []
     for _ in range(d_prime):
         order = list(range(d))
@@ -86,3 +92,11 @@ def conserving_family():
 def corpus():
     rng = random.Random(0)
     return [make_network(rng) for _ in range(500)]
+
+
+@pytest.fixture(scope="session")
+def large_networks():
+    """The two 30-species, 80-reaction networks of the benchmark's
+    ``large`` workload (same generator draws, seed 0)."""
+    rng = random.Random(0)
+    return [make_network(rng, (30, 30), (80, 80)) for _ in range(2)]

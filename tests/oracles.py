@@ -3,7 +3,10 @@
 These are the re-enumerating ``sign_fix`` loop, the from-scratch
 ``delta_audit`` and the dense-product ``verify_permutation_relation``
 exactly as the package had them before the one-pass fix, the
-incremental-rank audit and the index-permutation check replaced them.
+incremental-rank audit and the index-permutation check replaced them;
+and the ``Fraction`` exact core (``rank``, ``determinant``, ``_rref``
+with ``kernel_basis``, ``_phase1_simplex`` with ``is_conserving``) as it
+was before the integer elimination and the integer-pivot simplex.
 Production code does not use them; the tests compare the package's
 versions against them on the same inputs.
 """
@@ -11,9 +14,11 @@ versions against them on the same inputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Union
+from math import gcd, lcm
+from typing import List, Optional, Sequence, Tuple, Union
 
 from crnsign.deficiency import DeltaAudit, _class_of, deficiency
+from crnsign.exactla import ConservationResult, KernelBasis, Vector
 from crnsign.model import Complex, Network, RationalMatrix, stoichiometric_matrix
 from crnsign.signcheck import find_bad_submatrices
 from crnsign.signfix import FixReport, FixStep, default_order, fix_one
@@ -225,3 +230,231 @@ def delta_audit(report: FixReport) -> List[DeltaAudit]:
     return audits
 
 
+def _integer_rows(matrix: RationalMatrix) -> List[List[int]]:
+    """Scale each row by the lcm of its denominators (rank-preserving)."""
+    out = []
+    for row in matrix.entries():
+        denom = 1
+        for v in row:
+            denom = lcm(denom, v.denominator)
+        out.append([int(v * denom) for v in row])
+    return out
+
+
+def rank(matrix: RationalMatrix) -> int:
+    """Exact rank via fraction-free Gaussian elimination.
+
+    Pivot choice is the first nonzero entry in column order, so the
+    elimination (and any intermediate state) is deterministic.
+    """
+    a = _integer_rows(matrix)
+    rows, cols = matrix.rows, matrix.cols
+    prev = 1
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
+            a[i][c] = 0
+        prev = a[r][c]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def determinant(matrix: RationalMatrix) -> Fraction:
+    """Exact determinant (square matrices) via Bareiss elimination."""
+    if matrix.rows != matrix.cols:
+        raise ValueError("determinant needs a square matrix")
+    a = [list(row) for row in matrix.entries()]
+    n = matrix.rows
+    scale = Fraction(1)
+    for i in range(n):
+        denom = 1
+        for v in a[i]:
+            denom = lcm(denom, v.denominator)
+        scale *= denom
+        a[i] = [int(v * denom) for v in a[i]]
+    prev = 1
+    sign = 1
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            a[c], a[pivot_row] = a[pivot_row], a[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            for j in range(c + 1, n):
+                a[i][j] = (a[c][c] * a[i][j] - a[i][c] * a[c][j]) // prev
+            a[i][c] = 0
+        prev = a[c][c]
+    return Fraction(sign * a[n - 1][n - 1]) / scale
+
+
+def _rref(matrix: RationalMatrix) -> Tuple[List[List[Fraction]], List[int]]:
+    """Reduced row echelon form with the pivot columns, exact."""
+    a = [list(row) for row in matrix.entries()]
+    rows, cols = matrix.rows, matrix.cols
+    pivots: List[int] = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        inv = a[r][c]
+        a[r] = [v / inv for v in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                factor = a[i][c]
+                a[i] = [a[i][j] - factor * a[r][j] for j in range(cols)]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
+def _normalize(vector: Sequence[Fraction]) -> Vector:
+    """Scale to coprime integers with positive leading nonzero entry."""
+    denom = 1
+    for v in vector:
+        denom = lcm(denom, v.denominator)
+    ints = [int(v * denom) for v in vector]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    if g > 1:
+        ints = [v // g for v in ints]
+    leading = next((v for v in ints if v != 0), 0)
+    if leading < 0:
+        ints = [-v for v in ints]
+    return tuple(Fraction(v) for v in ints)
+
+
+def kernel_basis(matrix: RationalMatrix, side: str = "right") -> KernelBasis:
+    """Exact kernel basis; dimension is cols - rank (right) or
+    rows - rank (left).
+
+    Basis vectors are normalized to coprime integer entries with a
+    positive leading entry, and ordered by their free column.
+    """
+    if side == "left":
+        flipped = kernel_basis(matrix.transpose(), "right")
+        return KernelBasis(flipped.vectors, "left")
+    if side != "right":
+        raise ValueError("side must be 'right' or 'left'")
+    a, pivots = _rref(matrix)
+    free_cols = [c for c in range(matrix.cols) if c not in pivots]
+    vectors = []
+    for f in free_cols:
+        v = [Fraction(0)] * matrix.cols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -a[r][f]
+        vectors.append(_normalize(v))
+    return KernelBasis(tuple(vectors), "right")
+
+
+def _phase1_simplex(
+    equations: List[List[Fraction]], rhs: List[Fraction]
+) -> Optional[List[Fraction]]:
+    """Solve {u >= 0 : A u = b} exactly; returns u or None if infeasible.
+
+    Phase-1 simplex: one artificial variable per equation, minimize their
+    sum, entering/leaving choices by Bland's rule (anti-cycling).
+    """
+    m = len(equations)
+    n = len(equations[0]) if m else 0
+    tableau: List[List[Fraction]] = []
+    for i in range(m):
+        row = list(equations[i])
+        b = rhs[i]
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+        row.extend(Fraction(1) if k == i else Fraction(0) for k in range(m))
+        row.append(b)
+        tableau.append(row)
+    total = n + m
+    basis = [n + i for i in range(m)]
+    # Reduced-cost row for the phase-1 objective (artificials cost 1);
+    # basic artificial columns start with reduced cost zero.
+    obj = [Fraction(0)] * (total + 1)
+    for j in range(total + 1):
+        obj[j] = -sum(tableau[i][j] for i in range(m))
+    for i in range(m):
+        obj[n + i] = Fraction(0)
+
+    while True:
+        entering = next((j for j in range(total) if obj[j] < 0), None)
+        if entering is None:
+            break
+        leaving = None
+        best_ratio: Optional[Fraction] = None
+        for i in range(m):
+            coeff = tableau[i][entering]
+            if coeff > 0:
+                ratio = tableau[i][total] / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving is None:
+            # Unbounded phase-1 objective cannot happen (bounded below by 0);
+            # defensive guard.
+            return None
+        pivot = tableau[leaving][entering]
+        tableau[leaving] = [v / pivot for v in tableau[leaving]]
+        for i in range(m):
+            if i != leaving and tableau[i][entering] != 0:
+                factor = tableau[i][entering]
+                tableau[i] = [
+                    tableau[i][j] - factor * tableau[leaving][j]
+                    for j in range(total + 1)
+                ]
+        if obj[entering] != 0:
+            factor = obj[entering]
+            obj = [obj[j] - factor * tableau[leaving][j] for j in range(total + 1)]
+        basis[leaving] = entering
+
+    objective = -obj[total]
+    if objective != 0:
+        return None
+    u = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            u[var] = tableau[i][total]
+    return u
+
+
+def is_conserving(S: RationalMatrix) -> ConservationResult:
+    """Decide exactly whether some m >= 1 (entrywise) has m^t S = 0.
+
+    The lower bound 1 removes the scale degeneracy of the open condition
+    "strictly positive left-kernel vector": a positive vector exists iff
+    one with entries >= 1 does.  Substituting m = 1 + u reduces the check
+    to phase-1 feasibility of {u >= 0 : S^t u = -S^t 1}.
+    """
+    d = S.rows
+    St = S.transpose()
+    ones = [Fraction(1)] * d
+    rhs = [-sum(St.row(i)[j] * ones[j] for j in range(d)) for i in range(St.rows)]
+    equations = [list(St.row(i)) for i in range(St.rows)]
+    u = _phase1_simplex(equations, rhs)
+    if u is None:
+        return ConservationResult(False, None)
+    witness = tuple(Fraction(1) + value for value in u)
+    residual = S.transpose().multiply_vector(witness)
+    if any(v != 0 for v in residual) or any(v < 1 for v in witness):
+        raise AssertionError("simplex returned an invalid conservation witness")
+    return ConservationResult(True, witness)

@@ -249,6 +249,27 @@ def test_zero_samples_is_an_input_error(capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equilibria", CONSERVING, "--rates", "nan,1,1,1,1"],
+        ["equilibria", CONSERVING, "--rates", "inf,1,1,1,1"],
+        ["equilibria", CONSERVING, "--x0", "nan,1,1,1"],
+        ["equilibria", CONSERVING, "--x0", "inf,1,1,1"],
+        ["equilibria", CONSERVING, "--simulate", "--t-end", "-1"],
+        ["equilibria", CONSERVING, "--simulate", "--dt", "nan"],
+        ["analyze", DEF_JUMP, "--k-grid", "1:inf:5"],
+    ],
+    ids=["rates-nan", "rates-inf", "x0-nan", "x0-inf", "t-end-negative", "dt-nan", "k-grid-inf"],
+)
+def test_non_finite_or_non_positive_flag_is_an_input_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_graph_dot_output(capsys, deficiency_jump):
     code, out, _ = _run(capsys, "graph", DEF_JUMP)
     assert code == 0

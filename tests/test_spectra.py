@@ -63,7 +63,16 @@ def test_eigenvalues_input_validation():
     with pytest.raises(ValueError):
         eigenvalues([[1.0, 2.0]])
     with pytest.raises(ValueError):
-        eigenvalues(np.eye(101))
+        eigenvalues(np.ones((2, 2, 2)))
+
+
+def test_eigenvalues_beyond_100x100_match_numpy():
+    rng = np.random.default_rng(5)
+    M = rng.normal(size=(120, 120))
+    expected = sorted(np.linalg.eigvals(M), key=lambda z: (z.real, z.imag))
+    vals = eigenvalues(M)
+    assert len(vals) == 120
+    assert vals == pytest.approx(expected, abs=1e-9)
 
 
 def test_det_relation_zero_determinant(deficiency_jump):
