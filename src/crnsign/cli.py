@@ -1,21 +1,32 @@
 """Command-line front end.
 
 Subcommands: analyze, signfix, altfix, deficiency, equilibria, spectra,
-graph, decompose.  Reports are JSON by default (``--plain`` for a short
-human summary); exact matrices appear as "p/q" strings under ``_exact``
-keys and floating-point data under ``_f64`` keys.  Exit codes: 0 on
-success, 1 when a requested check fails, 2 on input errors.
+graph, decompose.  Each subcommand computes an ``_Outcome``: its report
+body, its ``--plain`` text and its exit code.  ``main`` alone renders the
+outcome (JSON by default, the short human summary with ``--plain``),
+writes it to stdout or to ``-o``, and maps errors to exit codes.  Two
+commands differ: ``signfix -o`` writes the fixed network to the file and
+the report to stdout, and ``graph`` always writes DOT.
+
+Exact matrices appear as "p/q" strings under ``_exact`` keys and
+floating-point data under ``_f64`` keys.  Exit codes: 0 on success, 1
+when a requested check fails, 2 on input errors: an unreadable or
+malformed file, a bad or non-finite flag value, an unwritable output file,
+a network the command cannot work on, or a report that would hold a
+non-finite number.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import random
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,11 +39,30 @@ from .deficiency import (
     deficiency,
     delta_audit,
 )
-from .model import Network, stoichiometric_matrix
+from .model import Network, RationalMatrix, stoichiometric_matrix
 
 
 class _InputError(Exception):
     """Bad file, bad flags, or precondition failure: exit code 2."""
+
+
+@dataclass(frozen=True)
+class _Outcome:
+    """What a subcommand hands to ``main``, which renders and writes it."""
+
+    body: Optional[dict]  # the JSON report; None when ``plain`` is the only output
+    plain: str  # the --plain text
+    code: int = 0
+    files: Tuple[Tuple[str, str], ...] = ()  # (path, text) written before the report
+    report_to_stdout: bool = False  # -o names one of ``files``, not the report
+
+
+def _checked(layer_call, *args, **kwargs):
+    """Call a layer function whose ValueError means the input is unusable."""
+    try:
+        return layer_call(*args, **kwargs)
+    except ValueError as exc:
+        raise _InputError(str(exc))
 
 
 def _load_network(args) -> Network:
@@ -48,35 +78,51 @@ def _load_network(args) -> Network:
         raise _InputError(f"{args.input}: {exc}")
 
 
-def _write(args, text: str) -> None:
-    if args.output:
-        try:
-            Path(args.output).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise _InputError(f"cannot write {args.output}: {exc}")
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc}")
+
+
+def _non_finite_at(value, where: str = "") -> Optional[str]:
+    """The path of the first non-finite float in a report, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else where
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
     else:
-        sys.stdout.write(text)
+        return None
+    for key, item in items:
+        if not isinstance(item, (str, int)):  # the bulk of a report; never non-finite
+            found = _non_finite_at(item, f"{where}/{key}")
+            if found:
+                return found
+    return None
 
 
-def _floats(raw: str, expected: int, what: str) -> List[float]:
+def _floats(raw: str, what: str, expected: Optional[int] = None) -> List[float]:
+    """Comma-separated finite, strictly positive numbers (``expected`` of them)."""
     try:
         values = [float(part) for part in raw.split(",")]
     except ValueError:
         raise _InputError(f"cannot parse {what}: {raw!r}")
     if not all(math.isfinite(v) for v in values):
         raise _InputError(f"{what} values must be finite, got {raw!r}")
-    if len(values) != expected:
+    if expected is not None and len(values) != expected:
         raise _InputError(f"{what} needs {expected} comma-separated values, got {len(values)}")
+    if any(v <= 0 for v in values):
+        raise _InputError(f"{what} must be strictly positive")
     return values
 
 
 def _rates_for(net: Network, override: Optional[str]) -> List[float]:
     """Explicit --rates, else rates from the file, else unit rates."""
     if override:
-        rates = _floats(override, net.reaction_count, "--rates")
-        if any(r <= 0 for r in rates):
-            raise _InputError("--rates must be strictly positive")
-        return rates
+        return _floats(override, "--rates", net.reaction_count)
     if all(r.rate is not None for r in net.reactions):
         return [r.rate for r in net.reactions]
     return [1.0] * net.reaction_count
@@ -84,10 +130,7 @@ def _rates_for(net: Network, override: Optional[str]) -> List[float]:
 
 def _x0_for(net: Network, override: Optional[str]) -> List[float]:
     if override:
-        x0 = _floats(override, net.species_count, "--x0")
-        if any(v <= 0 for v in x0):
-            raise _InputError("--x0 must be strictly positive")
-        return x0
+        return _floats(override, "--x0", net.species_count)
     return [1.0] * net.species_count
 
 
@@ -104,6 +147,15 @@ def _k_grid(raw: str) -> List[float]:
     return [float(k) for k in np.geomspace(lo, hi, count)]
 
 
+def _parse_order(raw: Optional[str]) -> Optional[List[int]]:
+    if raw is None:
+        return None
+    try:
+        return [int(part) for part in raw.split(",")]
+    except ValueError:
+        raise _InputError(f"--order must be comma-separated integers, got {raw!r}")
+
+
 def _sample_points(rng: random.Random, dim: int, count: int) -> List[List[float]]:
     if count < 1:
         raise _InputError(f"--samples must be at least 1, got {count}")
@@ -117,8 +169,7 @@ def _complex_pairs(values: Sequence[complex]) -> List[List[float]]:
 # ---------------------------------------------------------------- sections
 
 
-def _signcheck_section(net: Network) -> dict:
-    S = stoichiometric_matrix(net)
+def _signcheck_section(net: Network, S: RationalMatrix) -> dict:
     pattern = signcheck.sign_pattern(S)
     square = signcheck.hermitian_square_status(pattern)
     section = {
@@ -145,8 +196,7 @@ def _signcheck_section(net: Network) -> dict:
     return section
 
 
-def _badclasses_section(net: Network) -> list:
-    S = stoichiometric_matrix(net)
+def _badclasses_section(S: RationalMatrix) -> list:
     return [
         {
             "positive_entry": list(cls.positive_entry),
@@ -184,8 +234,7 @@ def _fixreport_section(report: signfix.FixReport) -> dict:
     }
 
 
-def _kernels_section(net: Network) -> dict:
-    S = stoichiometric_matrix(net)
+def _kernels_section(S: RationalMatrix) -> dict:
     right = exactla.kernel_basis(S, "right")
     left = exactla.kernel_basis(S, "left")
     conserving = exactla.is_conserving(S)
@@ -254,10 +303,10 @@ def _convergence_section(report: spectra.ConvergenceReport) -> dict:
 # ------------------------------------------------------------- subcommands
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> _Outcome:
     net = _load_network(args)
     S = stoichiometric_matrix(net)
-    badclasses = _badclasses_section(net)
+    badclasses = _badclasses_section(S)
 
     fix_section = None
     deficiency_audits = None
@@ -274,106 +323,71 @@ def _cmd_analyze(args) -> int:
         if not badclasses:
             raise _InputError("--k-grid requested but the network has no bad classes")
         rates = _rates_for(net, args.rates)
-        one_step = signfix.fix_one_report(net)
+        one_step = _checked(signfix.fix_one_report, net)
         x_hat = _x0_for(net, args.x0) + [1.0]
         spectra_section = _convergence_section(
-            spectra.eigen_convergence(
-                kinetics.MassActionSystem(net, rates), one_step, x_hat, _k_grid(args.k_grid)
+            _checked(
+                spectra.eigen_convergence,
+                kinetics.MassActionSystem(net, rates), one_step, x_hat, _k_grid(args.k_grid),
             )
         )
 
     report = {
         "network": textio.network_to_json(net),
         "matrix_exact": S.to_string_rows(),
-        "signcheck": _signcheck_section(net),
+        "signcheck": _signcheck_section(net, S),
         "badclasses": badclasses,
         "fixreport": fix_section if fix_section else {"error": fix_error},
-        "kernels": _kernels_section(net),
+        "kernels": _kernels_section(S),
         "deficiency": _deficiency_section(net, deficiency_audits),
         "spectra": spectra_section,
     }
-    if args.plain:
-        lines = [
-            f"species: {net.species_count}, reactions: {net.reaction_count}",
-            f"bad classes: {len(badclasses)}",
-        ]
-        for entry in badclasses:
-            i, j = entry["positive_entry"]
-            lines.append(
-                f"  class at ({net.species[i].name}, R{j + 1}) value {entry['value_exact']}"
-            )
-        sc = report["signcheck"]
-        if sc.get("jacobian_applicable"):
-            named = ", ".join(f"({a},{b})" for a, b in sc["ambiguous_entries_named"])
-            lines.append(f"ambiguous Jacobian entries: {named or 'none'}")
-        else:
-            lines.append("Jacobian sign check not applicable (catalysts present)")
-        dd = report["deficiency"]
+    lines = [
+        f"species: {net.species_count}, reactions: {net.reaction_count}",
+        f"bad classes: {len(badclasses)}",
+    ]
+    for entry in badclasses:
+        i, j = entry["positive_entry"]
         lines.append(
-            f"deficiency: n={dd['n']} ell={dd['ell']} s={dd['s']} delta={dd['delta']}"
+            f"  class at ({net.species[i].name}, R{j + 1}) value {entry['value_exact']}"
         )
-        lines.append(f"conserving: {'yes' if report['kernels']['conserving'] else 'no'}")
-        if fix_section:
-            lines.append(
-                f"fix: {len(fix_section['steps'])} steps, result "
-                f"{len(fix_section['result_network']['species'])} species"
-            )
-        _write(args, "\n".join(lines) + "\n")
+    sc = report["signcheck"]
+    if sc.get("jacobian_applicable"):
+        named = ", ".join(f"({a},{b})" for a, b in sc["ambiguous_entries_named"])
+        lines.append(f"ambiguous Jacobian entries: {named or 'none'}")
     else:
-        _write(args, textio.dump_report(report))
-    if args.check and badclasses:
-        return 1
-    return 0
+        lines.append("Jacobian sign check not applicable (catalysts present)")
+    dd = report["deficiency"]
+    lines.append(
+        f"deficiency: n={dd['n']} ell={dd['ell']} s={dd['s']} delta={dd['delta']}"
+    )
+    lines.append(f"conserving: {'yes' if report['kernels']['conserving'] else 'no'}")
+    if fix_section:
+        lines.append(
+            f"fix: {len(fix_section['steps'])} steps, result "
+            f"{len(fix_section['result_network']['species'])} species"
+        )
+    return _Outcome(report, "\n".join(lines) + "\n", 1 if args.check and badclasses else 0)
 
 
-def _parse_order(raw: Optional[str]) -> Optional[List[int]]:
-    if raw is None:
-        return None
-    try:
-        return [int(part) for part in raw.split(",")]
-    except ValueError:
-        raise _InputError(f"--order must be comma-separated integers, got {raw!r}")
-
-
-def _parse_rate(raw: str):
-    try:
-        values = [float(part) for part in raw.split(",")]
-    except ValueError:
-        raise _InputError(f"--rate must be a number or comma list, got {raw!r}")
-    if any(v <= 0 for v in values):
-        raise _InputError("--rate values must be strictly positive")
-    return values[0] if len(values) == 1 else values
-
-
-def _cmd_signfix(args) -> int:
+def _cmd_signfix(args) -> _Outcome:
     net = _load_network(args)
-    try:
-        fix = signfix.sign_fix(net, order=_parse_order(args.order), rate=_parse_rate(args.rate))
-    except ValueError as exc:
-        raise _InputError(str(exc))
-    if args.output:
-        try:
-            Path(args.output).write_text(
-                textio.serialize_network(fix.result), encoding="utf-8"
-            )
-        except OSError as exc:
-            raise _InputError(f"cannot write {args.output}: {exc}")
+    order = _parse_order(args.order)
+    rates = _floats(args.rate, "--rate")
+    fix = _checked(signfix.sign_fix, net, order=order, rate=rates[0] if len(rates) == 1 else rates)
     body = _fixreport_section(fix)
-    if args.plain:
-        lines = [f"steps: {len(fix.steps)}"]
-        for step in fix.steps:
-            q, p2 = step.zeroed_entry
-            lines.append(
-                f"  zeroed ({fix.original.species[q].name}, R{step.modified_column + 1}) "
-                f"value {p2}; added species {step.added_species}"
-            )
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        sys.stdout.write(textio.dump_report(body))
-    return 0
+    lines = [f"steps: {len(fix.steps)}"]
+    for step in fix.steps:
+        q, p2 = step.zeroed_entry
+        lines.append(
+            f"  zeroed ({fix.original.species[q].name}, R{step.modified_column + 1}) "
+            f"value {p2}; added species {step.added_species}"
+        )
+    files = ((args.output, body["result_text"]),) if args.output else ()
+    return _Outcome(body, "\n".join(lines) + "\n", files=files, report_to_stdout=True)
 
 
-def _cmd_altfix(args) -> int:
+def _cmd_altfix(args) -> _Outcome:
     net = _load_network(args)
     s_tilde, report = signfix.altfix(net)
     body = {
@@ -388,48 +402,32 @@ def _cmd_altfix(args) -> int:
         "conserving_original": report.conserving_original.conserving,
         "conserving_alt": report.conserving_alt.conserving,
     }
-    if args.plain:
-        _write(
-            args,
-            f"classes removed: {report.classes_removed}\n"
-            f"kernel dim {report.kernel_dim_original} -> {report.kernel_dim_alt} "
-            f"({'preserved' if report.kernel_dim_preserved else 'NOT preserved'})\n"
-            f"conserving {report.conserving_original.conserving} -> "
-            f"{report.conserving_alt.conserving}\n",
-        )
-    else:
-        _write(args, textio.dump_report(body))
-    return 0
+    plain = (
+        f"classes removed: {report.classes_removed}\n"
+        f"kernel dim {report.kernel_dim_original} -> {report.kernel_dim_alt} "
+        f"({'preserved' if report.kernel_dim_preserved else 'NOT preserved'})\n"
+        f"conserving {report.conserving_original.conserving} -> "
+        f"{report.conserving_alt.conserving}\n"
+    )
+    return _Outcome(body, plain)
 
 
-def _cmd_deficiency(args) -> int:
+def _cmd_deficiency(args) -> _Outcome:
     net = _load_network(args)
-    audits = None
-    if args.audit:
-        try:
-            audits = delta_audit(signfix.sign_fix(net))
-        except ValueError as exc:
-            raise _InputError(str(exc))
+    audits = delta_audit(_checked(signfix.sign_fix, net)) if args.audit else None
     body = _deficiency_section(net, audits)
-    if args.plain:
-        text = (
-            f"n={body['n']} ell={body['ell']} s={body['s']} delta={body['delta']}\n"
-        )
-        if audits is not None:
-            for idx, audit in enumerate(body["audit"]):
-                text += (
-                    f"step {idx}: dn={audit['dn']} dl={audit['dl']} "
-                    f"ddelta={audit['ddelta']}\n"
-                )
-        _write(args, text)
-    else:
-        _write(args, textio.dump_report(body))
-    return 0
+    plain = f"n={body['n']} ell={body['ell']} s={body['s']} delta={body['delta']}\n"
+    for idx, audit in enumerate(body.get("audit", ())):
+        plain += f"step {idx}: dn={audit['dn']} dl={audit['dl']} ddelta={audit['ddelta']}\n"
+    return _Outcome(body, plain)
 
 
-def _cmd_equilibria(args) -> int:
-    if args.simulate and not all(math.isfinite(v) and v > 0 for v in (args.t_end, args.dt)):
-        raise _InputError("--t-end and --dt must be finite and positive")
+def _cmd_equilibria(args) -> _Outcome:
+    if args.simulate:
+        if not all(math.isfinite(v) and v > 0 for v in (args.t_end, args.dt)):
+            raise _InputError("--t-end and --dt must be finite and positive")
+        if not math.isfinite(args.t_end / args.dt):
+            raise _InputError("--t-end / --dt must be a finite number of steps")
     net = _load_network(args)
     rates = _rates_for(net, args.rates)
     sys_ = kinetics.MassActionSystem(net, rates)
@@ -441,9 +439,15 @@ def _cmd_equilibria(args) -> int:
         residual = float(np.max(np.abs(kinetics.rhs(sys_, x))))
         body["equilibrium_f64"] = list(x)
         body["residual_f64"] = residual
+        plain = (
+            "equilibrium: "
+            + ", ".join(f"{s.name}={v:.9g}" for s, v in zip(net.species, x))
+            + f"\nresidual: {residual:.3e}\n"
+        )
     except kinetics.EquilibriumNotFound as exc:
         body["equilibrium_f64"] = None
         body["error"] = str(exc)
+        plain = f"no equilibrium found: {exc}\n"
         code = 1
         x = None
 
@@ -459,6 +463,7 @@ def _cmd_equilibria(args) -> int:
         else:
             body["lift"] = None
 
+    files = ()
     if args.simulate:
         times, states = kinetics.simulate(sys_, x0, args.t_end, args.dt)
         body["simulation"] = {
@@ -467,41 +472,23 @@ def _cmd_equilibria(args) -> int:
             "final_state_f64": [float(v) for v in states[-1]],
         }
         if args.traj_csv:
-            with open(args.traj_csv, "w", newline="", encoding="utf-8") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["t"] + [s.name for s in net.species])
-                for t, state in zip(times, states):
-                    writer.writerow([f"{t:.10g}"] + [f"{v:.15g}" for v in state])
-
-    if args.plain:
-        if x is not None:
-            _write(
-                args,
-                "equilibrium: "
-                + ", ".join(f"{s.name}={v:.9g}" for s, v in zip(net.species, x))
-                + f"\nresidual: {body['residual_f64']:.3e}\n",
-            )
-        else:
-            _write(args, f"no equilibrium found: {body['error']}\n")
-    else:
-        _write(args, textio.dump_report(body))
-    return code
+            csv_text = io.StringIO()
+            writer = csv.writer(csv_text)
+            writer.writerow(["t"] + [s.name for s in net.species])
+            for t, state in zip(times, states):
+                writer.writerow([f"{t:.10g}"] + [f"{v:.15g}" for v in state])
+            files = ((args.traj_csv, csv_text.getvalue()),)
+    return _Outcome(body, plain, code, files)
 
 
-def _cmd_spectra(args) -> int:
+def _cmd_spectra(args) -> _Outcome:
     net = _load_network(args)
     rates = _rates_for(net, args.rates)
     sys_ = kinetics.MassActionSystem(net, rates)
-    try:
-        one_step = signfix.fix_one_report(net)
-    except ValueError as exc:
-        raise _InputError(str(exc))
+    one_step = _checked(signfix.fix_one_report, net)
     x_hat = _x0_for(net, args.x0) + [1.0]
     grid = _k_grid(args.k_grid)
-    try:
-        conv = spectra.eigen_convergence(sys_, one_step, x_hat, grid)
-    except ValueError as exc:
-        raise _InputError(str(exc))
+    conv = _checked(spectra.eigen_convergence, sys_, one_step, x_hat, grid)
 
     det_checks = []
     for k in (1.0, 10.0, 100.0):
@@ -532,31 +519,26 @@ def _cmd_spectra(args) -> int:
         },
     }
     ok = conv.passed and all(c["passed"] for c in det_checks) and sampling.passed
-    if args.plain:
-        _write(
-            args,
-            f"slope: {conv.slope:.3f} (ok: {conv.slope_ok})\n"
-            f"matched error at k={grid[-1]:g}: {conv.matched_errors[-1]:.3e}\n"
-            f"escaper at k={grid[-1]:g}: {conv.escaping_eigenvalues[-1].real:.6g}\n"
-            f"passed: {ok}\n",
-        )
-    else:
-        _write(args, textio.dump_report(body))
-    return 0 if ok else 1
+    plain = (
+        f"slope: {conv.slope:.3f} (ok: {conv.slope_ok})\n"
+        f"matched error at k={grid[-1]:g}: {conv.matched_errors[-1]:.3e}\n"
+        f"escaper at k={grid[-1]:g}: {conv.escaping_eigenvalues[-1].real:.6g}\n"
+        f"passed: {ok}\n"
+    )
+    return _Outcome(body, plain, 0 if ok else 1)
 
 
-def _cmd_graph(args) -> int:
+def _cmd_graph(args) -> _Outcome:
     net = _load_network(args)
     graph = graphio.build_graph(
         stoichiometric_matrix(net),
         [s.name for s in net.species],
         [f"R{j + 1}" for j in range(net.reaction_count)],
     )
-    _write(args, graphio.export_dot(graph))
-    return 0
+    return _Outcome(None, graphio.export_dot(graph))
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> _Outcome:
     net = _load_network(args)
     rates = _rates_for(net, args.rates)
     sys_ = kinetics.MassActionSystem(net, rates)
@@ -576,11 +558,8 @@ def _cmd_decompose(args) -> int:
         "max_residual_f64": worst,
         "passed": passed,
     }
-    if args.plain:
-        _write(args, f"max residual over {args.samples} samples: {worst:.3e}\npassed: {passed}\n")
-    else:
-        _write(args, textio.dump_report(body))
-    return 0 if passed else 1
+    plain = f"max residual over {args.samples} samples: {worst:.3e}\npassed: {passed}\n"
+    return _Outcome(body, plain, 0 if passed else 1)
 
 
 # -------------------------------------------------------------- arg parsing
@@ -659,10 +638,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        outcome = args.func(args)
+        where = _non_finite_at(outcome.body)
+        if where:
+            raise _InputError(f"the report would hold a non-finite number at {where}")
+        if args.plain or outcome.body is None:
+            text = outcome.plain
+        else:
+            text = textio.dump_report(outcome.body)
+        for path, content in outcome.files:
+            _write_file(path, content)
+        if args.output and not outcome.report_to_stdout:
+            _write_file(args.output, text)
+        else:
+            sys.stdout.write(text)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return outcome.code
 
 
 if __name__ == "__main__":

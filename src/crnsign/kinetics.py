@@ -318,9 +318,15 @@ def simulate(
     Returns (times, states) with states[i] the state at times[i],
     including both endpoints.  Aborts if the state leaves the physical
     region (NaN, or any coordinate below -1e-9).
+
+    Raises:
+        ValueError: if t_end or dt is not positive, or the step count
+            t_end / dt is not finite.
     """
     if not (t_end > 0 and dt > 0):
         raise ValueError("t_end and dt must be positive")
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"the step count t_end / dt = {t_end / dt} is not finite")
     x = _check_state(sys, x0, positive=False).copy()
     steps = max(1, int(round(t_end / dt)))
     times = [0.0]

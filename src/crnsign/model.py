@@ -89,15 +89,16 @@ class Complex:
     def species_indices(self) -> Tuple[int, ...]:
         return tuple(index for index, _ in self.terms)
 
-    def format(self, species: Sequence[Species]) -> str:
-        """Render as text, e.g. ``3B+C``; the zero complex renders as ``0``."""
+    def format(self, species: Sequence[Species], separator: str = "+") -> str:
+        """Render as text, e.g. ``3B+C`` (``3B + C`` with separator
+        ``" + "``); the zero complex renders as ``0``."""
         if not self.terms:
             return "0"
         parts = []
         for index, coeff in self.terms:
             name = species[index].name
             parts.append(name if coeff == 1 else f"{coeff}{name}")
-        return "+".join(parts)
+        return separator.join(parts)
 
 
 @dataclass(frozen=True)

@@ -364,19 +364,6 @@ def parse_network(text: str, allow_catalysts: bool = False) -> Network:
         raise ParseError(lineno, 1, message) from exc
 
 
-def _format_coefficient(coeff: Fraction) -> str:
-    return "" if coeff == 1 else str(coeff)
-
-
-def _format_complex(cpx: Complex, net: Network) -> str:
-    if cpx.is_empty:
-        return "0"
-    parts = []
-    for index, coeff in cpx.terms:
-        parts.append(f"{_format_coefficient(coeff)}{net.species[index].name}")
-    return " + ".join(parts)
-
-
 def serialize_network(net: Network) -> str:
     """Render a network in the text format.
 
@@ -393,8 +380,8 @@ def serialize_network(net: Network) -> str:
     for j, reaction in enumerate(net.reactions):
         if j in skip:
             continue
-        lhs = _format_complex(reaction.reactant, net)
-        rhs = _format_complex(reaction.product, net)
+        lhs = reaction.reactant.format(net.species, " + ")
+        rhs = reaction.product.format(net.species, " + ")
         if j in adjacent:
             rev = net.reactions[adjacent[j]]
             if (reaction.rate is None) == (rev.rate is None):

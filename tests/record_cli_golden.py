@@ -1,0 +1,148 @@
+"""Record what ``crnsign`` prints and writes for a fixed set of invocations.
+
+Each invocation runs ``crnsign.cli.main`` in this process, inside a work
+directory that holds a copy of ``fixtures/`` plus a catalyst network and an
+empty file, so every path (and every path quoted in an error message) is
+relative and the same on every machine.  For each invocation the record
+holds the exit code, the sha256 of stdout, the sha256 of every file the
+invocation wrote and, for exit code 2 only, stderr.  An invocation that
+raises records the exception's type and message instead of an exit code.
+
+``test_cli.py::test_cli_matches_golden`` replays the invocations and
+compares with ``cli_golden.json``.  To re-record (only when an output is
+meant to change)::
+
+    PYTHONPATH=src python3 tests/record_cli_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, List
+
+HERE = Path(__file__).resolve().parent
+FIXTURES = HERE.parent / "fixtures"
+GOLDEN = HERE / "cli_golden.json"
+
+CATALYST = "A + B -> 2B\nB -> A\n"
+SUBCOMMANDS = ["analyze", "signfix", "altfix", "deficiency", "equilibria", "spectra", "graph", "decompose"]
+
+
+def _class_count(path: Path) -> int:
+    from crnsign import find_bad_submatrices, parse_network, stoichiometric_matrix
+
+    net = parse_network(path.read_text(encoding="utf-8"))
+    return len(find_bad_submatrices(stoichiometric_matrix(net)))
+
+
+def invocations() -> Dict[str, List[str]]:
+    """Invocation id -> argv, relative to the work directory."""
+    runs: Dict[str, List[str]] = {}
+    for fixture in sorted(FIXTURES.glob("*.crn")):
+        f = f"fixtures/{fixture.name}"
+        name = fixture.stem
+        for command in SUBCOMMANDS:
+            runs[f"{name}/{command}"] = [command, f]
+            runs[f"{name}/{command}/plain"] = [command, f, "--plain"]
+        n = _class_count(fixture)
+        runs.update(
+            {
+                f"{name}/analyze/check": ["analyze", f, "--check"],
+                f"{name}/analyze/k-grid": ["analyze", f, "--k-grid", "1:1e6:7"],
+                f"{name}/analyze/k-grid/plain": ["analyze", f, "--k-grid", "1:1e6:7", "--plain"],
+                f"{name}/analyze/o": ["analyze", f, "-o", "report.json"],
+                f"{name}/analyze/o/plain": ["analyze", f, "-o", "report.txt", "--plain"],
+                f"{name}/signfix/o": ["signfix", f, "-o", "fixed.crn"],
+                f"{name}/signfix/o/plain": ["signfix", f, "-o", "fixed.crn", "--plain"],
+                f"{name}/signfix/order": [
+                    "signfix", f, "--order", ",".join(str(i) for i in reversed(range(n))) or "0"
+                ],
+                f"{name}/signfix/rate": ["signfix", f, "--rate", "2.5"],
+                f"{name}/signfix/rates": [
+                    "signfix", f, "--rate", ",".join(str(i + 2) for i in range(n)) or "1"
+                ],
+                f"{name}/deficiency/audit": ["deficiency", f, "--audit"],
+                f"{name}/deficiency/audit/plain": ["deficiency", f, "--audit", "--plain"],
+                f"{name}/equilibria/lift": ["equilibria", f, "--lift"],
+                f"{name}/equilibria/simulate": [
+                    "equilibria", f, "--simulate", "--t-end", "5", "--dt", "0.01",
+                    "--traj-csv", "traj.csv",
+                ],
+                f"{name}/equilibria/simulate/o": [
+                    "equilibria", f, "--simulate", "--t-end", "5", "--dt", "0.01",
+                    "--traj-csv", "traj.csv", "-o", "report.json",
+                ],
+                f"{name}/spectra/seed": ["spectra", f, "--seed", "7", "--samples", "40"],
+                f"{name}/graph/o": ["graph", f, "-o", "graph.dot"],
+                f"{name}/decompose/samples": ["decompose", f, "--samples", "25", "--seed", "3"],
+            }
+        )
+    runs["catalyst/analyze"] = ["analyze", "catalyst.crn"]
+    runs["catalyst/analyze/allow"] = ["analyze", "catalyst.crn", "--allow-catalysts"]
+    runs["catalyst/analyze/allow/plain"] = ["analyze", "catalyst.crn", "--allow-catalysts", "--plain"]
+    for command in SUBCOMMANDS:
+        runs[f"missing/{command}"] = [command, "missing.crn"]
+        runs[f"empty/{command}"] = [command, "empty.crn"]
+    runs["two_ambiguous/signfix/order-bad"] = ["signfix", "fixtures/two_ambiguous.crn", "--order", "0"]
+    runs["two_ambiguous/signfix/order-zebra"] = ["signfix", "fixtures/two_ambiguous.crn", "--order", "zebra"]
+    runs["two_ambiguous/signfix/rates-count"] = ["signfix", "fixtures/two_ambiguous.crn", "--rate", "1,2,3"]
+    return runs
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_one(argv: List[str]) -> dict:
+    """Run ``crnsign <argv>`` in the current directory and record the outcome."""
+    from crnsign import cli
+
+    before = set(os.listdir("."))
+    out, err = io.StringIO(), io.StringIO()
+    record: dict = {"argv": argv}
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            record["exit"] = cli.main(argv)
+        except Exception as exc:  # recorded, so a change in it shows
+            record["raised"] = f"{type(exc).__name__}: {exc}"
+    record["stdout_sha256"] = _sha(out.getvalue().encode("utf-8"))
+    written = sorted(set(os.listdir(".")) - before)
+    record["files"] = {name: _sha(Path(name).read_bytes()) for name in written}
+    for name in written:
+        os.remove(name)
+    if record.get("exit") == 2:
+        record["stderr"] = err.getvalue()
+    return record
+
+
+def record_all(workdir: Path) -> Dict[str, dict]:
+    """Run every invocation inside ``workdir`` (left holding the inputs)."""
+    shutil.copytree(FIXTURES, workdir / "fixtures")
+    (workdir / "catalyst.crn").write_text(CATALYST, encoding="utf-8")
+    (workdir / "empty.crn").write_text("", encoding="utf-8")
+    previous = os.getcwd()
+    os.chdir(workdir)
+    try:
+        return {key: run_one(argv) for key, argv in invocations().items()}
+    finally:
+        os.chdir(previous)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        records = record_all(Path(tmp))
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(records)} records to {GOLDEN}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,12 +8,14 @@ from crnsign.model import stoichiometric_matrix
 from crnsign.signfix import sign_fix
 from crnsign.textio import parse_network, serialize_network
 
+import record_cli_golden
 from conftest import FIXTURES
 
 TWO_AMBIGUOUS = str(FIXTURES / "two_ambiguous.crn")
 DEF_JUMP = str(FIXTURES / "deficiency_jump.crn")
 CONSERVING = str(FIXTURES / "conserving_family.crn")
 CLEAN = str(FIXTURES / "fully_signed.crn")
+ONE_AMBIGUOUS = str(FIXTURES / "one_ambiguous.crn")
 
 
 def _run(capsys, *argv):
@@ -259,8 +261,16 @@ def test_zero_samples_is_an_input_error(capsys, command):
         ["equilibria", CONSERVING, "--simulate", "--t-end", "-1"],
         ["equilibria", CONSERVING, "--simulate", "--dt", "nan"],
         ["analyze", DEF_JUMP, "--k-grid", "1:inf:5"],
+        ["signfix", CONSERVING, "--rate", "inf"],
+        ["signfix", CONSERVING, "--rate", "1e400"],
+        ["spectra", ONE_AMBIGUOUS, "--rates", "1e200,1,1,1"],
+        ["spectra", ONE_AMBIGUOUS, "--rates", "1e200,1,1,1", "--plain"],
+        ["equilibria", CONSERVING, "--simulate", "--t-end", "1e300", "--dt", "1e-10"],
     ],
-    ids=["rates-nan", "rates-inf", "x0-nan", "x0-inf", "t-end-negative", "dt-nan", "k-grid-inf"],
+    ids=[
+        "rates-nan", "rates-inf", "x0-nan", "x0-inf", "t-end-negative", "dt-nan", "k-grid-inf",
+        "rate-inf", "rate-out-of-range", "report-nan", "report-nan-plain", "step-count-overflow",
+    ],
 )
 def test_non_finite_or_non_positive_flag_is_an_input_error(capsys, argv):
     code, out, err = _run(capsys, *argv)
@@ -268,6 +278,51 @@ def test_non_finite_or_non_positive_flag_is_an_input_error(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_non_finite_report_names_the_value(capsys):
+    code, _, err = _run(capsys, "spectra", ONE_AMBIGUOUS, "--rates", "1e200,1,1,1")
+    assert code == 2
+    assert "non-finite number at /convergence/" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equilibria", CONSERVING, "--simulate", "--t-end", "0.5", "--dt", "0.01", "--traj-csv", "{missing}/x.csv"],
+        ["analyze", CONSERVING, "-o", "{missing}/report.json"],
+        ["signfix", CONSERVING, "-o", "{missing}/fixed.crn"],
+        ["graph", CONSERVING, "-o", "{missing}/graph.dot"],
+    ],
+    ids=["traj-csv", "analyze-o", "signfix-o", "graph-o"],
+)
+def test_unwritable_output_file_is_an_input_error(capsys, tmp_path, argv):
+    missing = tmp_path / "no_such_dir"
+    code, out, err = _run(capsys, *[a.format(missing=missing) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ValueError,
+    reason="known defect: equilibria --simulate raises when RK4 steps leave the orthant",
+)
+def test_simulate_leaving_the_orthant_is_an_input_error(capsys):
+    code, _, err = _run(capsys, "equilibria", ONE_AMBIGUOUS, "--simulate", "--t-end", "1e6", "--dt", "1")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_cli_matches_golden(tmp_path):
+    """Every recorded invocation prints, writes and exits as it did when recorded."""
+    golden = json.loads(record_cli_golden.GOLDEN.read_text(encoding="utf-8"))
+    records = record_cli_golden.record_all(tmp_path)
+    assert list(records) == list(golden)
+    changed = [key for key in golden if records[key] != golden[key]]
+    assert changed == [], {key: (golden[key], records[key]) for key in changed[:3]}
 
 
 def test_graph_dot_output(capsys, deficiency_jump):

@@ -214,3 +214,10 @@ def test_simulate_argument_validation():
         simulate(sys, [1.0, 0.0], t_end=0.0, dt=0.1)
     with pytest.raises(ValueError):
         simulate(sys, [1.0, 0.0], t_end=1.0, dt=-0.1)
+
+
+@pytest.mark.parametrize("t_end, dt", [(1e300, 1e-10), (float("inf"), 0.1), (1e308, 1e-300)])
+def test_simulate_rejects_a_non_finite_step_count(t_end, dt):
+    sys = MassActionSystem(parse_network("A -> B"), [1.0])
+    with pytest.raises(ValueError, match="step count"):
+        simulate(sys, [1.0, 0.0], t_end=t_end, dt=dt)
