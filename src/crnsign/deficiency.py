@@ -15,19 +15,20 @@ total.  A mismatch means the implementation is wrong, not the input.
 
 Also here: the decomposition S v(x) = Y A_k psi(x) of the right-hand
 side through complex space (Y lists complex coefficients, A_k is the
-rate-weighted Laplacian of the reaction graph on complexes).
+rate-weighted Laplacian of the reaction graph on complexes), built once
+per system and then evaluated at any number of states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import exactla
-from .kinetics import MassActionSystem
+from .kinetics import MassActionSystem, Terms, monomials, rhs
 from .model import Complex, Network, RationalMatrix, Reaction, stoichiometric_matrix
 from .signcheck import find_bad_submatrices
 from .signfix import FixReport, FixStep
@@ -268,24 +269,62 @@ def check_single_positive_column(net: Network) -> bool:
     return True
 
 
-def complexes_decomposition(
-    sys: MassActionSystem,
-) -> Tuple[RationalMatrix, np.ndarray, Callable[[Sequence[float]], np.ndarray]]:
+@dataclass(frozen=True, eq=False)
+class Decomposition:
+    """S v(x) = Y A_k psi(x) for one system, built once.
+
+    Unpacks as ``(Y, a_k, psi)``.  Y is the exact species-by-complexes
+    coefficient matrix, ``a_k`` the rate-weighted Laplacian, ``psi`` the
+    complex monomials; ``residual`` checks the factorization at a state.
+    """
+
+    system: MassActionSystem
+    Y: RationalMatrix
+    a_k: np.ndarray
+    y_float: np.ndarray  # Y as floats, for the products in ``residual``
+    complex_terms: Terms  # each complex's (species, float coefficient) pairs
+
+    def __iter__(self) -> Iterator:
+        return iter((self.Y, self.a_k, self.psi))
+
+    def psi(self, x: Sequence[float]) -> np.ndarray:
+        """psi(x)_c = prod_j x_j ** Y[j, c], in species order, from 1.0."""
+        arr = np.asarray(x, dtype=float)
+        if arr.shape != (self.system.species_count,):
+            raise ValueError(f"state must have {self.system.species_count} coordinates")
+        ones = [1.0] * len(self.complex_terms)
+        return np.array(monomials(ones, self.complex_terms, arr.tolist()))
+
+    def residual(self, x: Sequence[float]) -> float:
+        """Relative max-norm gap between S v(x) and Y A_k psi(x)."""
+        lhs = rhs(self.system, x)
+        produced = self.y_float @ (self.a_k @ self.psi(x))
+        scale = 1.0 + float(np.max(np.abs(lhs)))
+        return float(np.max(np.abs(lhs - produced))) / scale
+
+
+def complexes_decomposition(sys: MassActionSystem) -> Decomposition:
     """Factor the right-hand side as S v(x) = Y A_k psi(x).
 
     Y is the species-by-complexes coefficient matrix, psi(x) the vector
     of complex monomials psi(x)_c = prod_j x_j^Y[j,c], and A_k the
     rate-weighted Laplacian sum of k_r (e_product - e_reactant)
     e_reactant^t over reactions r (so its columns sum to zero).
+
+    Y, its float copy and A_k are built once from the complexes' terms;
+    the returned ``Decomposition`` evaluates psi and the residual at any
+    number of states without rebuilding them.  Each monomial is
+    evaluated like a flux (``kinetics.monomials``), starting from 1.0.
     """
     net = sys.network
     complexes = complexes_of(net)
     index = {c: i for i, c in enumerate(complexes)}
-    y_rows = [
-        [complexes[c].coefficient(j) for c in range(len(complexes))]
-        for j in range(net.species_count)
-    ]
-    Y = RationalMatrix(y_rows)
+    y_rows = [[Fraction(0)] * len(complexes) for _ in range(net.species_count)]
+    y_float = np.zeros((net.species_count, len(complexes)))
+    for c, cx in enumerate(complexes):
+        for j, coeff in cx.terms:
+            y_rows[j][c] = coeff
+            y_float[j, c] = float(coeff)
 
     a_k = np.zeros((len(complexes), len(complexes)))
     for r, reaction in enumerate(net.reactions):
@@ -294,29 +333,17 @@ def complexes_decomposition(
         a_k[dst, src] += sys.rates[r]
         a_k[src, src] -= sys.rates[r]
 
-    y_float = np.array(Y.to_float_rows())
-
-    def psi(x: Sequence[float]) -> np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        if arr.shape != (net.species_count,):
-            raise ValueError(f"state must have {net.species_count} coordinates")
-        out = np.ones(len(complexes))
-        for c in range(len(complexes)):
-            for j in range(net.species_count):
-                e = y_float[j, c]
-                if e:
-                    out[c] *= arr[j] ** e
-        return out
-
-    return Y, a_k, psi
+    complex_terms = tuple(
+        tuple((j, float(coeff)) for j, coeff in cx.terms) for cx in complexes
+    )
+    return Decomposition(sys, RationalMatrix(y_rows), a_k, y_float, complex_terms)
 
 
 def decomposition_residual(sys: MassActionSystem, x: Sequence[float]) -> float:
-    """Relative max-norm gap between S v(x) and Y A_k psi(x)."""
-    from .kinetics import rhs
+    """Relative max-norm gap between S v(x) and Y A_k psi(x).
 
-    Y, a_k, psi = complexes_decomposition(sys)
-    lhs = rhs(sys, x)
-    produced = np.array(Y.to_float_rows()) @ (a_k @ psi(x))
-    scale = 1.0 + float(np.max(np.abs(lhs)))
-    return float(np.max(np.abs(lhs - produced))) / scale
+    Builds the decomposition for this one state; to check many states
+    of one system, call ``complexes_decomposition`` once and its
+    ``residual`` per state.
+    """
+    return complexes_decomposition(sys).residual(x)

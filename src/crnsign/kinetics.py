@@ -8,6 +8,17 @@ right-hand side factors as S V'(x) with V'[k][j] = v_k(x) e_kj / x_j
 ``exact_jacobian`` is the slow exact-rational twin used for
 cross-checking.
 
+A ``MassActionSystem`` builds its float tables once, straight from the
+reaction terms: the float S (each nonzero exact net coefficient converted
+by ``float``) and the sparse reactant terms, also as index arrays for the
+Jacobian.  No ``Fraction`` arithmetic runs per evaluation.  ``monomials``
+evaluates rate times prod x_j ** e_j over plain Python floats, one C
+``pow`` per term in term order; the complex monomials of
+``deficiency.complexes_decomposition`` use it too.  The powers stay
+scalar on purpose: numpy's vectorised ``np.power`` (and even ``x*x`` for
+``x ** 2``) rounds differently from ``pow`` in a small share of cases on
+SIMD hardware, which would change the reported ``*_f64`` bits.
+
 Equilibrium correspondence with a fixing run: each added species B' sits
 between reaction l and the appended reaction B' -> p2 B, so at
 equilibrium its concentration is forced to v_l(x)/k.  ``lift_equilibrium``
@@ -20,12 +31,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .model import Network, RationalMatrix, stoichiometric_matrix
 from .signfix import FixReport
+
+# Most RK4 steps ``simulate`` takes; each step's state is kept in memory.
+MAX_STEPS = 1_000_000
+
+Terms = Tuple[Tuple[Tuple[int, float], ...], ...]
 
 
 class EquilibriumNotFound(Exception):
@@ -50,13 +66,24 @@ class MassActionSystem:
             raise ValueError("rate constants must be finite and strictly positive")
         self.network = network
         self.rates = rates
-        self.matrix = stoichiometric_matrix(network)
-        self._S = np.array(self.matrix.to_float_rows())
+        self._S = np.zeros((network.species_count, network.reaction_count))
+        for k, r in enumerate(network.reactions):
+            net_terms: Dict[int, Fraction] = dict(r.product.terms)
+            for j, c in r.reactant.terms:
+                net_terms[j] = net_terms.get(j, 0) - c
+            for j, c in net_terms.items():
+                if c:
+                    self._S[j, k] = float(c)
         # Reactant exponents, sparse per reaction: [(species, exponent), ...]
-        self.exponents: Tuple[Tuple[Tuple[int, float], ...], ...] = tuple(
+        self.exponents: Terms = tuple(
             tuple((j, float(c)) for j, c in r.reactant.terms)
             for r in network.reactions
         )
+        # The same terms flattened, for the Jacobian's one scatter.
+        flat = [(k, j, e) for k, terms in enumerate(self.exponents) for j, e in terms]
+        self._rows = np.array([k for k, _, _ in flat], dtype=np.intp)
+        self._cols = np.array([j for _, j, _ in flat], dtype=np.intp)
+        self._exps = np.array([e for _, _, e in flat], dtype=float)
 
     @classmethod
     def from_network_rates(cls, network: Network) -> "MassActionSystem":
@@ -81,23 +108,52 @@ def _check_state(sys: MassActionSystem, x: Sequence[float], positive: bool) -> n
         raise ValueError(
             f"state must have {sys.species_count} coordinates, got shape {arr.shape}"
         )
-    if positive and not np.all(arr > 0):
+    if positive and not (arr > 0).all():
         raise ValueError("state must be strictly positive")
     return arr
+
+
+def monomials(
+    starts: Sequence[float], terms: Terms, xs: Sequence[float]
+) -> List[float]:
+    """starts[k] * prod xs[j] ** e over terms[k], left to right, for each k.
+
+    ``starts`` and ``xs`` hold Python floats.  Each power is one C ``pow``
+    (Python's float ``**``), which is what numpy's scalar power computes,
+    so the bits equal those of the numpy-scalar loop.  Where Python's
+    ``**`` differs from numpy, an overflow (``OverflowError``, numpy
+    gives inf) or a negative base under a fractional exponent (a complex
+    result, numpy gives nan), the monomial is recomputed with numpy
+    scalars.
+    """
+    out = []
+    for start, term in zip(starts, terms):
+        value = start
+        try:
+            for j, e in term:
+                value *= xs[j] ** e
+        except OverflowError:
+            value = None
+        if type(value) is not float:
+            value = start
+            for j, e in term:
+                value *= np.float64(xs[j]) ** e
+            value = float(value)
+        out.append(value)
+    return out
 
 
 def flux(sys: MassActionSystem, x: Sequence[float]) -> np.ndarray:
     """Reaction fluxes v(x); x must be componentwise nonnegative."""
     arr = _check_state(sys, x, positive=False)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError("state must be nonnegative")
-    out = np.empty(sys.reaction_count)
-    for k, terms in enumerate(sys.exponents):
-        value = sys.rates[k]
-        for j, e in terms:
-            value *= arr[j] ** e
-        out[k] = value
-    return out
+    return _flux(sys, arr)
+
+
+def _flux(sys: MassActionSystem, arr: np.ndarray) -> np.ndarray:
+    """v(arr) for a state array the caller has already checked."""
+    return np.array(monomials(sys.rates, sys.exponents, arr.tolist()))
 
 
 def rhs(sys: MassActionSystem, x: Sequence[float]) -> np.ndarray:
@@ -108,11 +164,9 @@ def rhs(sys: MassActionSystem, x: Sequence[float]) -> np.ndarray:
 def flux_jacobian(sys: MassActionSystem, x: Sequence[float]) -> np.ndarray:
     """V'(x), the d' x d Jacobian of the flux map; requires x > 0."""
     arr = _check_state(sys, x, positive=True)
-    v = flux(sys, arr)
+    v = _flux(sys, arr)
     out = np.zeros((sys.reaction_count, sys.species_count))
-    for k, terms in enumerate(sys.exponents):
-        for j, e in terms:
-            out[k, j] = v[k] * e / arr[j]
+    out[sys._rows, sys._cols] = v[sys._rows] * sys._exps / arr[sys._cols]
     return out
 
 
@@ -307,6 +361,26 @@ def project_equilibrium(
     )
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """The number of fixed steps ``simulate`` takes from 0 to t_end.
+
+    Raises:
+        ValueError: if t_end or dt is not positive, or the step count
+            t_end / dt is not finite or exceeds ``MAX_STEPS``.
+    """
+    if not (t_end > 0 and dt > 0):
+        raise ValueError("t_end and dt must be positive")
+    ratio = t_end / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"the step count t_end / dt = {ratio} is not finite")
+    steps = max(1, int(round(ratio)))
+    if steps > MAX_STEPS:
+        raise ValueError(
+            f"the step count t_end / dt = {ratio:.6g} exceeds the limit of {MAX_STEPS} steps"
+        )
+    return steps
+
+
 def simulate(
     sys: MassActionSystem,
     x0: Sequence[float],
@@ -321,19 +395,16 @@ def simulate(
 
     Raises:
         ValueError: if t_end or dt is not positive, or the step count
-            t_end / dt is not finite.
+            t_end / dt is not finite or exceeds ``MAX_STEPS`` (see
+            ``step_count``).
     """
-    if not (t_end > 0 and dt > 0):
-        raise ValueError("t_end and dt must be positive")
-    if not math.isfinite(t_end / dt):
-        raise ValueError(f"the step count t_end / dt = {t_end / dt} is not finite")
+    steps = step_count(t_end, dt)
     x = _check_state(sys, x0, positive=False).copy()
-    steps = max(1, int(round(t_end / dt)))
     times = [0.0]
     states = [x.copy()]
 
     def f(state: np.ndarray) -> np.ndarray:
-        return sys._S @ flux(sys, np.maximum(state, 0.0))
+        return sys._S @ _flux(sys, np.maximum(state, 0.0))
 
     # overflow to inf/nan is caught below and turned into a clean error
     with np.errstate(over="ignore", invalid="ignore"):

@@ -6,19 +6,28 @@ exactly as the package had them before the one-pass fix, the
 incremental-rank audit and the index-permutation check replaced them;
 and the ``Fraction`` exact core (``rank``, ``determinant``, ``_rref``
 with ``kernel_basis``, ``_phase1_simplex`` with ``is_conserving``) as it
-was before the integer elimination and the integer-pivot simplex.
-Production code does not use them; the tests compare the package's
+was before the integer elimination and the integer-pivot simplex; and
+the mass-action float kernel (the ``MassActionSystem`` float S and
+reactant exponents, ``flux``, ``rhs``, ``flux_jacobian``, ``simulate``,
+``complexes_decomposition`` and ``decomposition_residual``) as it was
+before the float tables were built straight from the reaction terms and
+the powers moved to Python floats.  Production code does not use them; the tests compare the package's
 versions against them on the same inputs.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from crnsign.deficiency import DeltaAudit, _class_of, deficiency
+from crnsign.deficiency import complexes_of
 from crnsign.exactla import ConservationResult, KernelBasis, Vector
+from crnsign.kinetics import _check_state
 from crnsign.model import Complex, Network, RationalMatrix, stoichiometric_matrix
 from crnsign.signcheck import find_bad_submatrices
 from crnsign.signfix import FixReport, FixStep, default_order, fix_one
@@ -458,3 +467,161 @@ def is_conserving(S: RationalMatrix) -> ConservationResult:
     if any(v != 0 for v in residual) or any(v < 1 for v in witness):
         raise AssertionError("simplex returned an invalid conservation witness")
     return ConservationResult(True, witness)
+
+
+class MassActionSystem:
+    """A network together with one positive rate constant per reaction."""
+
+    def __init__(self, network: Network, rates: Sequence[float]):
+        rates = tuple(float(r) for r in rates)
+        if len(rates) != network.reaction_count:
+            raise ValueError(
+                f"expected {network.reaction_count} rate constants, got {len(rates)}"
+            )
+        if any(not (r > 0) or not math.isfinite(r) for r in rates):
+            raise ValueError("rate constants must be finite and strictly positive")
+        self.network = network
+        self.rates = rates
+        self.matrix = stoichiometric_matrix(network)
+        self._S = np.array(self.matrix.to_float_rows())
+        # Reactant exponents, sparse per reaction: [(species, exponent), ...]
+        self.exponents: Tuple[Tuple[Tuple[int, float], ...], ...] = tuple(
+            tuple((j, float(c)) for j, c in r.reactant.terms)
+            for r in network.reactions
+        )
+
+    @property
+    def species_count(self) -> int:
+        return self.network.species_count
+
+    @property
+    def reaction_count(self) -> int:
+        return self.network.reaction_count
+
+
+def flux(sys: MassActionSystem, x: Sequence[float]) -> np.ndarray:
+    """Reaction fluxes v(x); x must be componentwise nonnegative."""
+    arr = _check_state(sys, x, positive=False)
+    if np.any(arr < 0):
+        raise ValueError("state must be nonnegative")
+    out = np.empty(sys.reaction_count)
+    for k, terms in enumerate(sys.exponents):
+        value = sys.rates[k]
+        for j, e in terms:
+            value *= arr[j] ** e
+        out[k] = value
+    return out
+
+
+def rhs(sys: MassActionSystem, x: Sequence[float]) -> np.ndarray:
+    """Right-hand side S v(x) of the mass-action ODE."""
+    return sys._S @ flux(sys, x)
+
+
+def flux_jacobian(sys: MassActionSystem, x: Sequence[float]) -> np.ndarray:
+    """V'(x), the d' x d Jacobian of the flux map; requires x > 0."""
+    arr = _check_state(sys, x, positive=True)
+    v = flux(sys, arr)
+    out = np.zeros((sys.reaction_count, sys.species_count))
+    for k, terms in enumerate(sys.exponents):
+        for j, e in terms:
+            out[k, j] = v[k] * e / arr[j]
+    return out
+
+
+def simulate(
+    sys: MassActionSystem,
+    x0: Sequence[float],
+    t_end: float,
+    dt: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Integrate the mass-action ODE with fixed-step classical Runge-Kutta.
+
+    Returns (times, states) with states[i] the state at times[i],
+    including both endpoints.  Aborts if the state leaves the physical
+    region (NaN, or any coordinate below -1e-9).
+
+    Raises:
+        ValueError: if t_end or dt is not positive, or the step count
+            t_end / dt is not finite.
+    """
+    if not (t_end > 0 and dt > 0):
+        raise ValueError("t_end and dt must be positive")
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"the step count t_end / dt = {t_end / dt} is not finite")
+    x = _check_state(sys, x0, positive=False).copy()
+    steps = max(1, int(round(t_end / dt)))
+    times = [0.0]
+    states = [x.copy()]
+
+    def f(state: np.ndarray) -> np.ndarray:
+        return sys._S @ flux(sys, np.maximum(state, 0.0))
+
+    # overflow to inf/nan is caught below and turned into a clean error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            k1 = f(x)
+            k2 = f(x + 0.5 * dt * k1)
+            k3 = f(x + 0.5 * dt * k2)
+            k4 = f(x + dt * k3)
+            x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.all(np.isfinite(x)) or np.any(x < -1e-9):
+                raise ValueError(
+                    f"trajectory left the nonnegative orthant at t={times[-1] + dt:.6g}; "
+                    "reduce dt"
+                )
+            times.append((i + 1) * dt)
+            states.append(x.copy())
+    return np.array(times), np.array(states)
+
+
+def complexes_decomposition(
+    sys: MassActionSystem,
+) -> Tuple[RationalMatrix, np.ndarray, Callable[[Sequence[float]], np.ndarray]]:
+    """Factor the right-hand side as S v(x) = Y A_k psi(x).
+
+    Y is the species-by-complexes coefficient matrix, psi(x) the vector
+    of complex monomials psi(x)_c = prod_j x_j^Y[j,c], and A_k the
+    rate-weighted Laplacian sum of k_r (e_product - e_reactant)
+    e_reactant^t over reactions r (so its columns sum to zero).
+    """
+    net = sys.network
+    complexes = complexes_of(net)
+    index = {c: i for i, c in enumerate(complexes)}
+    y_rows = [
+        [complexes[c].coefficient(j) for c in range(len(complexes))]
+        for j in range(net.species_count)
+    ]
+    Y = RationalMatrix(y_rows)
+
+    a_k = np.zeros((len(complexes), len(complexes)))
+    for r, reaction in enumerate(net.reactions):
+        src = index[reaction.reactant]
+        dst = index[reaction.product]
+        a_k[dst, src] += sys.rates[r]
+        a_k[src, src] -= sys.rates[r]
+
+    y_float = np.array(Y.to_float_rows())
+
+    def psi(x: Sequence[float]) -> np.ndarray:
+        arr = np.asarray(x, dtype=float)
+        if arr.shape != (net.species_count,):
+            raise ValueError(f"state must have {net.species_count} coordinates")
+        out = np.ones(len(complexes))
+        for c in range(len(complexes)):
+            for j in range(net.species_count):
+                e = y_float[j, c]
+                if e:
+                    out[c] *= arr[j] ** e
+        return out
+
+    return Y, a_k, psi
+
+
+def decomposition_residual(sys: MassActionSystem, x: Sequence[float]) -> float:
+    """Relative max-norm gap between S v(x) and Y A_k psi(x)."""
+    Y, a_k, psi = complexes_decomposition(sys)
+    lhs = rhs(sys, x)
+    produced = np.array(Y.to_float_rows()) @ (a_k @ psi(x))
+    scale = 1.0 + float(np.max(np.abs(lhs)))
+    return float(np.max(np.abs(lhs - produced))) / scale

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -266,10 +270,12 @@ def test_zero_samples_is_an_input_error(capsys, command):
         ["spectra", ONE_AMBIGUOUS, "--rates", "1e200,1,1,1"],
         ["spectra", ONE_AMBIGUOUS, "--rates", "1e200,1,1,1", "--plain"],
         ["equilibria", CONSERVING, "--simulate", "--t-end", "1e300", "--dt", "1e-10"],
+        ["equilibria", CONSERVING, "--simulate", "--t-end", "1", "--dt", "1e-300"],
     ],
     ids=[
         "rates-nan", "rates-inf", "x0-nan", "x0-inf", "t-end-negative", "dt-nan", "k-grid-inf",
         "rate-inf", "rate-out-of-range", "report-nan", "report-nan-plain", "step-count-overflow",
+        "step-count-over-cap",
     ],
 )
 def test_non_finite_or_non_positive_flag_is_an_input_error(capsys, argv):
@@ -278,6 +284,26 @@ def test_non_finite_or_non_positive_flag_is_an_input_error(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_step_cap_is_checked_before_the_network_is_read(capsys, tmp_path):
+    missing = str(tmp_path / "missing.crn")
+    code, _, err = _run(capsys, "equilibria", missing, "--simulate", "--t-end", "1", "--dt", "1e-300")
+    assert code == 2
+    assert "exceeds the limit" in err
+
+
+def test_numeric_warnings_do_not_precede_the_error_line():
+    """Run as a process, where numpy's warnings would reach stderr."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "crnsign.cli", "spectra", ONE_AMBIGUOUS, "--rates", "1e200,1,1,1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: "), proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_non_finite_report_names_the_value(capsys):

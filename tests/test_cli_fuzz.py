@@ -4,8 +4,9 @@ Hypothesis writes grammar-shaped ``.crn`` text (integer, decimal and p/q
 coefficients, zero complexes, ``<->`` with kf/kr, rates near 1e+-300,
 ``species`` directives, comments, catalysts) and pairs it with a random
 subcommand and random flag values (nan, inf, 0, negative values, huge
---t-end/--dt ratios, unwritable -o paths).  Every run must exit with 0, 1
-or 2 without raising, and a JSON report must parse as strict JSON.
+--t-end/--dt ratios, finite or not, unwritable -o paths).  Every run must
+exit with 0, 1 or 2 without raising, and a JSON report must parse as
+strict JSON.
 """
 
 import contextlib
@@ -31,7 +32,7 @@ RATES = ["1", "2.5", "0.1", "3/4", "1e300", "1e-300", "1.7e308", "5e-324", "1e-3
 NUMBERS = ["1", "0.5", "2", "10", "0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "1e400", "x"]
 STEPS = [  # (--t-end, --dt)
     ("5", "0.01"), ("1", "0.1"), ("0.5", "0.05"),
-    ("1e300", "1e-10"), ("1e308", "1e-300"), ("1e300", "1e299"), ("1e308", "1e307"),
+    ("1e300", "1e-10"), ("1e308", "1e-300"), ("1", "1e-300"), ("1e300", "1e299"), ("1e308", "1e307"),
     ("nan", "0.1"), ("1", "nan"), ("inf", "0.1"), ("1", "inf"), ("0", "0.1"), ("-1", "0.1"), ("1", "-0.1"),
 ]
 K_GRIDS = ["1:1e6:7", "1:1e4:5", "0.1:1e5:6", "1:inf:5", "nan:10:5", "0:1e6:7", "1e6:1:7", "1:1e6:1", "1e-300:1e300:5"]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from crnsign.kinetics import (
+    MAX_STEPS,
     EquilibriumNotFound,
     MassActionSystem,
     exact_jacobian,
@@ -17,6 +18,7 @@ from crnsign.kinetics import (
     project_equilibrium,
     rhs,
     simulate,
+    step_count,
 )
 from crnsign.signfix import sign_fix
 from crnsign.textio import parse_network
@@ -221,3 +223,12 @@ def test_simulate_rejects_a_non_finite_step_count(t_end, dt):
     sys = MassActionSystem(parse_network("A -> B"), [1.0])
     with pytest.raises(ValueError, match="step count"):
         simulate(sys, [1.0, 0.0], t_end=t_end, dt=dt)
+
+
+def test_simulate_rejects_more_steps_than_the_cap():
+    assert step_count(1.0, 1.0 / MAX_STEPS) == MAX_STEPS
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        step_count(2.0, 1.0 / MAX_STEPS)
+    sys = MassActionSystem(parse_network("A -> B"), [1.0])
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        simulate(sys, [1.0, 0.0], t_end=1.0, dt=1e-300)
