@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import random
@@ -563,7 +564,10 @@ def _cmd_decompose(args) -> _Outcome:
 # -------------------------------------------------------------- arg parsing
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and then
+    reused: ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="crnsign",
         description="Sign-pattern analysis and sign fixing for chemical reaction networks.",

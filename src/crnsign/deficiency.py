@@ -30,7 +30,7 @@ import numpy as np
 from . import exactla
 from .kinetics import MassActionSystem, Terms, monomials, rhs
 from .model import Complex, Network, RationalMatrix, Reaction, stoichiometric_matrix
-from .signcheck import find_bad_submatrices
+from .signcheck import _sign_array, find_bad_submatrices
 from .signfix import FixReport, FixStep
 
 
@@ -261,12 +261,8 @@ def check_single_positive_column(net: Network) -> bool:
     Vacuously true without bad classes.
     """
     S = stoichiometric_matrix(net)
-    for cls in find_bad_submatrices(S):
-        _, ell = cls.positive_entry
-        positives = sum(1 for i in range(S.rows) if S[i, ell] > 0)
-        if positives != 1:
-            return False
-    return True
+    positives = (_sign_array(S.entries()) > 0).sum(axis=0)
+    return all(positives[cls.positive_entry[1]] == 1 for cls in find_bad_submatrices(S))
 
 
 @dataclass(frozen=True, eq=False)

@@ -108,6 +108,8 @@ def _check_state(sys: MassActionSystem, x: Sequence[float], positive: bool) -> n
         raise ValueError(
             f"state must have {sys.species_count} coordinates, got shape {arr.shape}"
         )
+    if not np.isfinite(arr).all():
+        raise ValueError("state must be finite")
     if positive and not (arr > 0).all():
         raise ValueError("state must be strictly positive")
     return arr
@@ -144,7 +146,7 @@ def monomials(
 
 
 def flux(sys: MassActionSystem, x: Sequence[float]) -> np.ndarray:
-    """Reaction fluxes v(x); x must be componentwise nonnegative."""
+    """Reaction fluxes v(x); x must be finite and componentwise nonnegative."""
     arr = _check_state(sys, x, positive=False)
     if (arr < 0).any():
         raise ValueError("state must be nonnegative")
@@ -162,7 +164,7 @@ def rhs(sys: MassActionSystem, x: Sequence[float]) -> np.ndarray:
 
 
 def flux_jacobian(sys: MassActionSystem, x: Sequence[float]) -> np.ndarray:
-    """V'(x), the d' x d Jacobian of the flux map; requires x > 0."""
+    """V'(x), the d' x d Jacobian of the flux map; requires a finite x > 0."""
     arr = _check_state(sys, x, positive=True)
     v = _flux(sys, arr)
     out = np.zeros((sys.reaction_count, sys.species_count))
@@ -248,11 +250,13 @@ def find_equilibrium(
         accepted = False
         while alpha > 1e-14:
             trial = x + alpha * dx
-            g_trial = rhs(sys, trial)
-            if float(np.max(np.abs(g_trial))) < norm:
-                x, g = trial, g_trial
-                accepted = True
-                break
+            # a non-finite trial point is a rejected step, like a worse one
+            if np.isfinite(trial).all():
+                g_trial = rhs(sys, trial)
+                if float(np.max(np.abs(g_trial))) < norm:
+                    x, g = trial, g_trial
+                    accepted = True
+                    break
             alpha *= 0.5
         if not accepted:
             raise EquilibriumNotFound("Newton step stalled", iteration, norm)

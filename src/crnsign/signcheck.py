@@ -1,25 +1,35 @@
 """Sign-pattern extraction and the combinatorial sign-status checkers.
 
-Two distinct obstructions are handled by two deliberately separate
-operations:
+Every check reads one integer sign array: ``_sign_array`` turns exact
+rows into their entries' signs (1, -1, 0).  With P = (S > 0) and
+N = (S < 0) as 0/1 arrays, the number of terms of each sign that feed an
+entry of a derived matrix is an integer matrix product, and ``_status``
+maps the pair (plus count, minus count) of each entry to its status:
 
-* ``hermitian_square_status`` decides which entries of A A^t carry a
-  constant sign; there an entry is ambiguous whenever two columns hit the
-  row pair with agreeing signs in one column and opposing signs in the
-  other, so BOTH 2x2 patterns (one plus with three minuses, and one minus
-  with three pluses) matter.
+* ``jacobian_sign_status``: term k of entry (i, j) of the Jacobian
+  S v'(x) is present iff reaction k consumes species j, and it has the
+  sign of S_ik, so the counts are (P N^t, N N^t).  Only the
+  one-plus-three-minuses 2x2 pattern (``find_bad_submatrices``)
+  obstructs a sign there.
 
-* ``jacobian_sign_status`` and ``find_bad_submatrices`` concern the
-  Jacobian S v'(x) of a reaction-form system with monotone nondecreasing
-  fluxes; only the one-plus-three-minuses pattern obstructs a sign there.
+* ``hermitian_square_status``: term k of entry (i, j) of A A^t is plus
+  iff A_ik and A_jk have equal nonzero signs and minus iff they have
+  opposite ones, so the counts are (P P^t + N N^t, P N^t + N P^t).  Both
+  2x2 patterns (one plus with three minuses, and one minus with three
+  pluses) matter.
+
+The counts are exact: products of 0/1 arrays in int64, no float.  A
+narrower type would not do: an int8 product wraps at 128 contributing
+columns, and a count of 256 wraps to 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from .model import Network, RationalMatrix, stoichiometric_matrix, validate_reaction_form
 
@@ -112,9 +122,39 @@ class BadClass:
         return len(self.members)
 
 
+def _sign_array(rows: Sequence[Sequence]) -> np.ndarray:
+    """The signs (1, -1, 0) of the entries of exact rows (Fractions or
+    ints), as an int64 array.  A Fraction has the sign of its numerator,
+    which is compared as a plain int."""
+    width = len(rows[0]) if rows else 0
+    return np.array(
+        [[(v.numerator > 0) - (v.numerator < 0) for v in row] for row in rows],
+        dtype=np.int64,
+    ).reshape(len(rows), width)
+
+
+def _plus_minus(signs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """P = (signs > 0) and N = (signs < 0) as int64 0/1 arrays."""
+    return (signs > 0).astype(np.int64), (signs < 0).astype(np.int64)
+
+
+# Indexed by a sign value (-1 picks the last), and by plus + 2 * minus.
+_SIGNS = (Sign.ZERO, Sign.PLUS, Sign.MINUS)
+_STATUSES = (Status.ZERO, Status.PLUS, Status.MINUS, Status.AMBIGUOUS)
+_SIGN_VALUES = {Sign.ZERO: 0, Sign.PLUS: 1, Sign.MINUS: -1}
+
+
+def _status(plus: np.ndarray, minus: np.ndarray) -> SignStatusMatrix:
+    """Each entry's status from its counts of plus and minus terms:
+    ambiguous if both occur, else the sign that occurs, zero if none."""
+    codes = (plus > 0) + 2 * (minus > 0)
+    return SignStatusMatrix(tuple(tuple(_STATUSES[c] for c in row) for row in codes.tolist()))
+
+
 def sign_pattern(matrix: RationalMatrix) -> SignMatrix:
     """Entrywise signs of an exact matrix."""
-    return tuple(tuple(Sign.of(v) for v in row) for row in matrix.entries())
+    signs = _sign_array(matrix.entries()).tolist()
+    return tuple(tuple(_SIGNS[v] for v in row) for row in signs)
 
 
 def hermitian_square_status(pattern: SignMatrix) -> SignStatusMatrix:
@@ -123,34 +163,11 @@ def hermitian_square_status(pattern: SignMatrix) -> SignStatusMatrix:
     Entry (i, j) is ambiguous iff there are columns k, l with
     sign A_ik = sign A_jk != 0 and sign A_il = -sign A_jl != 0; otherwise
     it carries the common sign of the nonzero products A_ik * A_jk (zero
-    if none).  Diagonal entries are never minus.
+    if none).  Diagonal entries are never minus.  The plus and minus
+    counts are P P^t + N N^t and P N^t + N P^t, in int64.
     """
-    rows = len(pattern)
-    cols = len(pattern[0]) if rows else 0
-    out: List[List[Status]] = []
-    for i in range(rows):
-        row_status: List[Status] = []
-        for j in range(rows):
-            positive = False
-            negative = False
-            for k in range(cols):
-                a, b = pattern[i][k], pattern[j][k]
-                if a is Sign.ZERO or b is Sign.ZERO:
-                    continue
-                if a is b:
-                    positive = True
-                else:
-                    negative = True
-            if positive and negative:
-                row_status.append(Status.AMBIGUOUS)
-            elif positive:
-                row_status.append(Status.PLUS)
-            elif negative:
-                row_status.append(Status.MINUS)
-            else:
-                row_status.append(Status.ZERO)
-        out.append(row_status)
-    return SignStatusMatrix(tuple(tuple(r) for r in out))
+    P, N = _plus_minus(_sign_array([[_SIGN_VALUES[s] for s in row] for row in pattern]))
+    return _status(P @ P.T + N @ N.T, P @ N.T + N @ P.T)
 
 
 def find_bad_submatrices(S: RationalMatrix) -> List[BadClass]:
@@ -158,41 +175,29 @@ def find_bad_submatrices(S: RationalMatrix) -> List[BadClass]:
     three negative entries, grouped into equivalence classes by the shared
     positive entry.
 
-    For each row pair only the columns hitting both rows can participate,
-    and a valid column pair combines one all-negative column with one
-    single-positive column; enumerating those directly visits exactly the
-    submatrices the full scan would accept, in the same order.  Classes
-    are listed in lexicographic order of their positive entry (row, then
-    column); members keep the enumeration order.
+    A row pair i < j holds one for each column negative in both rows
+    combined with each column positive in one row and negative in the
+    other; the submatrices of a row pair are listed by their column pair.
+    Classes are listed in lexicographic order of their positive entry
+    (row, then column); members keep the enumeration order.
     """
-    sgn = [
-        [1 if v > 0 else (-1 if v < 0 else 0) for v in row]
-        for row in S.entries()
-    ]
+    rows = _sign_array(S.entries()).tolist()
+    positive = [{c for c, v in enumerate(row) if v > 0} for row in rows]
+    negative = [{c for c, v in enumerate(row) if v < 0} for row in rows]
     by_entry: dict = {}
     for i in range(S.rows - 1):
-        row_i = sgn[i]
         for j in range(i + 1, S.rows):
-            row_j = sgn[j]
-            # columns nonzero in both rows, split by positive count
-            both_negative: List[int] = []
-            one_positive: List[Tuple[int, int]] = []  # (col, row of the +)
-            for c in range(S.cols):
-                a, b = row_i[c], row_j[c]
-                if a == 0 or b == 0 or (a > 0 and b > 0):
-                    continue
-                if a < 0 and b < 0:
-                    both_negative.append(c)
-                else:
-                    one_positive.append((c, i if a > 0 else j))
-            if not both_negative or not one_positive:
+            both_negative = negative[i] & negative[j]
+            if not both_negative:
                 continue
-            pairs = []
-            for k in both_negative:
-                for pos_col, pos_row in one_positive:
-                    cols = (k, pos_col) if k < pos_col else (pos_col, k)
-                    pairs.append((cols, pos_row, pos_col))
-            for cols, pos_row, pos_col in sorted(pairs):
+            one_positive = [(c, i) for c in positive[i] & negative[j]]
+            one_positive += [(c, j) for c in negative[i] & positive[j]]
+            pairs = sorted(
+                ((min(k, c), max(k, c)), row, c)
+                for k in both_negative
+                for c, row in one_positive
+            )
+            for cols, pos_row, pos_col in pairs:
                 bad = BadSubmatrix((i, j), cols, (pos_row, pos_col))
                 by_entry.setdefault((pos_row, pos_col), []).append(bad)
     return [
@@ -207,7 +212,8 @@ def jacobian_sign_status(net: Network) -> SignStatusMatrix:
 
     Term k of entry (i, j) contributes sign(S_ik) exactly when reaction k
     consumes species j (S_jk < 0); an entry is ambiguous iff both signs
-    occur among its contributing terms.
+    occur among its contributing terms.  The plus and minus counts are
+    P N^t and N N^t, in int64.
 
     Raises:
         ValueError: if the network violates reaction form (some species
@@ -220,27 +226,5 @@ def jacobian_sign_status(net: Network) -> SignStatusMatrix:
             f"network is not in reaction form (violations: {violations}); "
             "sign analysis does not apply"
         )
-    S = stoichiometric_matrix(net)
-    d = S.rows
-    out: List[List[Status]] = []
-    for i in range(d):
-        row_status: List[Status] = []
-        for j in range(d):
-            positive = False
-            negative = False
-            for k in range(S.cols):
-                if S[j, k] < 0 and S[i, k] != 0:
-                    if S[i, k] > 0:
-                        positive = True
-                    else:
-                        negative = True
-            if positive and negative:
-                row_status.append(Status.AMBIGUOUS)
-            elif positive:
-                row_status.append(Status.PLUS)
-            elif negative:
-                row_status.append(Status.MINUS)
-            else:
-                row_status.append(Status.ZERO)
-        out.append(row_status)
-    return SignStatusMatrix(tuple(tuple(r) for r in out))
+    P, N = _plus_minus(_sign_array(stoichiometric_matrix(net).entries()))
+    return _status(P @ N.T, N @ N.T)

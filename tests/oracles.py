@@ -11,8 +11,13 @@ the mass-action float kernel (the ``MassActionSystem`` float S and
 reactant exponents, ``flux``, ``rhs``, ``flux_jacobian``, ``simulate``,
 ``complexes_decomposition`` and ``decomposition_residual``) as it was
 before the float tables were built straight from the reaction terms and
-the powers moved to Python floats.  Production code does not use them; the tests compare the package's
-versions against them on the same inputs.
+the powers moved to Python floats; and the sign layer (``sign_pattern``,
+``hermitian_square_status``, ``find_bad_submatrices`` and
+``jacobian_sign_status``) as it was before the sign checks were rebuilt
+on one integer sign array and matrix products.  The ``sign_fix`` oracle
+enumerates its classes with that ``find_bad_submatrices``.  Production
+code does not use them; the tests compare the package's versions against
+them on the same inputs.
 """
 
 from __future__ import annotations
@@ -28,8 +33,21 @@ from crnsign.deficiency import DeltaAudit, _class_of, deficiency
 from crnsign.deficiency import complexes_of
 from crnsign.exactla import ConservationResult, KernelBasis, Vector
 from crnsign.kinetics import _check_state
-from crnsign.model import Complex, Network, RationalMatrix, stoichiometric_matrix
-from crnsign.signcheck import find_bad_submatrices
+from crnsign.model import (
+    Complex,
+    Network,
+    RationalMatrix,
+    stoichiometric_matrix,
+    validate_reaction_form,
+)
+from crnsign.signcheck import (
+    BadClass,
+    BadSubmatrix,
+    Sign,
+    SignMatrix,
+    SignStatusMatrix,
+    Status,
+)
 from crnsign.signfix import FixReport, FixStep, default_order, fix_one
 
 
@@ -625,3 +643,137 @@ def decomposition_residual(sys: MassActionSystem, x: Sequence[float]) -> float:
     produced = np.array(Y.to_float_rows()) @ (a_k @ psi(x))
     scale = 1.0 + float(np.max(np.abs(lhs)))
     return float(np.max(np.abs(lhs - produced))) / scale
+
+
+def sign_pattern(matrix: RationalMatrix) -> SignMatrix:
+    """Entrywise signs of an exact matrix."""
+    return tuple(tuple(Sign.of(v) for v in row) for row in matrix.entries())
+
+
+def hermitian_square_status(pattern: SignMatrix) -> SignStatusMatrix:
+    """Sign statuses of A A^t for a sign pattern A.
+
+    Entry (i, j) is ambiguous iff there are columns k, l with
+    sign A_ik = sign A_jk != 0 and sign A_il = -sign A_jl != 0; otherwise
+    it carries the common sign of the nonzero products A_ik * A_jk (zero
+    if none).  Diagonal entries are never minus.
+    """
+    rows = len(pattern)
+    cols = len(pattern[0]) if rows else 0
+    out: List[List[Status]] = []
+    for i in range(rows):
+        row_status: List[Status] = []
+        for j in range(rows):
+            positive = False
+            negative = False
+            for k in range(cols):
+                a, b = pattern[i][k], pattern[j][k]
+                if a is Sign.ZERO or b is Sign.ZERO:
+                    continue
+                if a is b:
+                    positive = True
+                else:
+                    negative = True
+            if positive and negative:
+                row_status.append(Status.AMBIGUOUS)
+            elif positive:
+                row_status.append(Status.PLUS)
+            elif negative:
+                row_status.append(Status.MINUS)
+            else:
+                row_status.append(Status.ZERO)
+        out.append(row_status)
+    return SignStatusMatrix(tuple(tuple(r) for r in out))
+
+
+def find_bad_submatrices(S: RationalMatrix) -> List[BadClass]:
+    """Enumerate every 2x2 submatrix of S with exactly one positive and
+    three negative entries, grouped into equivalence classes by the shared
+    positive entry.
+
+    For each row pair only the columns hitting both rows can participate,
+    and a valid column pair combines one all-negative column with one
+    single-positive column; enumerating those directly visits exactly the
+    submatrices the full scan would accept, in the same order.  Classes
+    are listed in lexicographic order of their positive entry (row, then
+    column); members keep the enumeration order.
+    """
+    sgn = [
+        [1 if v > 0 else (-1 if v < 0 else 0) for v in row]
+        for row in S.entries()
+    ]
+    by_entry: dict = {}
+    for i in range(S.rows - 1):
+        row_i = sgn[i]
+        for j in range(i + 1, S.rows):
+            row_j = sgn[j]
+            # columns nonzero in both rows, split by positive count
+            both_negative: List[int] = []
+            one_positive: List[Tuple[int, int]] = []  # (col, row of the +)
+            for c in range(S.cols):
+                a, b = row_i[c], row_j[c]
+                if a == 0 or b == 0 or (a > 0 and b > 0):
+                    continue
+                if a < 0 and b < 0:
+                    both_negative.append(c)
+                else:
+                    one_positive.append((c, i if a > 0 else j))
+            if not both_negative or not one_positive:
+                continue
+            pairs = []
+            for k in both_negative:
+                for pos_col, pos_row in one_positive:
+                    cols = (k, pos_col) if k < pos_col else (pos_col, k)
+                    pairs.append((cols, pos_row, pos_col))
+            for cols, pos_row, pos_col in sorted(pairs):
+                bad = BadSubmatrix((i, j), cols, (pos_row, pos_col))
+                by_entry.setdefault((pos_row, pos_col), []).append(bad)
+    return [
+        BadClass(entry, tuple(members))
+        for entry, members in sorted(by_entry.items())
+    ]
+
+
+def jacobian_sign_status(net: Network) -> SignStatusMatrix:
+    """Sign statuses of the reaction Jacobian S v'(x) over the positive
+    orthant, valid for every monotone nondecreasing flux family.
+
+    Term k of entry (i, j) contributes sign(S_ik) exactly when reaction k
+    consumes species j (S_jk < 0); an entry is ambiguous iff both signs
+    occur among its contributing terms.
+
+    Raises:
+        ValueError: if the network violates reaction form (some species
+            appears on both sides of a reaction), since then flux
+            dependencies are not determined by the signs of S.
+    """
+    violations = validate_reaction_form(net)
+    if violations:
+        raise ValueError(
+            f"network is not in reaction form (violations: {violations}); "
+            "sign analysis does not apply"
+        )
+    S = stoichiometric_matrix(net)
+    d = S.rows
+    out: List[List[Status]] = []
+    for i in range(d):
+        row_status: List[Status] = []
+        for j in range(d):
+            positive = False
+            negative = False
+            for k in range(S.cols):
+                if S[j, k] < 0 and S[i, k] != 0:
+                    if S[i, k] > 0:
+                        positive = True
+                    else:
+                        negative = True
+            if positive and negative:
+                row_status.append(Status.AMBIGUOUS)
+            elif positive:
+                row_status.append(Status.PLUS)
+            elif negative:
+                row_status.append(Status.MINUS)
+            else:
+                row_status.append(Status.ZERO)
+        out.append(row_status)
+    return SignStatusMatrix(tuple(tuple(r) for r in out))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from crnsign import cli
 from crnsign.cli import main
 from crnsign.graphio import build_graph, export_dot, read_dot
 from crnsign.model import stoichiometric_matrix
@@ -60,6 +61,17 @@ def test_analyze_json_structure(capsys, two_ambiguous):
     assert body["matrix_exact"] == [
         [str(S[i, j]) for j in range(S.cols)] for i in range(S.rows)
     ]
+
+
+def test_parser_is_built_once_per_process(capsys):
+    _run_json(capsys, "analyze", TWO_AMBIGUOUS)
+    parser = cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--no-such-flag", TWO_AMBIGUOUS])
+    assert exc.value.code == 2
+    assert "crnsign: error: unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    _run_json(capsys, "deficiency", TWO_AMBIGUOUS)
+    assert cli._build_parser() is parser
 
 
 def test_analyze_is_deterministic(capsys):

@@ -1,6 +1,7 @@
 """The one-pass sign fix, the incremental-rank audit, the index-permuted
-order relation, the integer exact core and the mass-action float kernel,
-each against the implementation it replaced (``oracles``)."""
+order relation, the integer exact core, the mass-action float kernel and
+the integer sign layer, each against the implementation it replaced
+(``oracles``)."""
 
 import random
 from fractions import Fraction
@@ -16,7 +17,14 @@ from crnsign import kinetics
 from crnsign.deficiency import complexes_decomposition, decomposition_residual, delta_audit
 from crnsign.exactla import determinant, is_conserving, kernel_basis, rank
 from crnsign.model import Complex, Network, RationalMatrix, Reaction, Species, stoichiometric_matrix
-from crnsign.signcheck import find_bad_submatrices
+from crnsign.signcheck import (
+    Sign,
+    Status,
+    find_bad_submatrices,
+    hermitian_square_status,
+    jacobian_sign_status,
+    sign_pattern,
+)
 from crnsign.signfix import FixReport, sign_fix, verify_permutation_relation
 
 
@@ -333,3 +341,90 @@ def test_kinetics_kernel_matches_oracle_on_random_networks(net_rates, data):
     )
     states = data.draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=4))
     _assert_same_kernel(net, rates, states)
+
+
+# ------------------------------------------------------------ sign layer
+
+
+def _assert_same_signs(net):
+    """The sign pattern of S, the statuses of A A^t and of the Jacobian
+    (or the same reaction-form error) and the bad classes, member order
+    included, equal the oracle's."""
+    S = stoichiometric_matrix(net)
+    pattern = sign_pattern(S)
+    assert pattern == oracles.sign_pattern(S)
+    assert hermitian_square_status(pattern) == oracles.hermitian_square_status(pattern)
+    assert find_bad_submatrices(S) == oracles.find_bad_submatrices(S)
+    try:
+        expected = oracles.jacobian_sign_status(net)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            jacobian_sign_status(net)
+        assert str(err.value) == str(exc)
+    else:
+        assert jacobian_sign_status(net) == expected
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.crn")))
+def test_sign_layer_matches_oracle_on_fixtures(name):
+    _assert_same_signs(load(name))
+
+
+def test_sign_layer_matches_oracle_on_corpus(corpus):
+    for net in corpus:
+        _assert_same_signs(net)
+
+
+def test_sign_layer_matches_oracle_on_large_networks(large_networks):
+    for net in large_networks:
+        _assert_same_signs(net)
+
+
+_SIGN_SHAPES = st.one_of(
+    st.just((0, 0)),
+    st.tuples(st.integers(1, 4), st.just(0)),
+    _SHAPES,
+)
+
+
+@st.composite
+def sign_patterns(draw):
+    """Sign patterns of any shape, the empty pattern ``()`` and rows of
+    length 0 included."""
+    rows, cols = draw(_SIGN_SHAPES)
+    signs = st.lists(st.sampled_from(list(Sign)), min_size=cols, max_size=cols)
+    return tuple(tuple(draw(signs)) for _ in range(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sign_patterns())
+def test_hermitian_square_matches_oracle_on_sign_patterns(pattern):
+    assert hermitian_square_status(pattern) == oracles.hermitian_square_status(pattern)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rated_networks())
+def test_sign_layer_matches_oracle_on_random_networks(net_rates):
+    _assert_same_signs(net_rates[0])
+
+
+def test_sign_layer_counts_past_the_int8_range():
+    """A + B -> kC for k = 1..256, then A -> B: species A and B share 256
+    consuming columns, C and A 256 contributing ones.  Counts kept in
+    int8 would wrap to 0 there and lose the signs."""
+    species = tuple(Species(name, i) for i, name in enumerate("ABC"))
+    reactions = tuple(
+        Reaction(Complex.from_dict({0: 1, 1: 1}), Complex.from_dict({2: k}))
+        for k in range(1, 257)
+    ) + (Reaction(Complex.from_dict({0: 1}), Complex.from_dict({1: 1})),)
+    net = Network(species, reactions)
+    _assert_same_signs(net)
+    jacobian = jacobian_sign_status(net).entries
+    assert jacobian[0][0] is Status.MINUS  # 257 consuming columns
+    assert jacobian[2][0] is Status.PLUS  # C from A, 256 times
+    assert jacobian[1][0] is Status.AMBIGUOUS  # 256 minus terms, 1 plus
+    square = hermitian_square_status(sign_pattern(stoichiometric_matrix(net))).entries
+    assert square[0][1] is Status.AMBIGUOUS  # 256 agreeing columns, 1 opposing
+    assert square[0][2] is Status.MINUS  # 256 opposing columns
+    (bad,) = find_bad_submatrices(stoichiometric_matrix(net))
+    assert bad.positive_entry == (1, 256) and bad.size == 256

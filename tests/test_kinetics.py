@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -45,6 +46,28 @@ def test_flux_accepts_boundary_rejects_negative():
         flux(sys, [1.0])
     with pytest.raises(ValueError):
         flux_jacobian(sys, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_states_are_rejected(bad):
+    sys = MassActionSystem(parse_network("A -> B"), [1.0])
+    for call in (flux, rhs, flux_jacobian, jacobian):
+        for x in ([bad, 1.0], [1.0, bad]):
+            with pytest.raises(ValueError, match="finite"):
+                call(sys, x)
+    with pytest.raises(ValueError, match="finite"):
+        find_equilibrium(sys, [1.0, bad])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_newton_trial_is_a_rejected_step(monkeypatch, bad):
+    """A Newton step that leads to a non-finite point is rejected like a
+    step that raises the residual: the search stalls, it does not raise
+    ``ValueError``."""
+    sys = MassActionSystem(parse_network("A -> B\nB -> A"), [1.0, 2.0])
+    monkeypatch.setattr(np.linalg, "solve", lambda lhs, rhs_: np.full(len(rhs_), bad))
+    with pytest.raises(EquilibriumNotFound, match="stalled"):
+        find_equilibrium(sys, [1.0, 1.0])
 
 
 def test_system_validations():
