@@ -160,7 +160,7 @@ def _check_bordering(step: FixStep, before: Network, after: Network) -> None:
         raise AssertionError("appended reaction is not B' -> p2*B")
 
 
-def delta_audit(report: FixReport) -> List[DeltaAudit]:
+def delta_audit(report: FixReport, *, rank: Optional[int] = None) -> List[DeltaAudit]:
     """Replay a fixing run and audit each step's deficiency change.
 
     Per step: the step must be exactly the documented bordering (see
@@ -171,9 +171,12 @@ def delta_audit(report: FixReport) -> List[DeltaAudit]:
     ds = 1, 1 <= dn <= 3, dl <= 2, and 0 <= ddelta <= 1.  The bordering
     check makes ds = 1 exact, so the rank is carried forward.
 
-    Once: the exact rank of S is computed from scratch for the original
-    network and for the final one, and the final rank must be the
-    original plus the number of steps.
+    Once: the exact rank of S is computed from scratch for the final
+    network, and it must be the original rank plus the number of steps.
+    The original rank is ``rank`` when the caller already knows it (one
+    elimination of S per command), else it is computed from scratch too.
+    The final rank is always computed from scratch, so a wrong ``rank``
+    fails that check.
 
     Raises:
         AssertionError: on any disagreement (internal-consistency
@@ -182,7 +185,7 @@ def delta_audit(report: FixReport) -> List[DeltaAudit]:
     audits: List[DeltaAudit] = []
     if not report.steps:
         return audits
-    pre = deficiency(report.original)
+    pre = deficiency(report.original, rank=rank)
     s0 = pre.s
     for step, before, after in zip(report.steps, report.networks, report.networks[1:]):
         _check_bordering(step, before, after)

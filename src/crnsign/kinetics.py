@@ -400,10 +400,13 @@ def simulate(
     Raises:
         ValueError: if t_end or dt is not positive, or the step count
             t_end / dt is not finite or exceeds ``MAX_STEPS`` (see
-            ``step_count``).
+            ``step_count``); if x0 is not finite or has a negative
+            coordinate (zeros are allowed).
     """
     steps = step_count(t_end, dt)
     x = _check_state(sys, x0, positive=False).copy()
+    if (x < 0).any():
+        raise ValueError("initial state must be nonnegative")
     times = [0.0]
     states = [x.copy()]
 

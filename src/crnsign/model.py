@@ -71,6 +71,22 @@ class Complex:
         if list(self.terms) != sorted(self.terms, key=lambda t: t[0]):
             raise ValueError("complex terms must be sorted by species index")
 
+    def __hash__(self) -> int:
+        """The dataclass hash ``hash((terms,))``, computed on first use and
+        kept on the instance (not a field: equality and repr ignore it).
+
+        Hashing the ``Fraction`` coefficients runs in Python, and one
+        complex is hashed many times over (complex sets, linkage classes,
+        the deficiency audit).  Lazy, so a complex that is never hashed
+        pays nothing.
+        """
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.terms,))
+            object.__setattr__(self, "_hash", value)
+            return value
+
     @classmethod
     def from_dict(cls, terms: Mapping[int, RationalLike]) -> "Complex":
         items = sorted((i, _to_fraction(c)) for i, c in terms.items())

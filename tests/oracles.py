@@ -14,10 +14,12 @@ before the float tables were built straight from the reaction terms and
 the powers moved to Python floats; and the sign layer (``sign_pattern``,
 ``hermitian_square_status``, ``find_bad_submatrices`` and
 ``jacobian_sign_status``) as it was before the sign checks were rebuilt
-on one integer sign array and matrix products.  The ``sign_fix`` oracle
-enumerates its classes with that ``find_bad_submatrices``.  Production
-code does not use them; the tests compare the package's versions against
-them on the same inputs.
+on one integer sign array and matrix products; and the eager Bareiss
+elimination (``_update`` and ``_eliminate``, every row update applied at
+once) as it was before the elimination deferred the row scalings.  The
+``sign_fix`` oracle enumerates its classes with that
+``find_bad_submatrices``.  Production code does not use them; the tests
+compare the package's versions against them on the same inputs.
 """
 
 from __future__ import annotations
@@ -777,3 +779,50 @@ def jacobian_sign_status(net: Network) -> SignStatusMatrix:
                 row_status.append(Status.ZERO)
         out.append(row_status)
     return SignStatusMatrix(tuple(tuple(r) for r in out))
+
+
+def _update(row: List[int], pivot_row: List[int], piv: int, prev: int, c: int) -> List[int]:
+    """Fraction-free update of ``row`` against the pivot row at column c.
+
+    The division by the previous pivot is exact (Sylvester's identity).
+    """
+    f = row[c]
+    if f == 0:
+        return [piv * x // prev for x in row]
+    return [(piv * x - f * y) // prev for x, y in zip(row, pivot_row)]
+
+
+def _eliminate(
+    a: List[List[int]], reduce: bool = True
+) -> Tuple[List[List[int]], List[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows.
+
+    Pivots are the first nonzero entry in column order.  Returns the rows,
+    the pivot columns, the last pivot D (1 when there is none) and the
+    sign of the row swaps.  Row r is D times row r of the reduced row
+    echelon form, so a pivot row holds D at its own pivot column and 0 at
+    the others; for a square matrix of full rank, D is the determinant of
+    the rows times the swap sign.  With ``reduce`` false only the rows
+    below each pivot are updated: the pivots, D and the sign are the same,
+    but the rows are left in echelon form.
+    """
+    height = len(a)
+    pivots: List[int] = []
+    prev, sign = 1, 1
+    for c in range(len(a[0])):
+        r = len(pivots)
+        if r == height:
+            break
+        p = next((i for i in range(r, height) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        pivot_row, piv = a[r], a[r][c]
+        for i in range(height) if reduce else range(r + 1, height):
+            if i != r:
+                a[i] = _update(a[i], pivot_row, piv, prev, c)
+        pivots.append(c)
+        prev = piv
+    return a, pivots, prev, sign

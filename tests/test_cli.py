@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from crnsign import cli
+from crnsign import cli, exactla
 from crnsign.cli import main
 from crnsign.graphio import build_graph, export_dot, read_dot
 from crnsign.model import stoichiometric_matrix
@@ -72,6 +72,32 @@ def test_parser_is_built_once_per_process(capsys):
     assert "crnsign: error: unrecognized arguments: --no-such-flag" in capsys.readouterr().err
     _run_json(capsys, "deficiency", TWO_AMBIGUOUS)
     assert cli._build_parser() is parser
+
+
+@pytest.mark.parametrize(
+    "argv, shapes",
+    [
+        # right and left kernels of S (7x6), then the audit's rank of the fix
+        (("analyze", TWO_AMBIGUOUS), [(7, 6), (6, 7), (9, 8)]),
+        (("deficiency", TWO_AMBIGUOUS, "--audit"), [(7, 6), (9, 8)]),
+        (("deficiency", TWO_AMBIGUOUS), [(7, 6)]),
+    ],
+)
+def test_one_elimination_of_s_per_command(capsys, monkeypatch, argv, shapes):
+    """S is eliminated once per command: its rank is carried from the
+    right kernel (analyze) or from one ``rank`` (deficiency) to the
+    deficiency section and the audit; only the fixed network is ranked
+    again, from scratch."""
+    seen = []
+    eliminate = exactla._eliminate
+
+    def counted(a, reduce=True):
+        seen.append((len(a), len(a[0])))
+        return eliminate(a, reduce)
+
+    monkeypatch.setattr(exactla, "_eliminate", counted)
+    _run_json(capsys, *argv)
+    assert seen == shapes
 
 
 def test_analyze_is_deterministic(capsys):

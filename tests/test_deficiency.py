@@ -185,6 +185,17 @@ def test_audit_rejects_species_no_step_added(deficiency_jump):
         delta_audit(forged)
 
 
+def test_audit_with_a_carried_rank(two_ambiguous, deficiency_jump, conserving_family):
+    """A correct carried rank changes nothing; a wrong one is caught by
+    the final rank, which is still computed from scratch."""
+    for net in (two_ambiguous, deficiency_jump, conserving_family):
+        report = sign_fix(net)
+        s = deficiency(net).s
+        assert delta_audit(report, rank=s) == delta_audit(report)
+        with pytest.raises(AssertionError, match="final rank"):
+            delta_audit(report, rank=s + 1)
+
+
 def test_audit_over_corpus(corpus):
     for net in corpus[:40]:
         report = sign_fix(net)

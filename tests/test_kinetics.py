@@ -241,6 +241,18 @@ def test_simulate_argument_validation():
         simulate(sys, [1.0, 0.0], t_end=1.0, dt=-0.1)
 
 
+def test_simulate_rejects_a_negative_initial_state():
+    """A negative x0 is an input error of its own, not a step-size one;
+    zero coordinates stay allowed."""
+    sys = MassActionSystem(parse_network("A -> B"), [1.0])
+    with pytest.raises(ValueError, match="^initial state must be nonnegative$"):
+        simulate(sys, [-1.0, 1.0], t_end=1.0, dt=0.1)
+    with pytest.raises(ValueError, match="^initial state must be nonnegative$"):
+        simulate(sys, [1.0, -1e-300], t_end=1.0, dt=0.1)
+    times, states = simulate(sys, [0.0, 1.0], t_end=1.0, dt=0.1)
+    assert states[-1].tolist() == [0.0, 1.0]
+
+
 @pytest.mark.parametrize("t_end, dt", [(1e300, 1e-10), (float("inf"), 0.1), (1e308, 1e-300)])
 def test_simulate_rejects_a_non_finite_step_count(t_end, dt):
     sys = MassActionSystem(parse_network("A -> B"), [1.0])

@@ -1,7 +1,11 @@
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
 
+from conftest import FIXTURES, load
 from crnsign.model import (
     Complex,
     Network,
@@ -16,6 +20,29 @@ from crnsign.model import (
 def _net(reactions, names):
     species = tuple(Species(n, i) for i, n in enumerate(names))
     return Network(species, tuple(reactions))
+
+
+def test_complex_hash_contract(corpus):
+    """The cached hash is the dataclass hash, and the cache is invisible:
+    not a field, not in repr, and harmless through pickle and deepcopy."""
+    fixtures = [load(p.name) for p in sorted(FIXTURES.glob("*.crn"))]
+    complexes = [
+        c for net in fixtures + list(corpus) for r in net.reactions for c in (r.reactant, r.product)
+    ]
+    assert [f.name for f in dataclasses.fields(Complex)] == ["terms"]
+    for c in complexes:
+        fresh = Complex(c.terms)
+        unhashed_copies = pickle.loads(pickle.dumps(fresh)), copy.deepcopy(fresh)
+        text = repr(c)
+        assert text == f"Complex(terms={c.terms!r})"
+        assert hash(c) == hash((c.terms,))
+        assert repr(c) == text
+        assert fresh == c and hash(fresh) == hash(c)
+        copies = unhashed_copies + (pickle.loads(pickle.dumps(c)), copy.deepcopy(c))
+        for other in copies:
+            assert other == c and hash(other) == hash(c)
+            assert dataclasses.astuple(other) == (c.terms,)
+    assert len(set(complexes)) == len({c.terms for c in complexes})
 
 
 def test_species_name_validation():
