@@ -28,7 +28,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import exactla
-from .kinetics import MassActionSystem, Terms, monomials, rhs
+from .kinetics import MassActionSystem, MonomialTable, rhs
 from .model import Complex, Network, RationalMatrix, Reaction, stoichiometric_matrix
 from .signcheck import _sign_array, find_bad_submatrices
 from .signfix import FixReport, FixStep
@@ -281,7 +281,7 @@ class Decomposition:
     Y: RationalMatrix
     a_k: np.ndarray
     y_float: np.ndarray  # Y as floats, for the products in ``residual``
-    complex_terms: Terms  # each complex's (species, float coefficient) pairs
+    psi_table: MonomialTable  # the complex monomials, each from 1.0
 
     def __iter__(self) -> Iterator:
         return iter((self.Y, self.a_k, self.psi))
@@ -291,8 +291,7 @@ class Decomposition:
         arr = np.asarray(x, dtype=float)
         if arr.shape != (self.system.species_count,):
             raise ValueError(f"state must have {self.system.species_count} coordinates")
-        ones = [1.0] * len(self.complex_terms)
-        return np.array(monomials(ones, self.complex_terms, arr.tolist()))
+        return self.psi_table(arr)
 
     def residual(self, x: Sequence[float]) -> float:
         """Relative max-norm gap between S v(x) and Y A_k psi(x)."""
@@ -312,8 +311,8 @@ def complexes_decomposition(sys: MassActionSystem) -> Decomposition:
 
     Y, its float copy and A_k are built once from the complexes' terms;
     the returned ``Decomposition`` evaluates psi and the residual at any
-    number of states without rebuilding them.  Each monomial is
-    evaluated like a flux (``kinetics.monomials``), starting from 1.0.
+    number of states without rebuilding them.  psi is one
+    ``kinetics.MonomialTable`` with starts 1.0, evaluated like the fluxes.
     """
     net = sys.network
     complexes = complexes_of(net)
@@ -332,10 +331,12 @@ def complexes_decomposition(sys: MassActionSystem) -> Decomposition:
         a_k[dst, src] += sys.rates[r]
         a_k[src, src] -= sys.rates[r]
 
-    complex_terms = tuple(
-        tuple((j, float(coeff)) for j, coeff in cx.terms) for cx in complexes
+    psi_table = MonomialTable(
+        [1.0] * len(complexes),
+        tuple(tuple((j, float(coeff)) for j, coeff in cx.terms) for cx in complexes),
+        net.species_count,
     )
-    return Decomposition(sys, RationalMatrix(y_rows), a_k, y_float, complex_terms)
+    return Decomposition(sys, RationalMatrix(y_rows), a_k, y_float, psi_table)
 
 
 def decomposition_residual(sys: MassActionSystem, x: Sequence[float]) -> float:

@@ -10,14 +10,24 @@ cross-checking.
 
 A ``MassActionSystem`` builds its float tables once, straight from the
 reaction terms: the float S (each nonzero exact net coefficient converted
-by ``float``) and the sparse reactant terms, also as index arrays for the
-Jacobian.  No ``Fraction`` arithmetic runs per evaluation.  ``monomials``
-evaluates rate times prod x_j ** e_j over plain Python floats, one C
-``pow`` per term in term order; the complex monomials of
-``deficiency.complexes_decomposition`` use it too.  The powers stay
-scalar on purpose: numpy's vectorised ``np.power`` (and even ``x*x`` for
-``x ** 2``) rounds differently from ``pow`` in a small share of cases on
-SIMD hardware, which would change the reported ``*_f64`` bits.
+by ``float``), the sparse reactant terms as index arrays for the
+Jacobian, and a ``MonomialTable`` for the fluxes.  No ``Fraction``
+arithmetic runs per evaluation.  The table evaluates rate times
+prod x_j ** e_j for every reaction at once, for one state or a stack of
+states; the complex monomials of ``deficiency.complexes_decomposition``
+use one too, with starts 1.0.  Each distinct (species, exponent) pair
+with an exponent other than 1 is raised once per state, by one scalar C
+``pow`` (Python's float ``**``); an exponent of 1 reads x_j itself,
+which is what ``pow(x, 1.0)`` returns, also for zeros of both signs,
+infinities, nan and subnormals.  The powers stay scalar on purpose:
+numpy's vectorised ``np.power`` (and even ``x*x`` for ``x ** 2``) rounds
+differently from ``pow`` in a small share of cases on SIMD hardware,
+which would change the reported ``*_f64`` bits.  The products are
+vectorised: each monomial is start * t_1 * ... * t_w, strictly left to
+right in term order, one numpy multiply per term position, with missing
+terms padded by an exact 1.0.  Float multiplication is correctly rounded
+elementwise, so the bits equal those of the scalar loop that multiplied
+the same factors in the same order.
 
 Equilibrium correspondence with a fixing run: each added species B' sits
 between reaction l and the appended reaction B' -> p2 B, so at
@@ -28,17 +38,19 @@ time; ``project_equilibrium`` drops the added coordinates.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .model import Network, RationalMatrix, stoichiometric_matrix
 from .signfix import FixReport
 
-# Most RK4 steps ``simulate`` takes; each step's state is kept in memory.
+# Most RK4 steps ``simulate`` takes; each step's state is kept in memory
+# (8 bytes per coordinate).
 MAX_STEPS = 1_000_000
 
 Terms = Tuple[Tuple[Tuple[int, float], ...], ...]
@@ -53,19 +65,103 @@ class EquilibriumNotFound(Exception):
         self.residual = residual
 
 
+class MonomialTable:
+    """starts[k] * prod x_j ** e over terms[k], for every k at once.
+
+    Built once from ``(starts, terms, species_count)``; ``terms[k]`` lists
+    (species, exponent) pairs.  Calling the table on a state of shape (d,)
+    returns the monomials, shape (len(terms),); on a stack of shape
+    (n, d) it returns shape (n, len(terms)).  The caller checks the
+    states.
+
+    Each distinct (species, exponent) pair with an exponent other than 1
+    gets one power slot, filled per state by one C ``pow`` (builtin
+    ``pow`` over ``map``, the same call as Python's float ``**``).  An
+    exponent of 1 reads x_j directly.  The factors of a monomial are then
+    multiplied left to right, start first, one numpy multiply per term
+    position; rows with fewer terms read one more slot, x_0 ** 0.0, which
+    ``pow`` makes exactly 1.0 for every float.  Where Python's
+    ``pow`` differs from numpy's scalar power, an overflow
+    (``OverflowError``, numpy gives inf) or a negative base under a
+    fractional exponent (a complex result, numpy gives nan), that power
+    is recomputed with an ``np.float64`` scalar, so every monomial holding
+    it gets the numpy value.
+    """
+
+    def __init__(self, starts: Sequence[float], terms: Terms, species_count: int):
+        width = max([len(term) for term in terms] + [1])
+        slots: Dict[Tuple[int, float], int] = {}
+        if any(len(term) < width for term in terms):
+            # The padding factor (a network has a species 0).
+            slots[(0, 0.0)] = species_count
+        for term in terms:
+            for j, e in term:
+                if e != 1.0:
+                    slots.setdefault((j, e), species_count + len(slots))
+        self._starts = np.array(starts, dtype=float)
+        self._pow_species = np.array([j for j, _ in slots], dtype=np.intp)
+        self._pow_exponents = [e for _, e in slots]
+        # Row i: factor i of every monomial, as a column of (x, the power slots).
+        columns = [[species_count] * len(terms) for _ in range(width)]
+        for k, term in enumerate(terms):
+            for i, (j, e) in enumerate(term):
+                columns[i][k] = j if e == 1.0 else slots[(j, e)]
+        self._columns = list(np.array(columns, dtype=np.intp))
+
+    def with_starts(self, starts: Sequence[float]) -> "MonomialTable":
+        """The same table with new starts; the index arrays are shared."""
+        table = copy.copy(self)
+        table._starts = np.array(starts, dtype=float)
+        return table
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        factors = np.concatenate((x, self._powers(x.take(self._pow_species, axis=-1))), axis=-1)
+        out = self._starts * factors.take(self._columns[0], axis=-1)
+        for columns in self._columns[1:]:
+            out *= factors.take(columns, axis=-1)
+        return out
+
+    def _powers(self, bases: np.ndarray) -> np.ndarray:
+        """pow(base, e) for each slot of each state, shaped like ``bases``."""
+        values = bases.ravel().tolist()
+        exponents = self._pow_exponents * math.prod(bases.shape[:-1])
+        try:
+            # TypeError: a complex result cannot be stored as a float
+            powers = np.fromiter(map(pow, values, exponents), float, len(values))
+        except (OverflowError, TypeError):
+            powers = np.array([_numpy_pow(v, e) for v, e in zip(values, exponents)])
+        return powers.reshape(bases.shape)
+
+
+def _numpy_pow(x: float, e: float) -> float:
+    """pow(x, e), or numpy's scalar power where Python's ``**`` raises
+    ``OverflowError`` or gives a complex number."""
+    try:
+        value = x ** e
+    except OverflowError:
+        value = None
+    if type(value) is not float:
+        value = float(np.float64(x) ** e)
+    return value
+
+
+def _checked_rates(network: Network, rates: Sequence[float]) -> Tuple[float, ...]:
+    rates = tuple(float(r) for r in rates)
+    if len(rates) != network.reaction_count:
+        raise ValueError(
+            f"expected {network.reaction_count} rate constants, got {len(rates)}"
+        )
+    if any(not (r > 0) or not math.isfinite(r) for r in rates):
+        raise ValueError("rate constants must be finite and strictly positive")
+    return rates
+
+
 class MassActionSystem:
     """A network together with one positive rate constant per reaction."""
 
     def __init__(self, network: Network, rates: Sequence[float]):
-        rates = tuple(float(r) for r in rates)
-        if len(rates) != network.reaction_count:
-            raise ValueError(
-                f"expected {network.reaction_count} rate constants, got {len(rates)}"
-            )
-        if any(not (r > 0) or not math.isfinite(r) for r in rates):
-            raise ValueError("rate constants must be finite and strictly positive")
+        self.rates = _checked_rates(network, rates)
         self.network = network
-        self.rates = rates
         self._S = np.zeros((network.species_count, network.reaction_count))
         for k, r in enumerate(network.reactions):
             net_terms: Dict[int, Fraction] = dict(r.product.terms)
@@ -84,6 +180,7 @@ class MassActionSystem:
         self._rows = np.array([k for k, _, _ in flat], dtype=np.intp)
         self._cols = np.array([j for _, j, _ in flat], dtype=np.intp)
         self._exps = np.array([e for _, _, e in flat], dtype=float)
+        self._table = MonomialTable(self.rates, self.exponents, network.species_count)
 
     @classmethod
     def from_network_rates(cls, network: Network) -> "MassActionSystem":
@@ -92,6 +189,20 @@ class MassActionSystem:
         if missing:
             raise ValueError(f"reactions {missing} carry no rate constant")
         return cls(network, [r.rate for r in network.reactions])
+
+    def with_rates(self, rates: Sequence[float]) -> "MassActionSystem":
+        """The same network with other rate constants.
+
+        Checks the rates as the constructor does, with the same messages,
+        and shares S, the exponents, the index arrays and the monomial
+        table's structure with this system; only the rates are new.  Its
+        fluxes and Jacobians equal those of a fresh ``MassActionSystem``
+        bit for bit.
+        """
+        system = copy.copy(self)
+        system.rates = _checked_rates(self.network, rates)
+        system._table = self._table.with_starts(system.rates)
+        return system
 
     @property
     def species_count(self) -> int:
@@ -115,36 +226,6 @@ def _check_state(sys: MassActionSystem, x: Sequence[float], positive: bool) -> n
     return arr
 
 
-def monomials(
-    starts: Sequence[float], terms: Terms, xs: Sequence[float]
-) -> List[float]:
-    """starts[k] * prod xs[j] ** e over terms[k], left to right, for each k.
-
-    ``starts`` and ``xs`` hold Python floats.  Each power is one C ``pow``
-    (Python's float ``**``), which is what numpy's scalar power computes,
-    so the bits equal those of the numpy-scalar loop.  Where Python's
-    ``**`` differs from numpy, an overflow (``OverflowError``, numpy
-    gives inf) or a negative base under a fractional exponent (a complex
-    result, numpy gives nan), the monomial is recomputed with numpy
-    scalars.
-    """
-    out = []
-    for start, term in zip(starts, terms):
-        value = start
-        try:
-            for j, e in term:
-                value *= xs[j] ** e
-        except OverflowError:
-            value = None
-        if type(value) is not float:
-            value = start
-            for j, e in term:
-                value *= np.float64(xs[j]) ** e
-            value = float(value)
-        out.append(value)
-    return out
-
-
 def flux(sys: MassActionSystem, x: Sequence[float]) -> np.ndarray:
     """Reaction fluxes v(x); x must be finite and componentwise nonnegative."""
     arr = _check_state(sys, x, positive=False)
@@ -154,8 +235,8 @@ def flux(sys: MassActionSystem, x: Sequence[float]) -> np.ndarray:
 
 
 def _flux(sys: MassActionSystem, arr: np.ndarray) -> np.ndarray:
-    """v(arr) for a state array the caller has already checked."""
-    return np.array(monomials(sys.rates, sys.exponents, arr.tolist()))
+    """v(arr) for a state, or a stack of states, the caller has checked."""
+    return sys._table(arr)
 
 
 def rhs(sys: MassActionSystem, x: Sequence[float]) -> np.ndarray:
@@ -165,16 +246,27 @@ def rhs(sys: MassActionSystem, x: Sequence[float]) -> np.ndarray:
 
 def flux_jacobian(sys: MassActionSystem, x: Sequence[float]) -> np.ndarray:
     """V'(x), the d' x d Jacobian of the flux map; requires a finite x > 0."""
-    arr = _check_state(sys, x, positive=True)
+    return _flux_jacobian(sys, _check_state(sys, x, positive=True))
+
+
+def _flux_jacobian(sys: MassActionSystem, arr: np.ndarray) -> np.ndarray:
+    """V' at a state of shape (d,), or at each of a stack (n, d), checked."""
     v = _flux(sys, arr)
-    out = np.zeros((sys.reaction_count, sys.species_count))
-    out[sys._rows, sys._cols] = v[sys._rows] * sys._exps / arr[sys._cols]
+    out = np.zeros(arr.shape[:-1] + (sys.reaction_count, sys.species_count))
+    out[..., sys._rows, sys._cols] = v[..., sys._rows] * sys._exps / arr[..., sys._cols]
     return out
 
 
 def jacobian(sys: MassActionSystem, x: Sequence[float]) -> np.ndarray:
     """Jacobian S V'(x) of the right-hand side at a positive state."""
     return sys._S @ flux_jacobian(sys, x)
+
+
+def _jacobians(sys: MassActionSystem, states: np.ndarray) -> np.ndarray:
+    """S V'(x) for each row x of an (n, d) stack of checked positive
+    states.  numpy runs the same per-matrix product for a stack as for
+    one matrix, so each entry equals ``jacobian`` at that state."""
+    return sys._S @ _flux_jacobian(sys, states)
 
 
 def exact_jacobian(
@@ -395,7 +487,9 @@ def simulate(
 
     Returns (times, states) with states[i] the state at times[i],
     including both endpoints.  Aborts if the state leaves the physical
-    region (NaN, or any coordinate below -1e-9).
+    region (NaN, or any coordinate below -1e-9).  The states go straight
+    into one preallocated (steps + 1, d) float array, so the trajectory
+    holds (steps + 1) * d * 8 bytes, plus 8 bytes per step for the times.
 
     Raises:
         ValueError: if t_end or dt is not positive, or the step count
@@ -404,14 +498,16 @@ def simulate(
             coordinate (zeros are allowed).
     """
     steps = step_count(t_end, dt)
-    x = _check_state(sys, x0, positive=False).copy()
+    x = _check_state(sys, x0, positive=False)
     if (x < 0).any():
         raise ValueError("initial state must be nonnegative")
-    times = [0.0]
-    states = [x.copy()]
+    times = np.arange(steps + 1) * dt
+    states = np.empty((steps + 1, sys.species_count))
+    states[0] = x
+    S, table = sys._S, sys._table
 
     def f(state: np.ndarray) -> np.ndarray:
-        return sys._S @ _flux(sys, np.maximum(state, 0.0))
+        return S @ table(np.maximum(state, 0.0))
 
     # overflow to inf/nan is caught below and turned into a clean error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -421,11 +517,10 @@ def simulate(
             k3 = f(x + 0.5 * dt * k2)
             k4 = f(x + dt * k3)
             x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(x)) or np.any(x < -1e-9):
+            if not np.isfinite(x).all() or (x < -1e-9).any():
                 raise ValueError(
-                    f"trajectory left the nonnegative orthant at t={times[-1] + dt:.6g}; "
+                    f"trajectory left the nonnegative orthant at t={float(times[i]) + dt:.6g}; "
                     "reduce dt"
                 )
-            times.append((i + 1) * dt)
-            states.append(x.copy())
-    return np.array(times), np.array(states)
+            states[i + 1] = x
+    return times, states

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import exactla
-from .kinetics import MassActionSystem, exact_jacobian, jacobian
+from .kinetics import MassActionSystem, _check_state, _jacobians, exact_jacobian, jacobian
 from .signfix import FixReport
 
 
@@ -64,6 +64,11 @@ def _check_pair(sys: MassActionSystem, report: FixReport, x_hat: Sequence[float]
 
 def _fixed_system(sys: MassActionSystem, report: FixReport, k: float) -> MassActionSystem:
     return MassActionSystem(report.result, tuple(sys.rates) + (float(k),))
+
+
+# Most sample points ``det_sign_sampling`` evaluates in one numpy stack;
+# the cap bounds the stacked V' arrays (n x d' x d floats each).
+_STACK = 32
 
 
 @dataclass(frozen=True)
@@ -217,8 +222,9 @@ def eigen_convergence(
     escapers: List[complex] = []
     all_fixed: List[Tuple[complex, ...]] = []
     matched_at_largest: List[complex] = []
+    fixed = _fixed_system(sys, report, ks[0])
     for k in ks:
-        eig_fixed = eigenvalues(jacobian(_fixed_system(sys, report, k), x_hat_arr))
+        eig_fixed = eigenvalues(jacobian(fixed.with_rates(sys.rates + (k,)), x_hat_arr))
         pairs, leftover = _greedy_match(eig_fixed, eig_j)
         matched_errors.append(
             max(abs(eig_fixed[fi] - eig_j[ti]) for fi, ti in pairs)
@@ -394,23 +400,30 @@ def det_sign_sampling(
     as zero below 1e-9 times its Jacobian's Hadamard bound (the product
     of row norms), which keeps float noise from a singular matrix with
     large entries from reading as a sign.
+
+    Every point is checked first, in order, as ``kinetics.jacobian``
+    checks a state, so the first bad point raises its ``ValueError``.
+    The Jacobians are then evaluated on stacks of at most 32 points: one
+    monomial-table call, one scatter into V', one S @ V', one
+    ``np.linalg.det`` and one row-norm product per system and stack.
+    numpy runs the same per-matrix computation for a stack as for one
+    matrix, so every determinant and threshold has the bits of the
+    point-by-point evaluation; the cap keeps the stacked arrays, and so
+    the peak memory, small.
     """
     _single_step(report)
     if not points:
         raise ValueError("at least one sample point required")
     fixed = _fixed_system(sys, report, k)
-
-    def det_and_scale(matrix: np.ndarray) -> Tuple[float, float]:
-        hadamard = float(np.prod(np.linalg.norm(matrix, axis=1)))
-        return float(np.linalg.det(matrix)), 1e-9 * (1.0 + hadamard)
+    states = np.array([_check_state(sys, x, positive=True) for x in points])
 
     dets_j: List[Tuple[float, float]] = []
     dets_jk: List[Tuple[float, float]] = []
-    for x in points:
-        arr = np.asarray(x, dtype=float)
-        dets_j.append(det_and_scale(jacobian(sys, arr)))
-        x_hat = np.concatenate([arr, [1.0]])
-        dets_jk.append(det_and_scale(jacobian(fixed, x_hat)))
+    for start in range(0, len(states), _STACK):
+        stack = states[start : start + _STACK]
+        dets_j += _dets_and_thresholds(_jacobians(sys, stack))
+        x_hat = np.concatenate([stack, np.ones((len(stack), 1))], axis=1)
+        dets_jk += _dets_and_thresholds(_jacobians(fixed, x_hat))
 
     def classify(values: List[Tuple[float, float]]) -> Tuple[int, ...]:
         return tuple(
@@ -424,3 +437,9 @@ def det_sign_sampling(
     constant_jk = len(set(signs_jk)) == 1
     opposite = all(a == -b for a, b in zip(signs_j, signs_jk))
     return DetSignSample(signs_j, signs_jk, constant_j, constant_jk, opposite)
+
+
+def _dets_and_thresholds(jacobians: np.ndarray) -> List[Tuple[float, float]]:
+    """(det J, 1e-9 * (1 + Hadamard bound of J)) for each J of a stack."""
+    hadamard = np.prod(np.linalg.norm(jacobians, axis=-1), axis=-1)
+    return list(zip(np.linalg.det(jacobians).tolist(), (1e-9 * (1.0 + hadamard)).tolist()))

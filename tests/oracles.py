@@ -16,7 +16,10 @@ the powers moved to Python floats; and the sign layer (``sign_pattern``,
 ``jacobian_sign_status``) as it was before the sign checks were rebuilt
 on one integer sign array and matrix products; and the eager Bareiss
 elimination (``_update`` and ``_eliminate``, every row update applied at
-once) as it was before the elimination deferred the row scalings.  The
+once) as it was before the elimination deferred the row scalings; and the
+per-term ``monomials`` loop and the point-by-point ``det_sign_sampling``
+as they were before one monomial table per system and the stacked
+sample Jacobians replaced them.  The
 ``sign_fix`` oracle enumerates its classes with that
 ``find_bad_submatrices``.  Production code does not use them; the tests
 compare the package's versions against them on the same inputs.
@@ -34,7 +37,7 @@ import numpy as np
 from crnsign.deficiency import DeltaAudit, _class_of, deficiency
 from crnsign.deficiency import complexes_of
 from crnsign.exactla import ConservationResult, KernelBasis, Vector
-from crnsign.kinetics import _check_state
+from crnsign.kinetics import Terms, _check_state, jacobian
 from crnsign.model import (
     Complex,
     Network,
@@ -51,6 +54,7 @@ from crnsign.signcheck import (
     Status,
 )
 from crnsign.signfix import FixReport, FixStep, default_order, fix_one
+from crnsign.spectra import DetSignSample, _fixed_system, _single_step
 
 
 def sign_fix(
@@ -519,6 +523,36 @@ class MassActionSystem:
         return self.network.reaction_count
 
 
+def monomials(
+    starts: Sequence[float], terms: Terms, xs: Sequence[float]
+) -> List[float]:
+    """starts[k] * prod xs[j] ** e over terms[k], left to right, for each k.
+
+    ``starts`` and ``xs`` hold Python floats.  Each power is one C ``pow``
+    (Python's float ``**``), which is what numpy's scalar power computes,
+    so the bits equal those of the numpy-scalar loop.  Where Python's
+    ``**`` differs from numpy, an overflow (``OverflowError``, numpy
+    gives inf) or a negative base under a fractional exponent (a complex
+    result, numpy gives nan), the monomial is recomputed with numpy
+    scalars.
+    """
+    out = []
+    for start, term in zip(starts, terms):
+        value = start
+        try:
+            for j, e in term:
+                value *= xs[j] ** e
+        except OverflowError:
+            value = None
+        if type(value) is not float:
+            value = start
+            for j, e in term:
+                value *= np.float64(xs[j]) ** e
+            value = float(value)
+        out.append(value)
+    return out
+
+
 def flux(sys: MassActionSystem, x: Sequence[float]) -> np.ndarray:
     """Reaction fluxes v(x); x must be componentwise nonnegative."""
     arr = _check_state(sys, x, positive=False)
@@ -826,3 +860,49 @@ def _eliminate(
         pivots.append(c)
         prev = piv
     return a, pivots, prev, sign
+
+
+def det_sign_sampling(
+    sys: MassActionSystem,
+    report: FixReport,
+    points: Sequence[Sequence[float]],
+    k: float = 1.0,
+) -> DetSignSample:
+    """Sample sign(det J) and sign(det J_k) at shared positive states.
+
+    Since det J_k = -k det J pointwise, a constant determinant sign for
+    the original system forces the constant opposite sign for the fixed
+    one ("applies to both or to neither").  A determinant is classified
+    as zero below 1e-9 times its Jacobian's Hadamard bound (the product
+    of row norms), which keeps float noise from a singular matrix with
+    large entries from reading as a sign.
+    """
+    _single_step(report)
+    if not points:
+        raise ValueError("at least one sample point required")
+    fixed = _fixed_system(sys, report, k)
+
+    def det_and_scale(matrix: np.ndarray) -> Tuple[float, float]:
+        hadamard = float(np.prod(np.linalg.norm(matrix, axis=1)))
+        return float(np.linalg.det(matrix)), 1e-9 * (1.0 + hadamard)
+
+    dets_j: List[Tuple[float, float]] = []
+    dets_jk: List[Tuple[float, float]] = []
+    for x in points:
+        arr = np.asarray(x, dtype=float)
+        dets_j.append(det_and_scale(jacobian(sys, arr)))
+        x_hat = np.concatenate([arr, [1.0]])
+        dets_jk.append(det_and_scale(jacobian(fixed, x_hat)))
+
+    def classify(values: List[Tuple[float, float]]) -> Tuple[int, ...]:
+        return tuple(
+            0 if abs(v) <= threshold else (1 if v > 0 else -1)
+            for v, threshold in values
+        )
+
+    signs_j = classify(dets_j)
+    signs_jk = classify(dets_jk)
+    constant_j = len(set(signs_j)) == 1
+    constant_jk = len(set(signs_jk)) == 1
+    opposite = all(a == -b for a, b in zip(signs_j, signs_jk))
+    return DetSignSample(signs_j, signs_jk, constant_j, constant_jk, opposite)

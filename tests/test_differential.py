@@ -1,7 +1,8 @@
 """The one-pass sign fix, the incremental-rank audit, the index-permuted
 order relation, the integer exact core, the elimination with deferred
-row scalings, the mass-action float kernel and the integer sign layer,
-each against the implementation it replaced (``oracles``)."""
+row scalings, the mass-action float kernel with its monomial table, the
+stacked determinant-sign sampling and the integer sign layer, each
+against the implementation it replaced (``oracles``)."""
 
 import random
 from fractions import Fraction
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import FIXTURES, load
-from crnsign import exactla, kinetics
-from crnsign.deficiency import complexes_decomposition, decomposition_residual, delta_audit
+from crnsign import exactla, kinetics, spectra
+from crnsign.deficiency import complexes_decomposition, complexes_of, decomposition_residual, delta_audit
 from crnsign.exactla import determinant, is_conserving, kernel_basis, rank
 from crnsign.model import Complex, Network, RationalMatrix, Reaction, Species, stoichiometric_matrix
 from crnsign.signcheck import (
@@ -25,7 +26,7 @@ from crnsign.signcheck import (
     jacobian_sign_status,
     sign_pattern,
 )
-from crnsign.signfix import FixReport, sign_fix, verify_permutation_relation
+from crnsign.signfix import FixReport, fix_one_report, sign_fix, verify_permutation_relation
 
 
 def _class_count(net):
@@ -272,10 +273,10 @@ def test_elimination_matches_eager_oracle_on_integer_matrices(a):
 # ------------------------------------------------------- mass-action kernel
 
 # Zeros of both signs, subnormals, ordinary values, and values whose powers
-# overflow (the OverflowError path of ``kinetics.monomials``).
+# overflow (the OverflowError path of ``kinetics.MonomialTable``).
 SPECIAL_STATES = [0.0, -0.0, 5e-324, 2.5e-310, 1e-200, 0.3, 1.0, 2.0, 7.5, 1e200, 1.7e308]
 # psi does no sign check: negative bases, with fractional exponents (the
-# complex-result path of ``kinetics.monomials``) and integer ones.
+# complex-result path of ``kinetics.MonomialTable``) and integer ones.
 NEGATIVE_STATES = [-5e-324, -0.5, -1.0, -3.0, -1e200]
 
 
@@ -286,10 +287,31 @@ def _same_bits(new, old):
     assert np.array_equal(np.signbit(new), np.signbit(old)), (new, old)
 
 
+def _same_int64(new, old):
+    """Equal bit for bit, nan payloads and zero signs included."""
+    assert new.shape == old.shape
+    assert np.array_equal(new.view(np.int64), old.view(np.int64)), (new, old)
+
+
+def _assert_same_monomials(starts, terms, d, states):
+    """A monomial table on each state and on the whole stack of states
+    equals the per-term oracle loop on each state."""
+    table = kinetics.MonomialTable(starts, terms, d)
+    stack = np.array(states, dtype=float).reshape(len(states), d)
+    expected = np.array(
+        [oracles.monomials(starts, terms, x.tolist()) for x in stack], dtype=float
+    ).reshape(len(states), len(terms))
+    for x, row in zip(stack, expected):
+        _same_int64(table(x), row)
+    _same_int64(table(stack), expected)
+
+
 def _assert_same_kernel(net, rates, states):
     """The float S, exponents, fluxes, right-hand sides, Jacobians at
     positive states, and the decomposition (Y, A_k, psi, residual) equal
-    the oracle's bit for bit; negative states go to psi alone."""
+    the oracle's bit for bit, and so do the flux and psi monomial tables
+    against the per-term loop, state by state and stacked; negative
+    states go to psi and the tables alone."""
     new, old = kinetics.MassActionSystem(net, rates), oracles.MassActionSystem(net, rates)
     _same_bits(new._S, old._S)
     assert new.exponents == old.exponents
@@ -298,7 +320,12 @@ def _assert_same_kernel(net, rates, states):
     old_Y, old_a_k, old_psi = oracles.complexes_decomposition(old)
     assert Y == old_Y
     _same_bits(a_k, old_a_k)
+    complex_terms = tuple(
+        tuple((j, float(c)) for j, c in cx.terms) for cx in complexes_of(net)
+    )
     with np.errstate(all="ignore"):  # overflow and nan are inputs here
+        _assert_same_monomials(rates, new.exponents, net.species_count, states)
+        _assert_same_monomials([1.0] * len(complex_terms), complex_terms, net.species_count, states)
         for x in states:
             _same_bits(psi(x), old_psi(x))
             if any(v < 0 for v in x):
@@ -362,6 +389,184 @@ def test_simulate_matches_oracle_trajectory(kinetics_networks):
     _same_bits(times, old_times)
     _same_bits(states, old_states)
     assert states.shape == (501, net.species_count)
+
+
+def test_monomial_table_pads_short_rows_and_shares_powers():
+    """Rows of different widths, an empty row, exponent 1 read directly
+    and one power slot for a (species, exponent) pair used twice: three
+    powers and the padding slot."""
+    terms = (((0, 2.0), (1, 1.0), (2, 0.5)), (), ((0, 2.0),), ((1, 1.0), (0, 3.0)))
+    table = kinetics.MonomialTable([2.0, 3.0, 0.5, 1.5], terms, 3)
+    assert table._pow_exponents == [0.0, 2.0, 0.5, 3.0]
+    states = [[1.3, 0.7, 2.9], [0.0, -0.0, 5e-324], [1e200, 2.0, 1e-300], [-2.0, float("nan"), 3.0]]
+    with np.errstate(all="ignore"):
+        _assert_same_monomials([2.0, 3.0, 0.5, 1.5], terms, 3, states)
+        # only empty monomials: every factor is padding
+        _assert_same_monomials([2.0, 0.5], ((), ()), 3, states)
+
+
+def _parent_dets(sys, fixed, points):
+    """(det, threshold) of J and of J_k at each point, one point at a time,
+    as ``oracles.det_sign_sampling`` computes them."""
+    def det_and_scale(matrix):
+        hadamard = float(np.prod(np.linalg.norm(matrix, axis=1)))
+        return float(np.linalg.det(matrix)), 1e-9 * (1.0 + hadamard)
+
+    dets_j, dets_jk = [], []
+    for x in points:
+        arr = np.asarray(x, dtype=float)
+        dets_j.append(det_and_scale(kinetics.jacobian(sys, arr)))
+        dets_jk.append(det_and_scale(kinetics.jacobian(fixed, np.concatenate([arr, [1.0]]))))
+    return dets_j, dets_jk
+
+
+def _assert_same_sampling(sys, report, points, k, monkeypatch):
+    """The stacked sampling gives the oracle's signs and, stack by stack,
+    the point-by-point (det, threshold) pairs bit for bit."""
+    recorded = []
+    stacked = spectra._dets_and_thresholds
+
+    def record(jacobians):
+        recorded.append(stacked(jacobians))
+        return recorded[-1]
+
+    monkeypatch.setattr(spectra, "_dets_and_thresholds", record)
+    with np.errstate(all="ignore"):
+        new = spectra.det_sign_sampling(sys, report, points, k)
+        old = oracles.det_sign_sampling(sys, report, points, k)
+        dets_j, dets_jk = _parent_dets(sys, spectra._fixed_system(sys, report, k), points)
+    assert new == old
+    # the recorder saw J then J_k for each stack of at most 32 points
+    assert len(recorded) == 2 * -(-len(points) // spectra._STACK)
+    new_j = [pair for stack in recorded[0::2] for pair in stack]
+    new_jk = [pair for stack in recorded[1::2] for pair in stack]
+    for new_pairs, old_pairs in ((new_j, dets_j), (new_jk, dets_jk)):
+        _same_int64(np.array(new_pairs).reshape(-1, 2), np.array(old_pairs).reshape(-1, 2))
+    return new
+
+
+def _one_step_systems(nets, rng):
+    """(system, one-step report) for each network that has a bad class."""
+    out = []
+    for net in nets:
+        try:
+            report = fix_one_report(net)
+        except ValueError:
+            continue
+        rates = [r.rate if r.rate is not None else 10 ** rng.uniform(-1, 1) for r in net.reactions]
+        out.append((kinetics.MassActionSystem(net, rates), report))
+    return out
+
+
+def _sample(rng, d, count):
+    return [[10 ** rng.uniform(-1, 1) for _ in range(d)] for _ in range(count)]
+
+
+@pytest.mark.parametrize("count", [1, 31, 32, 33, 70])
+def test_det_sign_sampling_matches_oracle_on_kinetics_networks(kinetics_networks, count, monkeypatch):
+    rng = random.Random(count)
+    systems = _one_step_systems(kinetics_networks, rng)
+    assert len(systems) >= 15
+    for sys, report in systems:
+        points = _sample(rng, sys.species_count, count)
+        _assert_same_sampling(sys, report, points, rng.choice([1.0, 10.0, 1e3]), monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.crn")))
+def test_det_sign_sampling_matches_oracle_on_fixtures(name, monkeypatch):
+    rng = random.Random(name)
+    for sys, report in _one_step_systems([load(name)], rng):
+        d = sys.species_count
+        # ordinary points, then extreme ones whose powers overflow
+        points = _sample(rng, d, 45) + [[rng.choice([1e-300, 1e-5, 1e5, 1e200]) for _ in range(d)]
+                                        for _ in range(20)]
+        _assert_same_sampling(sys, report, points, 1.0, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param(lambda d: [1.0] * (d - 1) + [0.0], id="zero"),
+        pytest.param(lambda d: [float("nan")] + [1.0] * (d - 1), id="nan"),
+        pytest.param(lambda d: [1.0] * (d + 1), id="wrong-length"),
+    ],
+)
+def test_det_sign_sampling_rejects_a_bad_point_like_the_oracle(kinetics_networks, bad):
+    """A bad point in the middle raises the oracle's error, before any
+    stack is evaluated."""
+    (sys, report), = _one_step_systems(kinetics_networks[:1], random.Random(5))
+    rng = random.Random(6)
+    d = sys.species_count
+    points = _sample(rng, d, 40) + [bad(d)] + _sample(rng, d, 40)
+    errors = []
+    for sampling in (spectra.det_sign_sampling, oracles.det_sign_sampling):
+        with pytest.raises(ValueError) as info:
+            sampling(sys, report, points)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
+def test_eigen_convergence_matches_fresh_systems(kinetics_networks, monkeypatch):
+    """Reports built through ``with_rates`` equal, in every bit ``repr``
+    shows, those built from a fresh fixed system per k."""
+    grid = [float(k) for k in np.geomspace(1.0, 1e6, 7)]
+    systems = _one_step_systems(kinetics_networks, random.Random(7))
+    new = [
+        spectra.eigen_convergence(sys, report, [1.0] * (sys.species_count + 1), grid)
+        for sys, report in systems
+    ]
+    monkeypatch.setattr(
+        kinetics.MassActionSystem,
+        "with_rates",
+        lambda self, rates: kinetics.MassActionSystem(self.network, rates),
+    )
+    old = [
+        spectra.eigen_convergence(sys, report, [1.0] * (sys.species_count + 1), grid)
+        for sys, report in systems
+    ]
+    assert [repr(r) for r in new] == [repr(r) for r in old]
+
+
+def test_with_rates_matches_a_fresh_system(kinetics_networks):
+    rng = random.Random(11)
+    for net in kinetics_networks:
+        base = kinetics.MassActionSystem(net, [r.rate for r in net.reactions])
+        rates = [10 ** rng.uniform(-3, 3) for _ in range(net.reaction_count)]
+        swapped, fresh = base.with_rates(rates), kinetics.MassActionSystem(net, rates)
+        assert swapped.rates == fresh.rates and swapped._S is base._S
+        for x in _sample(rng, net.species_count, 3):
+            _same_int64(kinetics.jacobian(swapped, x), kinetics.jacobian(fresh, x))
+            _same_int64(kinetics.flux(swapped, x), kinetics.flux(fresh, x))
+        # the base system keeps its own rates
+        _same_int64(
+            kinetics.flux(base, x),
+            kinetics.flux(kinetics.MassActionSystem(net, [r.rate for r in net.reactions]), x),
+        )
+    count = net.reaction_count
+    for bad in ([1.0] * (count - 1) + [0.0], [float("inf")] + [1.0] * (count - 1), [1.0] * (count - 1)):
+        errors = []
+        for build in (base.with_rates, lambda rates: kinetics.MassActionSystem(net, rates)):
+            with pytest.raises(ValueError) as info:
+                build(bad)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("x0, dt", [([3.0, 1.0], 0.07), ([30.0, 1.0], 0.013)])
+def test_simulate_orthant_error_matches_oracle(x0, dt):
+    """Leaving the orthant a few steps in gives the oracle's message,
+    whose time is the previous step's time plus dt."""
+    net = Network(
+        (Species("A", 0), Species("B", 1)),
+        (Reaction(Complex.from_dict({0: 2}), Complex.from_dict({1: 3})),
+         Reaction(Complex.from_dict({1: 2}), Complex.from_dict({0: 3}))),
+    )
+    errors = []
+    for module in (kinetics, oracles):
+        with pytest.raises(ValueError, match="left the nonnegative orthant") as info:
+            module.simulate(module.MassActionSystem(net, [1.0, 1.0]), x0, 10.0, dt)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
 
 
 _COEFFICIENTS = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(3, 2),

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -223,6 +224,21 @@ def test_rk4_preserves_conserved_total(conserving_family):
     totals = states.sum(axis=1)
     drift = np.max(np.abs(totals - totals[0]))
     assert drift <= 1e-6 * totals[0]
+
+
+def test_simulate_holds_one_states_array(conserving_family):
+    """The states go into one preallocated array: 20,000 steps peak below
+    twice that array's bytes (one array per step, stacked at the end,
+    needs several times as much)."""
+    sys = _unit_system(conserving_family)
+    tracemalloc.start()
+    try:
+        times, states = simulate(sys, [0.4, 0.8, 3.0, 0.6], t_end=20.0, dt=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert states.shape == (20_001, 4) and times.shape == (20_001,)
+    assert peak < 2 * states.nbytes, (peak, states.nbytes)
 
 
 def test_rk4_aborts_on_blow_up():
