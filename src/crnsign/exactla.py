@@ -9,6 +9,20 @@ phase-1 simplex with Bland's rule on an integer tableau, pivoted with the
 same row update.  Fractions appear only at the API: kernel vectors,
 determinants and conservation witnesses are returned as ``Fraction``s.
 Nothing in this module ever rounds.
+
+Each ``RationalMatrix`` carries a private cache that only this module
+reads and writes, keyed by side: the denominator-cleared integer rows
+("right") and columns ("left"), and the integer kernel vectors of each
+side.  A matrix is immutable, so the cache cannot go stale, and it dies
+with the matrix.  The cached tuples are never handed to the elimination,
+which works on a copy.  So a chain of one-step checks (S_0, S_1),
+(S_1, S_2), ... over the same matrix objects eliminates each matrix once
+per side: ``kernel_correspondence_check`` reads the rank of S_check off
+its right kernel, which is then the cache hit for S at the next step,
+and costs 2 eliminations per step instead of 3.  ``rank`` and
+``determinant`` stay outside the cache: they run the cheaper echelon-only
+elimination, and their results stay independent of every cached kernel
+(the deficiency audit's from-scratch final rank relies on that).
 """
 
 from __future__ import annotations
@@ -168,13 +182,34 @@ def determinant(matrix: RationalMatrix) -> Fraction:
     return Fraction(sign * last, scale)
 
 
-def _kernel_vectors(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
-    """Integer right-kernel basis of the matrix with these rows, one vector
-    per free column in order, each coprime with a positive leading entry."""
-    a, pivots, last, _ = _eliminate(_integer_rows(rows))
+IntRows = Tuple[Tuple[int, ...], ...]
+
+
+def _integer_image(matrix: RationalMatrix, side: str) -> IntRows:
+    """The denominator-cleared rows ("right") or columns ("left") of the
+    matrix, each scaled by the lcm of its denominators; cached on it."""
+    key = ("image", side)
+    image = matrix._cache.get(key)
+    if image is None:
+        entries = matrix.entries() if side == "right" else tuple(zip(*matrix.entries()))
+        image = tuple(map(tuple, _integer_rows(entries)))
+        matrix._cache[key] = image
+    return image
+
+
+def _kernel_vectors(matrix: RationalMatrix, side: str) -> IntRows:
+    """Integer basis of the right ("right") or left ("left") kernel of the
+    matrix, one vector per free column of the eliminated rows in order,
+    each coprime with a positive leading entry; cached on the matrix."""
+    key = ("kernel", side)
+    vectors = matrix._cache.get(key)
+    if vectors is not None:
+        return vectors
+    # _eliminate rewrites the list it is given: hand it a copy.
+    a, pivots, last, _ = _eliminate([list(row) for row in _integer_image(matrix, side)])
     cols = len(a[0])
     pivot_set = set(pivots)
-    vectors = []
+    found = []
     for f in range(cols):
         if f in pivot_set:
             continue
@@ -185,7 +220,8 @@ def _kernel_vectors(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
         g = gcd(*v)
         if next(x for x in v if x != 0) < 0:
             g = -g
-        vectors.append([x // g for x in v])
+        found.append(tuple(x // g for x in v))
+    vectors = matrix._cache[key] = tuple(found)
     return vectors
 
 
@@ -196,15 +232,12 @@ def kernel_basis(matrix: RationalMatrix, side: str = "right") -> KernelBasis:
     Each vector is read off the integer elimination of the matrix (its
     transpose for "left"), normalized to coprime integer entries with a
     positive leading entry, and the vectors are ordered by their free
-    column.
+    column.  The integer vectors are cached on the matrix, so a second
+    call on the same object does not eliminate again.
     """
-    if side == "right":
-        rows = matrix.entries()
-    elif side == "left":
-        rows = tuple(zip(*matrix.entries()))
-    else:
+    if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-    vectors = _kernel_vectors(rows)
+    vectors = _kernel_vectors(matrix, side)
     return KernelBasis(tuple(tuple(Fraction(x) for x in v) for v in vectors), side)
 
 
@@ -326,6 +359,12 @@ def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixs
     must give bijections between the kernels, preserving (non)negativity.
     The check is performed on exactly computed bases.
 
+    Each side's kernel of S and the right kernel of ``S_check`` come from
+    eliminating that matrix itself; the rank of ``S_check`` is its column
+    count less its right-kernel dimension.  All of them are cached on the
+    matrix objects (see the module docstring), so passing ``S_check`` as
+    S to the next step's check reuses its right kernel.
+
     Args:
         S: Original d x d' matrix.
         S_check: Candidate one-step fix, (d+1) x (d'+1).
@@ -356,32 +395,40 @@ def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixs
     # Kernel dimensions of S_check come from its rank; the bases of S and
     # the membership checks are integer vectors (positive rescalings of
     # the KernelBasis vectors, which changes neither sign nor membership).
-    check_rank = rank(S_check)
-    right = _kernel_vectors(S.entries())
-    if len(right) != S_check.cols - check_rank:
+    check_nullity = len(_kernel_vectors(S_check, "right"))
+    check_rank = S_check.cols - check_nullity
+    right = _kernel_vectors(S, "right")
+    if len(right) != check_nullity:
         return False
-    check_rows = _integer_rows(S_check.entries())
-    padded_right = [v + [v[ell]] for v in right]
+    check_rows = _integer_image(S_check, "right")
+    padded_right = [v + (v[ell],) for v in right]
     if not all(_annihilates(check_rows, padded) for padded in padded_right):
         return False
 
-    left = _kernel_vectors(tuple(zip(*S.entries())))
+    left = _kernel_vectors(S, "left")
     if len(left) != S_check.rows - check_rank:
         return False
-    check_columns = _integer_rows(tuple(zip(*S_check.entries())))
-    for w in left:
-        padded = [x * p2.denominator for x in w] + [w[q] * p2.numerator]
-        if not _annihilates(check_columns, padded):
-            return False
+    check_columns = _integer_image(S_check, "left")
+    padded_left = [
+        [x * p2.denominator for x in w] + [w[q] * p2.numerator] for w in left
+    ]
+    if not all(_annihilates(check_columns, padded) for padded in padded_left):
+        return False
 
     # Dimensions agree and the padded images are independent (the first
     # coordinates already are), so the maps are bijections.  Positivity:
     # the added coordinate is a copy (resp. positive multiple) of an
     # existing one, so strict/weak positivity transfers both ways; assert
-    # it on the basis and on the basis sum as a concrete spot check.
-    samples = list(padded_right)
-    if padded_right:
-        samples.append([sum(column) for column in zip(*padded_right)])
+    # it on each padded basis and its sum as a concrete spot check.
+    return _positivity_transfers(padded_right) and _positivity_transfers(padded_left)
+
+
+def _positivity_transfers(padded_vectors: Sequence[Sequence[int]]) -> bool:
+    """Each padded vector, and their sum, is strictly (weakly) positive
+    exactly when its head without the added coordinate is."""
+    samples = list(padded_vectors)
+    if samples:
+        samples.append([sum(column) for column in zip(*samples)])
     for padded in samples:
         head = padded[:-1]
         if (all(x > 0 for x in head)) != (all(x > 0 for x in padded)):

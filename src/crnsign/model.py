@@ -66,6 +66,9 @@ class Complex:
             if index in seen:
                 raise ValueError(f"duplicate species index {index} in complex")
             seen.add(index)
+            if not isinstance(coeff, (int, Fraction)):
+                # stoichiometric_matrix relies on exact coefficients
+                raise TypeError(f"cannot interpret {coeff!r} as an exact rational")
             if coeff <= 0:
                 raise ValueError("complex coefficients must be positive")
         if list(self.terms) != sorted(self.terms, key=lambda t: t[0]):
@@ -236,12 +239,27 @@ class RationalMatrix:
 
     Immutable; all arithmetic is exact (no rounding anywhere).  Entries
     are `fractions.Fraction`.
+
+    ``_cache`` is a per-instance dict for data derived from the entries
+    (``exactla`` keeps the integer images and kernel vectors there).  It
+    is not part of the value: equality, hash and repr ignore it, and since
+    the entries never change it cannot go stale.
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_cache")
 
     def __init__(self, entries: Sequence[Sequence[RationalLike]]):
-        data = tuple(tuple(_to_fraction(v) for v in row) for row in entries)
+        self._store(tuple(tuple(_to_fraction(v) for v in row) for row in entries))
+
+    @classmethod
+    def _of_fractions(cls, entries: Sequence[Sequence[Fraction]]) -> "RationalMatrix":
+        """A matrix of entries that are all ``Fraction``s already: the same
+        shape checks as the constructor, without coercing each entry."""
+        matrix = cls.__new__(cls)
+        matrix._store(tuple(tuple(row) for row in entries))
+        return matrix
+
+    def _store(self, data: Tuple[Tuple[Fraction, ...], ...]) -> None:
         if not data or not data[0]:
             raise ValueError("matrix dimensions must be positive")
         width = len(data[0])
@@ -250,6 +268,7 @@ class RationalMatrix:
         self.rows = len(data)
         self.cols = width
         self._data = data
+        self._cache = {}
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -345,7 +364,7 @@ def stoichiometric_matrix(net: Network) -> RationalMatrix:
             entries[index][j] -= coeff
         for index, coeff in reaction.product.terms:
             entries[index][j] += coeff
-    return RationalMatrix(entries)
+    return RationalMatrix._of_fractions(entries)
 
 
 def validate_reaction_form(net: Network) -> List[Tuple[int, int]]:

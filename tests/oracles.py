@@ -19,7 +19,9 @@ elimination (``_update`` and ``_eliminate``, every row update applied at
 once) as it was before the elimination deferred the row scalings; and the
 per-term ``monomials`` loop and the point-by-point ``det_sign_sampling``
 as they were before one monomial table per system and the stacked
-sample Jacobians replaced them.  The
+sample Jacobians replaced them; and ``kernel_correspondence_check`` with
+its ``_kernel_vectors`` as they were before each matrix cached its
+integer images and kernel vectors.  The
 ``sign_fix`` oracle enumerates its classes with that
 ``find_bad_submatrices``.  Production code does not use them; the tests
 compare the package's versions against them on the same inputs.
@@ -906,3 +908,125 @@ def det_sign_sampling(
     constant_jk = len(set(signs_jk)) == 1
     opposite = all(a == -b for a, b in zip(signs_j, signs_jk))
     return DetSignSample(signs_j, signs_jk, constant_j, constant_jk, opposite)
+
+
+# The kernel-correspondence check as it was before each matrix cached its
+# integer images and kernel vectors, verbatim, with one rename: the
+# parent's ``_integer_rows`` (Fraction rows in, integer rows out) is
+# ``_cleared_rows`` here, because this module's ``_integer_rows`` takes a
+# matrix.  ``rank`` and ``_eliminate`` resolve to the oracles above.
+def _denominator(values: Sequence[Fraction]) -> int:
+    """The lcm of the denominators of ``values``."""
+    return lcm(*(v.denominator for v in values))
+
+
+def _cleared_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
+    """Scale each row by the lcm of its denominators (row space unchanged)."""
+    out = []
+    for row in rows:
+        scale = _denominator(row)
+        out.append([v.numerator * (scale // v.denominator) for v in row])
+    return out
+
+
+def _kernel_vectors(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
+    """Integer right-kernel basis of the matrix with these rows, one vector
+    per free column in order, each coprime with a positive leading entry."""
+    a, pivots, last, _ = _eliminate(_cleared_rows(rows))
+    cols = len(a[0])
+    pivot_set = set(pivots)
+    vectors = []
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        v = [0] * cols
+        v[f] = last
+        for r, c in enumerate(pivots):
+            v[c] = -a[r][f]
+        g = gcd(*v)
+        if next(x for x in v if x != 0) < 0:
+            g = -g
+        vectors.append([x // g for x in v])
+    return vectors
+
+
+def _dot(row: Sequence[int], vector: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(row, vector))
+
+
+def _annihilates(rows: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
+    return all(_dot(row, vector) == 0 for row in rows)
+
+
+def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixstep) -> bool:
+    """Verify the one-step kernel correspondence between S and its fix.
+
+    For a fixing step that zeroes the positive entry at (q, l) of value p2
+    and borders the matrix with one row and one column, padding a right
+    kernel vector v with v[l] and a left kernel vector w with w[q] * p2
+    must give bijections between the kernels, preserving (non)negativity.
+    The check is performed on exactly computed bases.
+
+    Args:
+        S: Original d x d' matrix.
+        S_check: Candidate one-step fix, (d+1) x (d'+1).
+        fixstep: Step metadata; needs attributes ``modified_column`` (l)
+            and ``zeroed_entry`` ((q, p2)).
+
+    Returns:
+        True iff both padded bases land in, and span, the kernels of
+        ``S_check``, with dimensions preserved.
+
+    Raises:
+        ValueError: if the step metadata is inconsistent with the matrix
+            shapes.
+    """
+    if S_check.rows != S.rows + 1 or S_check.cols != S.cols + 1:
+        raise ValueError(
+            f"expected a one-step fix of {S.rows}x{S.cols}, got "
+            f"{S_check.rows}x{S_check.cols}"
+        )
+    ell = fixstep.modified_column
+    q, p2 = fixstep.zeroed_entry
+    if not (0 <= ell < S.cols and 0 <= q < S.rows):
+        raise ValueError("fix step coordinates out of range for the matrix")
+    if S[q, ell] != p2 or p2 <= 0:
+        raise ValueError("fix step records a positive entry the matrix lacks")
+    p2 = S[q, ell]  # the recorded value as a Fraction, whatever its type
+
+    # Kernel dimensions of S_check come from its rank; the bases of S and
+    # the membership checks are integer vectors (positive rescalings of
+    # the KernelBasis vectors, which changes neither sign nor membership).
+    check_rank = rank(S_check)
+    right = _kernel_vectors(S.entries())
+    if len(right) != S_check.cols - check_rank:
+        return False
+    check_rows = _cleared_rows(S_check.entries())
+    padded_right = [v + [v[ell]] for v in right]
+    if not all(_annihilates(check_rows, padded) for padded in padded_right):
+        return False
+
+    left = _kernel_vectors(tuple(zip(*S.entries())))
+    if len(left) != S_check.rows - check_rank:
+        return False
+    check_columns = _cleared_rows(tuple(zip(*S_check.entries())))
+    for w in left:
+        padded = [x * p2.denominator for x in w] + [w[q] * p2.numerator]
+        if not _annihilates(check_columns, padded):
+            return False
+
+    # Dimensions agree and the padded images are independent (the first
+    # coordinates already are), so the maps are bijections.  Positivity:
+    # the added coordinate is a copy (resp. positive multiple) of an
+    # existing one, so strict/weak positivity transfers both ways; assert
+    # it on the basis and on the basis sum as a concrete spot check.
+    samples = list(padded_right)
+    if padded_right:
+        samples.append([sum(column) for column in zip(*padded_right)])
+    for padded in samples:
+        head = padded[:-1]
+        if (all(x > 0 for x in head)) != (all(x > 0 for x in padded)):
+            return False
+        if (all(x >= 0 for x in head)) != (all(x >= 0 for x in padded)):
+            return False
+    return True

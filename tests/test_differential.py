@@ -1,8 +1,9 @@
 """The one-pass sign fix, the incremental-rank audit, the index-permuted
 order relation, the integer exact core, the elimination with deferred
 row scalings, the mass-action float kernel with its monomial table, the
-stacked determinant-sign sampling and the integer sign layer, each
-against the implementation it replaced (``oracles``)."""
+stacked determinant-sign sampling, the integer sign layer and the
+kernel-correspondence check on cached kernels, each against the
+implementation it replaced (``oracles``)."""
 
 import random
 from fractions import Fraction
@@ -693,3 +694,89 @@ def test_sign_layer_counts_past_the_int8_range():
     assert square[0][2] is Status.MINUS  # 256 opposing columns
     (bad,) = find_bad_submatrices(stoichiometric_matrix(net))
     assert bad.positive_entry == (1, 256) and bad.size == 256
+
+
+# ---------------------------------------------- kernel correspondence chain
+
+
+def _check_outcome(check, S, S_check, step):
+    """The check's bool, or the message of the ValueError it raised."""
+    try:
+        return check(S, S_check, step)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_same_chain(net, rng, order=None):
+    """Over one fix chain, with the same matrix objects passed from step to
+    step as the paper's verification loop does: every true step checks
+    out on both sides, then each intermediate matrix is corrupted and the
+    corrupted object is passed as S_check and then as the next step's S.
+    Returns how many corrupted checks came out false."""
+    report = sign_fix(net, order=order)
+    matrices, steps = report.matrices(), report.steps
+    chain = list(zip(matrices, matrices[1:], steps))
+    for S, S_check, step in chain:
+        assert exactla.kernel_correspondence_check(S, S_check, step) is True
+        assert oracles.kernel_correspondence_check(S, S_check, step) is True
+    falses = 0
+    for k in range(1, len(matrices)):
+        M = matrices[k]
+        i, j = rng.randrange(M.rows), rng.randrange(M.cols)
+        bad = M.with_entry(i, j, M[i, j] + rng.choice([-2, -1, 1, Fraction(1, 2)]))
+        calls = [(matrices[k - 1], bad, steps[k - 1])]
+        if k < len(steps):
+            calls.append((bad, matrices[k + 1], steps[k]))
+        for S, S_check, step in calls:
+            got = _check_outcome(exactla.kernel_correspondence_check, S, S_check, step)
+            assert got == _check_outcome(oracles.kernel_correspondence_check, S, S_check, step)
+            falses += got is False
+    # the good chain again, after its matrices met the corrupted ones
+    for S, S_check, step in chain:
+        assert exactla.kernel_correspondence_check(S, S_check, step) is True
+    return falses
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.crn")))
+def test_kernel_correspondence_matches_oracle_on_fixture_chains(name):
+    _assert_same_chain(load(name), random.Random(name))
+
+
+def test_kernel_correspondence_matches_oracle_on_corpus_chains(corpus):
+    rng = random.Random(37)
+    falses = 0
+    for net in corpus[:60]:
+        for order in _shuffled_orders(net, rng, 2):
+            falses += _assert_same_chain(net, rng, order)
+    assert falses > 100
+
+
+@st.composite
+def fixable_networks(draw):
+    """Up to 7 reactions over up to 6 species with disjoint sides (so in
+    reaction form), fractional coefficients and zero complexes."""
+    d = draw(st.integers(2, 6))
+    drafts = []
+    for _ in range(draw(st.integers(1, 7))):
+        chosen = draw(st.lists(st.integers(0, d - 1), unique=True, min_size=1, max_size=min(4, d)))
+        coeffs = draw(st.lists(st.sampled_from(_COEFFICIENTS), min_size=len(chosen),
+                               max_size=len(chosen)))
+        split = draw(st.integers(0, len(chosen)))
+        terms = list(zip(chosen, coeffs))
+        drafts.append((dict(terms[:split]), dict(terms[split:])))
+    referenced = sorted({i for r, p in drafts for i in list(r) + list(p)})
+    remap = {old: new for new, old in enumerate(referenced)}
+    reactions = tuple(
+        Reaction(*(Complex.from_dict({remap[i]: c for i, c in part.items()}) for part in (r, p)))
+        for r, p in drafts
+    )
+    species = tuple(Species(f"S{i + 1}", i) for i in range(len(referenced)))
+    return Network(species, reactions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixable_networks(), st.randoms(use_true_random=False))
+def test_kernel_correspondence_matches_oracle_on_random_chains(net, rng):
+    order = list(range(_class_count(net)))
+    rng.shuffle(order)
+    _assert_same_chain(net, rng, order)

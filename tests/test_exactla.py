@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from conftest import FIXTURES, load
+from crnsign import exactla
 from crnsign.exactla import (
     char_poly,
     determinant,
@@ -14,7 +17,7 @@ from crnsign.exactla import (
 )
 from crnsign.model import RationalMatrix, stoichiometric_matrix
 from crnsign.signcheck import find_bad_submatrices
-from crnsign.signfix import fix_one
+from crnsign.signfix import fix_one, sign_fix
 
 
 def _random_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -202,3 +205,96 @@ def test_kernel_correspondence_validates_shapes(two_ambiguous):
     S = stoichiometric_matrix(two_ambiguous)
     with pytest.raises(ValueError):
         kernel_correspondence_check(S, S, step)
+
+
+def _fresh(matrix):
+    """An equal matrix with an empty cache."""
+    return RationalMatrix(matrix.entries())
+
+
+def _isolation_inputs():
+    """S and the fixed S of every fixture, and the square S S^t of each
+    (a determinant with row swaps and rank deficiency), plus a fractional
+    square matrix."""
+    out = []
+    for path in sorted(FIXTURES.glob("*.crn")):
+        net = load(path.name)
+        for S in (stoichiometric_matrix(net), stoichiometric_matrix(sign_fix(net).result)):
+            out += [S, S.multiply(S.transpose())]
+    out.append(RationalMatrix([[0, "1/2", 3], ["2/3", 0, -1], [1, "-3/4", 0]]))
+    return out
+
+
+def test_cached_results_equal_those_of_a_fresh_matrix():
+    """Results read through a matrix's cache are the results of a fresh
+    copy, and the cache never changes the value, hash or repr."""
+    for M in _isolation_inputs():
+        for _ in range(2):
+            for side in ("right", "left"):
+                assert kernel_basis(M, side) == kernel_basis(_fresh(M), side)
+                assert exactla._integer_image(M, side) == exactla._integer_image(_fresh(M), side)
+        assert rank(M) == rank(_fresh(M))
+        if M.rows == M.cols:
+            assert determinant(M) == determinant(_fresh(M))
+        assert is_conserving(M) == is_conserving(_fresh(M))
+        for side in ("right", "left"):
+            assert kernel_basis(M, side) == kernel_basis(_fresh(M), side)
+        assert M == _fresh(M) and hash(M) == hash(_fresh(M)) and repr(M) == repr(_fresh(M))
+
+
+def test_rank_and_determinant_stay_outside_the_cache():
+    M = RationalMatrix([[1, 2], [3, 4]])
+    rank(M), determinant(M)
+    assert M._cache == {}
+
+
+def test_kernel_correspondence_chain_eliminates_each_matrix_once_per_side(
+    conserving_family, monkeypatch
+):
+    """Over a 6-step chain of shared matrix objects: S_0's right kernel,
+    then per step S_k's left kernel and S_(k+1)'s right kernel, which is
+    also its rank; 13 eliminations (3 per step, 18, before the cache)."""
+    report = sign_fix(conserving_family)
+    matrices = report.matrices()
+    assert len(report.steps) == 6
+    seen = []
+    eliminate = exactla._eliminate
+
+    def counted(a, reduce=True):
+        seen.append((len(a), len(a[0])))
+        return eliminate(a, reduce)
+
+    monkeypatch.setattr(exactla, "_eliminate", counted)
+    for S, S_check, step in zip(matrices, matrices[1:], report.steps):
+        assert kernel_correspondence_check(S, S_check, step)
+    d, d_prime = matrices[0].rows, matrices[0].cols
+    expected = [(d + 1, d_prime + 1), (d, d_prime), (d_prime, d)]
+    for k in range(1, 6):
+        expected += [(d + k + 1, d_prime + k + 1), (d_prime + k, d + k)]
+    assert seen == expected
+    assert len(seen) == 13
+
+
+def test_kernel_correspondence_checks_left_positivity(monkeypatch):
+    """A -> (3/2) B and back, fixed at (B, 0): the left kernel (3, 2) pads
+    to (6, 4, 6) over S_check's cleared columns, and that padded vector
+    and its sum reach the positivity check."""
+    S = RationalMatrix([[-1, 1], ["3/2", "-3/2"]])
+    S_check = RationalMatrix([[-1, 1, 0], [0, "-3/2", "3/2"], [1, 0, -1]])
+    step = SimpleNamespace(modified_column=0, zeroed_entry=(1, Fraction(3, 2)))
+    seen = []
+    transfers = exactla._positivity_transfers
+
+    def recorded(padded_vectors):
+        seen.append([list(v) for v in padded_vectors])
+        return transfers(padded_vectors)
+
+    monkeypatch.setattr(exactla, "_positivity_transfers", recorded)
+    assert kernel_correspondence_check(S, S_check, step) is True
+    monkeypatch.undo()
+    assert seen == [[[1, 1, 1]], [[6, 4, 6]]]
+    # a padded coordinate that breaks strict or weak positivity fails
+    assert not exactla._positivity_transfers([[6, 4, -6]])
+    assert not exactla._positivity_transfers([[6, 0, -1]])
+    assert not exactla._positivity_transfers([[1, 0, 1], [0, 1, -2]])
+    assert exactla._positivity_transfers([[1, -1, 1], [-1, 1, 0]])

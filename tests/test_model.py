@@ -72,6 +72,13 @@ def test_complex_rejects_nonpositive_coefficients():
         Complex.from_dict({0: -2})
 
 
+def test_complex_rejects_inexact_coefficients():
+    for coeff in (1.5, "2", None):
+        with pytest.raises(TypeError, match="exact rational"):
+            Complex(((0, coeff),))
+    assert Complex(((0, 2),)) == Complex.from_dict({0: 2})
+
+
 def test_complex_format():
     species = tuple(Species(n, i) for i, n in enumerate("ABC"))
     assert Complex.from_dict({}).format(species) == "0"
@@ -136,6 +143,29 @@ def test_stoichiometric_matrix_deterministic():
     net = _net([r], ["A", "B"])
     assert stoichiometric_matrix(net) == stoichiometric_matrix(net)
     assert hash(stoichiometric_matrix(net)) == hash(stoichiometric_matrix(net))
+
+
+def test_stoichiometric_matrix_equals_a_coerced_matrix(corpus):
+    """S is built without re-coercing its entries; it equals the matrix
+    the public constructor makes from the same entries in every way."""
+    nets = [load(p.name) for p in sorted(FIXTURES.glob("*.crn"))] + corpus
+    for net in nets:
+        S = stoichiometric_matrix(net)
+        coerced = RationalMatrix(S.entries())
+        assert S == coerced and hash(S) == hash(coerced) and repr(S) == repr(coerced)
+        assert (S.rows, S.cols) == (coerced.rows, coerced.cols) == (
+            net.species_count, net.reaction_count
+        )
+        assert all(type(v) is Fraction for row in S.entries() for v in row)
+
+
+@pytest.mark.parametrize("entries", [[], [[]], [[Fraction(1), Fraction(2)], [Fraction(3)]]])
+def test_direct_construction_keeps_the_shape_errors(entries):
+    with pytest.raises(ValueError) as public:
+        RationalMatrix(entries)
+    with pytest.raises(ValueError) as direct:
+        RationalMatrix._of_fractions(entries)
+    assert str(direct.value) == str(public.value)
 
 
 def test_rational_matrix_operations():
