@@ -252,8 +252,8 @@ def _kernels_section(S: RationalMatrix) -> dict:
     }
 
 
-def _deficiency_section(net: Network, audits=None, rank: Optional[int] = None) -> dict:
-    report = deficiency(net, rank=rank)
+def _deficiency_section(net: Network, audits=None) -> dict:
+    report = deficiency(net)
     section = {
         "n": report.n,
         "ell": report.ell,
@@ -310,7 +310,6 @@ def _cmd_analyze(args) -> _Outcome:
     S = stoichiometric_matrix(net)
     badclasses = _badclasses_section(S)
     kernels = _kernels_section(S)
-    rank = S.cols - len(kernels["right_exact"])
 
     fix_section = None
     deficiency_audits = None
@@ -318,7 +317,7 @@ def _cmd_analyze(args) -> _Outcome:
     try:
         fix = signfix.sign_fix(net)
         fix_section = _fixreport_section(fix)
-        deficiency_audits = delta_audit(fix, rank=rank)
+        deficiency_audits = delta_audit(fix)
     except ValueError as exc:
         fix_error = str(exc)
 
@@ -343,7 +342,7 @@ def _cmd_analyze(args) -> _Outcome:
         "badclasses": badclasses,
         "fixreport": fix_section if fix_section else {"error": fix_error},
         "kernels": kernels,
-        "deficiency": _deficiency_section(net, deficiency_audits, rank),
+        "deficiency": _deficiency_section(net, deficiency_audits),
         "spectra": spectra_section,
     }
     lines = [
@@ -419,9 +418,8 @@ def _cmd_altfix(args) -> _Outcome:
 def _cmd_deficiency(args) -> _Outcome:
     net = _load_network(args)
     fix = _checked(signfix.sign_fix, net) if args.audit else None
-    rank = exactla.rank(stoichiometric_matrix(net))
-    audits = delta_audit(fix, rank=rank) if fix is not None else None
-    body = _deficiency_section(net, audits, rank)
+    audits = delta_audit(fix) if fix is not None else None
+    body = _deficiency_section(net, audits)
     plain = f"n={body['n']} ell={body['ell']} s={body['s']} delta={body['delta']}\n"
     for idx, audit in enumerate(body.get("audit", ())):
         plain += f"step {idx}: dn={audit['dn']} dl={audit['dl']} ddelta={audit['ddelta']}\n"

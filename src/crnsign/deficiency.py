@@ -10,7 +10,7 @@ B', the rewritten product B' + C2, and the restored complex p2*B.
 and cross-checks them, step by step, against from-scratch recounts of n
 and ell of every network.  The rank is not recomputed per step: each
 step is checked to be exactly the documented bordering, which raises the
-rank by one, and one from-scratch rank of the final network confirms the
+rank by one, and the rank of the final network's own S confirms the
 total.  A mismatch means the implementation is wrong, not the input.
 
 Also here: the decomposition S v(x) = Y A_k psi(x) of the right-hand
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -81,12 +81,16 @@ class DeficiencyReport:
     classes: Tuple[FrozenSet[int], ...]
 
 
-def deficiency(net: Network, *, rank: Optional[int] = None) -> DeficiencyReport:
-    """Count complexes and linkage classes; ``rank``, when the caller
-    already knows the exact rank of S, is used instead of computing it."""
+def deficiency(net: Network) -> DeficiencyReport:
+    """Count complexes and linkage classes; s is the exact rank of S,
+    cached on the network's S (see ``exactla.rank``)."""
+    return _counted(net, exactla.rank(stoichiometric_matrix(net)))
+
+
+def _counted(net: Network, s: int) -> DeficiencyReport:
+    """The deficiency report of ``net`` for a rank s of S already known."""
     complexes = complexes_of(net)
     classes = _linkage_classes(net, complexes)
-    s = exactla.rank(stoichiometric_matrix(net)) if rank is None else rank
     n, ell = len(complexes), len(classes)
     return DeficiencyReport(
         n=n,
@@ -160,7 +164,7 @@ def _check_bordering(step: FixStep, before: Network, after: Network) -> None:
         raise AssertionError("appended reaction is not B' -> p2*B")
 
 
-def delta_audit(report: FixReport, *, rank: Optional[int] = None) -> List[DeltaAudit]:
+def delta_audit(report: FixReport) -> List[DeltaAudit]:
     """Replay a fixing run and audit each step's deficiency change.
 
     Per step: the step must be exactly the documented bordering (see
@@ -171,12 +175,10 @@ def delta_audit(report: FixReport, *, rank: Optional[int] = None) -> List[DeltaA
     ds = 1, 1 <= dn <= 3, dl <= 2, and 0 <= ddelta <= 1.  The bordering
     check makes ds = 1 exact, so the rank is carried forward.
 
-    Once: the exact rank of S is computed from scratch for the final
-    network, and it must be the original rank plus the number of steps.
-    The original rank is ``rank`` when the caller already knows it (one
-    elimination of S per command), else it is computed from scratch too.
-    The final rank is always computed from scratch, so a wrong ``rank``
-    fails that check.
+    Once: the rank of the final network's S, read from that matrix and
+    never inferred from the steps, must be the original rank plus the
+    number of steps.  Both ranks go through ``exactla.rank``'s cache on
+    each network's S, so a rank the command already knows costs nothing.
 
     Raises:
         AssertionError: on any disagreement (internal-consistency
@@ -185,11 +187,11 @@ def delta_audit(report: FixReport, *, rank: Optional[int] = None) -> List[DeltaA
     audits: List[DeltaAudit] = []
     if not report.steps:
         return audits
-    pre = deficiency(report.original, rank=rank)
+    pre = deficiency(report.original)
     s0 = pre.s
     for step, before, after in zip(report.steps, report.networks, report.networks[1:]):
         _check_bordering(step, before, after)
-        post = deficiency(after, rank=pre.s + 1)
+        post = _counted(after, pre.s + 1)
         dn = post.n - pre.n
         dl = post.ell - pre.ell
         ds = post.s - pre.s

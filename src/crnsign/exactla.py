@@ -11,18 +11,18 @@ determinants and conservation witnesses are returned as ``Fraction``s.
 Nothing in this module ever rounds.
 
 Each ``RationalMatrix`` carries a private cache that only this module
-reads and writes, keyed by side: the denominator-cleared integer rows
-("right") and columns ("left"), and the integer kernel vectors of each
-side.  A matrix is immutable, so the cache cannot go stale, and it dies
-with the matrix.  The cached tuples are never handed to the elimination,
-which works on a copy.  So a chain of one-step checks (S_0, S_1),
-(S_1, S_2), ... over the same matrix objects eliminates each matrix once
-per side: ``kernel_correspondence_check`` reads the rank of S_check off
-its right kernel, which is then the cache hit for S at the next step,
-and costs 2 eliminations per step instead of 3.  ``rank`` and
-``determinant`` stay outside the cache: they run the cheaper echelon-only
-elimination, and their results stay independent of every cached kernel
-(the deficiency audit's from-scratch final rank relies on that).
+reads and writes: the denominator-cleared integer rows ("right") and
+columns ("left"), the integer kernel vectors of each side, and the rank.
+A matrix is immutable, so the cache cannot go stale; it dies with the
+matrix, and ``model.stoichiometric_matrix`` gives every caller of a
+network the same matrix.  The cached tuples are never handed to the
+elimination, which works on a copy.  So a chain of one-step checks
+(S_0, S_1), (S_1, S_2), ... over the same matrix objects eliminates each
+matrix once per side: ``kernel_correspondence_check`` reads the rank of
+S_check off its right kernel, which is then the cache hit for S at the
+next step, and costs 2 eliminations per step instead of 3.  ``rank``
+reads only its own key and the right kernel (cols - nullity), else it
+runs the cheaper echelon-only elimination; ``determinant`` is uncached.
 """
 
 from __future__ import annotations
@@ -165,8 +165,18 @@ def _eliminate(
 
 
 def rank(matrix: RationalMatrix) -> int:
-    """Exact rank: the number of pivots of the integer elimination."""
-    return len(_eliminate(_integer_rows(matrix.entries()), reduce=False)[1])
+    """Exact rank, cached on the matrix: its column count less its right
+    kernel's dimension when that kernel is cached, else the number of
+    pivots of the echelon-only integer elimination."""
+    value = matrix._cache.get("rank")
+    if value is None:
+        kernel = matrix._cache.get(("kernel", "right"))
+        if kernel is not None:
+            value = matrix.cols - len(kernel)
+        else:
+            value = len(_eliminate(_integer_rows(matrix.entries()), reduce=False)[1])
+        matrix._cache["rank"] = value
+    return value
 
 
 def determinant(matrix: RationalMatrix) -> Fraction:

@@ -182,14 +182,6 @@ class MassActionSystem:
         self._exps = np.array([e for _, _, e in flat], dtype=float)
         self._table = MonomialTable(self.rates, self.exponents, network.species_count)
 
-    @classmethod
-    def from_network_rates(cls, network: Network) -> "MassActionSystem":
-        """Build from the rate constants stored on the reactions themselves."""
-        missing = [j for j, r in enumerate(network.reactions) if r.rate is None]
-        if missing:
-            raise ValueError(f"reactions {missing} carry no rate constant")
-        return cls(network, [r.rate for r in network.reactions])
-
     def with_rates(self, rates: Sequence[float]) -> "MassActionSystem":
         """The same network with other rate constants.
 

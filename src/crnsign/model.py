@@ -4,14 +4,19 @@ exact-rational matrices derived from them.
 Everything in this module is immutable after construction and uses
 `fractions.Fraction` throughout, so all derived matrices are exact and
 bit-reproducible.
+
+A network's S is built on the first ``stoichiometric_matrix`` call and
+kept on the ``Network`` instance, so its callers share one matrix and
+everything ``exactla`` caches on it (integer images, kernels, rank).
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 SPECIES_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 
@@ -127,7 +132,7 @@ class Reaction:
     Attributes:
         reactant: Consumed complex.
         product: Produced complex.
-        rate: Optional strictly positive rate constant.
+        rate: Optional finite, strictly positive rate constant.
         label: Optional free-form tag (kept through transformations).
     """
 
@@ -139,8 +144,8 @@ class Reaction:
     def __post_init__(self) -> None:
         if self.reactant == self.product:
             raise ValueError("reactant and product complexes must differ")
-        if self.rate is not None and not self.rate > 0:
-            raise ValueError("rate constants must be strictly positive")
+        if self.rate is not None and not (self.rate > 0 and math.isfinite(self.rate)):
+            raise ValueError("rate constants must be finite and strictly positive")
 
     def shared_species(self) -> Tuple[int, ...]:
         """Species indices occurring on both sides of this reaction."""
@@ -223,12 +228,6 @@ class Network:
     @property
     def reaction_count(self) -> int:
         return len(self.reactions)
-
-    def species_named(self, name: str) -> Species:
-        for s in self.species:
-            if s.name == name:
-                return s
-        raise KeyError(name)
 
     def format_reaction(self, j: int) -> str:
         return self.reactions[j].format(self.species)
@@ -316,22 +315,10 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self.multiply(other)
 
-    def multiply_vector(self, vector: Sequence[RationalLike]) -> Tuple[Fraction, ...]:
-        vec = [_to_fraction(v) for v in vector]
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(
-            sum((self._data[i][k] * vec[k] for k in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
-
     def with_entry(self, i: int, j: int, value: RationalLike) -> "RationalMatrix":
         rows = [list(row) for row in self._data]
         rows[i][j] = _to_fraction(value)
         return RationalMatrix(rows)
-
-    def to_float_rows(self) -> List[List[float]]:
-        return [[float(v) for v in row] for row in self._data]
 
     def to_string_rows(self) -> List[List[str]]:
         """Rows of exact decimal-free strings such as "3" or "-1/2"."""
@@ -355,8 +342,14 @@ def stoichiometric_matrix(net: Network) -> RationalMatrix:
     species i by reaction j (product coefficient minus reactant
     coefficient).
 
-    Deterministic: the same network always yields the identical matrix.
+    Built on the first call and kept on the network (not a field:
+    equality, hash, repr and ``dataclasses.replace`` ignore it), so later
+    calls return the same object.
     """
+    try:
+        return net._matrix
+    except AttributeError:
+        pass
     d = net.species_count
     entries = [[Fraction(0)] * net.reaction_count for _ in range(d)]
     for j, reaction in enumerate(net.reactions):
@@ -364,7 +357,9 @@ def stoichiometric_matrix(net: Network) -> RationalMatrix:
             entries[index][j] -= coeff
         for index, coeff in reaction.product.terms:
             entries[index][j] += coeff
-    return RationalMatrix._of_fractions(entries)
+    matrix = RationalMatrix._of_fractions(entries)
+    object.__setattr__(net, "_matrix", matrix)
+    return matrix
 
 
 def validate_reaction_form(net: Network) -> List[Tuple[int, int]]:

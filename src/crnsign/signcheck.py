@@ -39,14 +39,6 @@ class Sign(Enum):
     MINUS = "-"
     ZERO = "0"
 
-    @classmethod
-    def of(cls, value) -> "Sign":
-        if value > 0:
-            return cls.PLUS
-        if value < 0:
-            return cls.MINUS
-        return cls.ZERO
-
     @property
     def symbol(self) -> str:
         return self.value

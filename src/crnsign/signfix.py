@@ -16,6 +16,7 @@ never used by ``sign_fix``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -117,7 +118,7 @@ def fix_one(net: Network, cls: BadClass, rate: float = 1.0) -> Tuple[Network, Fi
     Raises:
         ValueError: if ``cls`` is stale (its positive entry is no longer a
             current bad class of the network), or if the rate is not
-            strictly positive.
+            finite and strictly positive.
     """
     S = stoichiometric_matrix(net)
     q, ell = cls.positive_entry
@@ -138,8 +139,8 @@ def _rewrite(net: Network, cls: BadClass, rate: float) -> Tuple[Network, FixStep
 
     p2 is read from reaction l itself, so S is not built.
     """
-    if not rate > 0:
-        raise ValueError("added rate constant must be strictly positive")
+    if not (rate > 0 and math.isfinite(rate)):
+        raise ValueError("added rate constant must be finite and strictly positive")
     q, ell = cls.positive_entry
     reaction = net.reactions[ell]
     if reaction.reactant.coefficient(q) != 0:

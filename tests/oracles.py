@@ -25,6 +25,10 @@ integer images and kernel vectors.  The
 ``sign_fix`` oracle enumerates its classes with that
 ``find_bad_submatrices``.  Production code does not use them; the tests
 compare the package's versions against them on the same inputs.
+
+The oracles' own helpers ``to_float_rows``, ``multiply_vector`` and
+``sign_of`` were ``RationalMatrix`` and ``Sign`` methods that only the
+oracles called.
 """
 
 from __future__ import annotations
@@ -57,6 +61,27 @@ from crnsign.signcheck import (
 )
 from crnsign.signfix import FixReport, FixStep, default_order, fix_one
 from crnsign.spectra import DetSignSample, _fixed_system, _single_step
+
+
+def to_float_rows(matrix: RationalMatrix) -> List[List[float]]:
+    return [[float(v) for v in row] for row in matrix.entries()]
+
+
+def multiply_vector(matrix: RationalMatrix, vector: Sequence[Fraction]) -> Tuple[Fraction, ...]:
+    """The exact product of the matrix and a column vector."""
+    if len(vector) != matrix.cols:
+        raise ValueError("vector length does not match column count")
+    return tuple(
+        sum((a * b for a, b in zip(row, vector)), Fraction(0)) for row in matrix.entries()
+    )
+
+
+def sign_of(value) -> Sign:
+    if value > 0:
+        return Sign.PLUS
+    if value < 0:
+        return Sign.MINUS
+    return Sign.ZERO
 
 
 def sign_fix(
@@ -489,7 +514,7 @@ def is_conserving(S: RationalMatrix) -> ConservationResult:
     if u is None:
         return ConservationResult(False, None)
     witness = tuple(Fraction(1) + value for value in u)
-    residual = S.transpose().multiply_vector(witness)
+    residual = multiply_vector(S.transpose(), witness)
     if any(v != 0 for v in residual) or any(v < 1 for v in witness):
         raise AssertionError("simplex returned an invalid conservation witness")
     return ConservationResult(True, witness)
@@ -509,7 +534,7 @@ class MassActionSystem:
         self.network = network
         self.rates = rates
         self.matrix = stoichiometric_matrix(network)
-        self._S = np.array(self.matrix.to_float_rows())
+        self._S = np.array(to_float_rows(self.matrix))
         # Reactant exponents, sparse per reaction: [(species, exponent), ...]
         self.exponents: Tuple[Tuple[Tuple[int, float], ...], ...] = tuple(
             tuple((j, float(c)) for j, c in r.reactant.terms)
@@ -657,7 +682,7 @@ def complexes_decomposition(
         a_k[dst, src] += sys.rates[r]
         a_k[src, src] -= sys.rates[r]
 
-    y_float = np.array(Y.to_float_rows())
+    y_float = np.array(to_float_rows(Y))
 
     def psi(x: Sequence[float]) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
@@ -678,14 +703,14 @@ def decomposition_residual(sys: MassActionSystem, x: Sequence[float]) -> float:
     """Relative max-norm gap between S v(x) and Y A_k psi(x)."""
     Y, a_k, psi = complexes_decomposition(sys)
     lhs = rhs(sys, x)
-    produced = np.array(Y.to_float_rows()) @ (a_k @ psi(x))
+    produced = np.array(to_float_rows(Y)) @ (a_k @ psi(x))
     scale = 1.0 + float(np.max(np.abs(lhs)))
     return float(np.max(np.abs(lhs - produced))) / scale
 
 
 def sign_pattern(matrix: RationalMatrix) -> SignMatrix:
     """Entrywise signs of an exact matrix."""
-    return tuple(tuple(Sign.of(v) for v in row) for row in matrix.entries())
+    return tuple(tuple(sign_of(v) for v in row) for row in matrix.entries())
 
 
 def hermitian_square_status(pattern: SignMatrix) -> SignStatusMatrix:

@@ -9,7 +9,7 @@ import pytest
 from crnsign import cli, exactla
 from crnsign.cli import main
 from crnsign.graphio import build_graph, export_dot, read_dot
-from crnsign.model import stoichiometric_matrix
+from crnsign.model import RationalMatrix, stoichiometric_matrix
 from crnsign.signfix import sign_fix
 from crnsign.textio import parse_network, serialize_network
 
@@ -98,6 +98,25 @@ def test_one_elimination_of_s_per_command(capsys, monkeypatch, argv, shapes):
     monkeypatch.setattr(exactla, "_eliminate", counted)
     _run_json(capsys, *argv)
     assert seen == shapes
+
+
+@pytest.mark.parametrize(
+    "argv", [("analyze", TWO_AMBIGUOUS), ("deficiency", TWO_AMBIGUOUS, "--audit")]
+)
+def test_two_builds_of_s_per_command(capsys, monkeypatch, argv):
+    """S is built for the input network and for the fixed one, and kept
+    on each; every other reader gets the same matrix (7 and 5 builds
+    before S was kept on the network)."""
+    seen = []
+    build = RationalMatrix._of_fractions.__func__
+
+    def counted(cls, entries):
+        seen.append((len(entries), len(entries[0])))
+        return build(cls, entries)
+
+    monkeypatch.setattr(RationalMatrix, "_of_fractions", classmethod(counted))
+    _run_json(capsys, *argv)
+    assert seen == [(7, 6), (9, 8)]
 
 
 def test_analyze_is_deterministic(capsys):

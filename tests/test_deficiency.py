@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 
+from conftest import load
+from crnsign import exactla
 from crnsign.deficiency import (
     check_single_positive_column,
     complexes_decomposition,
@@ -13,7 +15,7 @@ from crnsign.deficiency import (
     delta_audit,
 )
 from crnsign.kinetics import MassActionSystem
-from crnsign.model import Complex, Network, Reaction, Species
+from crnsign.model import Complex, Network, Reaction, Species, stoichiometric_matrix
 from crnsign.signfix import FixReport, sign_fix
 from crnsign.textio import parse_network
 
@@ -185,15 +187,22 @@ def test_audit_rejects_species_no_step_added(deficiency_jump):
         delta_audit(forged)
 
 
-def test_audit_with_a_carried_rank(two_ambiguous, deficiency_jump, conserving_family):
-    """A correct carried rank changes nothing; a wrong one is caught by
-    the final rank, which is still computed from scratch."""
-    for net in (two_ambiguous, deficiency_jump, conserving_family):
-        report = sign_fix(net)
-        s = deficiency(net).s
-        assert delta_audit(report, rank=s) == delta_audit(report)
+def test_audit_catches_a_wrong_cached_rank():
+    """The original rank is read through S's cache: a correct cached right
+    kernel changes nothing, and a wrong one planted on S is caught by the
+    final rank, which is read from the fixed network's own S."""
+    for name in ("two_ambiguous.crn", "deficiency_jump.crn", "conserving_family.crn"):
+        expected = delta_audit(sign_fix(load(name)))
+        net = load(name)
+        S = stoichiometric_matrix(net)
+        exactla.kernel_basis(S, "right")
+        assert delta_audit(sign_fix(net)) == expected
+        forged = load(name)
+        stoichiometric_matrix(forged)._cache[("kernel", "right")] = (
+            exactla._kernel_vectors(S, "right") + ((0,) * S.cols,)
+        )
         with pytest.raises(AssertionError, match="final rank"):
-            delta_audit(report, rank=s + 1)
+            delta_audit(sign_fix(forged))
 
 
 def test_audit_over_corpus(corpus):

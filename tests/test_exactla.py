@@ -242,19 +242,42 @@ def test_cached_results_equal_those_of_a_fresh_matrix():
         assert M == _fresh(M) and hash(M) == hash(_fresh(M)) and repr(M) == repr(_fresh(M))
 
 
-def test_rank_and_determinant_stay_outside_the_cache():
+def test_determinant_stays_outside_the_cache_and_rank_keeps_its_own_slot():
     M = RationalMatrix([[1, 2], [3, 4]])
-    rank(M), determinant(M)
+    determinant(M)
     assert M._cache == {}
+    assert rank(M) == 2
+    assert M._cache == {"rank": 2}
 
 
-def test_kernel_correspondence_chain_eliminates_each_matrix_once_per_side(
-    conserving_family, monkeypatch
-):
+def _echelon_rank(M):
+    return len(exactla._eliminate(exactla._integer_rows(M.entries()), reduce=False)[1])
+
+
+def test_rank_reads_only_its_own_slot_and_the_right_kernel():
+    """Rank equals a fresh echelon rank with and without a cached right
+    kernel; a wrong left kernel or a planted key of another name (such as
+    a padded basis stored by a caller) is never read."""
+    for M in _isolation_inputs():
+        expected = _echelon_rank(M)
+        assert rank(_fresh(M)) == expected
+        with_kernel = _fresh(M)
+        kernel_basis(with_kernel, "right")
+        assert rank(with_kernel) == expected
+        planted = _fresh(M)
+        bogus = ((1,) * M.cols,) * min(M.rows, M.cols)
+        planted._cache[("kernel", "left")] = bogus
+        planted._cache[("padded", "right")] = bogus
+        assert rank(planted) == expected
+
+
+def test_kernel_correspondence_chain_eliminates_each_matrix_once_per_side(monkeypatch):
     """Over a 6-step chain of shared matrix objects: S_0's right kernel,
     then per step S_k's left kernel and S_(k+1)'s right kernel, which is
-    also its rank; 13 eliminations (3 per step, 18, before the cache)."""
-    report = sign_fix(conserving_family)
+    also its rank; 13 eliminations (3 per step, 18, before the cache).
+    The network is parsed here: a shared fixture's S keeps the kernels
+    earlier tests computed on it."""
+    report = sign_fix(load("conserving_family.crn"))
     matrices = report.matrices()
     assert len(report.steps) == 6
     seen = []

@@ -79,10 +79,6 @@ def test_system_validations():
         MassActionSystem(net, [0.0])
     with pytest.raises(ValueError):
         MassActionSystem(net, [float("nan")])
-    with pytest.raises(ValueError):
-        MassActionSystem.from_network_rates(net)  # no stored rate
-    stored = parse_network("A -> B ; k=2")
-    assert MassActionSystem.from_network_rates(stored).rates == (2.0,)
 
 
 def test_jacobian_matches_exact_rational_twin(corpus):
@@ -129,7 +125,7 @@ def test_exact_jacobian_validations():
 
 def test_two_species_equilibrium_ratio():
     net = parse_network("A <-> B ; kf=2, kr=1")
-    sys = MassActionSystem.from_network_rates(net)
+    sys = MassActionSystem(net, [r.rate for r in net.reactions])
     x = find_equilibrium(sys, [1.0, 1.0])
     assert all(v > 0 for v in x)
     # at equilibrium the net interconversion stops: 2 x_A = x_B

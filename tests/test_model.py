@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import FIXTURES, load
+from oracles import multiply_vector
 from crnsign.model import (
     Complex,
     Network,
@@ -97,6 +98,13 @@ def test_reaction_rejects_equal_sides_and_bad_rate():
     assert Reaction(a, b, rate=2.5).rate == 2.5
 
 
+def test_reaction_rejects_a_non_finite_rate():
+    a, b = Complex.from_dict({0: 1}), Complex.from_dict({1: 1})
+    for rate in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            Reaction(a, b, rate=rate)
+
+
 def test_network_requires_all_species_referenced():
     a, b = Complex.from_dict({0: 1}), Complex.from_dict({1: 1})
     with pytest.raises(ValueError) as err:
@@ -145,6 +153,28 @@ def test_stoichiometric_matrix_deterministic():
     assert hash(stoichiometric_matrix(net)) == hash(stoichiometric_matrix(net))
 
 
+def test_stoichiometric_matrix_is_kept_on_the_network():
+    """One S object per network, outside its value: equality, hash and
+    repr do not see it, and ``dataclasses.replace`` builds a fresh S."""
+    net = load("two_ambiguous.crn")
+    text, digest = repr(net), hash(net)
+    S = stoichiometric_matrix(net)
+    assert stoichiometric_matrix(net) is S
+    assert repr(net) == text and hash(net) == digest
+    assert net == load("two_ambiguous.crn")
+    assert [f.name for f in dataclasses.fields(Network)] == [
+        "species", "reactions", "reversible_pairs", "allow_catalysts"
+    ]
+    other = dataclasses.replace(net)
+    assert other == net
+    assert stoichiometric_matrix(other) is not S and stoichiometric_matrix(other) == S
+    r = Reaction(Complex.from_dict({0: 1}), Complex.from_dict({1: 1}))
+    small = _net([r], ["A", "B"])
+    stoichiometric_matrix(small)
+    flipped = dataclasses.replace(small, reactions=(Reaction(r.product, r.reactant),))
+    assert stoichiometric_matrix(flipped).entries() == ((Fraction(1),), (Fraction(-1),))
+
+
 def test_stoichiometric_matrix_equals_a_coerced_matrix(corpus):
     """S is built without re-coercing its entries; it equals the matrix
     the public constructor makes from the same entries in every way."""
@@ -176,7 +206,7 @@ def test_rational_matrix_operations():
     assert m.transpose().entries() == ((Fraction(1), Fraction(3)), (Fraction(2), Fraction(4)))
     product = m @ RationalMatrix.identity(2)
     assert product == m
-    assert m.multiply_vector([1, 1]) == (Fraction(3), Fraction(7))
+    assert multiply_vector(m, [1, 1]) == (Fraction(3), Fraction(7))
     bumped = m.with_entry(0, 0, Fraction(9))
     assert bumped[0, 0] == 9 and m[0, 0] == 1
     assert m.to_string_rows() == [["1", "2"], ["3", "4"]]

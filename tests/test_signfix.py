@@ -148,6 +148,18 @@ def test_added_rates(two_ambiguous):
         sign_fix(two_ambiguous, rate=0.0)
 
 
+def test_non_finite_added_rates_are_rejected(one_ambiguous):
+    """A report never carries an added rate that ``MassActionSystem``
+    would reject."""
+    cls = find_bad_submatrices(stoichiometric_matrix(one_ambiguous))[0]
+    message = "added rate constant must be finite and strictly positive"
+    for rate in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=message):
+            sign_fix(one_ambiguous, rate=rate)
+        with pytest.raises(ValueError, match=message):
+            fix_one(one_ambiguous, cls, rate)
+
+
 def test_stale_class_is_rejected(two_ambiguous):
     classes = find_bad_submatrices(stoichiometric_matrix(two_ambiguous))
     fixed, _ = fix_one(two_ambiguous, classes[0])
