@@ -10,19 +10,41 @@ same row update.  Fractions appear only at the API: kernel vectors,
 determinants and conservation witnesses are returned as ``Fraction``s.
 Nothing in this module ever rounds.
 
+A rank can also be certified modulo one fixed prime ``PRIME`` < 2^31
+(the modular idea of Cabay 1971).  Reducing an integer matrix mod p can
+only lose rank, and no rank exceeds min(rows, cols), so
+
+    rank_p <= rank_Q <= min(rows, cols),
+
+and when rank_p equals min(rows, cols) it is the exact rank over Q.
+Otherwise the answer comes from the Bareiss elimination, as it would
+without the certificate, so an unlucky prime costs time, never
+exactness.  The elimination mod p runs on numpy int64 rows (entries
+below p, so every product fits); it is tried only on matrices of at
+least ``MOD_P_MIN_ENTRIES`` entries, below which Bareiss in Python
+integers is the faster of the two.
+
 Each ``RationalMatrix`` carries a private cache that only this module
 reads and writes: the denominator-cleared integer rows ("right") and
-columns ("left"), the integer kernel vectors of each side, and the rank.
-A matrix is immutable, so the cache cannot go stale; it dies with the
-matrix, and ``model.stoichiometric_matrix`` gives every caller of a
-network the same matrix.  The cached tuples are never handed to the
-elimination, which works on a copy.  So a chain of one-step checks
-(S_0, S_1), (S_1, S_2), ... over the same matrix objects eliminates each
-matrix once per side: ``kernel_correspondence_check`` reads the rank of
-S_check off its right kernel, which is then the cache hit for S at the
-next step, and costs 2 eliminations per step instead of 3.  ``rank``
-reads only its own key and the right kernel (cols - nullity), else it
-runs the cheaper echelon-only elimination; ``determinant`` is uncached.
+columns ("left"), the integer kernel vectors of each side, and the exact
+rank.  A matrix is immutable, so the cache cannot go stale; it dies with
+the matrix, and ``model.stoichiometric_matrix`` gives every caller of a
+network the same matrix.  Every cached value is computed from that
+matrix's own entries, and only an exact one is stored: a rank mod p is
+stored as the rank only when certified.  The cached tuples are never
+handed to the elimination, which works on a copy.
+
+An exact rank in hand answers two questions without an elimination over
+Q: it is the rank, and a rank equal to the row (column) count means the
+left (right) kernel is {0}.  "In hand" means the cached rank, the cached
+right kernel (rank = cols - nullity) or a certified rank mod p; no
+elimination is ever run just to look for it.  ``is_conserving`` then
+answers "not conserving" from an empty left kernel without a simplex.
+So a chain of one-step checks (S_0, S_1), (S_1, S_2), ... over the same
+matrix objects eliminates each matrix at most once per side:
+``kernel_correspondence_check`` reads the rank of S_check off its right
+kernel, which is then the cache hit for S at the next step, and a left
+kernel of full row rank costs nothing.  ``determinant`` is uncached.
 """
 
 from __future__ import annotations
@@ -32,9 +54,22 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .model import RationalMatrix
 
 Vector = Tuple[Fraction, ...]
+IntRows = Tuple[Tuple[int, ...], ...]
+
+# 2^31 - 1 is prime, and (p - 1)^2 < 2^62, so a product of two residues,
+# and a residue less such a product, fit in an int64.
+PRIME = 2**31 - 1
+# rows * cols from which a rank is first tried mod p.  On generated S and
+# fixed S, numpy's per-call cost makes the elimination mod p slower than
+# Bareiss in Python integers below it (0.45 against 0.33 ms per matrix at
+# 200-399 entries); the two break even at 400-600, and from about 1,000
+# entries up the elimination mod p wins (2.3 against 5.7 ms at 2,000).
+MOD_P_MIN_ENTRIES = 400
 
 
 @dataclass(frozen=True)
@@ -164,17 +199,77 @@ def _eliminate(
     return a, pivots, prev, sign
 
 
-def rank(matrix: RationalMatrix) -> int:
-    """Exact rank, cached on the matrix: its column count less its right
-    kernel's dimension when that kernel is cached, else the number of
-    pivots of the echelon-only integer elimination."""
+def _integer_image(matrix: RationalMatrix, side: str) -> IntRows:
+    """The denominator-cleared rows ("right") or columns ("left") of the
+    matrix, each scaled by the lcm of its denominators; cached on it."""
+    key = ("image", side)
+    image = matrix._cache.get(key)
+    if image is None:
+        entries = matrix.entries() if side == "right" else tuple(zip(*matrix.entries()))
+        image = tuple(map(tuple, _integer_rows(entries)))
+        matrix._cache[key] = image
+    return image
+
+
+def _rank_mod_p(image: IntRows) -> int:
+    """Rank of the integer rows modulo ``PRIME``, by Gaussian elimination
+    on numpy int64 rows; each entry is reduced in Python integers first,
+    since cleared rows can hold entries far beyond int64.  It is a lower
+    bound on the rank over Q."""
+    a = np.array([[x % PRIME for x in row] for row in image], dtype=np.int64)
+    height, width = a.shape
+    r = 0
+    for c in range(width):
+        if r == height:
+            break
+        nonzero = r + np.flatnonzero(a[r:, c])
+        if nonzero.size == 0:
+            continue
+        i = nonzero[0]
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        # the row swapped down has a zero here, so only rows past i need it
+        update = nonzero[1:]
+        if update.size:
+            factors = a[update, c] * pow(int(a[r, c]), -1, PRIME) % PRIME
+            a[update, c:] = (a[update, c:] - np.outer(factors, a[r, c:])) % PRIME
+        r += 1
+    return r
+
+
+def _rank_in_hand(matrix: RationalMatrix) -> Optional[int]:
+    """The exact rank when it costs no elimination over Q, else None: the
+    cached rank, else columns less the cached right kernel's dimension,
+    else (from ``MOD_P_MIN_ENTRIES`` entries) the rank mod p of the right
+    integer image when it equals min(rows, cols).  A rank found here is
+    cached."""
     value = matrix._cache.get("rank")
+    if value is not None:
+        return value
+    kernel = matrix._cache.get(("kernel", "right"))
+    if kernel is not None:
+        value = matrix.cols - len(kernel)
+    elif matrix.rows * matrix.cols >= MOD_P_MIN_ENTRIES:
+        rank_p = _rank_mod_p(_integer_image(matrix, "right"))
+        if rank_p == min(matrix.rows, matrix.cols):
+            value = rank_p
+    if value is not None:
+        matrix._cache["rank"] = value
+    return value
+
+
+def rank(matrix: RationalMatrix) -> int:
+    """Exact rank, cached on the matrix.
+
+    It is read from the cache, or from the cached right kernel (columns
+    less its dimension), or certified mod p (see the module docstring);
+    only when none of them gives it does the echelon-only integer
+    elimination count the pivots.  Every source is this matrix's own
+    entries.
+    """
+    value = _rank_in_hand(matrix)
     if value is None:
-        kernel = matrix._cache.get(("kernel", "right"))
-        if kernel is not None:
-            value = matrix.cols - len(kernel)
-        else:
-            value = len(_eliminate(_integer_rows(matrix.entries()), reduce=False)[1])
+        value = len(_eliminate(_integer_rows(matrix.entries()), reduce=False)[1])
         matrix._cache["rank"] = value
     return value
 
@@ -192,28 +287,21 @@ def determinant(matrix: RationalMatrix) -> Fraction:
     return Fraction(sign * last, scale)
 
 
-IntRows = Tuple[Tuple[int, ...], ...]
-
-
-def _integer_image(matrix: RationalMatrix, side: str) -> IntRows:
-    """The denominator-cleared rows ("right") or columns ("left") of the
-    matrix, each scaled by the lcm of its denominators; cached on it."""
-    key = ("image", side)
-    image = matrix._cache.get(key)
-    if image is None:
-        entries = matrix.entries() if side == "right" else tuple(zip(*matrix.entries()))
-        image = tuple(map(tuple, _integer_rows(entries)))
-        matrix._cache[key] = image
-    return image
-
-
 def _kernel_vectors(matrix: RationalMatrix, side: str) -> IntRows:
     """Integer basis of the right ("right") or left ("left") kernel of the
     matrix, one vector per free column of the eliminated rows in order,
-    each coprime with a positive leading entry; cached on the matrix."""
+    each coprime with a positive leading entry; cached on the matrix.  An
+    exact rank in hand that leaves no free column gives () without an
+    elimination."""
     key = ("kernel", side)
     vectors = matrix._cache.get(key)
     if vectors is not None:
+        return vectors
+    # An exact rank equal to the side's length leaves the kernel {0}.  No
+    # rank exceeds min(rows, cols), so look for one only at that length.
+    size = matrix.rows if side == "left" else matrix.cols
+    if size == min(matrix.rows, matrix.cols) and _rank_in_hand(matrix) == size:
+        vectors = matrix._cache[key] = ()
         return vectors
     # _eliminate rewrites the list it is given: hand it a copy.
     a, pivots, last, _ = _eliminate([list(row) for row in _integer_image(matrix, side)])
@@ -243,7 +331,11 @@ def kernel_basis(matrix: RationalMatrix, side: str = "right") -> KernelBasis:
     transpose for "left"), normalized to coprime integer entries with a
     positive leading entry, and the vectors are ordered by their free
     column.  The integer vectors are cached on the matrix, so a second
-    call on the same object does not eliminate again.
+    call on the same object does not eliminate again.  When the exact
+    rank is already in hand (cached, read off the cached right kernel, or
+    certified mod p) and equals the side's length, the kernel is {0} and
+    no elimination runs: the left kernel of a matrix of full row rank is
+    free once its right kernel is known.
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
@@ -338,7 +430,15 @@ def is_conserving(S: RationalMatrix) -> ConservationResult:
     integer-pivot simplex.  The witness D m (D the simplex's last pivot)
     is checked in integers against the denominator-cleared rows of S^t
     before it is returned as Fractions.
+
+    Such an m is a nonzero left-kernel vector, so an empty left kernel of
+    S (from its cache, or computed and cached as by ``kernel_basis``)
+    answers "not conserving" without a simplex.  Otherwise the simplex
+    decides, on S's entries alone, so the witness does not depend on the
+    kernel.
     """
+    if not _kernel_vectors(S, "left"):
+        return ConservationResult(False, None)
     equations = tuple(zip(*S.entries()))
     solved = _phase1_simplex(equations, [-sum(row) for row in equations])
     if solved is None:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from crnsign.signfix import sign_fix
 from crnsign.textio import parse_network, serialize_network
 
 import record_cli_golden
-from conftest import FIXTURES
+from conftest import FIXTURES, make_network
 
 TWO_AMBIGUOUS = str(FIXTURES / "two_ambiguous.crn")
 DEF_JUMP = str(FIXTURES / "deficiency_jump.crn")
@@ -98,6 +99,31 @@ def test_one_elimination_of_s_per_command(capsys, monkeypatch, argv, shapes):
     monkeypatch.setattr(exactla, "_eliminate", counted)
     _run_json(capsys, *argv)
     assert seen == shapes
+
+
+def test_analyze_of_a_full_row_rank_network_eliminates_only_the_right_kernel(
+    capsys, monkeypatch, tmp_path
+):
+    """On a 30 x 80 network of full row rank, analyze eliminates S once,
+    for its right kernel: the left kernel is {0} by the rank read off it,
+    so conservation needs no simplex, and the fixed network's rank is
+    certified mod p."""
+    path = tmp_path / "large.crn"
+    path.write_text(serialize_network(make_network(random.Random(0), (30, 30), (80, 80))))
+    seen, simplex = [], []
+    eliminate = exactla._eliminate
+
+    def counted(a, reduce=True):
+        seen.append((len(a), len(a[0])))
+        return eliminate(a, reduce)
+
+    monkeypatch.setattr(exactla, "_eliminate", counted)
+    monkeypatch.setattr(exactla, "_phase1_simplex", lambda *a: simplex.append(a))
+    body = _run_json(capsys, "analyze", str(path))
+    assert seen == [(30, 80)]
+    assert simplex == []
+    assert body["kernels"]["conserving"] is False
+    assert body["kernels"]["left_exact"] == []
 
 
 @pytest.mark.parametrize(

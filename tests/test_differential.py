@@ -211,6 +211,46 @@ def test_exact_core_matches_oracle_on_conserving_matrices(S):
     _assert_same_core(S)
 
 
+@st.composite
+def threshold_matrices(draw):
+    """Sparse integer matrices with rows * cols on both sides of
+    ``exactla.MOD_P_MIN_ENTRIES`` and of both orientations, some with
+    planted dependent rows or columns, some with a whole row a multiple
+    of the prime (a row the rank over Q counts and the rank mod p does
+    not)."""
+    rows, cols = draw(st.integers(12, 32)), draw(st.integers(12, 32))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    a = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 3]))):
+        i, j, k = (draw(st.integers(0, rows - 1)) for _ in range(3))
+        a[i] = [x + 2 * y for x, y in zip(a[j], a[k])]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i, j = (draw(st.integers(0, cols - 1)) for _ in range(2))
+        for row in a:
+            row[i] = -row[j]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, rows - 1))
+        a[i] = [exactla.PRIME * x for x in a[i]]
+    return RationalMatrix(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(threshold_matrices(), st.permutations(["rank", "right", "left"]))
+def test_rank_and_kernels_match_oracle_across_the_mod_p_threshold(S, order):
+    """In any call order on a fresh matrix, the rank and both kernels,
+    whether answered mod p, from the cache or by Bareiss, equal the
+    Fraction oracle's."""
+    expected = {
+        "rank": oracles.rank(S),
+        "right": oracles.kernel_basis(S, "right"),
+        "left": oracles.kernel_basis(S, "left"),
+    }
+    fresh = RationalMatrix(S.entries())
+    for what in order:
+        got = rank(fresh) if what == "rank" else kernel_basis(fresh, what)
+        assert got == expected[what], what
+
+
 def _assert_same_elimination(rows):
     """Rows, pivots, D and sign of the elimination with deferred scalings
     equal the eager oracle's, reduced and echelon alike."""

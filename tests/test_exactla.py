@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, load
+import oracles
+from conftest import FIXTURES, load, make_network
 from crnsign import exactla
 from crnsign.exactla import (
     char_poly,
@@ -18,6 +19,7 @@ from crnsign.exactla import (
 from crnsign.model import RationalMatrix, stoichiometric_matrix
 from crnsign.signcheck import find_bad_submatrices
 from crnsign.signfix import fix_one, sign_fix
+from crnsign.textio import parse_network
 
 
 def _random_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -214,14 +216,18 @@ def _fresh(matrix):
 
 def _isolation_inputs():
     """S and the fixed S of every fixture, and the square S S^t of each
-    (a determinant with row swaps and rank deficiency), plus a fractional
-    square matrix."""
+    (a determinant with row swaps and rank deficiency), a fractional
+    square matrix, and one 30 x 80 S of full row rank, at or above
+    ``MOD_P_MIN_ENTRIES``, whose rank is certified mod p."""
     out = []
     for path in sorted(FIXTURES.glob("*.crn")):
         net = load(path.name)
         for S in (stoichiometric_matrix(net), stoichiometric_matrix(sign_fix(net).result)):
             out += [S, S.multiply(S.transpose())]
     out.append(RationalMatrix([[0, "1/2", 3], ["2/3", 0, -1], [1, "-3/4", 0]]))
+    large = stoichiometric_matrix(make_network(random.Random(0), (30, 30), (80, 80)))
+    assert large.rows * large.cols >= exactla.MOD_P_MIN_ENTRIES
+    out.append(_fresh(large))
     return out
 
 
@@ -254,21 +260,111 @@ def _echelon_rank(M):
     return len(exactla._eliminate(exactla._integer_rows(M.entries()), reduce=False)[1])
 
 
-def test_rank_reads_only_its_own_slot_and_the_right_kernel():
+def test_rank_reads_only_its_own_slot_the_right_kernel_and_the_right_image():
     """Rank equals a fresh echelon rank with and without a cached right
-    kernel; a wrong left kernel or a planted key of another name (such as
-    a padded basis stored by a caller) is never read."""
+    kernel or right integer image (the image is what the rank mod p
+    eliminates); a wrong left kernel or a planted key of another name
+    (such as a padded basis stored by a caller) is never read."""
     for M in _isolation_inputs():
         expected = _echelon_rank(M)
         assert rank(_fresh(M)) == expected
         with_kernel = _fresh(M)
         kernel_basis(with_kernel, "right")
         assert rank(with_kernel) == expected
+        with_image = _fresh(M)
+        exactla._integer_image(with_image, "right")
+        assert rank(with_image) == expected
         planted = _fresh(M)
         bogus = ((1,) * M.cols,) * min(M.rows, M.cols)
         planted._cache[("kernel", "left")] = bogus
         planted._cache[("padded", "right")] = bogus
         assert rank(planted) == expected
+
+
+def _p_led(rows, cols, at, rng):
+    """[D | B], D the identity with PRIME at (at, at), B random, with row
+    ``at`` of B a multiple of PRIME: full row rank over Q, one less mod p."""
+    p = exactla.PRIME
+    out = []
+    for i in range(rows):
+        head = [0] * rows
+        head[i] = p if i == at else 1
+        tail = [rng.randint(-3, 3) * (p if i == at else 1) for _ in range(cols - rows)]
+        out.append(head + tail)
+    return RationalMatrix(out)
+
+
+def test_rank_mod_p_below_min_falls_back_to_the_exact_rank(monkeypatch):
+    """A 20 x 30 matrix of full row rank with a pivot equal to p: the rank
+    mod p is 19, below min(rows, cols), so it certifies nothing and the
+    rank, both kernels and conservation come from Bareiss and the
+    simplex, equal to the Fraction oracle's."""
+    M = _p_led(20, 30, 7, random.Random(1))
+    assert M.rows * M.cols >= exactla.MOD_P_MIN_ENTRIES
+    assert exactla._rank_mod_p(exactla._integer_image(M, "right")) == 19
+    seen = []
+    eliminate = exactla._eliminate
+
+    def counted(a, reduce=True):
+        seen.append((len(a), len(a[0])))
+        return eliminate(a, reduce)
+
+    monkeypatch.setattr(exactla, "_eliminate", counted)
+    assert rank(M) == 20 == oracles.rank(M)
+    assert seen == [(20, 30)]
+    fresh = _fresh(M)
+    assert kernel_basis(fresh, "left") == oracles.kernel_basis(M, "left")
+    assert kernel_basis(fresh, "left").dim == 0
+    assert kernel_basis(fresh, "right") == oracles.kernel_basis(M, "right")
+    assert seen == [(20, 30), (30, 20), (20, 30)]
+    assert is_conserving(_fresh(M)) == oracles.is_conserving(M)
+
+
+def test_rank_mod_p_reduces_entries_beyond_int64():
+    """Rows scaled to 10^30 and fractional rows whose cleared entries pass
+    int64 are reduced in Python integers before the int64 elimination;
+    the certified rank and kernels equal the oracle's."""
+    rng = random.Random(2)
+    big = 10**30
+    for rows, cols in ((20, 25), (25, 20)):
+        entries = [[big * rng.randint(-2, 2) + rng.randint(-1, 1) for _ in range(cols)]
+                   for _ in range(rows)]
+        entries[3] = [Fraction(x, big + 7) for x in entries[3]]
+        M = RationalMatrix(entries)
+        assert max(abs(x) for row in exactla._integer_image(M, "right") for x in row) > 2**63
+        assert rank(M) == oracles.rank(M) == min(rows, cols)
+        assert M._cache["rank"] == min(rows, cols)
+        for side in ("left", "right"):
+            assert kernel_basis(_fresh(M), side) == oracles.kernel_basis(M, side)
+
+
+def test_network_with_a_1e400_coefficient():
+    """20 species and 25 reactions, one coefficient 10^400: rank,
+    kernels and conservation equal the oracle's on a fresh S."""
+    species = [f"X{i}" for i in range(20)]
+    lines = ["species " + ", ".join(species)]
+    lines += [f"{species[i]} -> {species[(i + 1) % 20]}" for i in range(20)]
+    lines += [f"1e400 {species[0]} -> 2 {species[5]}", f"{species[3]} -> {species[9]} + {species[11]}"]
+    lines += [f"{species[i]} -> 3 {species[i + 2]}" for i in range(3)]
+    S = stoichiometric_matrix(parse_network("\n".join(lines) + "\n"))
+    assert (S.rows, S.cols) == (20, 25) and S[0, 20] == -(10**400)
+    assert rank(_fresh(S)) == oracles.rank(S)
+    for side in ("left", "right"):
+        assert kernel_basis(_fresh(S), side) == oracles.kernel_basis(S, side)
+    assert is_conserving(_fresh(S)) == oracles.is_conserving(S)
+
+
+def test_is_conserving_on_a_fresh_full_row_rank_s_needs_no_elimination(monkeypatch):
+    """A library call on a fresh 30 x 80 S: the rank mod p certifies full
+    row rank, so the left kernel is {0} and the answer is "not
+    conserving", with no Bareiss elimination and no simplex."""
+    S = _fresh(stoichiometric_matrix(make_network(random.Random(0), (30, 30), (80, 80))))
+    calls = []
+    monkeypatch.setattr(exactla, "_eliminate", lambda *a, **k: calls.append("eliminate"))
+    monkeypatch.setattr(exactla, "_phase1_simplex", lambda *a, **k: calls.append("simplex"))
+    assert is_conserving(S) == exactla.ConservationResult(False, None)
+    assert calls == []
+    assert S._cache[("kernel", "left")] == () and S._cache["rank"] == 30
 
 
 def test_kernel_correspondence_chain_eliminates_each_matrix_once_per_side(monkeypatch):
