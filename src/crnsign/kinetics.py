@@ -8,14 +8,17 @@ right-hand side factors as S V'(x) with V'[k][j] = v_k(x) e_kj / x_j
 ``exact_jacobian`` is the slow exact-rational twin used for
 cross-checking.
 
-A ``MassActionSystem`` builds its float tables once, straight from the
-reaction terms: the float S (each nonzero exact net coefficient converted
-by ``float``), the sparse reactant terms as index arrays for the
-Jacobian, and a ``MonomialTable`` for the fluxes.  No ``Fraction``
-arithmetic runs per evaluation.  The table evaluates rate times
-prod x_j ** e_j for every reaction at once, for one state or a stack of
-states; the complex monomials of ``deficiency.complexes_decomposition``
-use one too, with starts 1.0.  Each distinct (species, exponent) pair
+The float tables do not depend on the rates, so the first
+``MassActionSystem`` over a ``Network`` builds them from the reaction
+terms and keeps them on that network, as ``stoichiometric_matrix`` keeps
+S: the float S (each nonzero exact net coefficient converted by
+``float``), the sparse reactant terms as index arrays for the Jacobian,
+and a ``MonomialTable`` for the fluxes.  Every system over that network
+shares them and adds only its rates.  No ``Fraction`` arithmetic runs per
+evaluation.  The table evaluates start times prod x_j ** e_j for every
+reaction at once, for one state or a stack of states, with the rates as
+starts; the complex monomials of ``deficiency.complexes_decomposition``
+use one too, with start 1.0.  Each distinct (species, exponent) pair
 with an exponent other than 1 is raised once per state, by one scalar C
 ``pow`` (Python's float ``**``); an exponent of 1 reads x_j itself,
 which is what ``pow(x, 1.0)`` returns, also for zeros of both signs,
@@ -38,11 +41,10 @@ time; ``project_equilibrium`` drops the added coordinates.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -68,11 +70,12 @@ class EquilibriumNotFound(Exception):
 class MonomialTable:
     """starts[k] * prod x_j ** e over terms[k], for every k at once.
 
-    Built once from ``(starts, terms, species_count)``; ``terms[k]`` lists
-    (species, exponent) pairs.  Calling the table on a state of shape (d,)
-    returns the monomials, shape (len(terms),); on a stack of shape
-    (n, d) it returns shape (n, len(terms)).  The caller checks the
-    states.
+    Built once from ``(terms, species_count)``; ``terms[k]`` lists
+    (species, exponent) pairs.  The table holds no starts: calling it as
+    ``table(x, starts)``, with ``starts`` an array of len(terms) floats
+    or one float for all, on a state of shape (d,) returns the
+    monomials, shape (len(terms),); on a stack of shape (n, d) it
+    returns shape (n, len(terms)).  The caller checks the states.
 
     Each distinct (species, exponent) pair with an exponent other than 1
     gets one power slot, filled per state by one C ``pow`` (builtin
@@ -88,7 +91,7 @@ class MonomialTable:
     it gets the numpy value.
     """
 
-    def __init__(self, starts: Sequence[float], terms: Terms, species_count: int):
+    def __init__(self, terms: Terms, species_count: int):
         width = max([len(term) for term in terms] + [1])
         slots: Dict[Tuple[int, float], int] = {}
         if any(len(term) < width for term in terms):
@@ -98,7 +101,6 @@ class MonomialTable:
             for j, e in term:
                 if e != 1.0:
                     slots.setdefault((j, e), species_count + len(slots))
-        self._starts = np.array(starts, dtype=float)
         self._pow_species = np.array([j for j, _ in slots], dtype=np.intp)
         self._pow_exponents = [e for _, e in slots]
         # Row i: factor i of every monomial, as a column of (x, the power slots).
@@ -108,15 +110,9 @@ class MonomialTable:
                 columns[i][k] = j if e == 1.0 else slots[(j, e)]
         self._columns = list(np.array(columns, dtype=np.intp))
 
-    def with_starts(self, starts: Sequence[float]) -> "MonomialTable":
-        """The same table with new starts; the index arrays are shared."""
-        table = copy.copy(self)
-        table._starts = np.array(starts, dtype=float)
-        return table
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, starts: Union[np.ndarray, float]) -> np.ndarray:
         factors = np.concatenate((x, self._powers(x.take(self._pow_species, axis=-1))), axis=-1)
-        out = self._starts * factors.take(self._columns[0], axis=-1)
+        out = starts * factors.take(self._columns[0], axis=-1)
         for columns in self._columns[1:]:
             out *= factors.take(columns, axis=-1)
         return out
@@ -145,6 +141,41 @@ def _numpy_pow(x: float, e: float) -> float:
     return value
 
 
+def _rate_free_tables(network: Network) -> Tuple:
+    """(exponents, flux table, S, rows, cols, exps) of a network, built on
+    the first call and kept on it (not a field: equality, hash, repr and
+    ``dataclasses.replace`` ignore it); nothing writes to them later."""
+    try:
+        return network._kinetics
+    except AttributeError:
+        pass
+    S = np.zeros((network.species_count, network.reaction_count))
+    for k, r in enumerate(network.reactions):
+        net_terms: Dict[int, Fraction] = dict(r.product.terms)
+        for j, c in r.reactant.terms:
+            net_terms[j] = net_terms.get(j, 0) - c
+        for j, c in net_terms.items():
+            if c:
+                S[j, k] = float(c)
+    # Reactant exponents, sparse per reaction: [(species, exponent), ...]
+    exponents: Terms = tuple(
+        tuple((j, float(c)) for j, c in r.reactant.terms) for r in network.reactions
+    )
+    # The same terms flattened, for the Jacobian's one scatter.
+    flat = [(k, j, e) for k, terms in enumerate(exponents) for j, e in terms]
+    arrays = (
+        S,
+        np.array([k for k, _, _ in flat], dtype=np.intp),
+        np.array([j for _, j, _ in flat], dtype=np.intp),
+        np.array([e for _, _, e in flat], dtype=float),
+    )
+    for array in arrays:
+        array.flags.writeable = False  # shared by every system over the network
+    tables = (exponents, MonomialTable(exponents, network.species_count)) + arrays
+    object.__setattr__(network, "_kinetics", tables)
+    return tables
+
+
 def _checked_rates(network: Network, rates: Sequence[float]) -> Tuple[float, ...]:
     rates = tuple(float(r) for r in rates)
     if len(rates) != network.reaction_count:
@@ -157,44 +188,16 @@ def _checked_rates(network: Network, rates: Sequence[float]) -> Tuple[float, ...
 
 
 class MassActionSystem:
-    """A network together with one positive rate constant per reaction."""
+    """A network together with one positive rate constant per reaction;
+    its float tables are the network's (see ``_rate_free_tables``)."""
 
     def __init__(self, network: Network, rates: Sequence[float]):
         self.rates = _checked_rates(network, rates)
         self.network = network
-        self._S = np.zeros((network.species_count, network.reaction_count))
-        for k, r in enumerate(network.reactions):
-            net_terms: Dict[int, Fraction] = dict(r.product.terms)
-            for j, c in r.reactant.terms:
-                net_terms[j] = net_terms.get(j, 0) - c
-            for j, c in net_terms.items():
-                if c:
-                    self._S[j, k] = float(c)
-        # Reactant exponents, sparse per reaction: [(species, exponent), ...]
-        self.exponents: Terms = tuple(
-            tuple((j, float(c)) for j, c in r.reactant.terms)
-            for r in network.reactions
+        self._rates = np.array(self.rates)
+        self.exponents, self._table, self._S, self._rows, self._cols, self._exps = (
+            _rate_free_tables(network)
         )
-        # The same terms flattened, for the Jacobian's one scatter.
-        flat = [(k, j, e) for k, terms in enumerate(self.exponents) for j, e in terms]
-        self._rows = np.array([k for k, _, _ in flat], dtype=np.intp)
-        self._cols = np.array([j for _, j, _ in flat], dtype=np.intp)
-        self._exps = np.array([e for _, _, e in flat], dtype=float)
-        self._table = MonomialTable(self.rates, self.exponents, network.species_count)
-
-    def with_rates(self, rates: Sequence[float]) -> "MassActionSystem":
-        """The same network with other rate constants.
-
-        Checks the rates as the constructor does, with the same messages,
-        and shares S, the exponents, the index arrays and the monomial
-        table's structure with this system; only the rates are new.  Its
-        fluxes and Jacobians equal those of a fresh ``MassActionSystem``
-        bit for bit.
-        """
-        system = copy.copy(self)
-        system.rates = _checked_rates(self.network, rates)
-        system._table = self._table.with_starts(system.rates)
-        return system
 
     @property
     def species_count(self) -> int:
@@ -228,7 +231,7 @@ def flux(sys: MassActionSystem, x: Sequence[float]) -> np.ndarray:
 
 def _flux(sys: MassActionSystem, arr: np.ndarray) -> np.ndarray:
     """v(arr) for a state, or a stack of states, the caller has checked."""
-    return sys._table(arr)
+    return sys._table(arr, sys._rates)
 
 
 def rhs(sys: MassActionSystem, x: Sequence[float]) -> np.ndarray:
@@ -496,10 +499,10 @@ def simulate(
     times = np.arange(steps + 1) * dt
     states = np.empty((steps + 1, sys.species_count))
     states[0] = x
-    S, table = sys._S, sys._table
+    S, table, rates = sys._S, sys._table, sys._rates
 
     def f(state: np.ndarray) -> np.ndarray:
-        return S @ table(np.maximum(state, 0.0))
+        return S @ table(np.maximum(state, 0.0), rates)
 
     # overflow to inf/nan is caught below and turned into a clean error
     with np.errstate(over="ignore", invalid="ignore"):

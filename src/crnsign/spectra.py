@@ -222,9 +222,8 @@ def eigen_convergence(
     escapers: List[complex] = []
     all_fixed: List[Tuple[complex, ...]] = []
     matched_at_largest: List[complex] = []
-    fixed = _fixed_system(sys, report, ks[0])
     for k in ks:
-        eig_fixed = eigenvalues(jacobian(fixed.with_rates(sys.rates + (k,)), x_hat_arr))
+        eig_fixed = eigenvalues(jacobian(_fixed_system(sys, report, k), x_hat_arr))
         pairs, leftover = _greedy_match(eig_fixed, eig_j)
         matched_errors.append(
             max(abs(eig_fixed[fi] - eig_j[ti]) for fi, ti in pairs)

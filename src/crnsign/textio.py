@@ -272,15 +272,12 @@ def parse_network(text: str, allow_catalysts: bool = False) -> Network:
     first_directive_line: Optional[int] = None
     reaction_lines: List[int] = []
 
-    def resolve_factory(lineno: int):
-        def resolve(tok: _Token) -> int:
-            name = tok.text
-            if name not in species_index:
-                species_index[name] = len(species_order)
-                species_order.append(name)
-            return species_index[name]
-
-        return resolve
+    def resolve(tok: _Token) -> int:
+        name = tok.text
+        if name not in species_index:
+            species_index[name] = len(species_order)
+            species_order.append(name)
+        return species_index[name]
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(raw, lineno)
@@ -312,7 +309,6 @@ def parse_network(text: str, allow_catalysts: bool = False) -> Network:
                 raise parser.error("unexpected trailing input after species list")
             continue
 
-        resolve = resolve_factory(lineno)
         reactant = parser.parse_complex(resolve)
         arrow = parser.expect("ARROW", "'->' or '<->'")
         product = parser.parse_complex(resolve)

@@ -1,14 +1,26 @@
+import importlib.util
 import random
-from fractions import Fraction
 from pathlib import Path
-from typing import Tuple
 
 import pytest
 
-from crnsign.model import Complex, Network, Reaction, Species
+from crnsign.model import Network
 from crnsign.textio import parse_network
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+
+
+# The benchmark's network generator, loaded by path, is the suite's: the
+# corpus, ``large`` and ``kinetics`` networks below are its draws.
+# ``make_network`` draws reaction-form networks (d <= 8, d' <= 10 unless
+# other ranges are given); ``make_reversible_network`` draws 25 reversible
+# pairs over at most 20 species with rates in [0.5, 2].
+_spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+_gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_gen)
+make_network = _gen.make_network
+make_reversible_network = _gen.make_reversible_network
 
 
 def fixture_text(name: str) -> str:
@@ -17,64 +29,6 @@ def fixture_text(name: str) -> str:
 
 def load(name: str) -> Network:
     return parse_network(fixture_text(name))
-
-
-def _draft(rng: random.Random, d: int):
-    """One reaction's sides over species 0..d-1: disjoint, coefficients 1..3."""
-    order = list(range(d))
-    rng.shuffle(order)
-    n_react = rng.randint(1, min(3, d - 1))
-    n_prod = rng.randint(1, min(3, d - n_react))
-    reactant = {i: Fraction(rng.randint(1, 3)) for i in order[:n_react]}
-    product = {
-        i: Fraction(rng.randint(1, 3))
-        for i in order[n_react:n_react + n_prod]
-    }
-    return reactant, product
-
-
-def _compact(drafts):
-    """Species named S1.. for the referenced indices, and the sides renumbered."""
-    referenced = sorted({i for r, p in drafts for i in list(r) + list(p)})
-    remap = {old: new for new, old in enumerate(referenced)}
-    species = tuple(Species(f"S{i + 1}", i) for i in range(len(referenced)))
-    sides = [
-        (
-            Complex.from_dict({remap[i]: c for i, c in reactant.items()}),
-            Complex.from_dict({remap[i]: c for i, c in product.items()}),
-        )
-        for reactant, product in drafts
-    ]
-    return species, sides
-
-
-def make_network(
-    rng: random.Random,
-    species: Tuple[int, int] = (2, 8),
-    reactions: Tuple[int, int] = (2, 10),
-) -> Network:
-    """Random reaction-form network; by default d <= 8 species and
-    d' <= 10 reactions, otherwise sizes drawn from the given ranges.
-
-    Reactant and product sides are disjoint with coefficients in 1..3;
-    species that end up unreferenced are compacted away so the Network
-    validator is always satisfied.
-    """
-    d = rng.randint(*species)
-    d_prime = rng.randint(*reactions)
-    names, sides = _compact([_draft(rng, d) for _ in range(d_prime)])
-    return Network(names, tuple(Reaction(r, p) for r, p in sides))
-
-
-def make_reversible_network(rng: random.Random) -> Network:
-    """25 reversible pairs over at most 20 species, drawn as in
-    ``make_network``, each direction with a rate in [0.5, 2]."""
-    names, sides = _compact([_draft(rng, 20) for _ in range(25)])
-    reactions = []
-    for reactant, product in sides:
-        kf, kr = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
-        reactions += [Reaction(reactant, product, kf), Reaction(product, reactant, kr)]
-    return Network(names, tuple(reactions), tuple((2 * j, 2 * j + 1) for j in range(25)))
 
 
 @pytest.fixture(scope="session")

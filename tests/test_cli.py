@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from crnsign import cli, exactla
+from crnsign import cli, exactla, kinetics
 from crnsign.cli import main
 from crnsign.graphio import build_graph, export_dot, read_dot
 from crnsign.model import RationalMatrix, stoichiometric_matrix
@@ -143,6 +143,25 @@ def test_two_builds_of_s_per_command(capsys, monkeypatch, argv):
     monkeypatch.setattr(RationalMatrix, "_of_fractions", classmethod(counted))
     _run_json(capsys, *argv)
     assert seen == [(7, 6), (9, 8)]
+
+
+@pytest.mark.parametrize(
+    "argv", [("spectra", DEF_JUMP), ("analyze", DEF_JUMP, "--k-grid", "1:1e6:7")]
+)
+def test_two_monomial_tables_per_spectra_command(capsys, monkeypatch, argv):
+    """The rate-free tables are built once for the input network and once
+    for the one-step fix, and kept on each; the systems at every added
+    rate share them (``spectra`` built 6 before they were kept)."""
+    seen = []
+    build = kinetics.MonomialTable.__init__
+
+    def counted(self, terms, species_count):
+        seen.append((len(terms), species_count))
+        build(self, terms, species_count)
+
+    monkeypatch.setattr(kinetics.MonomialTable, "__init__", counted)
+    _run_json(capsys, *argv)
+    assert seen == [(3, 3), (4, 4)]
 
 
 def test_analyze_is_deterministic(capsys):

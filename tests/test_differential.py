@@ -5,6 +5,7 @@ stacked determinant-sign sampling, the integer sign layer and the
 kernel-correspondence check on cached kernels, each against the
 implementation it replaced (``oracles``)."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -337,14 +338,14 @@ def _same_int64(new, old):
 def _assert_same_monomials(starts, terms, d, states):
     """A monomial table on each state and on the whole stack of states
     equals the per-term oracle loop on each state."""
-    table = kinetics.MonomialTable(starts, terms, d)
+    table, start_array = kinetics.MonomialTable(terms, d), np.array(starts, dtype=float)
     stack = np.array(states, dtype=float).reshape(len(states), d)
     expected = np.array(
         [oracles.monomials(starts, terms, x.tolist()) for x in stack], dtype=float
     ).reshape(len(states), len(terms))
     for x, row in zip(stack, expected):
-        _same_int64(table(x), row)
-    _same_int64(table(stack), expected)
+        _same_int64(table(x, start_array), row)
+    _same_int64(table(stack, start_array), expected)
 
 
 def _assert_same_kernel(net, rates, states):
@@ -437,7 +438,7 @@ def test_monomial_table_pads_short_rows_and_shares_powers():
     and one power slot for a (species, exponent) pair used twice: three
     powers and the padding slot."""
     terms = (((0, 2.0), (1, 1.0), (2, 0.5)), (), ((0, 2.0),), ((1, 1.0), (0, 3.0)))
-    table = kinetics.MonomialTable([2.0, 3.0, 0.5, 1.5], terms, 3)
+    table = kinetics.MonomialTable(terms, 3)
     assert table._pow_exponents == [0.0, 2.0, 0.5, 3.0]
     states = [[1.3, 0.7, 2.9], [0.0, -0.0, 5e-324], [1e200, 2.0, 1e-300], [-2.0, float("nan"), 3.0]]
     with np.errstate(all="ignore"):
@@ -548,8 +549,9 @@ def test_det_sign_sampling_rejects_a_bad_point_like_the_oracle(kinetics_networks
 
 
 def test_eigen_convergence_matches_fresh_systems(kinetics_networks, monkeypatch):
-    """Reports built through ``with_rates`` equal, in every bit ``repr``
-    shows, those built from a fresh fixed system per k."""
+    """Reports whose fixed systems share the fixed network's cached
+    tables equal, in every bit ``repr`` shows, those whose fixed system
+    at each k is built from fresh tables, on an equal new ``Network``."""
     grid = [float(k) for k in np.geomspace(1.0, 1e6, 7)]
     systems = _one_step_systems(kinetics_networks, random.Random(7))
     new = [
@@ -557,9 +559,11 @@ def test_eigen_convergence_matches_fresh_systems(kinetics_networks, monkeypatch)
         for sys, report in systems
     ]
     monkeypatch.setattr(
-        kinetics.MassActionSystem,
-        "with_rates",
-        lambda self, rates: kinetics.MassActionSystem(self.network, rates),
+        spectra,
+        "_fixed_system",
+        lambda sys, report, k: kinetics.MassActionSystem(
+            _uncached(report.result), tuple(sys.rates) + (float(k),)
+        ),
     )
     old = [
         spectra.eigen_convergence(sys, report, [1.0] * (sys.species_count + 1), grid)
@@ -568,27 +572,38 @@ def test_eigen_convergence_matches_fresh_systems(kinetics_networks, monkeypatch)
     assert [repr(r) for r in new] == [repr(r) for r in old]
 
 
-def test_with_rates_matches_a_fresh_system(kinetics_networks):
+def _uncached(net):
+    """An equal ``Network`` object that holds none of ``net``'s caches."""
+    fresh = dataclasses.replace(net)
+    assert fresh == net and not hasattr(fresh, "_kinetics")
+    return fresh
+
+
+def test_cached_tables_match_a_fresh_network(kinetics_networks):
+    """A system over a network whose tables are cached, at other rates
+    than the system that built them, equals a system over an equal fresh
+    network bit for bit, and checks its rates with the same messages."""
     rng = random.Random(11)
     for net in kinetics_networks:
         base = kinetics.MassActionSystem(net, [r.rate for r in net.reactions])
         rates = [10 ** rng.uniform(-3, 3) for _ in range(net.reaction_count)]
-        swapped, fresh = base.with_rates(rates), kinetics.MassActionSystem(net, rates)
-        assert swapped.rates == fresh.rates and swapped._S is base._S
+        cached = kinetics.MassActionSystem(net, rates)
+        fresh = kinetics.MassActionSystem(_uncached(net), rates)
+        assert cached.rates == fresh.rates and cached._S is base._S and fresh._S is not base._S
         for x in _sample(rng, net.species_count, 3):
-            _same_int64(kinetics.jacobian(swapped, x), kinetics.jacobian(fresh, x))
-            _same_int64(kinetics.flux(swapped, x), kinetics.flux(fresh, x))
-        # the base system keeps its own rates
+            _same_int64(kinetics.jacobian(cached, x), kinetics.jacobian(fresh, x))
+            _same_int64(kinetics.flux(cached, x), kinetics.flux(fresh, x))
+        # the system that built the tables keeps its own rates
         _same_int64(
             kinetics.flux(base, x),
-            kinetics.flux(kinetics.MassActionSystem(net, [r.rate for r in net.reactions]), x),
+            kinetics.flux(kinetics.MassActionSystem(_uncached(net), [r.rate for r in net.reactions]), x),
         )
     count = net.reaction_count
     for bad in ([1.0] * (count - 1) + [0.0], [float("inf")] + [1.0] * (count - 1), [1.0] * (count - 1)):
         errors = []
-        for build in (base.with_rates, lambda rates: kinetics.MassActionSystem(net, rates)):
+        for network in (net, _uncached(net)):
             with pytest.raises(ValueError) as info:
-                build(bad)
+                kinetics.MassActionSystem(network, bad)
             errors.append(str(info.value))
         assert errors[0] == errors[1]
 

@@ -81,6 +81,18 @@ def test_system_validations():
         MassActionSystem(net, [float("nan")])
 
 
+def test_systems_over_one_network_share_its_tables(deficiency_jump):
+    """The rate-free tables are the network's: a second system at other
+    rates reuses S (read-only) and the flux table, and keeps its own rates."""
+    first = MassActionSystem(deficiency_jump, [1.0, 2.0, 3.0])
+    second = MassActionSystem(deficiency_jump, [4.0, 5.0, 6.0])
+    assert second._S is first._S and second._table is first._table
+    assert not first._S.flags.writeable
+    assert first.rates == (1.0, 2.0, 3.0) and second.rates == (4.0, 5.0, 6.0)
+    x = [1.0, 2.0, 3.0]
+    assert flux(second, x).tolist() == (flux(first, x) * [4.0, 2.5, 2.0]).tolist()
+
+
 def test_jacobian_matches_exact_rational_twin(corpus):
     rng = random.Random(21)
     for net in corpus[:20]:
