@@ -457,7 +457,9 @@ def _cmd_equilibria(args) -> _Outcome:
     if args.lift and x is not None:
         fix = signfix.sign_fix(net)
         if fix.steps:
-            pair = kinetics.lift_equilibrium(fix, rates, x)
+            # find_equilibrium's tolerance grows with the starting residual,
+            # so the point it accepted may sit above lift's default 1e-8
+            pair = kinetics.lift_equilibrium(fix, rates, x, tol=max(1e-8, residual))
             body["lift"] = {
                 "x_hat_f64": list(pair.x_hat),
                 "residual_original_f64": pair.residual_original,

@@ -8,10 +8,16 @@ classes) evaluated on the step's cast of characters: the fresh species
 B', the rewritten product B' + C2, and the restored complex p2*B.
 ``delta_audit`` computes phi/psi literally from their case definitions
 and cross-checks them, step by step, against from-scratch recounts of n
-and ell of every network.  The rank is not recomputed per step: each
-step is checked to be exactly the documented bordering, which raises the
-rank by one, and the rank of the final network's own S confirms the
-total.  A mismatch means the implementation is wrong, not the input.
+and ell of every network.  Each recount is one pass over the network's
+reactions (``_recount``): it indexes the complexes in first-appearance
+order and joins them into linkage classes by union-find; the audit reads
+whether a complex is present, and its class, from that index.  The
+recount stays independent of the steps: it is never updated
+incrementally from the previous network's.  The rank is not recomputed
+per step: each step is checked to be exactly the documented bordering,
+which raises the rank by one, and the rank of the final network's own S
+confirms the total.  A mismatch means the implementation is wrong, not
+the input.
 
 Also here: the decomposition S v(x) = Y A_k psi(x) of the right-hand
 side through complex space (Y lists complex coefficients, A_k is the
@@ -34,23 +40,24 @@ from .signcheck import find_bad_submatrices
 from .signfix import FixReport, FixStep
 
 
-def complexes_of(net: Network) -> List[Complex]:
-    """Distinct complexes in first-appearance order (reactant, product)."""
-    seen: Dict[Complex, None] = {}
-    for reaction in net.reactions:
-        seen.setdefault(reaction.reactant)
-        seen.setdefault(reaction.product)
-    return list(seen)
+def _recount(net: Network) -> Tuple[Dict[Complex, int], List[FrozenSet[int]]]:
+    """Complexes and linkage classes of ``net``, counted from scratch in
+    one pass over its reactions.
 
-
-def _linkage_classes(net: Network, complexes: Sequence[Complex]) -> List[FrozenSet[int]]:
-    """Connected components of the graph with one edge per reaction.
-
-    A reversible pair contributes the same undirected edge twice, which
-    changes nothing.  Components are ordered by smallest member.
+    Each reaction side gets the next index on first appearance (reactant,
+    then product), so the dict lists the complexes in first-appearance
+    order.  The linkage classes are the connected components of the graph
+    with one edge per reaction, found by union-find over those indices;
+    a union keeps the smaller root, so each root is its class's smallest
+    member and the classes come out ordered by it.  A reversible pair
+    contributes the same undirected edge twice, which changes nothing.
     """
-    index = {c: i for i, c in enumerate(complexes)}
-    parent = list(range(len(complexes)))
+    index: Dict[Complex, int] = {}
+    edges = [
+        (index.setdefault(r.reactant, len(index)), index.setdefault(r.product, len(index)))
+        for r in net.reactions
+    ]
+    parent = list(range(len(index)))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -58,15 +65,21 @@ def _linkage_classes(net: Network, complexes: Sequence[Complex]) -> List[FrozenS
             a = parent[a]
         return a
 
-    for reaction in net.reactions:
-        ra, rb = find(index[reaction.reactant]), find(index[reaction.product])
+    for a, b in edges:
+        ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
+    # a root is its class's smallest member, so roots are met in increasing order
     groups: Dict[int, List[int]] = {}
-    for i in range(len(complexes)):
+    for i in range(len(parent)):
         groups.setdefault(find(i), []).append(i)
-    return [frozenset(members) for _, members in sorted(groups.items())]
+    return index, [frozenset(members) for members in groups.values()]
+
+
+def complexes_of(net: Network) -> List[Complex]:
+    """Distinct complexes in first-appearance order (reactant, product)."""
+    return list(_recount(net)[0])
 
 
 @dataclass(frozen=True)
@@ -84,20 +97,14 @@ class DeficiencyReport:
 def deficiency(net: Network) -> DeficiencyReport:
     """Count complexes and linkage classes; s is the exact rank of S,
     cached on the network's S (see ``exactla.rank``)."""
-    return _counted(net, exactla.rank(stoichiometric_matrix(net)))
-
-
-def _counted(net: Network, s: int) -> DeficiencyReport:
-    """The deficiency report of ``net`` for a rank s of S already known."""
-    complexes = complexes_of(net)
-    classes = _linkage_classes(net, complexes)
-    n, ell = len(complexes), len(classes)
+    index, classes = _recount(net)
+    n, ell, s = len(index), len(classes), exactla.rank(stoichiometric_matrix(net))
     return DeficiencyReport(
         n=n,
         ell=ell,
         s=s,
         delta=n - ell - s,
-        complexes=tuple(complexes),
+        complexes=tuple(index),
         classes=tuple(classes),
     )
 
@@ -145,8 +152,12 @@ def _check_bordering(step: FixStep, before: Network, after: Network) -> None:
         or len(after.reactions) != r + 1
     ):
         raise AssertionError("step does not add exactly one species and one reaction")
-    if not 0 <= ell < r or any(
-        a != b for j, (a, b) in enumerate(zip(before.reactions, after.reactions)) if j != ell
+    # Tuple comparison tests each pair by identity before ``==``, so the
+    # reactions a step shares with its parent cost no field comparison.
+    if (
+        not 0 <= ell < r
+        or before.reactions[:ell] != after.reactions[:ell]
+        or before.reactions[ell + 1:] != after.reactions[ell + 1:r]
     ):
         raise AssertionError("step changed a reaction other than its column")
     old = before.reactions[ell]
@@ -170,10 +181,13 @@ def delta_audit(report: FixReport) -> List[DeltaAudit]:
     Per step: the step must be exactly the documented bordering (see
     ``_check_bordering``); phi and psi are evaluated verbatim from their
     case definitions; n and ell of the new network are recounted from
-    scratch, the previous network's recount is reused; Delta-n must equal
-    the phi sum and Delta-ell the psi sum; and each step must satisfy
-    ds = 1, 1 <= dn <= 3, dl <= 2, and 0 <= ddelta <= 1.  The bordering
-    check makes ds = 1 exact, so the rank is carried forward.
+    scratch by one pass over its reactions (``_recount``), and the
+    previous network's recount is reused; Delta-n must equal the phi sum
+    and Delta-ell the psi sum; and each step must satisfy 1 <= dn <= 3,
+    dl <= 2, and 0 <= ddelta <= 1.  Whether a complex is in a network,
+    and which linkage class holds it, is read from that recount's
+    complex index.  The bordering check makes ds = 1 exact, so the rank
+    is carried forward.
 
     Once: the rank of the final network's S, read from that matrix and
     never inferred from the steps, must be the original rank plus the
@@ -187,15 +201,15 @@ def delta_audit(report: FixReport) -> List[DeltaAudit]:
     audits: List[DeltaAudit] = []
     if not report.steps:
         return audits
-    pre = deficiency(report.original)
-    s0 = pre.s
+    s0 = exactla.rank(stoichiometric_matrix(report.original))
+    pre_index, pre_classes = _recount(report.original)
     for step, before, after in zip(report.steps, report.networks, report.networks[1:]):
         _check_bordering(step, before, after)
-        post = _counted(after, pre.s + 1)
-        dn = post.n - pre.n
-        dl = post.ell - pre.ell
-        ds = post.s - pre.s
-        ddelta = post.delta - pre.delta
+        post_index, post_classes = _recount(after)
+        dn = len(post_index) - len(pre_index)
+        dl = len(post_classes) - len(pre_classes)
+        ds = 1  # exact: _check_bordering found the documented bordering
+        ddelta = dn - dl - ds
 
         q, p2 = step.zeroed_entry
         p2b = Complex.from_dict({q: p2})
@@ -204,24 +218,20 @@ def delta_audit(report: FixReport) -> List[DeltaAudit]:
         # _check_bordering made old_product p2*B + C2, so C2 is the rest.
         c2_nonempty = any(j != q for j, _ in old_product.terms)
 
-        pre_complexes = set(pre.complexes)
-        post_complexes = set(post.complexes)
-        post_index = {c: i for i, c in enumerate(post.complexes)}
-
         phi_rewritten = (
-            2 if c2_nonempty and old_product in post_complexes else 1
+            2 if c2_nonempty and old_product in post_index else 1
         )
-        phi_restored = 1 if p2b not in pre_complexes else 0
+        phi_restored = 1 if p2b not in pre_index else 0
 
-        bprime_class = _class_of(post.classes, post_index[rewritten_product])
-        if old_product in post_complexes:
+        bprime_class = _class_of(post_classes, post_index[rewritten_product])
+        if old_product in post_index:
             disjoint = not (
-                bprime_class & _class_of(post.classes, post_index[old_product])
+                bprime_class & _class_of(post_classes, post_index[old_product])
             )
             psi_rewritten = 1 if disjoint else 0
         else:
             psi_rewritten = 0
-        psi_fresh = 1 if (p2b not in pre_complexes and c2_nonempty) else 0
+        psi_fresh = 1 if (p2b not in pre_index and c2_nonempty) else 0
 
         if dn != phi_rewritten + phi_restored:
             raise AssertionError(
@@ -233,8 +243,6 @@ def delta_audit(report: FixReport) -> List[DeltaAudit]:
                 f"linkage count changed by {dl} but psi predicts "
                 f"{psi_rewritten + psi_fresh}"
             )
-        if ds != 1:
-            raise AssertionError(f"rank changed by {ds}, expected exactly 1")
         if not (1 <= dn <= 3 and dl <= 2 and 0 <= ddelta <= 1):
             raise AssertionError(
                 f"step deltas out of range: dn={dn}, dl={dl}, ddelta={ddelta}"
@@ -243,7 +251,7 @@ def delta_audit(report: FixReport) -> List[DeltaAudit]:
             DeltaAudit(dn, dl, ds, ddelta, (phi_rewritten, phi_restored),
                        (psi_rewritten, psi_fresh))
         )
-        pre = post
+        pre_index, pre_classes = post_index, post_classes
 
     final = exactla.rank(stoichiometric_matrix(report.result))
     if final != s0 + len(report.steps):
@@ -315,8 +323,8 @@ def complexes_decomposition(sys: MassActionSystem) -> Decomposition:
     ``kinetics.MonomialTable`` with start 1.0, evaluated like the fluxes.
     """
     net = sys.network
-    complexes = complexes_of(net)
-    index = {c: i for i, c in enumerate(complexes)}
+    index = _recount(net)[0]
+    complexes = list(index)
     y_rows = [[Fraction(0)] * len(complexes) for _ in range(net.species_count)]
     y_float = np.zeros((net.species_count, len(complexes)))
     for c, cx in enumerate(complexes):

@@ -221,6 +221,49 @@ class Network:
                     "invalid reversible pairing"
                 )
 
+    @classmethod
+    def _bordered(
+        cls,
+        net: "Network",
+        species: Species,
+        ell: int,
+        rewritten: Reaction,
+        added: Reaction,
+    ) -> "Network":
+        """``net`` after one fixing step: ``species`` (B') appended,
+        reaction l replaced by ``rewritten`` (its product has p2*B swapped
+        for one B'), ``added`` (B' -> p2*B) appended, and every reversible
+        pair that contains l dropped.  Only ``signfix._rewrite`` calls it.
+
+        The tuples are spliced and ``__post_init__`` is skipped, because
+        each of its checks holds by construction when ``net`` passed them:
+
+        - names stay unique, since B' is a name ``net`` does not have;
+        - B' has index d, the next position;
+        - every index is in range, since only B' (index d) is new;
+        - every species stays referenced: q, dropped from reaction l's
+          product, is the product of ``added``, and B' is in both;
+        - no reaction gains a species on both sides: reaction l's product
+          gains only B', which no reactant holds, and ``added`` has B' on
+          one side and q on the other;
+        - every kept pair names two unchanged reactions, still mirror
+          images and still in range.
+
+        Equality, hash and repr equal those of the validated
+        ``Network(...)`` of the same fields (the tests check this on
+        every fix chain).
+        """
+        bordered = cls.__new__(cls)
+        fields = {
+            "species": net.species + (species,),
+            "reactions": net.reactions[:ell] + (rewritten,) + net.reactions[ell + 1:] + (added,),
+            "reversible_pairs": tuple(p for p in net.reversible_pairs if ell not in p),
+            "allow_catalysts": net.allow_catalysts,
+        }
+        for name, value in fields.items():
+            object.__setattr__(bordered, name, value)
+        return bordered
+
     @property
     def species_count(self) -> int:
         return len(self.species)

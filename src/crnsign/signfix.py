@@ -137,7 +137,12 @@ def fix_one(net: Network, cls: BadClass, rate: float = 1.0) -> Tuple[Network, Fi
 def _rewrite(net: Network, cls: BadClass, rate: float) -> Tuple[Network, FixStep]:
     """The rewrite of ``fix_one`` without its stale-class check.
 
-    p2 is read from reaction l itself, so S is not built.
+    p2 is read from reaction l itself, so S is not built.  The two new
+    reactions are validated as they are built; the stepped network is
+    spliced by ``Network._bordered`` without re-validating the reactions
+    it keeps, since the fresh name and the rewrite keep every network
+    invariant (its docstring gives the argument).  A step so costs its
+    own change, not the size of the network.
     """
     if not (rate > 0 and math.isfinite(rate)):
         raise ValueError("added rate constant must be finite and strictly positive")
@@ -153,7 +158,6 @@ def _rewrite(net: Network, cls: BadClass, rate: float) -> Tuple[Network, FixStep
     taken = {s.name for s in net.species}
     name = _fresh_species_name(net.species[q].name, taken)
     new_index = net.species_count
-    species = net.species + (Species(name, new_index),)
 
     rewritten_terms = dict(reaction.product.terms)
     del rewritten_terms[q]
@@ -169,24 +173,14 @@ def _rewrite(net: Network, cls: BadClass, rate: float) -> Tuple[Network, FixStep
         Complex.from_dict({q: p2}),
         float(rate),
     )
-    reactions = list(net.reactions)
-    reactions[ell] = rewritten
-    reactions.append(added)
-    pairs = tuple(p for p in net.reversible_pairs if ell not in p)
-
-    fixed = Network(
-        species,
-        tuple(reactions),
-        pairs,
-        allow_catalysts=net.allow_catalysts,
-    )
+    fixed = Network._bordered(net, Species(name, new_index), ell, rewritten, added)
     step = FixStep(
         target_class=cls,
         modified_column=ell,
         zeroed_entry=(q, p2),
         added_species=name,
         added_species_index=new_index,
-        added_reaction_index=len(reactions) - 1,
+        added_reaction_index=net.reaction_count,
         added_rate=float(rate),
     )
     return fixed, step
@@ -196,14 +190,16 @@ def _is_still_bad(net: Network, cls: BadClass) -> bool:
     """True iff every member of ``cls`` is still a bad submatrix of net.
 
     Reads the four entries of each member from the reactions, so S is not
-    built.
+    built: entry (i, j) is positive iff reaction j produces more of i than
+    it consumes, and negative iff less.
     """
     for member in cls.members:
         for i in member.rows:
             for j in member.cols:
                 reaction = net.reactions[j]
-                value = reaction.product.coefficient(i) - reaction.reactant.coefficient(i)
-                if not (value > 0 if (i, j) == member.positive_at else value < 0):
+                made = reaction.product.coefficient(i)
+                used = reaction.reactant.coefficient(i)
+                if not (made > used if (i, j) == member.positive_at else made < used):
                     return False
     return True
 

@@ -21,10 +21,17 @@ per-term ``monomials`` loop and the point-by-point ``det_sign_sampling``
 as they were before one monomial table per system and the stacked
 sample Jacobians replaced them; and ``kernel_correspondence_check`` with
 its ``_kernel_vectors`` as they were before each matrix cached its
-integer images and kernel vectors.  The
+integer images and kernel vectors; and the fixing step (``fix_one``
+with ``_rewrite`` and ``_fresh_species_name``, each stepped network built
+through the validating ``Network`` constructor), ``complexes_of``,
+``_linkage_classes`` and ``deficiency`` (ranked by ``rank`` here) as they
+were before a step spliced its network without re-validating it and the
+recount became one pass.  The
 ``sign_fix`` oracle enumerates its classes with that
-``find_bad_submatrices``.  Production code does not use them; the tests
-compare the package's versions against them on the same inputs.
+``find_bad_submatrices`` and steps with that ``fix_one``; the
+``delta_audit`` oracle recounts with that ``deficiency``.  Production
+code does not use them; the tests compare the package's versions against
+them on the same inputs.
 
 The oracles' own helpers ``to_float_rows``, ``multiply_vector`` and
 ``sign_of`` were ``RationalMatrix`` and ``Sign`` methods that only the
@@ -36,18 +43,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from crnsign.deficiency import DeltaAudit, _class_of, deficiency
-from crnsign.deficiency import complexes_of
+from crnsign.deficiency import DeficiencyReport, DeltaAudit, _class_of
 from crnsign.exactla import ConservationResult, KernelBasis, Vector
 from crnsign.kinetics import Terms, _check_state, jacobian
 from crnsign.model import (
     Complex,
     Network,
     RationalMatrix,
+    Reaction,
+    Species,
     stoichiometric_matrix,
     validate_reaction_form,
 )
@@ -59,7 +67,7 @@ from crnsign.signcheck import (
     SignStatusMatrix,
     Status,
 )
-from crnsign.signfix import FixReport, FixStep, default_order, fix_one
+from crnsign.signfix import FixReport, FixStep, default_order
 from crnsign.spectra import DetSignSample, _fixed_system, _single_step
 
 
@@ -82,6 +90,97 @@ def sign_of(value) -> Sign:
     if value < 0:
         return Sign.MINUS
     return Sign.ZERO
+
+
+def _fresh_species_name(base: str, taken: set) -> str:
+    candidate = base + "'"
+    while candidate in taken:
+        candidate += "'"
+    return candidate
+
+
+def fix_one(net: Network, cls: BadClass, rate: float = 1.0) -> Tuple[Network, FixStep]:
+    """Apply one fixing step at the given class.
+
+    Reaction l's product term p2*B is replaced by one unit of a fresh
+    primed species, and a reaction (fresh species) -> p2*B with the given
+    rate is appended.
+
+    Raises:
+        ValueError: if ``cls`` is stale (its positive entry is no longer a
+            current bad class of the network), or if the rate is not
+            finite and strictly positive.
+    """
+    S = stoichiometric_matrix(net)
+    q, ell = cls.positive_entry
+    current = {c.positive_entry for c in find_bad_submatrices(S)}
+    if (q, ell) not in current:
+        raise ValueError(
+            f"class at entry ({q}, {ell}) is stale: not a bad class of the "
+            "current matrix"
+        )
+    fixed, step = _rewrite(net, cls, rate)
+    if step.zeroed_entry[1] != S[q, ell]:
+        raise AssertionError("matrix entry disagrees with reaction product")
+    return fixed, step
+
+
+def _rewrite(net: Network, cls: BadClass, rate: float) -> Tuple[Network, FixStep]:
+    """The rewrite of ``fix_one`` without its stale-class check.
+
+    p2 is read from reaction l itself, so S is not built.
+    """
+    if not (rate > 0 and math.isfinite(rate)):
+        raise ValueError("added rate constant must be finite and strictly positive")
+    q, ell = cls.positive_entry
+    reaction = net.reactions[ell]
+    if reaction.reactant.coefficient(q) != 0:
+        raise ValueError(
+            f"species {net.species[q].name!r} is consumed by reaction {ell}; "
+            "cannot rewrite its production"
+        )
+    p2 = reaction.product.coefficient(q)
+
+    taken = {s.name for s in net.species}
+    name = _fresh_species_name(net.species[q].name, taken)
+    new_index = net.species_count
+    species = net.species + (Species(name, new_index),)
+
+    rewritten_terms = dict(reaction.product.terms)
+    del rewritten_terms[q]
+    rewritten_terms[new_index] = Fraction(1)
+    rewritten = Reaction(
+        reaction.reactant,
+        Complex.from_dict(rewritten_terms),
+        reaction.rate,
+        reaction.label,
+    )
+    added = Reaction(
+        Complex.from_dict({new_index: 1}),
+        Complex.from_dict({q: p2}),
+        float(rate),
+    )
+    reactions = list(net.reactions)
+    reactions[ell] = rewritten
+    reactions.append(added)
+    pairs = tuple(p for p in net.reversible_pairs if ell not in p)
+
+    fixed = Network(
+        species,
+        tuple(reactions),
+        pairs,
+        allow_catalysts=net.allow_catalysts,
+    )
+    step = FixStep(
+        target_class=cls,
+        modified_column=ell,
+        zeroed_entry=(q, p2),
+        added_species=name,
+        added_species_index=new_index,
+        added_reaction_index=len(reactions) - 1,
+        added_rate=float(rate),
+    )
+    return fixed, step
 
 
 def sign_fix(
@@ -213,6 +312,56 @@ def verify_permutation_relation(
         )
     return P
 
+
+def complexes_of(net: Network) -> List[Complex]:
+    """Distinct complexes in first-appearance order (reactant, product)."""
+    seen: Dict[Complex, None] = {}
+    for reaction in net.reactions:
+        seen.setdefault(reaction.reactant)
+        seen.setdefault(reaction.product)
+    return list(seen)
+
+
+def _linkage_classes(net: Network, complexes: Sequence[Complex]) -> List[FrozenSet[int]]:
+    """Connected components of the graph with one edge per reaction.
+
+    A reversible pair contributes the same undirected edge twice, which
+    changes nothing.  Components are ordered by smallest member.
+    """
+    index = {c: i for i, c in enumerate(complexes)}
+    parent = list(range(len(complexes)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for reaction in net.reactions:
+        ra, rb = find(index[reaction.reactant]), find(index[reaction.product])
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    groups: Dict[int, List[int]] = {}
+    for i in range(len(complexes)):
+        groups.setdefault(find(i), []).append(i)
+    return [frozenset(members) for _, members in sorted(groups.items())]
+
+
+def deficiency(net: Network) -> DeficiencyReport:
+    """Count complexes and linkage classes; s is the exact rank of S by
+    ``rank`` below."""
+    complexes = complexes_of(net)
+    classes = _linkage_classes(net, complexes)
+    n, ell, s = len(complexes), len(classes), rank(stoichiometric_matrix(net))
+    return DeficiencyReport(
+        n=n,
+        ell=ell,
+        s=s,
+        delta=n - ell - s,
+        complexes=tuple(complexes),
+        classes=tuple(classes),
+    )
 
 
 def delta_audit(report: FixReport) -> List[DeltaAudit]:

@@ -279,6 +279,18 @@ def test_equilibria_with_lift(capsys):
     assert body["lift"]["residual_fixed_f64"] <= 1e-7
 
 
+def test_equilibria_lifts_the_equilibrium_it_found(capsys, tmp_path):
+    """From x0 = 1 the starting residual is 12, so the solver accepts a
+    residual of 1.1e-8, above the lift's default tolerance of 1e-8: the
+    lift must take the solver's point, not fail with a traceback."""
+    net = tmp_path / "net.crn"
+    net.write_text("species A, X1, B\nA -> 0\nA + X1 + 12B -> 0\n2B -> X1\n")
+    body = _run_json(capsys, "equilibria", str(net), "--lift")
+    assert 1e-8 < body["residual_f64"] <= 1e-9 * (1 + 12)
+    assert body["lift"]["residual_original_f64"] == body["residual_f64"]
+    assert body["lift"]["residual_fixed_f64"] <= 10 * body["residual_f64"]
+
+
 def test_equilibria_failure_exit(capsys, tmp_path):
     noeq = tmp_path / "inflow.crn"
     noeq.write_text("0 -> A\n")

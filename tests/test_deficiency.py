@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import random
 
 import numpy as np
@@ -18,6 +19,9 @@ from crnsign.kinetics import MassActionSystem
 from crnsign.model import Complex, Network, Reaction, Species, stoichiometric_matrix
 from crnsign.signfix import FixReport, sign_fix
 from crnsign.textio import parse_network
+
+# the package re-exports the function ``deficiency`` under the module's name
+deficiency_module = importlib.import_module("crnsign.deficiency")
 
 
 def _unit_system(net):
@@ -168,6 +172,58 @@ def test_audit_rejects_other_reaction_changed(deficiency_jump):
     forged = FixReport(report.steps, tuple(networks), report.order)
     with pytest.raises(AssertionError, match="other than its column"):
         delta_audit(forged)
+
+
+@pytest.mark.parametrize("offset", ["ell-1", "ell+1", "r-1"])
+def test_audit_rejects_a_neighbour_of_the_column_changed(conserving_family, offset):
+    """Reactions l-1 and l+1 and the last reaction the step kept sit at
+    the bounds of the unchanged slices: a changed rate there, which moves
+    no count and no rank, must still fail the bordering check.  The last
+    step is forged, so no later step can catch the change instead."""
+    report = sign_fix(conserving_family)
+    k = len(report.steps) - 1
+    step, after = report.steps[k], report.networks[k + 1]
+    ell, r = step.modified_column, report.networks[k].reaction_count
+    j = {"ell-1": ell - 1, "ell+1": ell + 1, "r-1": r - 1}[offset]
+    assert (ell, r) == (4, 10)
+    reactions = list(after.reactions)
+    reactions[j] = dataclasses.replace(reactions[j], rate=123.0)
+    networks = list(report.networks)
+    networks[k + 1] = dataclasses.replace(after, reactions=tuple(reactions))
+    forged = FixReport(report.steps, tuple(networks), report.order)
+    with pytest.raises(AssertionError, match="other than its column"):
+        delta_audit(forged)
+
+
+def test_fix_chain_work_counts(large_networks, monkeypatch):
+    """A fixing step splices its network without re-validating it, and the
+    audit recounts every network of the chain from scratch exactly once."""
+    validations = []
+    post_init = Network.__post_init__
+
+    def counted_post_init(self):
+        validations.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Network, "__post_init__", counted_post_init)
+    recounts = []
+    recount = deficiency_module._recount
+
+    def counted_recount(net):
+        recounts.append(net)
+        return recount(net)
+
+    monkeypatch.setattr(deficiency_module, "_recount", counted_recount)
+    for net in large_networks:
+        validations.clear()
+        report = sign_fix(net)
+        assert len(report.steps) > 50
+        assert validations == []
+        recounts.clear()
+        delta_audit(report)
+        assert [id(n) for n in recounts] == [id(n) for n in report.networks]
+    Network(net.species, net.reactions)
+    assert len(validations) == 1
 
 
 def test_audit_rejects_wrong_zeroed_value(two_ambiguous):

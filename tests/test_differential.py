@@ -1,4 +1,5 @@
-"""The one-pass sign fix, the incremental-rank audit, the index-permuted
+"""The one-pass sign fix with its spliced stepped networks, the
+incremental-rank audit with its one-pass recount, the index-permuted
 order relation, the integer exact core, the elimination with deferred
 row scalings, the mass-action float kernel with its monomial table, the
 stacked determinant-sign sampling, the integer sign layer and the
@@ -50,10 +51,23 @@ def _shuffled_orders(net, rng, count):
     return orders
 
 
+def _assert_validated(net):
+    """A network spliced by a fixing step is the one the validating
+    constructor builds from the same fields."""
+    built = Network(
+        net.species, net.reactions, net.reversible_pairs, allow_catalysts=net.allow_catalysts
+    )
+    assert net == built
+    assert hash(net) == hash(built)
+    assert repr(net) == repr(built)
+
+
 def _assert_same_run(net, order=None):
     report = sign_fix(net, order=order)
     assert report == oracles.sign_fix(net, order=order)
     assert delta_audit(report) == oracles.delta_audit(report)
+    for stepped in report.networks:
+        _assert_validated(stepped)
     return report
 
 
@@ -64,6 +78,11 @@ def test_fix_and_audit_match_oracles_on_fixtures(name):
 
 def test_fix_and_audit_match_oracles_on_corpus(corpus):
     for net in corpus:
+        _assert_same_run(net)
+
+
+def test_fix_and_audit_match_oracles_on_large_networks(large_networks):
+    for net in large_networks:
         _assert_same_run(net)
 
 
