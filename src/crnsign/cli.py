@@ -428,8 +428,6 @@ def _cmd_deficiency(args) -> _Outcome:
 
 def _cmd_equilibria(args) -> _Outcome:
     if args.simulate:
-        if not all(math.isfinite(v) and v > 0 for v in (args.t_end, args.dt)):
-            raise _InputError("--t-end and --dt must be finite and positive")
         _checked(kinetics.step_count, args.t_end, args.dt)
     net = _load_network(args)
     rates = _rates_for(net, args.rates)

@@ -143,29 +143,25 @@ def _eliminate(
     below each pivot are updated: the pivots, D and the sign are the same,
     but the rows are left in echelon form.
 
-    A row with a zero in the pivot column is only scaled by piv / prev.
-    That scaling is deferred: row i is kept as a stored row times a
-    pending factor num[i] / den[i].  Consecutive scalings telescope:
-    every step scales or settles each row it updates, so a pending row
-    has num[i] = prev, and its factor becomes piv / den[i] (a settled
-    row's becomes piv / prev); it never grows.  A row is settled (each
-    stored x becomes x * num // den) before it is the pivot row or is
-    updated with a nonzero entry in the pivot column, and every row is
-    settled at the end.  Settling divides exactly, because the settled entry is
-    the Bareiss integer the eager update would have stored; the update's
-    own division by prev is exact only on that settled row.  A nonzero
-    factor keeps zeros zero, so the pivot search and the zero test read
-    the stored rows.  Rows, pivots, D and sign are those of the eager
+    A row with a zero in the pivot column would only be scaled by
+    piv / prev, so it is left as it is, and ``level[i]`` records the
+    pivot row i was last brought up to.  The skipped factors telescope:
+    settling the row (x becomes x * prev // level[i]) applies them all at
+    once, and divides exactly, since the result is the Bareiss integer
+    the eager update would have stored.  A row is settled before it is
+    the pivot row or is updated, and at the end every row (with
+    ``reduce``) or every row below the last pivot (without) is settled.
+    A nonzero factor keeps zeros zero, so the pivot search reads the
+    stored rows.  Rows, pivots, D and sign are those of the eager
     elimination.
     """
     height = len(a)
-    num, den = [1] * height, [1] * height
+    level = [1] * height
 
     def settle(i: int) -> None:
-        n, d = num[i], den[i]
-        if n != d:
-            a[i] = [x * n // d for x in a[i]]
-        num[i] = den[i] = 1
+        if level[i] != prev:
+            a[i] = [x * prev // level[i] for x in a[i]]
+            level[i] = prev
 
     pivots: List[int] = []
     prev, sign = 1, 1
@@ -178,23 +174,19 @@ def _eliminate(
             continue
         if p != r:
             a[r], a[p] = a[p], a[r]
-            num[r], num[p] = num[p], num[r]
-            den[r], den[p] = den[p], den[r]
+            level[r], level[p] = level[p], level[r]
             sign = -sign
         settle(r)
         pivot_row, piv = a[r], a[r][c]
         for i in range(height) if reduce else range(r + 1, height):
-            if i == r:
-                continue
-            if a[i][c] == 0:
-                # times piv / prev; num[i] is prev unless the row is settled
-                num[i], den[i] = piv, den[i] if num[i] == prev else prev
-            else:
+            if i != r and a[i][c] != 0:
                 settle(i)
                 a[i] = _update(a[i], pivot_row, piv, prev, c)
+                level[i] = piv
+        level[r] = piv
         pivots.append(c)
         prev = piv
-    for i in range(height):
+    for i in range(0 if reduce else len(pivots), height):
         settle(i)
     return a, pivots, prev, sign
 
@@ -445,7 +437,7 @@ def is_conserving(S: RationalMatrix) -> ConservationResult:
         return ConservationResult(False, None)
     u, denom = solved
     scaled = [denom + value for value in u]
-    if any(_dot(row, scaled) for row in _integer_rows(equations)) or any(
+    if any(_dot(row, scaled) for row in _integer_image(S, "left")) or any(
         value < denom for value in scaled
     ):
         raise AssertionError("simplex returned an invalid conservation witness")

@@ -9,12 +9,12 @@ right-hand side factors as S V'(x) with V'[k][j] = v_k(x) e_kj / x_j
 cross-checking.
 
 The float tables do not depend on the rates, so the first
-``MassActionSystem`` over a ``Network`` builds them from the reaction
-terms and keeps them on that network, as ``stoichiometric_matrix`` keeps
-S: the float S (each nonzero exact net coefficient converted by
-``float``), the sparse reactant terms as index arrays for the Jacobian,
-and a ``MonomialTable`` for the fluxes.  Every system over that network
-shares them and adds only its rates.  No ``Fraction`` arithmetic runs per
+``MassActionSystem`` over a ``Network`` builds them and keeps them on
+that network, as ``stoichiometric_matrix`` keeps S: the float S (the
+entries of that exact S converted by ``float``), the sparse reactant
+terms as index arrays for the Jacobian, and a ``MonomialTable`` for the
+fluxes.  Every system over that network shares them and adds only its
+rates.  No ``Fraction`` arithmetic runs per
 evaluation.  The table evaluates start times prod x_j ** e_j for every
 reaction at once, for one state or a stack of states, with the rates as
 starts; the complex monomials of ``deficiency.complexes_decomposition``
@@ -149,14 +149,12 @@ def _rate_free_tables(network: Network) -> Tuple:
         return network._kinetics
     except AttributeError:
         pass
+    # The exact S, converted where a reaction has a term (the rest is 0).
+    exact = stoichiometric_matrix(network).entries()
     S = np.zeros((network.species_count, network.reaction_count))
     for k, r in enumerate(network.reactions):
-        net_terms: Dict[int, Fraction] = dict(r.product.terms)
-        for j, c in r.reactant.terms:
-            net_terms[j] = net_terms.get(j, 0) - c
-        for j, c in net_terms.items():
-            if c:
-                S[j, k] = float(c)
+        for j, _ in r.reactant.terms + r.product.terms:
+            S[j, k] = float(exact[j][k])
     # Reactant exponents, sparse per reaction: [(species, exponent), ...]
     exponents: Terms = tuple(
         tuple((j, float(c)) for j, c in r.reactant.terms) for r in network.reactions
@@ -456,11 +454,14 @@ def step_count(t_end: float, dt: float) -> int:
     """The number of fixed steps ``simulate`` takes from 0 to t_end.
 
     Raises:
-        ValueError: if t_end or dt is not positive, or the step count
-            t_end / dt is not finite or exceeds ``MAX_STEPS``.
+        ValueError: if t_end or dt is not positive, dt is not finite, or
+            the step count t_end / dt is not finite or exceeds
+            ``MAX_STEPS``.
     """
     if not (t_end > 0 and dt > 0):
         raise ValueError("t_end and dt must be positive")
+    if dt == math.inf:
+        raise ValueError("dt must be finite")
     ratio = t_end / dt
     if not math.isfinite(ratio):
         raise ValueError(f"the step count t_end / dt = {ratio} is not finite")
@@ -487,10 +488,10 @@ def simulate(
     holds (steps + 1) * d * 8 bytes, plus 8 bytes per step for the times.
 
     Raises:
-        ValueError: if t_end or dt is not positive, or the step count
-            t_end / dt is not finite or exceeds ``MAX_STEPS`` (see
-            ``step_count``); if x0 is not finite or has a negative
-            coordinate (zeros are allowed).
+        ValueError: if t_end or dt is not positive, dt is not finite, or
+            the step count t_end / dt is not finite or exceeds
+            ``MAX_STEPS`` (see ``step_count``); if x0 is not finite or
+            has a negative coordinate (zeros are allowed).
     """
     steps = step_count(t_end, dt)
     x = _check_state(sys, x0, positive=False)

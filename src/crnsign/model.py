@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
-SPECIES_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
+# The species-name rule, ASCII only; ``textio``'s scanner reads names with it.
+SPECIES_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 RationalLike = Union[int, str, Fraction]
 
@@ -47,7 +48,7 @@ class Species:
     index: int
 
     def __post_init__(self) -> None:
-        if not SPECIES_NAME_RE.match(self.name):
+        if not SPECIES_NAME_RE.fullmatch(self.name):
             raise ValueError(f"invalid species name {self.name!r}")
         if self.index < 0:
             raise ValueError("species index must be nonnegative")

@@ -1,32 +1,45 @@
-"""Plain-text reaction-network format: parser, serializer, JSON helpers.
+r"""Plain-text reaction-network format: parser, serializer, JSON helpers.
 
-Grammar (authoritative)::
+Grammar (authoritative).  A line is scanned into tokens, each one match
+of ``_TOKEN_RE``, with blanks (space and tab) between them::
 
-    file    := (line NEWLINE)*
-    line    := reaction | directive | comment | blank
-    comment := '#' anything
+    NUMBER | IDENT | '+' | '->' | '<->' | ';' | ',' | '='
+    NUMBER := [0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+|/[0-9]+)?
+    IDENT  := [A-Za-z_][A-Za-z0-9_']*        (``model.SPECIES_NAME_RE``)
+
+``#`` ends the line.  Any other character, a non-ASCII letter or digit
+included, is an "unexpected character" error at its own column.  The
+tokens of a line then form::
+
+    line      := reaction | directive | blank
     directive := 'species' IDENT (',' IDENT)*
     reaction  := complex arrow complex [';' rates]
-    complex := '0' | term ('+' term)*
-    term    := [coeff] IDENT
-    coeff   := positive integer, decimal, or p/q
-    arrow   := '->' | '<->'
-    rates   := 'k=' NUM            (for '->')
-             | 'kf=' NUM ',' 'kr=' NUM   (for '<->')
+    complex   := '0' | term ('+' term)*
+    term      := [NUMBER] IDENT
+    arrow     := '->' | '<->'
+    rates     := 'k' '=' NUMBER                        (for '->')
+               | 'kf' '=' NUMBER ',' 'kr' '=' NUMBER   (for '<->', either order)
+
+Coefficients are exact ``Fraction`` values and rates are
+``float(Fraction(text))``; both must be strictly positive.  A NUMBER
+with more digits than Python's int-to-str limit (4,300 by default),
+counting its significant digits plus its decimal exponent, is a
+``bad-coefficient`` error, since no report could print it.
 
 Whitespace between tokens is insignificant (``2B`` and ``2 B`` are both
-accepted).  Identifiers match ``[A-Za-z_][A-Za-z0-9_']*``.  A ``species``
-directive pins the species (row) order explicitly; species not covered by
-a directive are ordered by first appearance in the file.  ``<->`` expands
-to two irreversible reactions, forward first.
+accepted).  A ``species`` directive pins the species (row) order
+explicitly; species not covered by a directive are ordered by first
+appearance in the file.  ``<->`` expands to two irreversible reactions,
+forward first.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
+import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .model import (
     SPECIES_NAME_RE,
@@ -61,84 +74,35 @@ class ParseError(Exception):
         self.kind = kind
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # IDENT NUMBER PLUS ARROW SEMI COMMA EQUALS END
     text: str
     column: int  # 1-based
 
 
+# One token.  BAD takes any character but a blank, so ``finditer`` skips
+# only the blanks between tokens; COMMENT ends the line.
+_TOKEN_RE = re.compile(
+    r"(?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+|/[0-9]+)?)"
+    rf"|(?P<IDENT>{SPECIES_NAME_RE.pattern})"
+    r"|(?P<PLUS>\+)|(?P<ARROW><?->)|(?P<SEMI>;)|(?P<COMMA>,)|(?P<EQUALS>=)"
+    r"|(?P<COMMENT>#)|(?P<BAD>[^ \t])"
+)
+
+# Python's default int-to-str limit; it bounds a number's digits where the
+# limit is switched off (0) or missing (Python before 3.10.7) too.
+_DEFAULT_MAX_DIGITS = 4300
+
+
 def _tokenize(line: str, lineno: int) -> List[_Token]:
     tokens: List[_Token] = []
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch in " \t":
-            i += 1
-            continue
-        col = i + 1
-        if ch == "#":
+    for match in _TOKEN_RE.finditer(line):
+        kind = match.lastgroup
+        if kind == "COMMENT":
             break
-        if ch.isdigit():
-            j = i + 1
-            while j < n and line[j].isdigit():
-                j += 1
-            if j < n and line[j] == "." and j + 1 < n and line[j + 1].isdigit():
-                j += 1
-                while j < n and line[j].isdigit():
-                    j += 1
-            if (
-                j < n
-                and line[j] in "eE"
-                and j + 1 < n
-                and (
-                    line[j + 1].isdigit()
-                    or (line[j + 1] in "+-" and j + 2 < n and line[j + 2].isdigit())
-                )
-            ):
-                j += 2
-                while j < n and line[j].isdigit():
-                    j += 1
-            elif j < n and line[j] == "/" and j + 1 < n and line[j + 1].isdigit():
-                j += 2
-                while j < n and line[j].isdigit():
-                    j += 1
-            tokens.append(_Token("NUMBER", line[i:j], col))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (line[j].isalnum() or line[j] in "_'"):
-                j += 1
-            tokens.append(_Token("IDENT", line[i:j], col))
-            i = j
-            continue
-        if ch == "+":
-            tokens.append(_Token("PLUS", "+", col))
-            i += 1
-            continue
-        if ch == "-" and line[i : i + 2] == "->":
-            tokens.append(_Token("ARROW", "->", col))
-            i += 2
-            continue
-        if ch == "<" and line[i : i + 3] == "<->":
-            tokens.append(_Token("ARROW", "<->", col))
-            i += 3
-            continue
-        if ch == ";":
-            tokens.append(_Token("SEMI", ";", col))
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(_Token("COMMA", ",", col))
-            i += 1
-            continue
-        if ch == "=":
-            tokens.append(_Token("EQUALS", "=", col))
-            i += 1
-            continue
-        raise ParseError(lineno, col, f"unexpected character {ch!r}")
+        if kind == "BAD":
+            raise ParseError(lineno, match.start() + 1, f"unexpected character {match[0]!r}")
+        tokens.append(_Token(kind, match[0], match.start() + 1))
     tokens.append(_Token("END", "", len(line) + 1))
     return tokens
 
@@ -169,21 +133,39 @@ class _LineParser:
             raise self.error(f"expected {what}")
         return self.advance()
 
-    def parse_coefficient(self, token: _Token) -> Fraction:
+    def parse_number(self, token: _Token, rate: bool = False) -> Union[Fraction, float]:
+        """The strictly positive value of a NUMBER token: a coefficient as
+        an exact ``Fraction``, a rate as ``float(Fraction(text))``.
+
+        A number with an exponent is refused before ``Fraction`` expands
+        it when its significant digits plus its decimal shift exceed
+        Python's int-to-str limit: no report could print it.  A long
+        literal without one is refused by ``Fraction``'s own ``int``.
+        """
+        text = token.text
         try:
-            value = Fraction(token.text)
-        except (ValueError, ZeroDivisionError):
+            head, _, exponent = text.lower().partition("e")
+            if exponent:
+                whole, _, fraction = head.partition(".")
+                digits = len((whole + fraction).lstrip("0")) + abs(int(exponent) - len(fraction))
+                limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DEFAULT_MAX_DIGITS
+                if digits > limit:
+                    raise ValueError(f"{digits} digits")
+            value = Fraction(text)
+            if rate:
+                value = float(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
             raise ParseError(
                 self.lineno,
                 token.column,
-                f"cannot read coefficient {token.text!r}",
+                f"cannot read {'rate value' if rate else 'coefficient'} {text!r}",
                 KIND_BAD_COEFFICIENT,
             )
-        if value <= 0:
+        if not value > 0:
             raise ParseError(
                 self.lineno,
                 token.column,
-                "coefficients must be strictly positive",
+                f"{'rate constants' if rate else 'coefficients'} must be strictly positive",
                 KIND_BAD_COEFFICIENT,
             )
         return value
@@ -201,7 +183,7 @@ class _LineParser:
             coeff = Fraction(1)
             if tok.kind == "NUMBER":
                 self.advance()
-                coeff = self.parse_coefficient(tok)
+                coeff = self.parse_number(tok)
                 tok = self.peek()
             if tok.kind != "IDENT":
                 raise self.error("expected a species name")
@@ -223,23 +205,7 @@ class _LineParser:
                     self.lineno, key_tok.column, f"unknown rate keyword {key_tok.text!r}"
                 )
             self.expect("EQUALS", "'='")
-            num_tok = self.expect("NUMBER", "a rate value")
-            try:
-                value = float(Fraction(num_tok.text))
-            except (ValueError, ZeroDivisionError, OverflowError):
-                raise ParseError(
-                    self.lineno,
-                    num_tok.column,
-                    f"cannot read rate value {num_tok.text!r}",
-                    KIND_BAD_COEFFICIENT,
-                )
-            if not value > 0:
-                raise ParseError(
-                    self.lineno,
-                    num_tok.column,
-                    "rate constants must be strictly positive",
-                    KIND_BAD_COEFFICIENT,
-                )
+            value = self.parse_number(self.expect("NUMBER", "a rate value"), rate=True)
             if key_tok.text in pairs:
                 raise ParseError(
                     self.lineno,

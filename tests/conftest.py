@@ -15,12 +15,14 @@ FIXTURES = ROOT / "fixtures"
 # corpus, ``large`` and ``kinetics`` networks below are its draws.
 # ``make_network`` draws reaction-form networks (d <= 8, d' <= 10 unless
 # other ranges are given); ``make_reversible_network`` draws 25 reversible
-# pairs over at most 20 species with rates in [0.5, 2].
+# pairs over at most 20 species with rates in [0.5, 2]; ``network_text``
+# writes a network as the benchmark's ``.crn`` input.
 _spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
 _gen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_gen)
 make_network = _gen.make_network
 make_reversible_network = _gen.make_reversible_network
+network_text = _gen.network_text
 
 
 def fixture_text(name: str) -> str:

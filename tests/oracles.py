@@ -26,7 +26,9 @@ with ``_rewrite`` and ``_fresh_species_name``, each stepped network built
 through the validating ``Network`` constructor), ``complexes_of``,
 ``_linkage_classes`` and ``deficiency`` (ranked by ``rank`` here) as they
 were before a step spliced its network without re-validating it and the
-recount became one pass.  The
+recount became one pass; and the character-loop ``tokenize`` of the
+``.crn`` format (Unicode ``isdigit``, ``isalpha`` and ``isalnum``) as it
+was before one token regex replaced it.  The
 ``sign_fix`` oracle enumerates its classes with that
 ``find_bad_submatrices`` and steps with that ``fix_one``; the
 ``delta_audit`` oracle recounts with that ``deficiency``.  Production
@@ -69,6 +71,7 @@ from crnsign.signcheck import (
 )
 from crnsign.signfix import FixReport, FixStep, default_order
 from crnsign.spectra import DetSignSample, _fixed_system, _single_step
+from crnsign.textio import ParseError, _Token
 
 
 def to_float_rows(matrix: RationalMatrix) -> List[List[float]]:
@@ -1204,3 +1207,78 @@ def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixs
         if (all(x >= 0 for x in head)) != (all(x >= 0 for x in padded)):
             return False
     return True
+
+
+def tokenize(line: str, lineno: int) -> List[_Token]:
+    tokens: List[_Token] = []
+    i = 0
+    n = len(line)
+    while i < n:
+        ch = line[i]
+        if ch in " \t":
+            i += 1
+            continue
+        col = i + 1
+        if ch == "#":
+            break
+        if ch.isdigit():
+            j = i + 1
+            while j < n and line[j].isdigit():
+                j += 1
+            if j < n and line[j] == "." and j + 1 < n and line[j + 1].isdigit():
+                j += 1
+                while j < n and line[j].isdigit():
+                    j += 1
+            if (
+                j < n
+                and line[j] in "eE"
+                and j + 1 < n
+                and (
+                    line[j + 1].isdigit()
+                    or (line[j + 1] in "+-" and j + 2 < n and line[j + 2].isdigit())
+                )
+            ):
+                j += 2
+                while j < n and line[j].isdigit():
+                    j += 1
+            elif j < n and line[j] == "/" and j + 1 < n and line[j + 1].isdigit():
+                j += 2
+                while j < n and line[j].isdigit():
+                    j += 1
+            tokens.append(_Token("NUMBER", line[i:j], col))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (line[j].isalnum() or line[j] in "_'"):
+                j += 1
+            tokens.append(_Token("IDENT", line[i:j], col))
+            i = j
+            continue
+        if ch == "+":
+            tokens.append(_Token("PLUS", "+", col))
+            i += 1
+            continue
+        if ch == "-" and line[i : i + 2] == "->":
+            tokens.append(_Token("ARROW", "->", col))
+            i += 2
+            continue
+        if ch == "<" and line[i : i + 3] == "<->":
+            tokens.append(_Token("ARROW", "<->", col))
+            i += 3
+            continue
+        if ch == ";":
+            tokens.append(_Token("SEMI", ";", col))
+            i += 1
+            continue
+        if ch == ",":
+            tokens.append(_Token("COMMA", ",", col))
+            i += 1
+            continue
+        if ch == "=":
+            tokens.append(_Token("EQUALS", "=", col))
+            i += 1
+            continue
+        raise ParseError(lineno, col, f"unexpected character {ch!r}")
+    tokens.append(_Token("END", "", len(line) + 1))
+    return tokens

@@ -420,6 +420,38 @@ def test_numeric_warnings_do_not_precede_the_error_line():
     assert "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["é -> B", "A -> Bé", "species A, é\nA -> B", "A -> 1e5000B", "A -> 1e-5000B", "A -> ²B"],
+    ids=["non-ascii-name", "non-ascii-in-name", "non-ascii-declared", "large", "small", "superscript"],
+)
+def test_unreadable_line_is_one_positioned_error(capsys, tmp_path, text):
+    path = tmp_path / "net.crn"
+    path.write_text(text + "\n", encoding="utf-8")
+    code, out, err = _run(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: line 1, column ")
+    assert err.count("\n") == 1
+
+
+def test_huge_rate_exponent_is_refused_at_once(tmp_path):
+    """Run as a process with a timeout: building 10**100000000 before
+    reading the rate would not finish."""
+    path = tmp_path / "net.crn"
+    path.write_text("A -> B ; k=1e100000000\n", encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "crnsign.cli", "analyze", str(path)],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: {path}: line 1, column 12: cannot read rate value '1e100000000' [bad-coefficient]\n"
+    )
+
+
 def test_non_finite_report_names_the_value(capsys):
     code, _, err = _run(capsys, "spectra", ONE_AMBIGUOUS, "--rates", "1e200,1,1,1")
     assert code == 2

@@ -1,13 +1,14 @@
-"""The one-pass sign fix with its spliced stepped networks, the
-incremental-rank audit with its one-pass recount, the index-permuted
-order relation, the integer exact core, the elimination with deferred
-row scalings, the mass-action float kernel with its monomial table, the
-stacked determinant-sign sampling, the integer sign layer and the
-kernel-correspondence check on cached kernels, each against the
-implementation it replaced (``oracles``)."""
+"""The token regex of the ``.crn`` scanner, the one-pass sign fix with
+its spliced stepped networks, the incremental-rank audit with its
+one-pass recount, the index-permuted order relation, the integer exact
+core, the elimination with one level per row, the mass-action float
+kernel with its monomial table, the stacked determinant-sign sampling,
+the integer sign layer and the kernel-correspondence check on cached
+kernels, each against the implementation it replaced (``oracles``)."""
 
 import dataclasses
 import random
+import string
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import FIXTURES, load
-from crnsign import exactla, kinetics, spectra
+from conftest import FIXTURES, fixture_text, load, network_text
+from crnsign import exactla, kinetics, spectra, textio
 from crnsign.deficiency import complexes_decomposition, complexes_of, decomposition_residual, delta_audit
 from crnsign.exactla import determinant, is_conserving, kernel_basis, rank
 from crnsign.model import Complex, Network, RationalMatrix, Reaction, Species, stoichiometric_matrix
@@ -30,6 +31,62 @@ from crnsign.signcheck import (
     sign_pattern,
 )
 from crnsign.signfix import FixReport, fix_one_report, sign_fix, verify_permutation_relation
+
+
+# ------------------------------------------------------------- .crn scanner
+
+
+def _scan(tokenize, line):
+    """The tokens of a line, or the position, message and kind of its error."""
+    try:
+        return tokenize(line, 1)
+    except textio.ParseError as exc:
+        return (exc.line, exc.column, exc.message, exc.kind)
+
+
+def _assert_scans_like_oracle(line):
+    """An ASCII line scans as the character loop scanned it.  A line with a
+    non-ASCII character outside a comment is an unexpected character at
+    the first one, unless its ASCII head is an error already."""
+    first = next((i for i, ch in enumerate(line) if not ch.isascii()), len(line))
+    if first == len(line) or "#" in line[:first]:
+        assert _scan(textio._tokenize, line) == _scan(oracles.tokenize, line)
+        return
+    expected = _scan(oracles.tokenize, line[:first])
+    if isinstance(expected, list):
+        expected = (1, first + 1, f"unexpected character {line[first]!r}", "syntax")
+    assert _scan(textio._tokenize, line) == expected
+
+
+def test_scanner_matches_oracle_on_fixture_corpus_and_kinetics_lines(corpus, kinetics_networks):
+    texts = [fixture_text(p.name) for p in FIXTURES.glob("*.crn")]
+    texts += [network_text(net) for net in corpus + kinetics_networks]
+    lines = {line for text in texts for line in text.splitlines()}
+    assert len(lines) > 1000
+    for line in lines:
+        _assert_scans_like_oracle(line)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text(st.sampled_from(string.printable[:95] + "\t")))
+def test_scanner_matches_oracle_on_printable_ascii(line):
+    _assert_scans_like_oracle(line)
+
+
+# Pieces that make numbers, names and arrows, and their near misses.
+_PIECES = [
+    "0", "1", "25", ".", "5", "e", "E", "+", "-", "/", "3", "A", "B'", "_x", "k", "kf", "=",
+    ">", "<", "<->", "->", ";", ",", "#", " ", "\t", "1e-3", "2/3", "1.5e+2", "é", "²", "٣", "Ａ", "\u00a0",
+]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
+@example("A -> 1e5000B")
+@example("species A, é")
+@example("A -> Bé # é")
+def test_scanner_matches_oracle_on_grammar_pieces(line):
+    _assert_scans_like_oracle(line)
 
 
 def _class_count(net):

@@ -263,6 +263,8 @@ def test_simulate_argument_validation():
         simulate(sys, [1.0, 0.0], t_end=0.0, dt=0.1)
     with pytest.raises(ValueError):
         simulate(sys, [1.0, 0.0], t_end=1.0, dt=-0.1)
+    with pytest.raises(ValueError, match="^dt must be finite$"):
+        simulate(sys, [1.0, 0.0], t_end=1.0, dt=math.inf)
 
 
 def test_simulate_rejects_a_negative_initial_state():

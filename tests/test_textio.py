@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,53 @@ def test_error_positions_are_reported():
     assert err.value.line == 2
     assert err.value.column == 6
     assert "line 2, column 6" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [("é -> B", 1), ("A -> Bé", 7), ("species A, é", 12), ("A -> ²B", 6)],
+)
+def test_non_ascii_character_is_a_syntax_error_at_its_column(text, column):
+    """Names and digits are ASCII: the first non-ASCII character is an
+    unexpected character, not part of a name or a coefficient."""
+    with pytest.raises(ParseError) as err:
+        parse_network(text)
+    assert (err.value.line, err.value.column, err.value.kind) == (1, column, KIND_SYNTAX)
+    assert err.value.message == f"unexpected character {text[column - 1]!r}"
+
+
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+@pytest.mark.parametrize(
+    "number",
+    ["1e5000", "1e-5000", f"0.5e{LIMIT + 1}", f"7e-{LIMIT}", f"1e1{'0' * LIMIT}"],
+    ids=["large", "small", "over-by-one", "under-by-one", "long-exponent"],
+)
+def test_number_with_too_many_digits_is_a_bad_coefficient(number):
+    with pytest.raises(ParseError) as err:
+        parse_network(f"A -> {number}B")
+    assert (err.value.column, err.value.kind) == (6, KIND_BAD_COEFFICIENT)
+    assert err.value.message == f"cannot read coefficient {number!r}"
+    with pytest.raises(ParseError) as err:
+        parse_network(f"A -> B ; k={number}")
+    assert (err.value.column, err.value.kind) == (12, KIND_BAD_COEFFICIENT)
+    assert err.value.message == f"cannot read rate value {number!r}"
+
+
+@pytest.mark.parametrize(
+    "number, value",
+    [
+        (f"1e{LIMIT - 1}", Fraction(10) ** (LIMIT - 1)),
+        (f"1e-{LIMIT - 1}", Fraction(1, 10 ** (LIMIT - 1))),
+        (f"0.5e{LIMIT}", 5 * Fraction(10) ** (LIMIT - 1)),
+    ],
+    ids=["large", "small", "leading-zero"],
+)
+def test_number_at_the_digit_limit_is_read_exactly(number, value):
+    net = parse_network(f"A -> {number}B")
+    assert net.reactions[0].product.coefficient(1) == value
+    str(value)  # printable
 
 
 def test_error_identical_sides():
