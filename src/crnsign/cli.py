@@ -331,7 +331,10 @@ def _cmd_analyze(args) -> _Outcome:
         spectra_section = _convergence_section(
             _checked(
                 spectra.eigen_convergence,
-                kinetics.MassActionSystem(net, rates), one_step, x_hat, _k_grid(args.k_grid),
+                _checked(kinetics.MassActionSystem, net, rates),
+                one_step,
+                x_hat,
+                _k_grid(args.k_grid),
             )
         )
 
@@ -431,7 +434,7 @@ def _cmd_equilibria(args) -> _Outcome:
         _checked(kinetics.step_count, args.t_end, args.dt)
     net = _load_network(args)
     rates = _rates_for(net, args.rates)
-    sys_ = kinetics.MassActionSystem(net, rates)
+    sys_ = _checked(kinetics.MassActionSystem, net, rates)
     x0 = _x0_for(net, args.x0)
     body = {"x0_f64": x0, "rates_f64": rates}
     code = 0
@@ -487,7 +490,7 @@ def _cmd_equilibria(args) -> _Outcome:
 def _cmd_spectra(args) -> _Outcome:
     net = _load_network(args)
     rates = _rates_for(net, args.rates)
-    sys_ = kinetics.MassActionSystem(net, rates)
+    sys_ = _checked(kinetics.MassActionSystem, net, rates)
     one_step = _checked(signfix.fix_one_report, net)
     x_hat = _x0_for(net, args.x0) + [1.0]
     grid = _k_grid(args.k_grid)
@@ -544,7 +547,7 @@ def _cmd_graph(args) -> _Outcome:
 def _cmd_decompose(args) -> _Outcome:
     net = _load_network(args)
     rates = _rates_for(net, args.rates)
-    decomposition = complexes_decomposition(kinetics.MassActionSystem(net, rates))
+    decomposition = complexes_decomposition(_checked(kinetics.MassActionSystem, net, rates))
     rng = random.Random(args.seed)
     points = _sample_points(rng, net.species_count, args.samples)
     worst = max(decomposition.residual(p) for p in points)

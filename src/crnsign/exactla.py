@@ -1,14 +1,17 @@
 """Exact rational dense linear algebra, computed in integers.
 
-Rank, determinant and kernel bases all come from one fraction-free
-Gauss-Jordan elimination (Bareiss 1968) of the denominator-cleared rows:
-every row update divides exactly by the previous pivot, and the reduced
-rows are the last pivot times the reduced row echelon form.
+Rank, determinant, kernel bases and the characteristic polynomial all
+come from one fraction-free Gauss-Jordan elimination (Bareiss 1968) of
+the denominator-cleared rows: every row update divides exactly by the
+previous pivot, and the reduced rows are the last pivot times the
+reduced row echelon form.  The characteristic polynomial of an n x n
+matrix is interpolated from n + 1 such determinants.
 Conservation-law feasibility {m : S^t m = 0, m >= 1} is decided by a
 phase-1 simplex with Bland's rule on an integer tableau, pivoted with the
-same row update.  Fractions appear only at the API: kernel vectors,
-determinants and conservation witnesses are returned as ``Fraction``s.
-Nothing in this module ever rounds.
+same row update.  Fractions appear only at the API and in that
+interpolation: kernel vectors, determinants, characteristic polynomials
+and conservation witnesses are returned as ``Fraction``s.  Nothing in
+this module ever rounds.
 
 A rank can also be certified modulo one fixed prime ``PRIME`` < 2^31
 (the modular idea of Cabay 1971).  Reducing an integer matrix mod p can
@@ -543,26 +546,33 @@ def _positivity_transfers(padded_vectors: Sequence[Sequence[int]]) -> bool:
 def char_poly(matrix: RationalMatrix) -> List[Fraction]:
     """Coefficients of det(lambda I - M), exact, lowest degree first.
 
-    Faddeev-LeVerrier recursion; the returned list has length n+1 and is
-    monic (last coefficient 1).
+    The polynomial has degree n, so its values at the n + 1 nodes
+    lambda = 0..n fix it: each value is a ``determinant``, and Newton's
+    divided differences on those nodes (spaced 1 apart, so the k-th
+    division is by k) interpolate them in Fractions.  The returned list
+    has length n+1 and is monic (last coefficient 1).
     """
     if matrix.rows != matrix.cols:
         raise ValueError("characteristic polynomial needs a square matrix")
     n = matrix.rows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = RationalMatrix.identity(n)
-    for k in range(1, n + 1):
-        nk = matrix.multiply(mk)
-        trace = sum((nk[i, i] for i in range(n)), Fraction(0))
-        coeffs[n - k] = -trace / k
-        if k < n:
-            bump = [
+    coeffs = [
+        determinant(
+            RationalMatrix(
                 [
-                    nk[i, j] + (coeffs[n - k] if i == j else 0)
-                    for j in range(n)
+                    [(lam if i == j else 0) - v for j, v in enumerate(row)]
+                    for i, row in enumerate(matrix.entries())
                 ]
-                for i in range(n)
-            ]
-            mk = RationalMatrix(bump)
-    return coeffs
+            )
+        )
+        for lam in range(n + 1)
+    ]
+    # Divided differences in place: coeffs[k] becomes p[0, 1, ..., k].
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / k
+    # Expand the Newton form from the inside: poly = poly * (lambda - k) + coeffs[k].
+    poly = [coeffs[n]]
+    for k in range(n - 1, -1, -1):
+        inner = [a - k * b for a, b in zip(poly, poly[1:])]
+        poly = [coeffs[k] - k * poly[0]] + inner + [poly[-1]]
+    return poly

@@ -144,21 +144,32 @@ def _numpy_pow(x: float, e: float) -> float:
 def _rate_free_tables(network: Network) -> Tuple:
     """(exponents, flux table, S, rows, cols, exps) of a network, built on
     the first call and kept on it (not a field: equality, hash, repr and
-    ``dataclasses.replace`` ignore it); nothing writes to them later."""
+    ``dataclasses.replace`` ignore it); nothing writes to them later.  A
+    coefficient beyond the float range is a ``ValueError`` that names its
+    reaction and species."""
     try:
         return network._kinetics
     except AttributeError:
         pass
-    # The exact S, converted where a reaction has a term (the rest is 0).
+    # The exact S, converted where a reaction has a term (the rest is 0),
+    # and the reactant exponents, sparse per reaction: [(species, exponent), ...]
     exact = stoichiometric_matrix(network).entries()
     S = np.zeros((network.species_count, network.reaction_count))
-    for k, r in enumerate(network.reactions):
-        for j, _ in r.reactant.terms + r.product.terms:
-            S[j, k] = float(exact[j][k])
-    # Reactant exponents, sparse per reaction: [(species, exponent), ...]
-    exponents: Terms = tuple(
-        tuple((j, float(c)) for j, c in r.reactant.terms) for r in network.reactions
-    )
+    reactant_terms = []
+    try:
+        for k, r in enumerate(network.reactions):
+            for j, _ in r.reactant.terms + r.product.terms:
+                S[j, k] = float(exact[j][k])
+            term = []
+            for j, c in r.reactant.terms:
+                term.append((j, float(c)))
+            reactant_terms.append(tuple(term))
+    except OverflowError:
+        raise ValueError(
+            f"reaction R{k + 1}: a coefficient of species {network.species[j].name!r} "
+            "is beyond the float range"
+        ) from None
+    exponents: Terms = tuple(reactant_terms)
     # The same terms flattened, for the Jacobian's one scatter.
     flat = [(k, j, e) for k, terms in enumerate(exponents) for j, e in terms]
     arrays = (
@@ -270,6 +281,11 @@ def exact_jacobian(
     Requires integer reactant coefficients (rational exponentiation of a
     rational base is not exact in general).  Used as an oracle for the
     float Jacobian and for exact characteristic polynomials.
+
+    J[i][j] = sum_k S[i, k] V'[k][j] is accumulated sparsely: V'[k] is
+    nonzero only at reaction k's reactant terms and S[:, k] only at the
+    species of its terms, so each reaction adds the products of those
+    two short lists, as the float Jacobian's scatter does.
     """
     S = stoichiometric_matrix(network)
     rates = [Fraction(r) for r in rates]
@@ -278,9 +294,7 @@ def exact_jacobian(
         raise ValueError("one rate per reaction required")
     if len(xs) != network.species_count or any(v <= 0 for v in xs):
         raise ValueError("state must be strictly positive with one entry per species")
-    vprime = [
-        [Fraction(0)] * network.species_count for _ in range(network.reaction_count)
-    ]
+    rows = [[Fraction(0)] * network.species_count for _ in range(network.species_count)]
     for k, reaction in enumerate(network.reactions):
         value = rates[k]
         for j, coeff in reaction.reactant.terms:
@@ -289,15 +303,12 @@ def exact_jacobian(
                     "exact jacobian requires integer reactant coefficients"
                 )
             value *= xs[j] ** int(coeff)
+        species = dict.fromkeys(i for i, _ in reaction.reactant.terms + reaction.product.terms)
+        column = [(i, S[i, k]) for i in species if S[i, k] != 0]
         for j, coeff in reaction.reactant.terms:
-            vprime[k][j] = value * coeff / xs[j]
-    rows = [
-        [
-            sum((S[i, k] * vprime[k][j] for k in range(network.reaction_count)), Fraction(0))
-            for j in range(network.species_count)
-        ]
-        for i in range(network.species_count)
-    ]
+            slope = value * coeff / xs[j]
+            for i, s in column:
+                rows[i][j] += s * slope
     return RationalMatrix(rows)
 
 

@@ -278,10 +278,10 @@ class Network:
 
 
 class RationalMatrix:
-    """A dense matrix of exact rationals.
-
-    Immutable; all arithmetic is exact (no rounding anywhere).  Entries
-    are `fractions.Fraction`.
+    """A dense matrix of exact rationals: an immutable value with
+    construction, indexing and accessors, and no arithmetic of its own.
+    Entries are `fractions.Fraction`; the exact computations on a matrix
+    live in ``exactla``.
 
     ``_cache`` is a per-instance dict for data derived from the entries
     (``exactla`` keeps the integer images and kernel vectors there).  It
@@ -313,14 +313,6 @@ class RationalMatrix:
         self._data = data
         self._cache = {}
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __getitem__(self, key: Tuple[int, int]) -> Fraction:
         i, j = key
         return self._data[i][j]
@@ -333,36 +325,6 @@ class RationalMatrix:
 
     def entries(self) -> Tuple[Tuple[Fraction, ...], ...]:
         return self._data
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def multiply(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError(
-                f"dimension mismatch: {self.rows}x{self.cols} times "
-                f"{other.rows}x{other.cols}"
-            )
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Fraction(0)
-                for k in range(self.cols):
-                    acc += self._data[i][k] * other._data[k][j]
-                row.append(acc)
-            out.append(row)
-        return RationalMatrix(out)
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self.multiply(other)
-
-    def with_entry(self, i: int, j: int, value: RationalLike) -> "RationalMatrix":
-        rows = [list(row) for row in self._data]
-        rows[i][j] = _to_fraction(value)
-        return RationalMatrix(rows)
 
     def to_string_rows(self) -> List[List[str]]:
         """Rows of exact decimal-free strings such as "3" or "-1/2"."""

@@ -28,7 +28,10 @@ through the validating ``Network`` constructor), ``complexes_of``,
 were before a step spliced its network without re-validating it and the
 recount became one pass; and the character-loop ``tokenize`` of the
 ``.crn`` format (Unicode ``isdigit``, ``isalpha`` and ``isalnum``) as it
-was before one token regex replaced it.  The
+was before one token regex replaced it; and the Faddeev-LeVerrier
+``char_poly`` and the dense ``exact_jacobian`` loop as they were before
+the characteristic polynomial was interpolated from Bareiss determinants
+and the exact Jacobian read only each reaction's terms.  The
 ``sign_fix`` oracle enumerates its classes with that
 ``find_bad_submatrices`` and steps with that ``fix_one``; the
 ``delta_audit`` oracle recounts with that ``deficiency``.  Production
@@ -37,7 +40,10 @@ them on the same inputs.
 
 The oracles' own helpers ``to_float_rows``, ``multiply_vector`` and
 ``sign_of`` were ``RationalMatrix`` and ``Sign`` methods that only the
-oracles called.
+oracles called; ``transpose``, ``multiply``, ``identity`` and
+``with_entry`` were ``RationalMatrix`` methods that only these oracles
+and the tests called once the characteristic polynomial no longer
+multiplied matrices.
 """
 
 from __future__ import annotations
@@ -85,6 +91,37 @@ def multiply_vector(matrix: RationalMatrix, vector: Sequence[Fraction]) -> Tuple
     return tuple(
         sum((a * b for a, b in zip(row, vector)), Fraction(0)) for row in matrix.entries()
     )
+
+
+def transpose(matrix: RationalMatrix) -> RationalMatrix:
+    return RationalMatrix(
+        [[matrix[i, j] for i in range(matrix.rows)] for j in range(matrix.cols)]
+    )
+
+
+def multiply(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    if a.cols != b.rows:
+        raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = Fraction(0)
+            for k in range(a.cols):
+                acc += a[i, k] * b[k, j]
+            row.append(acc)
+        out.append(row)
+    return RationalMatrix(out)
+
+
+def identity(n: int) -> RationalMatrix:
+    return RationalMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def with_entry(matrix: RationalMatrix, i: int, j: int, value) -> RationalMatrix:
+    rows = [list(row) for row in matrix.entries()]
+    rows[i][j] = value  # the constructor coerces it
+    return RationalMatrix(rows)
 
 
 def sign_of(value) -> Sign:
@@ -304,10 +341,10 @@ def verify_permutation_relation(
         return RationalMatrix(rows)
 
     left = embed(P, d)
-    right = embed(P, d_prime).transpose()
+    right = transpose(embed(P, d_prime))
     s_sigma = stoichiometric_matrix(report_a.result)
     s_tau = stoichiometric_matrix(report_b.result)
-    product = left.multiply(s_tau).multiply(right)
+    product = multiply(multiply(left, s_tau), right)
     if product != s_sigma:
         raise ValueError(
             "permutation relation failed: the two results are not "
@@ -558,7 +595,7 @@ def kernel_basis(matrix: RationalMatrix, side: str = "right") -> KernelBasis:
     positive leading entry, and ordered by their free column.
     """
     if side == "left":
-        flipped = kernel_basis(matrix.transpose(), "right")
+        flipped = kernel_basis(transpose(matrix), "right")
         return KernelBasis(flipped.vectors, "left")
     if side != "right":
         raise ValueError("side must be 'right' or 'left'")
@@ -658,7 +695,7 @@ def is_conserving(S: RationalMatrix) -> ConservationResult:
     to phase-1 feasibility of {u >= 0 : S^t u = -S^t 1}.
     """
     d = S.rows
-    St = S.transpose()
+    St = transpose(S)
     ones = [Fraction(1)] * d
     rhs = [-sum(St.row(i)[j] * ones[j] for j in range(d)) for i in range(St.rows)]
     equations = [list(St.row(i)) for i in range(St.rows)]
@@ -666,7 +703,7 @@ def is_conserving(S: RationalMatrix) -> ConservationResult:
     if u is None:
         return ConservationResult(False, None)
     witness = tuple(Fraction(1) + value for value in u)
-    residual = multiply_vector(S.transpose(), witness)
+    residual = multiply_vector(transpose(S), witness)
     if any(v != 0 for v in residual) or any(v < 1 for v in witness):
         raise AssertionError("simplex returned an invalid conservation witness")
     return ConservationResult(True, witness)
@@ -1282,3 +1319,70 @@ def tokenize(line: str, lineno: int) -> List[_Token]:
         raise ParseError(lineno, col, f"unexpected character {ch!r}")
     tokens.append(_Token("END", "", len(line) + 1))
     return tokens
+
+
+def char_poly(matrix: RationalMatrix) -> List[Fraction]:
+    """Coefficients of det(lambda I - M), exact, lowest degree first.
+
+    Faddeev-LeVerrier recursion; the returned list has length n+1 and is
+    monic (last coefficient 1).
+    """
+    if matrix.rows != matrix.cols:
+        raise ValueError("characteristic polynomial needs a square matrix")
+    n = matrix.rows
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    mk = identity(n)
+    for k in range(1, n + 1):
+        nk = multiply(matrix, mk)
+        trace = sum((nk[i, i] for i in range(n)), Fraction(0))
+        coeffs[n - k] = -trace / k
+        if k < n:
+            bump = [
+                [
+                    nk[i, j] + (coeffs[n - k] if i == j else 0)
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+            mk = RationalMatrix(bump)
+    return coeffs
+
+
+def exact_jacobian(
+    network: Network, rates: Sequence[Fraction], x: Sequence[Fraction]
+) -> RationalMatrix:
+    """Exact-rational Jacobian at a positive rational state.
+
+    Requires integer reactant coefficients (rational exponentiation of a
+    rational base is not exact in general).  Used as an oracle for the
+    float Jacobian and for exact characteristic polynomials.
+    """
+    S = stoichiometric_matrix(network)
+    rates = [Fraction(r) for r in rates]
+    xs = [Fraction(v) for v in x]
+    if len(rates) != network.reaction_count:
+        raise ValueError("one rate per reaction required")
+    if len(xs) != network.species_count or any(v <= 0 for v in xs):
+        raise ValueError("state must be strictly positive with one entry per species")
+    vprime = [
+        [Fraction(0)] * network.species_count for _ in range(network.reaction_count)
+    ]
+    for k, reaction in enumerate(network.reactions):
+        value = rates[k]
+        for j, coeff in reaction.reactant.terms:
+            if coeff.denominator != 1:
+                raise ValueError(
+                    "exact jacobian requires integer reactant coefficients"
+                )
+            value *= xs[j] ** int(coeff)
+        for j, coeff in reaction.reactant.terms:
+            vprime[k][j] = value * coeff / xs[j]
+    rows = [
+        [
+            sum((S[i, k] * vprime[k][j] for k in range(network.reaction_count)), Fraction(0))
+            for j in range(network.species_count)
+        ]
+        for i in range(network.species_count)
+    ]
+    return RationalMatrix(rows)

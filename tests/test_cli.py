@@ -452,6 +452,37 @@ def test_huge_rate_exponent_is_refused_at_once(tmp_path):
     )
 
 
+OVERFLOWING_NETWORKS = {
+    "product": ("A -> 3B\nB -> 1e2000A\n", "reaction R2: a coefficient of species 'A'"),
+    "reactant": ("1e2000A -> B\nB -> A\n", "reaction R1: a coefficient of species 'A'"),
+}
+
+
+@pytest.mark.parametrize("command", ["spectra", "decompose", "equilibria"])
+@pytest.mark.parametrize("which", sorted(OVERFLOWING_NETWORKS))
+def test_coefficient_beyond_the_float_range_is_an_input_error(capsys, tmp_path, command, which):
+    text, named = OVERFLOWING_NETWORKS[which]
+    path = tmp_path / "net.crn"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {named} is beyond the float range\n"
+    # the exact commands never convert the coefficient
+    assert _run(capsys, "analyze", str(path))[0] == 0
+
+
+def test_analyze_k_grid_with_a_coefficient_beyond_the_float_range_is_an_input_error(
+    capsys, tmp_path
+):
+    path = tmp_path / "net.crn"
+    path.write_text("2A -> 3B + C\nA + B -> C\n3B + C -> 1e2000A\n", encoding="utf-8")
+    code, out, err = _run(capsys, "analyze", str(path), "--k-grid", "1:1e6:7")
+    assert code == 2
+    assert out == ""
+    assert err == "error: reaction R3: a coefficient of species 'A' is beyond the float range\n"
+
+
 def test_non_finite_report_names_the_value(capsys):
     code, _, err = _run(capsys, "spectra", ONE_AMBIGUOUS, "--rates", "1e200,1,1,1")
     assert code == 2

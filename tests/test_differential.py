@@ -3,8 +3,10 @@ its spliced stepped networks, the incremental-rank audit with its
 one-pass recount, the index-permuted order relation, the integer exact
 core, the elimination with one level per row, the mass-action float
 kernel with its monomial table, the stacked determinant-sign sampling,
-the integer sign layer and the kernel-correspondence check on cached
-kernels, each against the implementation it replaced (``oracles``)."""
+the integer sign layer, the kernel-correspondence check on cached
+kernels, the characteristic polynomial interpolated from determinants
+and the sparse exact Jacobian, each against the implementation it
+replaced (``oracles``)."""
 
 import dataclasses
 import random
@@ -854,7 +856,7 @@ def _assert_same_chain(net, rng, order=None):
     for k in range(1, len(matrices)):
         M = matrices[k]
         i, j = rng.randrange(M.rows), rng.randrange(M.cols)
-        bad = M.with_entry(i, j, M[i, j] + rng.choice([-2, -1, 1, Fraction(1, 2)]))
+        bad = oracles.with_entry(M, i, j, M[i, j] + rng.choice([-2, -1, 1, Fraction(1, 2)]))
         calls = [(matrices[k - 1], bad, steps[k - 1])]
         if k < len(steps):
             calls.append((bad, matrices[k + 1], steps[k]))
@@ -911,3 +913,92 @@ def test_kernel_correspondence_matches_oracle_on_random_chains(net, rng):
     order = list(range(_class_count(net)))
     rng.shuffle(order)
     _assert_same_chain(net, rng, order)
+
+
+# --------------------------------- characteristic polynomial, exact Jacobian
+
+
+def _shift(n):
+    """The n x n nilpotent shift: ones on the superdiagonal."""
+    return RationalMatrix([[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def char_poly_matrices(draw):
+    """n x n rational matrices, n = 1..8: dense; singular (a row a rational
+    multiple of another, or zero); or nilpotent (strictly upper triangular
+    with rows and columns permuted alike)."""
+    n = draw(st.integers(1, 8))
+    fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    rows = [draw(st.lists(fractions, min_size=n, max_size=n)) for _ in range(n)]
+    kind = draw(st.sampled_from(["dense", "singular", "nilpotent"]))
+    if kind == "singular":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i] = [draw(fractions) * v for v in rows[j]] if i != j else [Fraction(0)] * n
+    elif kind == "nilpotent":
+        perm = draw(st.permutations(range(n)))
+        upper = rows
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[perm[i]][perm[j]] = upper[i][j]
+    return RationalMatrix(rows)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(char_poly_matrices())
+@example(RationalMatrix([[0]]))
+@example(RationalMatrix([[0] * 8] * 8))
+@example(_shift(8))
+def test_char_poly_matches_oracle_on_rational_matrices(M):
+    coeffs = exactla.char_poly(M)
+    assert coeffs == oracles.char_poly(M)
+    assert coeffs[0] == (-1) ** M.rows * determinant(M)
+
+
+def _rational_point(rng, net, extra=0):
+    """Rational rates and a positive rational state for ``net``, each with
+    ``extra`` more entries."""
+    def value():
+        return Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    return (
+        [value() for _ in range(net.reaction_count + extra)],
+        [value() for _ in range(net.species_count + extra)],
+    )
+
+
+def test_char_poly_matches_oracle_on_a_fixed_jacobian(kinetics_networks):
+    """The 21 x 21 fixed Jacobian of a 20-species kinetics network."""
+    report = fix_one_report(kinetics_networks[0])
+    rates, x = _rational_point(random.Random(16), report.original, extra=1)
+    J = kinetics.exact_jacobian(report.result, rates, x)
+    assert J.rows == 21
+    assert exactla.char_poly(J) == oracles.char_poly(J)
+
+
+def _integer_reactants(net):
+    return all(c.denominator == 1 for r in net.reactions for _, c in r.reactant.terms)
+
+
+def test_exact_jacobian_matches_dense_oracle(corpus, kinetics_networks):
+    rng = random.Random(17)
+    nets = [net for net in corpus if _integer_reactants(net)] + kinetics_networks
+    for net in nets:
+        rates, x = _rational_point(rng, net)
+        assert kinetics.exact_jacobian(net, rates, x) == oracles.exact_jacobian(net, rates, x)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rated_networks(), st.randoms(use_true_random=False))
+def test_exact_jacobian_matches_dense_oracle_on_random_networks(net_rates, rng):
+    """Fractional coefficients (the same error), zero complexes and
+    catalysts, some with a net coefficient of 0."""
+    net, _ = net_rates
+    rates, x = _rational_point(rng, net)
+    outcomes = []
+    for exact_jacobian in (kinetics.exact_jacobian, oracles.exact_jacobian):
+        try:
+            outcomes.append(exact_jacobian(net, rates, x))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]

@@ -169,6 +169,11 @@ def test_char_poly_known_matrices():
     # companion matrix of x^3 - 4x^2 + 5x - 6
     comp = RationalMatrix([[0, 0, 6], [1, 0, -5], [0, 1, 4]])
     assert char_poly(comp) == [Fraction(-6), Fraction(5), Fraction(-4), Fraction(1)]
+    # zero and nilpotent (a shift): lambda^n
+    power = [Fraction(0)] * 5 + [Fraction(1)]
+    assert char_poly(RationalMatrix([[0] * 5] * 5)) == power
+    shift = RationalMatrix([[1 if j == i + 1 else 0 for j in range(5)] for i in range(5)])
+    assert char_poly(shift) == power
 
 
 def test_char_poly_constant_term_is_signed_determinant():
@@ -197,7 +202,7 @@ def test_kernel_correspondence_rejects_corrupted_fix(two_ambiguous):
     S = stoichiometric_matrix(two_ambiguous)
     S_check = stoichiometric_matrix(fixed)
     # corrupt one entry of the bordered column: padding no longer lands in the kernel
-    bad = S_check.with_entry(S.rows, step.modified_column, Fraction(5))
+    bad = oracles.with_entry(S_check, S.rows, step.modified_column, Fraction(5))
     assert not kernel_correspondence_check(S, bad, step)
 
 
@@ -223,7 +228,7 @@ def _isolation_inputs():
     for path in sorted(FIXTURES.glob("*.crn")):
         net = load(path.name)
         for S in (stoichiometric_matrix(net), stoichiometric_matrix(sign_fix(net).result)):
-            out += [S, S.multiply(S.transpose())]
+            out += [S, oracles.multiply(S, oracles.transpose(S))]
     out.append(RationalMatrix([[0, "1/2", 3], ["2/3", 0, -1], [1, "-3/4", 0]]))
     large = stoichiometric_matrix(make_network(random.Random(0), (30, 30), (80, 80)))
     assert large.rows * large.cols >= exactla.MOD_P_MIN_ENTRIES

@@ -135,6 +135,23 @@ def test_exact_jacobian_validations():
         exact_jacobian(net, [], [Fraction(1), Fraction(1)])
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("A -> 3B\nB -> 1e2000A", "reaction R2: a coefficient of species 'A'"),
+        ("1e2000A -> B\nB -> A", "reaction R1: a coefficient of species 'A'"),
+        # net coefficient 0: only the exponent is beyond the float range
+        ("1e2000A + B -> 1e2000A + C\nC -> B", "reaction R1: a coefficient of species 'A'"),
+    ],
+    ids=["product", "reactant", "exponent-only"],
+)
+def test_coefficient_beyond_the_float_range_names_its_reaction_and_species(text, named):
+    net = parse_network(text, allow_catalysts=True)
+    with pytest.raises(ValueError) as err:
+        MassActionSystem(net, [1.0] * net.reaction_count)
+    assert str(err.value) == f"{named} is beyond the float range"
+
+
 def test_two_species_equilibrium_ratio():
     net = parse_network("A <-> B ; kf=2, kr=1")
     sys = MassActionSystem(net, [r.rate for r in net.reactions])

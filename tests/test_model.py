@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import FIXTURES, load
-from oracles import multiply_vector
+from oracles import identity, multiply, multiply_vector, transpose, with_entry
 from crnsign.model import (
     Complex,
     Network,
@@ -203,13 +203,18 @@ def test_rational_matrix_operations():
     assert m[0, 1] == 2
     assert m.row(1) == (Fraction(3), Fraction(4))
     assert m.column(0) == (Fraction(1), Fraction(3))
-    assert m.transpose().entries() == ((Fraction(1), Fraction(3)), (Fraction(2), Fraction(4)))
-    product = m @ RationalMatrix.identity(2)
+    assert transpose(m).entries() == ((Fraction(1), Fraction(3)), (Fraction(2), Fraction(4)))
+    product = multiply(m, identity(2))
     assert product == m
     assert multiply_vector(m, [1, 1]) == (Fraction(3), Fraction(7))
-    bumped = m.with_entry(0, 0, Fraction(9))
+    bumped = with_entry(m, 0, 0, Fraction(9))
     assert bumped[0, 0] == 9 and m[0, 0] == 1
     assert m.to_string_rows() == [["1", "2"], ["3", "4"]]
+
+
+def test_rational_matrix_is_a_value_without_arithmetic():
+    for name in ("multiply", "__matmul__", "identity", "zeros", "with_entry", "transpose"):
+        assert not hasattr(RationalMatrix, name), name
 
 
 def test_rational_matrix_rejects_bad_shapes():
@@ -218,7 +223,7 @@ def test_rational_matrix_rejects_bad_shapes():
     with pytest.raises(ValueError):
         RationalMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
-        RationalMatrix([[1]]).multiply(RationalMatrix([[1, 2], [3, 4]]))
+        multiply(RationalMatrix([[1]]), RationalMatrix([[1, 2], [3, 4]]))
 
 
 def test_validate_reaction_form_clean_network(two_ambiguous):

@@ -3,8 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import make_network
+from crnsign import spectra
 from crnsign.kinetics import MassActionSystem, jacobian
+from crnsign.model import stoichiometric_matrix
+from crnsign.signcheck import find_bad_submatrices
 from crnsign.signfix import fix_one_report, sign_fix
 from crnsign.spectra import (
     char_poly_relation,
@@ -222,9 +228,10 @@ def test_char_poly_relation_rational_states(deficiency_jump, conserving_family, 
 
 
 def test_char_poly_relation_validation(two_ambiguous, deficiency_jump):
-    big = fix_one_report(two_ambiguous)  # 7 species
-    with pytest.raises(ValueError, match="up to 4"):
-        char_poly_relation(big, [Fraction(1)] * 6, [Fraction(1)] * 7)
+    big = fix_one_report(two_ambiguous)  # 7 species: no cap on d
+    rel = char_poly_relation(big, [Fraction(1)] * 6, [Fraction(1)] * 7)
+    assert rel.passed, rel.detail
+    assert len(rel.correction) - 1 <= 5
     report = fix_one_report(deficiency_jump)
     with pytest.raises(ValueError):
         char_poly_relation(report, [Fraction(1)] * 3, [Fraction(1)] * 2)
@@ -233,6 +240,55 @@ def test_char_poly_relation_validation(two_ambiguous, deficiency_jump):
     multi = sign_fix(deficiency_jump)
     with pytest.raises(ValueError, match="one-step"):
         char_poly_relation(multi, [Fraction(1)] * 3, [Fraction(1)] * 3)
+
+
+def _rational_point(rng, report):
+    """Rational rates and a positive rational state of the original network."""
+    net = report.original
+    rates = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(net.reaction_count)]
+    x = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(net.species_count)]
+    return rates, x
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+def test_char_poly_relation_holds_on_generated_networks(seed, rng):
+    """Networks of the benchmark's generator with up to 12 species."""
+    net = make_network(random.Random(seed), (2, 12), (2, 14))
+    assume(find_bad_submatrices(stoichiometric_matrix(net)))
+    report = fix_one_report(net)
+    d = net.species_count
+    rel = char_poly_relation(report, *_rational_point(rng, report))
+    assert rel.passed, rel.detail
+    assert len(rel.base) == d + 1 and rel.base[-1] == 1
+    assert len(rel.correction) - 1 <= d - 2
+
+
+def test_char_poly_relation_at_twenty_species(kinetics_networks):
+    report = fix_one_report(kinetics_networks[0])
+    assert report.original.species_count == 20
+    rel = char_poly_relation(report, *_rational_point(random.Random(18), report))
+    assert rel.passed, rel.detail
+    assert len(rel.correction) - 1 == 18
+
+
+def test_char_poly_relation_fails_on_a_perturbed_fixed_jacobian(two_ambiguous, monkeypatch):
+    """The fixed Jacobians computed with the added reaction at 2k: the
+    interpolated base is then 2p, not p."""
+    report = fix_one_report(two_ambiguous)
+    real = spectra.exact_jacobian
+
+    def doubled(network, rates, x):
+        if network is report.result:
+            rates = list(rates[:-1]) + [2 * rates[-1]]
+        return real(network, rates, x)
+
+    ones = [Fraction(1)] * 7
+    assert char_poly_relation(report, ones[:6], ones).passed
+    monkeypatch.setattr(spectra, "exact_jacobian", doubled)
+    rel = char_poly_relation(report, ones[:6], ones)
+    assert not rel.passed
+    assert rel.detail == "interpolated base polynomial differs from det(lambda*I - J)"
 
 
 def test_det_sign_sampling_pointwise_opposition(invertible_net, deficiency_jump):
