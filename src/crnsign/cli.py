@@ -88,24 +88,6 @@ def _write_file(path: str, text: str) -> None:
         raise _InputError(f"cannot write {path}: {exc}")
 
 
-def _non_finite_at(value, where: str = "") -> Optional[str]:
-    """The path of the first non-finite float in a report, or None."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else where
-    if isinstance(value, dict):
-        items = value.items()
-    elif isinstance(value, (list, tuple)):
-        items = enumerate(value)
-    else:
-        return None
-    for key, item in items:
-        if not isinstance(item, (str, int)):  # the bulk of a report; never non-finite
-            found = _non_finite_at(item, f"{where}/{key}")
-            if found:
-                return found
-    return None
-
-
 def _floats(raw: str, what: str, expected: Optional[int] = None) -> List[float]:
     """Comma-separated finite, strictly positive numbers (``expected`` of them)."""
     try:
@@ -458,8 +440,8 @@ def _cmd_equilibria(args) -> _Outcome:
     if args.lift and x is not None:
         fix = signfix.sign_fix(net)
         if fix.steps:
-            # find_equilibrium's tolerance grows with the starting residual,
-            # so the point it accepted may sit above lift's default 1e-8
+            # find_equilibrium's tolerance grows with the starting residual;
+            # lift's default covers starts in (0, 1]^d only, and --x0 may be larger
             pair = kinetics.lift_equilibrium(fix, rates, x, tol=max(1e-8, residual))
             body["lift"] = {
                 "x_hat_f64": list(pair.x_hat),
@@ -649,13 +631,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # error line; a non-finite value that reaches the report is exit 2.
         with np.errstate(all="ignore"):
             outcome = args.func(args)
-        where = _non_finite_at(outcome.body)
-        if where:
-            raise _InputError(f"the report would hold a non-finite number at {where}")
-        if args.plain or outcome.body is None:
-            text = outcome.plain
-        else:
-            text = textio.dump_report(outcome.body)
+        text = outcome.plain
+        if outcome.body is not None:
+            # Rendering refuses a non-finite number, with or without --plain.
+            report = _checked(textio.dump_report, outcome.body)
+            if not args.plain:
+                text = report
         for path, content in outcome.files:
             _write_file(path, content)
         if args.output and not outcome.report_to_stdout:

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -382,16 +382,33 @@ def fixed_system_rates(report: FixReport, rates: Sequence[float]) -> Tuple[float
     return rates + tuple(step.added_rate for step in report.steps)
 
 
+def _default_tolerance(sys: MassActionSystem) -> float:
+    """The residual tolerance ``lift_equilibrium`` and ``project_equilibrium``
+    take by default: 1e-8 * (1 + max_i sum_j |S_ij| k_j).
+
+    At a start x0 in (0, 1]^d every monomial is at most 1, so
+    |S v(x0)|_i <= sum_j |S_ij| k_j.  ``find_equilibrium``'s stopping
+    threshold, 1e-9 * (1 + max |S v(x0)|), is then at most a tenth of
+    this one: every point it returns from such a start, x0 = 1 among
+    them, is accepted.  From a larger start, pass the tolerance
+    explicitly.
+    """
+    return 1e-8 * (1.0 + float(np.max(np.abs(sys._S) @ sys._rates)))
+
+
 def lift_equilibrium(
     report: FixReport,
     rates: Sequence[float],
     x: Sequence[float],
-    tol: float = 1e-8,
+    tol: Optional[float] = None,
 ) -> EquilibriumPair:
     """Extend an equilibrium of the original system to the fixed system.
 
     Each added species equals the flux of its rewritten reaction divided
     by the added rate constant; the original coordinates are unchanged.
+    ``tol`` defaults to 1e-8 * (1 + max_i sum_j |S_ij| k_j) over the
+    original system, which accepts every point ``find_equilibrium``
+    returns from a start in (0, 1]^d (see ``_default_tolerance``).
 
     Raises:
         ValueError: if x is not an equilibrium of the original system to
@@ -401,6 +418,8 @@ def lift_equilibrium(
     """
     original = MassActionSystem(report.original, rates)
     x_arr = _check_state(original, x, positive=True)
+    if tol is None:
+        tol = _default_tolerance(original)
     res_orig = float(np.max(np.abs(rhs(original, x_arr))))
     if res_orig > tol:
         raise ValueError(
@@ -430,9 +449,11 @@ def project_equilibrium(
     report: FixReport,
     rates: Sequence[float],
     x_hat: Sequence[float],
-    tol: float = 1e-8,
+    tol: Optional[float] = None,
 ) -> EquilibriumPair:
     """Restrict an equilibrium of the fixed system to the original one.
+    ``tol`` defaults to 1e-8 * (1 + max_i sum_j |S_ij| k_j) over the
+    fixed system (see ``_default_tolerance``).
 
     Raises:
         ValueError: if x_hat is not an equilibrium of the fixed system to
@@ -441,6 +462,8 @@ def project_equilibrium(
     """
     fixed = MassActionSystem(report.result, fixed_system_rates(report, rates))
     x_hat_arr = _check_state(fixed, x_hat, positive=True)
+    if tol is None:
+        tol = _default_tolerance(fixed)
     res_fixed = float(np.max(np.abs(rhs(fixed, x_hat_arr))))
     if res_fixed > tol:
         raise ValueError(

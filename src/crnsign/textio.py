@@ -1,4 +1,5 @@
-r"""Plain-text reaction-network format: parser, serializer, JSON helpers.
+r"""Plain-text reaction-network format: parser, serializer, JSON helpers,
+and ``dump_report``, the report writer.
 
 Grammar (authoritative).  A line is scanned into tokens, each one match
 of ``_TOKEN_RE``, with blanks (space and tab) between them::
@@ -31,14 +32,22 @@ accepted).  A ``species`` directive pins the species (row) order
 explicitly; species not covered by a directive are ordered by first
 appearance in the file.  ``<->`` expands to two irreversible reactions,
 forward first.
+
+``dump_report`` writes a report in one recursive pass into one list of
+chunks, joined once: the bytes of ``json.dumps(report, indent=2) + "\n"``
+(``json``'s own C quoting for strings, ``int.__repr__`` and
+``float.__repr__`` for numbers), with a list of strings written in one
+join.  A non-finite float is a ``ValueError`` naming its ``/key/index``
+path, found in the same pass.
 """
 
 from __future__ import annotations
 
-import json
+import math
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .model import (
@@ -380,6 +389,86 @@ def vector_to_exact_json(vector: Sequence[Fraction]) -> List[str]:
     return [str(v) for v in vector]
 
 
+class _NonFinite(Exception):
+    """A non-finite float met by ``_write``; ``keys`` is its path, innermost first."""
+
+    def __init__(self):
+        super().__init__()
+        self.keys: List[object] = []
+
+
+def _write(value, newline: str, out: List[str]) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(indent=2)`` writes it;
+    ``newline`` is a line break plus the indent of ``value``'s own line."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise _NonFinite()
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        try:  # a list of strings (matrix rows, kernel vectors) in one join
+            out += ("[", inner, comma.join(map(_quote, value)), newline, "]")
+            return
+        except TypeError:
+            pass
+        separator = "[" + inner
+        try:
+            for index, item in enumerate(value):
+                out.append(separator)
+                separator = comma
+                _write(item, inner, out)
+        except _NonFinite as exc:
+            exc.keys.append(index)
+            raise
+        out += (newline, "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            out += (separator, _quote(key), ": ")  # a key not a str: TypeError
+            separator = "," + inner
+            try:
+                _write(item, inner, out)
+            except _NonFinite as exc:
+                exc.keys.append(key)
+                raise
+        out += (newline, "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def dump_report(report: dict) -> str:
-    """Serialize a report dict deterministically (insertion order kept)."""
-    return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    """The report as ``json.dumps(report, indent=2) + "\\n"`` writes it,
+    byte for byte (insertion order kept, non-ASCII escaped).
+
+    Raises:
+        ValueError: at the first non-finite float in document order,
+            naming its ``/key/index`` path.
+        TypeError: for a key that is not a ``str`` or a value that JSON
+            cannot hold.
+    """
+    out: List[str] = []
+    try:
+        _write(report, "\n", out)
+    except _NonFinite as exc:
+        path = "".join(f"/{key}" for key in reversed(exc.keys))
+        raise ValueError(f"the report would hold a non-finite number at {path}") from None
+    out.append("\n")
+    return "".join(out)

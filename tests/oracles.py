@@ -31,7 +31,10 @@ recount became one pass; and the character-loop ``tokenize`` of the
 was before one token regex replaced it; and the Faddeev-LeVerrier
 ``char_poly`` and the dense ``exact_jacobian`` loop as they were before
 the characteristic polynomial was interpolated from Bareiss determinants
-and the exact Jacobian read only each reaction's terms.  The
+and the exact Jacobian read only each reaction's terms; and the CLI's
+``non_finite_at`` walk of a report as it was before ``dump_report``
+found non-finite numbers while writing (``json.dumps`` itself is the
+writer's oracle).  The
 ``sign_fix`` oracle enumerates its classes with that
 ``find_bad_submatrices`` and steps with that ``fix_one``; the
 ``delta_audit`` oracle recounts with that ``deficiency``.  Production
@@ -1386,3 +1389,21 @@ def exact_jacobian(
         for i in range(network.species_count)
     ]
     return RationalMatrix(rows)
+
+
+def non_finite_at(value, where: str = "") -> Optional[str]:
+    """The path of the first non-finite float in a report, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else where
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    else:
+        return None
+    for key, item in items:
+        if not isinstance(item, (str, int)):  # the bulk of a report; never non-finite
+            found = non_finite_at(item, f"{where}/{key}")
+            if found:
+                return found
+    return None

@@ -483,10 +483,15 @@ def test_analyze_k_grid_with_a_coefficient_beyond_the_float_range_is_an_input_er
     assert err == "error: reaction R3: a coefficient of species 'A' is beyond the float range\n"
 
 
-def test_non_finite_report_names_the_value(capsys):
-    code, _, err = _run(capsys, "spectra", ONE_AMBIGUOUS, "--rates", "1e200,1,1,1")
-    assert code == 2
-    assert "non-finite number at /convergence/" in err
+def test_non_finite_report_names_the_value(capsys, tmp_path):
+    """The same exit and line with JSON, --plain or -o; -o writes no file."""
+    argv = ["spectra", ONE_AMBIGUOUS, "--rates", "1e200,1,1,1"]
+    for flags in ([], ["--plain"], ["-o", str(tmp_path / "report.json")]):
+        code, out, err = _run(capsys, *argv, *flags)
+        assert code == 2, flags
+        assert out == ""
+        assert err == "error: the report would hold a non-finite number at /convergence/slope_f64\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -3,12 +3,12 @@
 Hypothesis writes grammar-shaped ``.crn`` text (integer, decimal and p/q
 coefficients, zero complexes, ``<->`` with kf/kr, rates near 1e+-300,
 ``species`` directives, comments, catalysts, now and then a junk line:
-non-ASCII names or digits, numbers too long to print) and pairs it with a
-random subcommand and random flag values (nan, inf, 0, negative values,
-huge --t-end/--dt ratios, finite or not, unwritable -o paths).  Every run
-must exit with 0, 1 or 2 without raising, and a JSON report must parse as
-strict JSON.  The examples are derandomized, so every run draws the same
-ones.
+non-ASCII names or digits, numbers too long to print, coefficients beyond
+the float range) and pairs it with a random subcommand and random flag
+values (nan, inf, 0, negative values, huge --t-end/--dt ratios, finite or
+not, unwritable -o paths).  Every run must exit with 0, 1 or 2 without
+raising, and a JSON report must parse as strict JSON.  The examples are
+derandomized, so every run draws the same ones.
 """
 
 import contextlib
@@ -43,6 +43,7 @@ K_GRIDS = ["1:1e6:7", "1:1e4:5", "0.1:1e5:6", "1:inf:5", "nan:10:5", "0:1e6:7", 
 JUNK = [
     "A -> ", "A + -> B", "2.5.1A -> B", "A -> B ; k=", "A -> B ; kf=1", "A <-> B ; k=1", "0 -> 0", "A => B",
     "é -> B", "A -> Bé", "species A, é", "A -> 1e5000B", "A -> 1e-5000B", "A -> ²B", "A -> B ; k=1e100000000",
+    "B -> 1e2000A", "1e2000A -> B",
 ]
 
 

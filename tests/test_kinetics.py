@@ -224,6 +224,43 @@ def test_lift_of_exact_equilibrium(conserving_family):
     assert all(v > 0 for v in pair.x_hat)
 
 
+def test_lift_accepts_the_solvers_point_above_1e_8():
+    """The solver stops at 1e-9 * (1 + 14) here, and returned a point
+    with residual 1.1e-8 that a flat 1e-8 refused."""
+    net = parse_network("A -> 0\nA + X1 + 12B -> 0\n2B -> X1\n")
+    rates = [1.0, 1.0, 1.0]
+    x = find_equilibrium(MassActionSystem(net, rates), [1.0, 1.0, 1.0])
+    report = sign_fix(net)
+    pair = lift_equilibrium(report, rates, x)
+    assert pair.residual_original > 1e-8
+    assert project_equilibrium(report, rates, pair.x_hat).x == pair.x
+
+
+def test_lift_and_project_accept_every_solver_point_from_the_unit_box(corpus):
+    """Starts in (0, 1]^d and random rates on corpus networks that need a
+    fix: each point the solver returns passes the default tolerance."""
+    rng = random.Random(17)
+    done = {lift_equilibrium: 0, project_equilibrium: 0}
+    for net in corpus[:150]:
+        report = sign_fix(net)
+        if not report.steps:
+            continue
+        rates = [rng.uniform(0.5, 20.0) for _ in range(net.reaction_count)]
+        systems = {
+            lift_equilibrium: MassActionSystem(net, rates),
+            project_equilibrium: MassActionSystem(report.result, fixed_system_rates(report, rates)),
+        }
+        for check, sys in systems.items():
+            x0 = [rng.uniform(1e-3, 1.0) for _ in range(sys.species_count)]
+            try:
+                x = find_equilibrium(sys, x0)
+            except EquilibriumNotFound:
+                continue
+            check(report, rates, x)
+            done[check] += 1
+    assert min(done.values()) >= 20, done
+
+
 def test_lift_and_project_reject_non_equilibria(deficiency_jump):
     report = sign_fix(deficiency_jump)
     with pytest.raises(ValueError, match="not an equilibrium"):

@@ -1,8 +1,14 @@
+import json
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from crnsign import cli
 from crnsign.model import Complex, Network, Reaction, Species, stoichiometric_matrix
 from crnsign.textio import (
     KIND_BAD_COEFFICIENT,
@@ -10,12 +16,13 @@ from crnsign.textio import (
     KIND_EMPTY_SIDE_BOTH,
     KIND_SYNTAX,
     ParseError,
+    dump_report,
     network_to_json,
     parse_network,
     serialize_network,
 )
 
-from conftest import load, make_network
+from conftest import load, make_network, network_text
 
 
 def test_minimal_reaction():
@@ -244,3 +251,120 @@ def test_network_to_json_shape(two_ambiguous):
     assert body["species"] == ["A", "B", "C", "D", "E", "F", "G"]
     assert len(body["reactions"]) == 6
     assert body["reversible_pairs"] == [[2, 3], [4, 5]]
+
+
+def _json_oracle(value) -> str:
+    return json.dumps(value, indent=2, allow_nan=False) + "\n"
+
+
+_TEXT = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),  # lone surrogates included
+        st.sampled_from('"\\/\x00\x1f\x7f\b\f\n\r\té\u2028\U0001f600'),
+    ),
+    max_size=8,
+)
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308, 0.1]),
+)
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_INTS = st.one_of(st.integers(), st.integers(-(2**70), 2**70), st.sampled_from([2**64, -(2**64) - 1, 10**100]))
+
+
+def _trees(floats):
+    leaves = st.one_of(_TEXT, _INTS, floats, st.booleans(), st.none())
+
+    def containers(children):
+        return st.one_of(
+            st.lists(children, max_size=5),
+            st.lists(children, max_size=5).map(tuple),
+            st.dictionaries(_TEXT, children, max_size=5),
+            # strings, then something else: the one-join path gives up midway
+            st.tuples(st.lists(_TEXT, min_size=1, max_size=4), children, st.lists(leaves, max_size=3)).map(
+                lambda parts: parts[0] + [parts[1]] + parts[2]
+            ),
+        )
+
+    return st.dictionaries(_TEXT, st.recursive(leaves, containers, max_leaves=20), max_size=5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_trees(_FINITE))
+def test_dump_report_matches_json_dumps(report):
+    assert dump_report(report) == _json_oracle(report)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_trees(st.one_of(_FINITE, _NON_FINITE)))
+def test_dump_report_names_the_first_non_finite_number_as_the_walk_did(report):
+    where = oracles.non_finite_at(report)
+    if where is None:
+        assert dump_report(report) == _json_oracle(report)
+    else:
+        message = f"the report would hold a non-finite number at {where}"
+        with pytest.raises(ValueError) as info:
+            dump_report(report)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "report, where",
+    [
+        ({"a": float("nan")}, "/a"),
+        ({"a": [1, "x", ["y", float("inf")]]}, "/a/2/1"),
+        ({"s": ["p", "q", -float("inf"), float("nan")]}, "/s/2"),
+        ({"a": ({"b": 1.0}, {"c": [0.5, float("nan")]}), "d": float("nan")}, "/a/1/c/1"),
+        ({"": {"0": float("inf")}}, "//0"),
+    ],
+)
+def test_dump_report_non_finite_paths(report, where):
+    assert oracles.non_finite_at(report) == where
+    with pytest.raises(ValueError, match=f"^the report would hold a non-finite number at {where}$"):
+        dump_report(report)
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        {"a": [True, 1, False, 0, None, 2**64, -0.0]},  # bools are not written as ints
+        {"a": np.float64(0.1), "b": [np.float64(1e-300)]},  # float subclasses: float.__repr__
+        {"a": [[], {}, ()], "b": {"c": []}},
+        {"a": "é\u2028\ud800\"\\"},
+    ],
+)
+def test_dump_report_matches_json_dumps_on_edge_cases(report):
+    assert dump_report(report) == _json_oracle(report)
+
+
+@pytest.mark.parametrize(
+    "report, json_writes_it",
+    [
+        ({(1, 2): "tuple key"}, False),
+        ({"a": object()}, False),
+        ({"a": ["x", b"bytes"]}, False),
+        ({"a": [1, {2}]}, False),
+        ({"a": Fraction(1, 2)}, False),
+        ({"a": np.int64(3)}, False),
+        # json.dumps writes these keys as "1" and "null"; no report has one
+        ({1: "int key"}, True),
+        ({"a": {None: 1}}, True),
+    ],
+)
+def test_dump_report_refuses_non_str_keys_and_unknown_values(report, json_writes_it):
+    with pytest.raises(TypeError):
+        dump_report(report)
+    if not json_writes_it:
+        with pytest.raises(TypeError):
+            _json_oracle(report)
+
+
+def test_dump_report_matches_json_dumps_on_corpus_reports(corpus, tmp_path):
+    """Every ``analyze`` report body of the 500-network corpus."""
+    path = tmp_path / "net.crn"
+    parser = cli._build_parser()
+    for net in corpus:
+        path.write_text(network_text(net), encoding="utf-8")
+        args = parser.parse_args(["analyze", str(path)])
+        body = args.func(args).body
+        assert dump_report(body) == _json_oracle(body)
