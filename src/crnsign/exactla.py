@@ -22,17 +22,21 @@ only lose rank, and no rank exceeds min(rows, cols), so
 and when rank_p equals min(rows, cols) it is the exact rank over Q.
 Otherwise the answer comes from the Bareiss elimination, as it would
 without the certificate, so an unlucky prime costs time, never
-exactness.  The elimination mod p runs on numpy int64 rows (entries
-below p, so every product fits); it is tried only on matrices of at
-least ``MOD_P_MIN_ENTRIES`` entries, below which Bareiss in Python
-integers is the faster of the two.
+exactness.  The rank mod p is taken of the nonzeros of the cleared rows:
+below ``MOD_P_MIN_ENTRIES`` entries in Python integers, one sparse row
+at a time, and from there up by elimination on dense numpy int64 rows
+(entries below p, so every product fits).  ``rank`` and the kernels try
+it only from ``MOD_P_MIN_ENTRIES`` entries up, below which Bareiss in
+Python integers is the faster of the two.
 
 Each ``RationalMatrix`` carries a private cache that only this module
 reads and writes: the denominator-cleared integer rows ("right") and
-columns ("left"), the integer kernel vectors of each side, and the exact
-rank.  A matrix is immutable, so the cache cannot go stale; it dies with
-the matrix, and ``model.stoichiometric_matrix`` gives every caller of a
-network the same matrix.  Every cached value is computed from that
+columns ("left"), dense and as their nonzeros, the integer kernel
+vectors of each side, the exact rank, and the chain bases that
+``kernel_correspondence_check`` certified.  A matrix is immutable, so
+the cache cannot go stale; it dies with the matrix, and
+``model.stoichiometric_matrix`` gives every caller of a network the same
+matrix.  Every cached value is computed from, or certified on, that
 matrix's own entries, and only an exact one is stored: a rank mod p is
 stored as the rank only when certified.  The cached tuples are never
 handed to the elimination, which works on a copy.
@@ -43,11 +47,20 @@ left (right) kernel is {0}.  "In hand" means the cached rank, the cached
 right kernel (rank = cols - nullity) or a certified rank mod p; no
 elimination is ever run just to look for it.  ``is_conserving`` then
 answers "not conserving" from an empty left kernel without a simplex.
-So a chain of one-step checks (S_0, S_1), (S_1, S_2), ... over the same
-matrix objects eliminates each matrix at most once per side:
-``kernel_correspondence_check`` reads the rank of S_check off its right
-kernel, which is then the cache hit for S at the next step, and a left
-kernel of full row rank costs nothing.  ``determinant`` is uncached.
+
+The paper's kernel bijection is checked by certificate.  For a fixing
+step from S to S_check, the padded kernel vectors of S are checked
+exactly to lie in the kernels of S_check, on its sparse cleared rows and
+columns; they are independent, so each nullity of S_check is at least
+their count, and its rank is at least its rank mod p.  When the two
+bounds meet on both sides, the padded vectors are bases of S_check's
+kernels with no elimination over Q, and they are cached on S_check under
+("chain", side), apart from the reduced basis ``kernel_basis`` returns,
+for the next step to read as its S's kernels.  So a chain of one-step
+checks (S_0, S_1), (S_1, S_2), ... over the same matrix objects
+eliminates S_0 only, once per side, unless a certificate fails; a step
+whose bounds do not meet is decided by eliminating, as before.
+``determinant`` is uncached.
 """
 
 from __future__ import annotations
@@ -63,6 +76,7 @@ from .model import RationalMatrix
 
 Vector = Tuple[Fraction, ...]
 IntRows = Tuple[Tuple[int, ...], ...]
+SparseRows = Tuple[Tuple[Tuple[int, int], ...], ...]
 
 # 2^31 - 1 is prime, and (p - 1)^2 < 2^62, so a product of two residues,
 # and a residue less such a product, fit in an int64.
@@ -72,6 +86,9 @@ PRIME = 2**31 - 1
 # Bareiss in Python integers below it (0.45 against 0.33 ms per matrix at
 # 200-399 entries); the two break even at 400-600, and from about 1,000
 # entries up the elimination mod p wins (2.3 against 5.7 ms at 2,000).
+# It is also where ``_rank_mod_p`` moves from sparse rows in Python
+# integers to numpy: on the fixed 30 x 80 matrix the Python side takes
+# 20.1 ms against numpy's 4.4, and below it numpy's per-call cost loses.
 MOD_P_MIN_ENTRIES = 400
 
 
@@ -206,13 +223,45 @@ def _integer_image(matrix: RationalMatrix, side: str) -> IntRows:
     return image
 
 
-def _rank_mod_p(image: IntRows) -> int:
-    """Rank of the integer rows modulo ``PRIME``, by Gaussian elimination
-    on numpy int64 rows; each entry is reduced in Python integers first,
-    since cleared rows can hold entries far beyond int64.  It is a lower
-    bound on the rank over Q."""
-    a = np.array([[x % PRIME for x in row] for row in image], dtype=np.int64)
-    height, width = a.shape
+def _sparse_image(matrix: RationalMatrix, side: str) -> SparseRows:
+    """The nonzeros of the denominator-cleared rows ("right") or columns
+    ("left") of the matrix as (index, value) pairs in index order: the
+    nonzero entries of ``_integer_image``, built from the nonzero
+    ``Fraction``s alone; cached on it."""
+    key = ("sparse", side)
+    sparse = matrix._cache.get(key)
+    if sparse is None:
+        entries = matrix.entries() if side == "right" else zip(*matrix.entries())
+        found = []
+        for row in entries:
+            nonzero = [(j, v) for j, v in enumerate(row) if v]
+            scale = lcm(*(v.denominator for _, v in nonzero))
+            found.append(tuple((j, v.numerator * (scale // v.denominator)) for j, v in nonzero))
+        sparse = matrix._cache[key] = tuple(found)
+    return sparse
+
+
+def _in_kernel(matrix: RationalMatrix, side: str, vector: Sequence[int]) -> bool:
+    """Whether the integer vector lies exactly in the right ("right") or
+    left ("left") kernel of the matrix: each cleared row (column) times
+    the vector, summed over its nonzeros only, is 0."""
+    return all(sum(x * vector[j] for j, x in row) == 0 for row in _sparse_image(matrix, side))
+
+
+def _rank_mod_p(rows: SparseRows, width: int) -> int:
+    """Rank modulo ``PRIME`` of the sparse integer rows of ``width``
+    columns, a lower bound on the rank over Q.  Each entry is reduced in
+    Python integers first, since cleared rows can hold entries far beyond
+    int64.  Below ``MOD_P_MIN_ENTRIES`` rows * width the rows are reduced
+    in Python integers, one at a time against the pivot rows kept so far;
+    from it up, by Gaussian elimination on dense numpy int64 rows."""
+    if len(rows) * width < MOD_P_MIN_ENTRIES:
+        return _rank_mod_p_sparse(rows)
+    height = len(rows)
+    a = np.zeros((height, width), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, x in row:
+            a[i, j] = x % PRIME
     r = 0
     for c in range(width):
         if r == height:
@@ -232,6 +281,33 @@ def _rank_mod_p(image: IntRows) -> int:
     return r
 
 
+def _rank_mod_p_sparse(rows: SparseRows) -> int:
+    """Rank modulo ``PRIME`` of the sparse integer rows, in Python
+    integers.  Each row, as a dict of its nonzero residues, loses its
+    first column against the pivot row kept there until it is zero or
+    starts at a new column; it is then kept, scaled to 1 there.  A pivot
+    row has no column before its own, so every reduction leaves only
+    later columns, and the kept rows are the pivots of an echelon form."""
+    pivot_rows = {}
+    for row in rows:
+        residues = {j: r for j, x in row if (r := x % PRIME)}
+        while residues:
+            c = min(residues)
+            pivot_row = pivot_rows.get(c)
+            if pivot_row is None:
+                inverse = pow(residues[c], -1, PRIME)
+                pivot_rows[c] = [(j, x * inverse % PRIME) for j, x in residues.items()]
+                break
+            f = residues[c]
+            for j, y in pivot_row:
+                x = (residues.get(j, 0) - f * y) % PRIME
+                if x:
+                    residues[j] = x
+                else:
+                    del residues[j]
+    return len(pivot_rows)
+
+
 def _rank_in_hand(matrix: RationalMatrix) -> Optional[int]:
     """The exact rank when it costs no elimination over Q, else None: the
     cached rank, else columns less the cached right kernel's dimension,
@@ -245,7 +321,7 @@ def _rank_in_hand(matrix: RationalMatrix) -> Optional[int]:
     if kernel is not None:
         value = matrix.cols - len(kernel)
     elif matrix.rows * matrix.cols >= MOD_P_MIN_ENTRIES:
-        rank_p = _rank_mod_p(_integer_image(matrix, "right"))
+        rank_p = _rank_mod_p(_sparse_image(matrix, "right"), matrix.cols)
         if rank_p == min(matrix.rows, matrix.cols):
             value = rank_p
     if value is not None:
@@ -440,19 +516,9 @@ def is_conserving(S: RationalMatrix) -> ConservationResult:
         return ConservationResult(False, None)
     u, denom = solved
     scaled = [denom + value for value in u]
-    if any(_dot(row, scaled) for row in _integer_image(S, "left")) or any(
-        value < denom for value in scaled
-    ):
+    if not _in_kernel(S, "left", scaled) or any(value < denom for value in scaled):
         raise AssertionError("simplex returned an invalid conservation witness")
     return ConservationResult(True, tuple(Fraction(value, denom) for value in scaled))
-
-
-def _dot(row: Sequence[int], vector: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(row, vector))
-
-
-def _annihilates(rows: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
-    return all(_dot(row, vector) == 0 for row in rows)
 
 
 def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixstep) -> bool:
@@ -464,11 +530,24 @@ def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixs
     must give bijections between the kernels, preserving (non)negativity.
     The check is performed on exactly computed bases.
 
-    Each side's kernel of S and the right kernel of ``S_check`` come from
-    eliminating that matrix itself; the rank of ``S_check`` is its column
-    count less its right-kernel dimension.  All of them are cached on the
-    matrix objects (see the module docstring), so passing ``S_check`` as
-    S to the next step's check reuses its right kernel.
+    A basis of each kernel of S is read from S's ("chain", side) cache
+    key, else from ``_kernel_vectors``.  Each padded vector is checked
+    exactly to lie in the kernel of ``S_check``, on the nonzeros of its
+    cleared rows (columns); a miss is the answer False.  The padded
+    vectors are independent, since their heads are a basis, so each
+    nullity of ``S_check`` over Q is at least their count, while its rank
+    over Q is at least its rank mod p.  When that rank mod p plus the
+    count is the column (right) and the row (left) count, the bounds
+    meet: the padded bases are bases of the kernels of ``S_check`` and
+    the maps are bijections, with no elimination over Q.  They are then
+    cached on ``S_check`` under ("chain", side), never as the basis that
+    ``kernel_basis`` returns, together with the now exact rank, so the
+    next step of a chain (S_check passed as S) starts from them: a chain
+    of steps over the same matrix objects eliminates S_0 only, unless a
+    certificate fails.  When the bounds do not meet, the check is decided
+    on kernels eliminated over Q, so the answer never depends on the
+    prime.  Every bound comes from the entries of ``S_check``; nothing is
+    inferred from the bordering theorem.
 
     Args:
         S: Original d x d' matrix.
@@ -497,27 +576,64 @@ def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixs
         raise ValueError("fix step records a positive entry the matrix lacks")
     p2 = S[q, ell]  # the recorded value as a Fraction, whatever its type
 
-    # Kernel dimensions of S_check come from its rank; the bases of S and
-    # the membership checks are integer vectors (positive rescalings of
-    # the KernelBasis vectors, which changes neither sign nor membership).
+    # Any integer basis of S's kernels gives the same answer: membership
+    # is linear, the counts are the dimensions, and for every vector the
+    # added coordinate is a copy (a positive multiple) of an existing one.
+    right = S._cache.get(("chain", "right"))
+    if right is None:
+        right = _kernel_vectors(S, "right")
+    padded_right = _pad_right(right, ell)
+    if not all(_in_kernel(S_check, "right", v) for v in padded_right):
+        return False
+    left = S._cache.get(("chain", "left"))
+    if left is None:
+        left = _kernel_vectors(S, "left")
+    padded_left = _pad_left(left, q, p2)
+    if not all(_in_kernel(S_check, "left", w) for w in padded_left):
+        return False
+
+    rank_p = _rank_mod_p(_sparse_image(S_check, "right"), S_check.cols)
+    if rank_p + len(padded_right) != S_check.cols or rank_p + len(padded_left) != S_check.rows:
+        return _exact_correspondence_check(S, S_check, ell, q, p2)
+    S_check._cache[("chain", "right")] = padded_right
+    S_check._cache[("chain", "left")] = padded_left
+    S_check._cache["rank"] = rank_p
+    return _positivity_transfers(padded_right) and _positivity_transfers(padded_left)
+
+
+def _pad_right(vectors: IntRows, ell: int) -> IntRows:
+    """Each right kernel vector v of S padded with v[l]."""
+    return tuple(v + (v[ell],) for v in vectors)
+
+
+def _pad_left(vectors: IntRows, q: int, p2: Fraction) -> IntRows:
+    """Each left kernel vector w of S padded with w[q] * p2, all of it
+    times p2's denominator: a left kernel vector of the cleared columns."""
+    num, den = p2.numerator, p2.denominator
+    return tuple(tuple(x * den for x in w) + (w[q] * num,) for w in vectors)
+
+
+def _exact_correspondence_check(
+    S: RationalMatrix, S_check: RationalMatrix, ell: int, q: int, p2: Fraction
+) -> bool:
+    """The correspondence decided on kernels eliminated over Q: each side's
+    kernel of S and the right kernel of ``S_check`` come from
+    ``_kernel_vectors`` on that matrix itself, and the rank of ``S_check``
+    is its column count less its right-kernel dimension."""
     check_nullity = len(_kernel_vectors(S_check, "right"))
     check_rank = S_check.cols - check_nullity
     right = _kernel_vectors(S, "right")
     if len(right) != check_nullity:
         return False
-    check_rows = _integer_image(S_check, "right")
-    padded_right = [v + (v[ell],) for v in right]
-    if not all(_annihilates(check_rows, padded) for padded in padded_right):
+    padded_right = _pad_right(right, ell)
+    if not all(_in_kernel(S_check, "right", v) for v in padded_right):
         return False
 
     left = _kernel_vectors(S, "left")
     if len(left) != S_check.rows - check_rank:
         return False
-    check_columns = _integer_image(S_check, "left")
-    padded_left = [
-        [x * p2.denominator for x in w] + [w[q] * p2.numerator] for w in left
-    ]
-    if not all(_annihilates(check_columns, padded) for padded in padded_left):
+    padded_left = _pad_left(left, q, p2)
+    if not all(_in_kernel(S_check, "left", w) for w in padded_left):
         return False
 
     # Dimensions agree and the padded images are independent (the first

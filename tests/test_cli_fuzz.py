@@ -8,7 +8,9 @@ the float range) and pairs it with a random subcommand and random flag
 values (nan, inf, 0, negative values, huge --t-end/--dt ratios, finite or
 not, unwritable -o paths).  Every run must exit with 0, 1 or 2 without
 raising, and a JSON report must parse as strict JSON.  The examples are
-derandomized, so every run draws the same ones.
+derandomized, so every run draws the same ones.  They draw a junk line
+only now and then, so each junk line is also run on its own through
+every subcommand.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +40,7 @@ STEPS = [  # (--t-end, --dt)
     ("1e300", "1e-10"), ("1e308", "1e-300"), ("1", "1e-300"), ("1e300", "1e299"), ("1e308", "1e307"),
     ("nan", "0.1"), ("1", "nan"), ("inf", "0.1"), ("1", "inf"), ("0", "0.1"), ("-1", "0.1"), ("1", "-0.1"),
 ]
+COMMANDS = ["analyze", "signfix", "altfix", "deficiency", "equilibria", "spectra", "graph", "decompose"]
 K_GRIDS = ["1:1e6:7", "1:1e4:5", "0.1:1e5:6", "1:inf:5", "nan:10:5", "0:1e6:7", "1e6:1:7", "1:1e6:1", "1e-300:1e300:5"]
 
 
@@ -108,9 +112,7 @@ def invocations(draw, workdir: Path):
         species, reactions = net.species_count, net.reaction_count
     except ParseError:
         species, reactions = 2, 2
-    command = draw(st.sampled_from(
-        ["analyze", "signfix", "altfix", "deficiency", "equilibria", "spectra", "graph", "decompose"]
-    ))
+    command = draw(st.sampled_from(COMMANDS))
     argv = [command, str(path)]
     flags = {
         "analyze": ["--check", "--allow-catalysts", "--rates", "--x0", "--k-grid"],
@@ -190,3 +192,16 @@ def test_exit_code_contract_holds_for_random_inputs(data):
         else:
             report = out
         _strict_json(report)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("junk", JUNK)
+def test_exit_code_contract_holds_for_every_junk_line(junk, command, tmp_path):
+    """Each junk line, inside a network that fixes in one step
+    (``fixtures/one_ambiguous.crn``), through each subcommand with its
+    default flags."""
+    path = tmp_path / "net.crn"
+    path.write_text(f"A -> B\n{junk}\nB -> C\nC <-> A + B\n", encoding="utf-8")
+    code, _, err = _run([command, str(path)])
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err

@@ -267,9 +267,10 @@ def _echelon_rank(M):
 
 def test_rank_reads_only_its_own_slot_the_right_kernel_and_the_right_image():
     """Rank equals a fresh echelon rank with and without a cached right
-    kernel or right integer image (the image is what the rank mod p
-    eliminates); a wrong left kernel or a planted key of another name
-    (such as a padded basis stored by a caller) is never read."""
+    kernel or right integer images (the sparse image is what the rank mod
+    p eliminates); a wrong left kernel or a planted key of another name
+    (such as a chain basis, which only the kernel correspondence check
+    reads) is never read."""
     for M in _isolation_inputs():
         expected = _echelon_rank(M)
         assert rank(_fresh(M)) == expected
@@ -278,11 +279,12 @@ def test_rank_reads_only_its_own_slot_the_right_kernel_and_the_right_image():
         assert rank(with_kernel) == expected
         with_image = _fresh(M)
         exactla._integer_image(with_image, "right")
+        exactla._sparse_image(with_image, "right")
         assert rank(with_image) == expected
         planted = _fresh(M)
         bogus = ((1,) * M.cols,) * min(M.rows, M.cols)
         planted._cache[("kernel", "left")] = bogus
-        planted._cache[("padded", "right")] = bogus
+        planted._cache[("chain", "right")] = bogus
         assert rank(planted) == expected
 
 
@@ -299,14 +301,8 @@ def _p_led(rows, cols, at, rng):
     return RationalMatrix(out)
 
 
-def test_rank_mod_p_below_min_falls_back_to_the_exact_rank(monkeypatch):
-    """A 20 x 30 matrix of full row rank with a pivot equal to p: the rank
-    mod p is 19, below min(rows, cols), so it certifies nothing and the
-    rank, both kernels and conservation come from Bareiss and the
-    simplex, equal to the Fraction oracle's."""
-    M = _p_led(20, 30, 7, random.Random(1))
-    assert M.rows * M.cols >= exactla.MOD_P_MIN_ENTRIES
-    assert exactla._rank_mod_p(exactla._integer_image(M, "right")) == 19
+def _counted_eliminate(monkeypatch):
+    """Record the shape of every array ``exactla._eliminate`` is handed."""
     seen = []
     eliminate = exactla._eliminate
 
@@ -315,6 +311,18 @@ def test_rank_mod_p_below_min_falls_back_to_the_exact_rank(monkeypatch):
         return eliminate(a, reduce)
 
     monkeypatch.setattr(exactla, "_eliminate", counted)
+    return seen
+
+
+def test_rank_mod_p_below_min_falls_back_to_the_exact_rank(monkeypatch):
+    """A 20 x 30 matrix of full row rank with a pivot equal to p: the rank
+    mod p is 19, below min(rows, cols), so it certifies nothing and the
+    rank, both kernels and conservation come from Bareiss and the
+    simplex, equal to the Fraction oracle's."""
+    M = _p_led(20, 30, 7, random.Random(1))
+    assert M.rows * M.cols >= exactla.MOD_P_MIN_ENTRIES
+    assert exactla._rank_mod_p(exactla._sparse_image(M, "right"), M.cols) == 19
+    seen = _counted_eliminate(monkeypatch)
     assert rank(M) == 20 == oracles.rank(M)
     assert seen == [(20, 30)]
     fresh = _fresh(M)
@@ -373,30 +381,112 @@ def test_is_conserving_on_a_fresh_full_row_rank_s_needs_no_elimination(monkeypat
 
 
 def test_kernel_correspondence_chain_eliminates_each_matrix_once_per_side(monkeypatch):
-    """Over a 6-step chain of shared matrix objects: S_0's right kernel,
-    then per step S_k's left kernel and S_(k+1)'s right kernel, which is
-    also its rank; 13 eliminations (3 per step, 18, before the cache).
-    The network is parsed here: a shared fixture's S keeps the kernels
-    earlier tests computed on it."""
+    """Over a 6-step chain of shared matrix objects only S_0's right and
+    left kernels are eliminated: every step's certificate closes, and the
+    padded bases it stores on S_check are the next step's bases of S
+    (18 eliminations before the kernel cache, 13 with it and before the
+    certificate).  The network is parsed here: a shared fixture's S keeps
+    the kernels earlier tests computed on it."""
     report = sign_fix(load("conserving_family.crn"))
     matrices = report.matrices()
     assert len(report.steps) == 6
-    seen = []
-    eliminate = exactla._eliminate
-
-    def counted(a, reduce=True):
-        seen.append((len(a), len(a[0])))
-        return eliminate(a, reduce)
-
-    monkeypatch.setattr(exactla, "_eliminate", counted)
+    seen = _counted_eliminate(monkeypatch)
     for S, S_check, step in zip(matrices, matrices[1:], report.steps):
         assert kernel_correspondence_check(S, S_check, step)
     d, d_prime = matrices[0].rows, matrices[0].cols
-    expected = [(d + 1, d_prime + 1), (d, d_prime), (d_prime, d)]
-    for k in range(1, 6):
-        expected += [(d + k + 1, d_prime + k + 1), (d_prime + k, d + k)]
-    assert seen == expected
-    assert len(seen) == 13
+    assert seen == [(d, d_prime), (d_prime, d)]
+    for M in matrices[1:]:
+        assert M._cache["rank"] == oracles.rank(M)
+
+
+def test_chain_bases_never_reach_the_public_api():
+    """After a verified chain every matrix still answers ``kernel_basis``,
+    ``rank`` and ``is_conserving`` as the oracle does: the padded bases
+    are kept under ("chain", side), apart from the RREF basis, and some of
+    them differ from it."""
+    report = sign_fix(load("conserving_family.crn"))
+    matrices = report.matrices()
+    for S, S_check, step in zip(matrices, matrices[1:], report.steps):
+        assert kernel_correspondence_check(S, S_check, step)
+    differ = 0
+    for M in matrices[1:]:
+        for side in ("right", "left"):
+            expected = oracles.kernel_basis(M, side)
+            assert kernel_basis(M, side) == expected
+            chain = M._cache[("chain", side)]
+            differ += chain != tuple(tuple(int(x) for x in v) for v in expected.vectors)
+        assert rank(M) == oracles.rank(M)
+        assert is_conserving(M) == oracles.is_conserving(M)
+    assert differ > 0
+
+
+def test_kernel_correspondence_falls_back_when_the_rank_mod_p_is_short(monkeypatch):
+    """``deficiency_jump.crn`` with A + B -> C scaled by p = PRIME: that
+    reaction's column of every fixed matrix vanishes mod p, so its rank
+    mod p is below its rank over Q and no certificate closes.  Each step
+    gives the oracle's bool from the exact check, which eliminates
+    S_check, stores no chain basis, and rejects a corrupted S_check as the
+    oracle does."""
+    p = exactla.PRIME
+    report = sign_fix(parse_network(f"2A -> 3B + C\n{p}A + {p}B -> {p}C\n3B + C -> 2A\n"))
+    matrices = report.matrices()
+    assert len(report.steps) == 3
+    seen = _counted_eliminate(monkeypatch)
+    for S, S_check, step in zip(matrices, matrices[1:], report.steps):
+        image = exactla._sparse_image(S_check, "right")
+        assert exactla._rank_mod_p(image, S_check.cols) < oracles.rank(S_check)
+        bad = oracles.with_entry(S_check, S.rows, step.modified_column, Fraction(5))
+        assert kernel_correspondence_check(S, bad, step) is False
+        assert oracles.kernel_correspondence_check(S, bad, step) is False
+        del seen[:]
+        assert kernel_correspondence_check(S, S_check, step) is True
+        assert oracles.kernel_correspondence_check(S, S_check, step) is True
+        assert (S_check.rows, S_check.cols) in seen
+        assert ("chain", "right") not in S_check._cache and ("chain", "left") not in S_check._cache
+
+
+def test_kernel_correspondence_chain_across_the_mod_p_threshold(monkeypatch):
+    """A 15 x 22 network (330 entries) whose first fixed matrix has 368
+    entries and every later one at least ``MOD_P_MIN_ENTRIES``: the rank
+    mod p of step 1 is taken in Python integers, the rest by numpy, every
+    certificate closes (only S_0 is eliminated), and every bool is the
+    oracle's."""
+    report = sign_fix(make_network(random.Random(2), (15, 15), (22, 22)))
+    matrices = report.matrices()
+    sizes = [M.rows * M.cols for M in matrices]
+    assert sizes[1] < exactla.MOD_P_MIN_ENTRIES <= sizes[2] and len(report.steps) == 12
+    sparse_heights = []
+    sparse = exactla._rank_mod_p_sparse
+
+    def recorded(rows):
+        sparse_heights.append(len(rows))
+        return sparse(rows)
+
+    monkeypatch.setattr(exactla, "_rank_mod_p_sparse", recorded)
+    seen = _counted_eliminate(monkeypatch)
+    for S, S_check, step in zip(matrices, matrices[1:], report.steps):
+        assert kernel_correspondence_check(S, S_check, step) is True
+        assert oracles.kernel_correspondence_check(S, S_check, step) is True
+    assert sparse_heights == [matrices[1].rows]
+    assert seen == [(15, 22)]
+    assert all(M._cache["rank"] == oracles.rank(M) for M in matrices[1:])
+
+
+def test_rank_mod_p_is_the_same_in_python_integers_and_numpy(monkeypatch):
+    """Random sparse integer rows, some entries multiples of p or beyond
+    int64: both sides of ``_rank_mod_p`` give the same rank, at most the
+    rank over Q."""
+    rng = random.Random(8)
+    p = exactla.PRIME
+    values = [0, 0, 0, 1, -1, 2, 3, p, -2 * p, p + 1, 10**30]
+    for _ in range(80):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        M = RationalMatrix([[rng.choice(values) for _ in range(cols)] for _ in range(rows)])
+        image = exactla._sparse_image(M, "right")
+        python_rank = exactla._rank_mod_p_sparse(image)
+        with monkeypatch.context() as patched:
+            patched.setattr(exactla, "MOD_P_MIN_ENTRIES", 0)
+            assert exactla._rank_mod_p(image, cols) == python_rank <= oracles.rank(M)
 
 
 def test_kernel_correspondence_checks_left_positivity(monkeypatch):
