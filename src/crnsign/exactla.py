@@ -30,9 +30,9 @@ it only from ``MOD_P_MIN_ENTRIES`` entries up, below which Bareiss in
 Python integers is the faster of the two.
 
 Each ``RationalMatrix`` carries a private cache that only this module
-reads and writes: the denominator-cleared integer rows ("right") and
-columns ("left"), dense and as their nonzeros, the integer kernel
-vectors of each side, the exact rank, and the chain bases that
+reads and writes: the nonzeros of the denominator-cleared integer rows
+("right") and columns ("left"), the integer kernel vectors of each
+side, the exact rank, and the chain bases that
 ``kernel_correspondence_check`` certified.  A matrix is immutable, so
 the cache cannot go stale; it dies with the matrix, and
 ``model.stoichiometric_matrix`` gives every caller of a network the same
@@ -59,7 +59,8 @@ kernels with no elimination over Q, and they are cached on S_check under
 for the next step to read as its S's kernels.  So a chain of one-step
 checks (S_0, S_1), (S_1, S_2), ... over the same matrix objects
 eliminates S_0 only, once per side, unless a certificate fails; a step
-whose bounds do not meet is decided by eliminating, as before.
+whose bounds do not meet takes the exact rank of S_check from its right
+kernel, eliminated over Q, and checks the counts against it.
 ``determinant`` is uncached.
 """
 
@@ -87,8 +88,11 @@ PRIME = 2**31 - 1
 # 200-399 entries); the two break even at 400-600, and from about 1,000
 # entries up the elimination mod p wins (2.3 against 5.7 ms at 2,000).
 # It is also where ``_rank_mod_p`` moves from sparse rows in Python
-# integers to numpy: on the fixed 30 x 80 matrix the Python side takes
-# 20.1 ms against numpy's 4.4, and below it numpy's per-call cost loses.
+# integers to numpy.  On the fixed matrices of six generated 14-18 x
+# 20-26 networks (Intel Xeon, best of 5), Python against numpy takes
+# 0.30 against 0.33 ms per matrix at 200-399 entries, 0.47 against 0.42
+# at 400-599 and 0.87 against 0.55 at 800-999; on the fixed 30 x 80
+# matrix, 20.1 against 4.4 ms.
 MOD_P_MIN_ENTRIES = 400
 
 
@@ -211,22 +215,10 @@ def _eliminate(
     return a, pivots, prev, sign
 
 
-def _integer_image(matrix: RationalMatrix, side: str) -> IntRows:
-    """The denominator-cleared rows ("right") or columns ("left") of the
-    matrix, each scaled by the lcm of its denominators; cached on it."""
-    key = ("image", side)
-    image = matrix._cache.get(key)
-    if image is None:
-        entries = matrix.entries() if side == "right" else tuple(zip(*matrix.entries()))
-        image = tuple(map(tuple, _integer_rows(entries)))
-        matrix._cache[key] = image
-    return image
-
-
 def _sparse_image(matrix: RationalMatrix, side: str) -> SparseRows:
-    """The nonzeros of the denominator-cleared rows ("right") or columns
-    ("left") of the matrix as (index, value) pairs in index order: the
-    nonzero entries of ``_integer_image``, built from the nonzero
+    """The denominator-cleared rows ("right") or columns ("left") of the
+    matrix, each scaled by the lcm of its denominators, as their nonzero
+    (index, value) pairs in index order, built from the nonzero
     ``Fraction``s alone; cached on it."""
     key = ("sparse", side)
     sparse = matrix._cache.get(key)
@@ -374,8 +366,15 @@ def _kernel_vectors(matrix: RationalMatrix, side: str) -> IntRows:
     if size == min(matrix.rows, matrix.cols) and _rank_in_hand(matrix) == size:
         vectors = matrix._cache[key] = ()
         return vectors
-    # _eliminate rewrites the list it is given: hand it a copy.
-    a, pivots, last, _ = _eliminate([list(row) for row in _integer_image(matrix, side)])
+    # _eliminate rewrites the rows it is given: scatter fresh dense ones.
+    width = matrix.cols if side == "right" else matrix.rows
+    a = []
+    for row in _sparse_image(matrix, side):
+        dense = [0] * width
+        for j, x in row:
+            dense[j] = x
+        a.append(dense)
+    a, pivots, last, _ = _eliminate(a)
     cols = len(a[0])
     pivot_set = set(pivots)
     found = []
@@ -544,10 +543,11 @@ def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixs
     ``kernel_basis`` returns, together with the now exact rank, so the
     next step of a chain (S_check passed as S) starts from them: a chain
     of steps over the same matrix objects eliminates S_0 only, unless a
-    certificate fails.  When the bounds do not meet, the check is decided
-    on kernels eliminated over Q, so the answer never depends on the
-    prime.  Every bound comes from the entries of ``S_check``; nothing is
-    inferred from the bordering theorem.
+    certificate fails.  When the bounds do not meet, the exact rank of
+    ``S_check``, read off its right kernel eliminated over Q, decides
+    whether the counts are its nullities, so the answer never depends on
+    the prime.  Every bound comes from the entries of ``S_check``;
+    nothing is inferred from the bordering theorem.
 
     Args:
         S: Original d x d' matrix.
@@ -593,11 +593,24 @@ def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixs
         return False
 
     rank_p = _rank_mod_p(_sparse_image(S_check, "right"), S_check.cols)
-    if rank_p + len(padded_right) != S_check.cols or rank_p + len(padded_left) != S_check.rows:
-        return _exact_correspondence_check(S, S_check, ell, q, p2)
-    S_check._cache[("chain", "right")] = padded_right
-    S_check._cache[("chain", "left")] = padded_left
-    S_check._cache["rank"] = rank_p
+    if rank_p + len(padded_right) == S_check.cols and rank_p + len(padded_left) == S_check.rows:
+        S_check._cache[("chain", "right")] = padded_right
+        S_check._cache[("chain", "left")] = padded_left
+        S_check._cache["rank"] = rank_p
+    else:
+        # The bounds do not meet: the exact rank of S_check, from its right
+        # kernel eliminated over Q, decides whether the counts are the
+        # nullities.  The answer never depends on the prime.
+        check_rank = S_check.cols - len(_kernel_vectors(S_check, "right"))
+        if (
+            check_rank + len(padded_right) != S_check.cols
+            or check_rank + len(padded_left) != S_check.rows
+        ):
+            return False
+    # The padded vectors are bases of the kernels of S_check.  Positivity:
+    # the added coordinate is a copy (resp. positive multiple) of an
+    # existing one, so strict/weak positivity transfers both ways; assert
+    # it on each padded basis and its sum as a concrete spot check.
     return _positivity_transfers(padded_right) and _positivity_transfers(padded_left)
 
 
@@ -608,40 +621,16 @@ def _pad_right(vectors: IntRows, ell: int) -> IntRows:
 
 def _pad_left(vectors: IntRows, q: int, p2: Fraction) -> IntRows:
     """Each left kernel vector w of S padded with w[q] * p2, all of it
-    times p2's denominator: a left kernel vector of the cleared columns."""
+    times p2's denominator and divided by the gcd of its entries: a
+    coprime left kernel vector of the cleared columns, so the entries of
+    a chain's bases do not gain a denominator factor at every step."""
     num, den = p2.numerator, p2.denominator
-    return tuple(tuple(x * den for x in w) + (w[q] * num,) for w in vectors)
-
-
-def _exact_correspondence_check(
-    S: RationalMatrix, S_check: RationalMatrix, ell: int, q: int, p2: Fraction
-) -> bool:
-    """The correspondence decided on kernels eliminated over Q: each side's
-    kernel of S and the right kernel of ``S_check`` come from
-    ``_kernel_vectors`` on that matrix itself, and the rank of ``S_check``
-    is its column count less its right-kernel dimension."""
-    check_nullity = len(_kernel_vectors(S_check, "right"))
-    check_rank = S_check.cols - check_nullity
-    right = _kernel_vectors(S, "right")
-    if len(right) != check_nullity:
-        return False
-    padded_right = _pad_right(right, ell)
-    if not all(_in_kernel(S_check, "right", v) for v in padded_right):
-        return False
-
-    left = _kernel_vectors(S, "left")
-    if len(left) != S_check.rows - check_rank:
-        return False
-    padded_left = _pad_left(left, q, p2)
-    if not all(_in_kernel(S_check, "left", w) for w in padded_left):
-        return False
-
-    # Dimensions agree and the padded images are independent (the first
-    # coordinates already are), so the maps are bijections.  Positivity:
-    # the added coordinate is a copy (resp. positive multiple) of an
-    # existing one, so strict/weak positivity transfers both ways; assert
-    # it on each padded basis and its sum as a concrete spot check.
-    return _positivity_transfers(padded_right) and _positivity_transfers(padded_left)
+    out = []
+    for w in vectors:
+        padded = tuple(x * den for x in w) + (w[q] * num,)
+        g = gcd(*padded)
+        out.append(tuple(x // g for x in padded))
+    return tuple(out)
 
 
 def _positivity_transfers(padded_vectors: Sequence[Sequence[int]]) -> bool:

@@ -243,7 +243,7 @@ def test_cached_results_equal_those_of_a_fresh_matrix():
         for _ in range(2):
             for side in ("right", "left"):
                 assert kernel_basis(M, side) == kernel_basis(_fresh(M), side)
-                assert exactla._integer_image(M, side) == exactla._integer_image(_fresh(M), side)
+                assert exactla._sparse_image(M, side) == exactla._sparse_image(_fresh(M), side)
         assert rank(M) == rank(_fresh(M))
         if M.rows == M.cols:
             assert determinant(M) == determinant(_fresh(M))
@@ -267,8 +267,8 @@ def _echelon_rank(M):
 
 def test_rank_reads_only_its_own_slot_the_right_kernel_and_the_right_image():
     """Rank equals a fresh echelon rank with and without a cached right
-    kernel or right integer images (the sparse image is what the rank mod
-    p eliminates); a wrong left kernel or a planted key of another name
+    kernel or right integer image (the image is what the rank mod p
+    eliminates); a wrong left kernel or a planted key of another name
     (such as a chain basis, which only the kernel correspondence check
     reads) is never read."""
     for M in _isolation_inputs():
@@ -278,7 +278,6 @@ def test_rank_reads_only_its_own_slot_the_right_kernel_and_the_right_image():
         kernel_basis(with_kernel, "right")
         assert rank(with_kernel) == expected
         with_image = _fresh(M)
-        exactla._integer_image(with_image, "right")
         exactla._sparse_image(with_image, "right")
         assert rank(with_image) == expected
         planted = _fresh(M)
@@ -344,7 +343,7 @@ def test_rank_mod_p_reduces_entries_beyond_int64():
                    for _ in range(rows)]
         entries[3] = [Fraction(x, big + 7) for x in entries[3]]
         M = RationalMatrix(entries)
-        assert max(abs(x) for row in exactla._integer_image(M, "right") for x in row) > 2**63
+        assert max(abs(x) for row in exactla._sparse_image(M, "right") for _, x in row) > 2**63
         assert rank(M) == oracles.rank(M) == min(rows, cols)
         assert M._cache["rank"] == min(rows, cols)
         for side in ("left", "right"):
@@ -420,6 +419,32 @@ def test_chain_bases_never_reach_the_public_api():
     assert differ > 0
 
 
+def test_chain_left_bases_stay_coprime_on_a_fractional_chain():
+    """``conserving_family.crn`` with X2, X3 and X4 counted in units of 5,
+    3 and 7: every step pads the left kernel by a fractional p2, and each
+    stored left basis is divided by its gcd, so its one conservation law
+    stays the coprime vector of the RREF basis instead of gaining p2's
+    denominator at every step (7,350 against 10 by the sixth step)."""
+    report = sign_fix(
+        parse_network(
+            "2X1 + 12/5 X2 -> 4/3 X3 + 10/7 X4\n"
+            "X1 + 1/3 X3 + 2/7 X4 -> 4/5 X2\n"
+            "2/3 X3 + 6/7 X4 -> 4X1 + 4/5 X2\n"
+            "4/7 X4 <-> 4X1\n"
+        )
+    )
+    matrices = report.matrices()
+    assert len(report.steps) == 6
+    assert all(step.zeroed_entry[1].denominator > 1 for step in report.steps[:2])
+    for S, S_check, step in zip(matrices, matrices[1:], report.steps):
+        assert kernel_correspondence_check(S, S_check, step) is True
+        assert oracles.kernel_correspondence_check(S, S_check, step) is True
+    for M in matrices[1:]:
+        expected = oracles.kernel_basis(M, "left")
+        assert expected.dim == 1
+        assert M._cache[("chain", "left")] == (tuple(int(x) for x in expected.vectors[0]),)
+
+
 def test_kernel_correspondence_falls_back_when_the_rank_mod_p_is_short(monkeypatch):
     """``deficiency_jump.crn`` with A + B -> C scaled by p = PRIME: that
     reaction's column of every fixed matrix vanishes mod p, so its rank
@@ -491,8 +516,9 @@ def test_rank_mod_p_is_the_same_in_python_integers_and_numpy(monkeypatch):
 
 def test_kernel_correspondence_checks_left_positivity(monkeypatch):
     """A -> (3/2) B and back, fixed at (B, 0): the left kernel (3, 2) pads
-    to (6, 4, 6) over S_check's cleared columns, and that padded vector
-    and its sum reach the positivity check."""
+    to (6, 4, 6) over S_check's cleared columns, divided by its gcd to
+    (3, 2, 3), and that padded vector and its sum reach the positivity
+    check."""
     S = RationalMatrix([[-1, 1], ["3/2", "-3/2"]])
     S_check = RationalMatrix([[-1, 1, 0], [0, "-3/2", "3/2"], [1, 0, -1]])
     step = SimpleNamespace(modified_column=0, zeroed_entry=(1, Fraction(3, 2)))
@@ -506,7 +532,7 @@ def test_kernel_correspondence_checks_left_positivity(monkeypatch):
     monkeypatch.setattr(exactla, "_positivity_transfers", recorded)
     assert kernel_correspondence_check(S, S_check, step) is True
     monkeypatch.undo()
-    assert seen == [[[1, 1, 1]], [[6, 4, 6]]]
+    assert seen == [[[1, 1, 1]], [[3, 2, 3]]]
     # a padded coordinate that breaks strict or weak positivity fails
     assert not exactla._positivity_transfers([[6, 4, -6]])
     assert not exactla._positivity_transfers([[6, 0, -1]])
