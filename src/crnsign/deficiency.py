@@ -9,15 +9,22 @@ B', the rewritten product B' + C2, and the restored complex p2*B.
 ``delta_audit`` computes phi/psi literally from their case definitions
 and cross-checks them, step by step, against from-scratch recounts of n
 and ell of every network.  Each recount is one pass over the network's
-reactions (``_recount``): it indexes the complexes in first-appearance
-order and joins them into linkage classes by union-find; the audit reads
-whether a complex is present, and its class, from that index.  The
-recount stays independent of the steps: it is never updated
-incrementally from the previous network's.  The rank is not recomputed
-per step: each step is checked to be exactly the documented bordering,
-which raises the rank by one, and the rank of the final network's own S
-confirms the total.  A mismatch means the implementation is wrong, not
-the input.
+reactions (``_recount``): it indexes the network's complexes in
+first-appearance order and joins them into linkage classes by
+union-find; the audit reads whether a complex is present, and its
+class, from that index.
+
+The recounts of one audit share only the complex-equality interning
+(``_Interner``): each distinct complex of the chain gets an int once,
+by equality, and each reaction object its pair of ints once, so a
+recount walks ints and never hashes a complex again.  They share no
+count: each network is recounted from its own reaction tuple, never
+updated incrementally from the previous network's.  Nor do they share a
+matrix: the rank is not recomputed per step, since each step is checked
+to be exactly the documented bordering, which raises the rank by one,
+and the rank of the final network's own S, built from its own reactions
+and never spliced from its parent's, confirms the total.  A mismatch
+means the implementation is wrong, not the input.
 
 Also here: the decomposition S v(x) = Y A_k psi(x) of the right-hand
 side through complex space (Y lists complex coefficients, A_k is the
@@ -27,6 +34,7 @@ per system and then evaluated at any number of states.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
@@ -40,46 +48,96 @@ from .signcheck import find_bad_submatrices
 from .signfix import FixReport, FixStep
 
 
-def _recount(net: Network) -> Tuple[Dict[Complex, int], List[FrozenSet[int]]]:
-    """Complexes and linkage classes of ``net``, counted from scratch in
-    one pass over its reactions.
+class _Interner:
+    """Complexes to ints, by equality, and reactions to their (reactant
+    id, product id) pairs, by object.
 
-    Each reaction side gets the next index on first appearance (reactant,
-    then product), so the dict lists the complexes in first-appearance
-    order.  The linkage classes are the connected components of the graph
-    with one edge per reaction, found by union-find over those indices;
-    a union keeps the smaller root, so each root is its class's smallest
-    member and the classes come out ordered by it.  A reversible pair
-    contributes the same undirected edge twice, which changes nothing.
+    A complex gets the next id the first time an equal one is met.  A
+    reaction object is read once, the first time it is met: a fixing
+    chain shares its unchanged reactions between networks, so each
+    network's pairs cost a lookup per reaction, and a complex is hashed
+    and compared once per reaction object that holds it.  Reactions are
+    keyed by ``id()``; the networks being counted hold them, so no id is
+    reused while the interner lives.
     """
-    index: Dict[Complex, int] = {}
-    edges = [
-        (index.setdefault(r.reactant, len(index)), index.setdefault(r.product, len(index)))
-        for r in net.reactions
-    ]
+
+    def __init__(self) -> None:
+        self.complexes: Dict[Complex, int] = {}
+        self._pairs: Dict[int, Tuple[int, int]] = {}
+
+    def pair(self, reaction: Reaction) -> Tuple[int, int]:
+        """The (reactant id, product id) pair of ``reaction``."""
+        pair = self._pairs.get(id(reaction))
+        if pair is None:
+            ids = self.complexes
+            pair = self._pairs[id(reaction)] = (
+                ids.setdefault(reaction.reactant, len(ids)),
+                ids.setdefault(reaction.product, len(ids)),
+            )
+        return pair
+
+    def pairs(self, net: Network) -> List[Tuple[int, int]]:
+        """The pair of each reaction of ``net``, in order; the reactions
+        met before are looked up without a Python call each."""
+        pairs = list(map(self._pairs.get, map(id, net.reactions)))
+        if None in pairs:
+            for k, pair in enumerate(pairs):
+                if pair is None:
+                    pairs[k] = self.pair(net.reactions[k])
+        return pairs
+
+
+def _recount(net: Network, interner: _Interner) -> Tuple[Dict[int, int], List[int]]:
+    """Complexes and linkage classes of ``net``, counted from scratch in
+    one pass over its reactions, on the interned complex ids.
+
+    Each reaction side's id gets the next index on first appearance
+    (reactant, then product), so the dict maps the ids of the network's
+    complexes to their indices in first-appearance order.  The linkage
+    classes are the connected components of the graph with one edge per
+    reaction, found by union-find over those indices; a union keeps the
+    smaller root, so every parent index is below its child's, and one
+    ascending pass then points each index at its root, its class's
+    smallest member.  The list returned holds that root per index.  A
+    reversible pair contributes the same undirected edge twice, which
+    changes nothing.
+    """
+    ends = [x for pair in interner.pairs(net) for x in pair]
+    index = {x: i for i, x in enumerate(dict.fromkeys(ends))}
+    local = iter(list(map(index.__getitem__, ends)))
     parent = list(range(len(index)))
-
-    def find(a: int) -> int:
+    for a, b in zip(local, local):
         while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    # parent[i] <= i, so parent[parent[i]] is a root by the time i is reached
+    for i in range(len(parent)):
+        parent[i] = parent[parent[i]]
+    return index, parent
 
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
 
+def _complexes(net: Network) -> Tuple[List[Complex], List[FrozenSet[int]]]:
+    """The distinct complexes of ``net`` in first-appearance order
+    (reactant, product), and its linkage classes over their indices,
+    ordered by their smallest member."""
+    interner = _Interner()
+    index, roots = _recount(net, interner)
+    by_id = list(interner.complexes)
     # a root is its class's smallest member, so roots are met in increasing order
     groups: Dict[int, List[int]] = {}
-    for i in range(len(parent)):
-        groups.setdefault(find(i), []).append(i)
-    return index, [frozenset(members) for members in groups.values()]
+    for i, root in enumerate(roots):
+        groups.setdefault(root, []).append(i)
+    return [by_id[x] for x in index], [frozenset(members) for members in groups.values()]
 
 
 def complexes_of(net: Network) -> List[Complex]:
     """Distinct complexes in first-appearance order (reactant, product)."""
-    return list(_recount(net)[0])
+    return _complexes(net)[0]
 
 
 @dataclass(frozen=True)
@@ -97,14 +155,14 @@ class DeficiencyReport:
 def deficiency(net: Network) -> DeficiencyReport:
     """Count complexes and linkage classes; s is the exact rank of S,
     cached on the network's S (see ``exactla.rank``)."""
-    index, classes = _recount(net)
-    n, ell, s = len(index), len(classes), exactla.rank(stoichiometric_matrix(net))
+    complexes, classes = _complexes(net)
+    n, ell, s = len(complexes), len(classes), exactla.rank(stoichiometric_matrix(net))
     return DeficiencyReport(
         n=n,
         ell=ell,
         s=s,
         delta=n - ell - s,
-        complexes=tuple(index),
+        complexes=tuple(complexes),
         classes=tuple(classes),
     )
 
@@ -125,13 +183,6 @@ class DeltaAudit:
     psi_values: Tuple[int, int]
 
 
-def _class_of(classes: Sequence[FrozenSet[int]], index: int) -> FrozenSet[int]:
-    for members in classes:
-        if index in members:
-            return members
-    raise AssertionError("complex missing from its own linkage partition")
-
-
 def _check_bordering(step: FixStep, before: Network, after: Network) -> None:
     """Require ``after`` to be ``before`` with exactly the step's changes.
 
@@ -140,6 +191,9 @@ def _check_bordering(step: FixStep, before: Network, after: Network) -> None:
     species and B' -> p2*B to the reactions.  Then S_after with column l
     plus the new column is [[S_before, p2*e_q], [0, -1]], so the rank of S
     rises by exactly one.
+
+    The rewritten reaction and the appended one are compared field by
+    field with the expected terms tuples; nothing is built for them.
     """
     q, p2 = step.zeroed_entry
     ell = step.modified_column
@@ -163,15 +217,16 @@ def _check_bordering(step: FixStep, before: Network, after: Network) -> None:
     old = before.reactions[ell]
     if not p2 > 0 or old.reactant.coefficient(q) != 0 or old.product.coefficient(q) != p2:
         raise AssertionError("zeroed entry is not the positive entry of the rewritten column")
-    terms = dict(old.product.terms)
-    del terms[q]
-    terms[d] = Fraction(1)
-    rewritten = Reaction(old.reactant, Complex.from_dict(terms), old.rate, old.label)
-    if after.reactions[ell] != rewritten:
+    # Every index of ``before`` is below d, so (d, 1) sorts last.
+    terms = tuple(t for t in old.product.terms if t[0] != q) + ((d, 1),)
+    new = after.reactions[ell]
+    if (
+        (new.reactant, new.rate, new.label) != (old.reactant, old.rate, old.label)
+        or new.product.terms != terms
+    ):
         raise AssertionError("reaction l is not rewritten as documented")
     added = after.reactions[r]
-    fresh, restored = Complex.from_dict({d: 1}), Complex.from_dict({q: p2})
-    if (added.reactant, added.product) != (fresh, restored):
+    if added.reactant.terms != ((d, 1),) or added.product.terms != ((q, p2),):
         raise AssertionError("appended reaction is not B' -> p2*B")
 
 
@@ -184,10 +239,14 @@ def delta_audit(report: FixReport) -> List[DeltaAudit]:
     scratch by one pass over its reactions (``_recount``), and the
     previous network's recount is reused; Delta-n must equal the phi sum
     and Delta-ell the psi sum; and each step must satisfy 1 <= dn <= 3,
-    dl <= 2, and 0 <= ddelta <= 1.  Whether a complex is in a network,
-    and which linkage class holds it, is read from that recount's
-    complex index.  The bordering check makes ds = 1 exact, so the rank
-    is carried forward.
+    dl <= 2, and 0 <= ddelta <= 1.  The recounts run on one interning of
+    the chain's complexes by equality (``_Interner``); whether a complex
+    is in a network, and which linkage class holds it, is read from that
+    network's recount by the complex's id.  p2*B is the appended
+    reaction's product, C2 + B' the rewritten product and p2*B + C2 the
+    old one (``_check_bordering`` compared their terms), so each id is
+    read from its reaction.  The bordering check makes ds = 1 exact, so
+    the rank is carried forward.
 
     Once: the rank of the final network's S, read from that matrix and
     never inferred from the steps, must be the original rank plus the
@@ -202,32 +261,34 @@ def delta_audit(report: FixReport) -> List[DeltaAudit]:
     if not report.steps:
         return audits
     s0 = exactla.rank(stoichiometric_matrix(report.original))
-    pre_index, pre_classes = _recount(report.original)
+    interner = _Interner()
+    pre_index, pre_roots = _recount(report.original, interner)
+    pre_classes = len(set(pre_roots))
     for step, before, after in zip(report.steps, report.networks, report.networks[1:]):
         _check_bordering(step, before, after)
-        post_index, post_classes = _recount(after)
+        post_index, post_roots = _recount(after, interner)
+        post_classes = len(set(post_roots))
         dn = len(post_index) - len(pre_index)
-        dl = len(post_classes) - len(pre_classes)
+        dl = post_classes - pre_classes
         ds = 1  # exact: _check_bordering found the documented bordering
         ddelta = dn - dl - ds
 
-        q, p2 = step.zeroed_entry
-        p2b = Complex.from_dict({q: p2})
-        rewritten_product = after.reactions[step.modified_column].product
-        old_product = before.reactions[step.modified_column].product
+        q = step.zeroed_entry[0]
+        ell = step.modified_column
+        p2b = interner.pair(after.reactions[before.reaction_count])[1]
+        rewritten_product = interner.pair(after.reactions[ell])[1]
+        old_product = interner.pair(before.reactions[ell])[1]
         # _check_bordering made old_product p2*B + C2, so C2 is the rest.
-        c2_nonempty = any(j != q for j, _ in old_product.terms)
+        c2_nonempty = any(j != q for j, _ in before.reactions[ell].product.terms)
 
         phi_rewritten = (
             2 if c2_nonempty and old_product in post_index else 1
         )
         phi_restored = 1 if p2b not in pre_index else 0
 
-        bprime_class = _class_of(post_classes, post_index[rewritten_product])
+        bprime_root = post_roots[post_index[rewritten_product]]
         if old_product in post_index:
-            disjoint = not (
-                bprime_class & _class_of(post_classes, post_index[old_product])
-            )
+            disjoint = post_roots[post_index[old_product]] != bprime_root
             psi_rewritten = 1 if disjoint else 0
         else:
             psi_rewritten = 0
@@ -270,10 +331,8 @@ def check_single_positive_column(net: Network) -> bool:
     Vacuously true without bad classes.
     """
     S = stoichiometric_matrix(net)
-    return all(
-        sum(c > 0 for c in S.column(cls.positive_entry[1])) == 1
-        for cls in find_bad_submatrices(S)
-    )
+    positives = Counter(j for row in S.nonzeros() for j, v in row if v.numerator > 0)
+    return all(positives[cls.positive_entry[1]] == 1 for cls in find_bad_submatrices(S))
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,8 +382,8 @@ def complexes_decomposition(sys: MassActionSystem) -> Decomposition:
     ``kinetics.MonomialTable`` with start 1.0, evaluated like the fluxes.
     """
     net = sys.network
-    index = _recount(net)[0]
-    complexes = list(index)
+    complexes = complexes_of(net)
+    index = {cx: c for c, cx in enumerate(complexes)}
     y_rows = [[Fraction(0)] * len(complexes) for _ in range(net.species_count)]
     y_float = np.zeros((net.species_count, len(complexes)))
     for c, cx in enumerate(complexes):

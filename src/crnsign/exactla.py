@@ -29,6 +29,13 @@ at a time, and from there up by elimination on dense numpy int64 rows
 it only from ``MOD_P_MIN_ENTRIES`` entries up, below which Bareiss in
 Python integers is the faster of the two.
 
+The integer image of a matrix comes from its ``nonzeros()``, never from
+a scan of all its entries: each row's (column's) nonzero ``Fraction``s
+are cleared by the lcm of their denominators, and ``rank``'s and the
+kernels' eliminations scatter those cleared rows into fresh dense lists.
+Only ``determinant`` and the simplex of ``is_conserving`` read the
+entries themselves.
+
 Each ``RationalMatrix`` carries a private cache that only this module
 reads and writes: the nonzeros of the denominator-cleared integer rows
 ("right") and columns ("left"), the integer kernel vectors of each
@@ -218,19 +225,39 @@ def _eliminate(
 def _sparse_image(matrix: RationalMatrix, side: str) -> SparseRows:
     """The denominator-cleared rows ("right") or columns ("left") of the
     matrix, each scaled by the lcm of its denominators, as their nonzero
-    (index, value) pairs in index order, built from the nonzero
-    ``Fraction``s alone; cached on it."""
+    (index, value) pairs in index order, built from the matrix's
+    ``nonzeros()`` (the columns by distributing each row's pairs in row
+    order); cached on it."""
     key = ("sparse", side)
     sparse = matrix._cache.get(key)
     if sparse is None:
-        entries = matrix.entries() if side == "right" else zip(*matrix.entries())
+        lines = matrix.nonzeros()
+        if side == "left":
+            columns: List[List[Tuple[int, Fraction]]] = [[] for _ in range(matrix.cols)]
+            for i, row in enumerate(lines):
+                for j, v in row:
+                    columns[j].append((i, v))
+            lines = columns
         found = []
-        for row in entries:
-            nonzero = [(j, v) for j, v in enumerate(row) if v]
-            scale = lcm(*(v.denominator for _, v in nonzero))
-            found.append(tuple((j, v.numerator * (scale // v.denominator)) for j, v in nonzero))
+        for line in lines:
+            scale = lcm(*(v.denominator for _, v in line))
+            found.append(tuple((j, v.numerator * (scale // v.denominator)) for j, v in line))
         sparse = matrix._cache[key] = tuple(found)
     return sparse
+
+
+def _dense_image(matrix: RationalMatrix, side: str) -> List[List[int]]:
+    """Fresh dense lists of the cleared rows ("right") or columns ("left"),
+    scattered from ``_sparse_image``; ``_eliminate`` rewrites the rows it
+    is given, so the cached tuples are never handed to it."""
+    width = matrix.cols if side == "right" else matrix.rows
+    rows = []
+    for line in _sparse_image(matrix, side):
+        dense = [0] * width
+        for j, x in line:
+            dense[j] = x
+        rows.append(dense)
+    return rows
 
 
 def _in_kernel(matrix: RationalMatrix, side: str, vector: Sequence[int]) -> bool:
@@ -327,12 +354,12 @@ def rank(matrix: RationalMatrix) -> int:
     It is read from the cache, or from the cached right kernel (columns
     less its dimension), or certified mod p (see the module docstring);
     only when none of them gives it does the echelon-only integer
-    elimination count the pivots.  Every source is this matrix's own
-    entries.
+    elimination of the cleared rows, scattered from their nonzeros, count
+    the pivots.  Every source is this matrix's own entries.
     """
     value = _rank_in_hand(matrix)
     if value is None:
-        value = len(_eliminate(_integer_rows(matrix.entries()), reduce=False)[1])
+        value = len(_eliminate(_dense_image(matrix, "right"), reduce=False)[1])
         matrix._cache["rank"] = value
     return value
 
@@ -366,15 +393,7 @@ def _kernel_vectors(matrix: RationalMatrix, side: str) -> IntRows:
     if size == min(matrix.rows, matrix.cols) and _rank_in_hand(matrix) == size:
         vectors = matrix._cache[key] = ()
         return vectors
-    # _eliminate rewrites the rows it is given: scatter fresh dense ones.
-    width = matrix.cols if side == "right" else matrix.rows
-    a = []
-    for row in _sparse_image(matrix, side):
-        dense = [0] * width
-        for j, x in row:
-            dense[j] = x
-        a.append(dense)
-    a, pivots, last, _ = _eliminate(a)
+    a, pivots, last, _ = _eliminate(_dense_image(matrix, side))
     cols = len(a[0])
     pivot_set = set(pivots)
     found = []

@@ -8,6 +8,16 @@ bit-reproducible.
 A network's S is built on the first ``stoichiometric_matrix`` call and
 kept on the ``Network`` instance, so its callers share one matrix and
 everything ``exactla`` caches on it (integer images, kernels, rank).
+
+S is sparse: a fixing step borders it with one row and one column of two
+nonzeros each, so a fixed S is mostly zeros.  ``RationalMatrix.nonzeros()``
+holds each row's nonzero entries as (column, value) pairs, and the
+readers of S (the sign checks, the integer images, the exact strings)
+walk those instead of every entry.  ``stoichiometric_matrix`` builds them
+straight from the reaction terms, and the dense entries from them; any
+other matrix finds them by one scan of its entries on first use.  A
+matrix never changes after construction, so the nonzeros cannot go
+stale, and they are not part of its value.
 """
 
 from __future__ import annotations
@@ -22,6 +32,8 @@ from typing import List, Mapping, Optional, Sequence, Tuple, Union
 SPECIES_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 RationalLike = Union[int, str, Fraction]
+# One row of a matrix's nonzero entries: (column, value) pairs in column order.
+SparseRow = Tuple[Tuple[int, Fraction], ...]
 
 
 def _to_fraction(value: RationalLike) -> Fraction:
@@ -283,13 +295,14 @@ class RationalMatrix:
     Entries are `fractions.Fraction`; the exact computations on a matrix
     live in ``exactla``.
 
-    ``_cache`` is a per-instance dict for data derived from the entries
-    (``exactla`` keeps the integer images and kernel vectors there).  It
-    is not part of the value: equality, hash and repr ignore it, and since
-    the entries never change it cannot go stale.
+    ``_nonzeros`` holds ``nonzeros()`` once known, and ``_cache`` is a
+    per-instance dict for data derived from the entries (``exactla`` keeps
+    the integer images and kernel vectors there).  Neither is part of the
+    value: equality, hash and repr ignore them, and since the entries
+    never change they cannot go stale.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_cache")
+    __slots__ = ("rows", "cols", "_data", "_nonzeros", "_cache")
 
     def __init__(self, entries: Sequence[Sequence[RationalLike]]):
         self._store(tuple(tuple(_to_fraction(v) for v in row) for row in entries))
@@ -311,6 +324,7 @@ class RationalMatrix:
         self.rows = len(data)
         self.cols = width
         self._data = data
+        self._nonzeros = None
         self._cache = {}
 
     def __getitem__(self, key: Tuple[int, int]) -> Fraction:
@@ -326,9 +340,26 @@ class RationalMatrix:
     def entries(self) -> Tuple[Tuple[Fraction, ...], ...]:
         return self._data
 
+    def nonzeros(self) -> Tuple[SparseRow, ...]:
+        """Each row's nonzero entries as (column, value) pairs in column
+        order; found by one scan of the entries on first use, unless the
+        matrix was built from them."""
+        nonzeros = self._nonzeros
+        if nonzeros is None:
+            nonzeros = self._nonzeros = tuple(
+                tuple((j, v) for j, v in enumerate(row) if v) for row in self._data
+            )
+        return nonzeros
+
     def to_string_rows(self) -> List[List[str]]:
         """Rows of exact decimal-free strings such as "3" or "-1/2"."""
-        return [[str(v) for v in row] for row in self._data]
+        out = []
+        for row in self.nonzeros():
+            strings = ["0"] * self.cols
+            for j, v in row:
+                strings[j] = str(v)
+            out.append(strings)
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -350,20 +381,37 @@ def stoichiometric_matrix(net: Network) -> RationalMatrix:
 
     Built on the first call and kept on the network (not a field:
     equality, hash, repr and ``dataclasses.replace`` ignore it), so later
-    calls return the same object.
+    calls return the same object.  Each row's nonzeros are appended in
+    reaction order straight from the terms, and kept as the matrix's
+    ``nonzeros()``.  A species on both sides of reaction j (a catalyst)
+    meets its own reactant entry last in row i, so its product term is
+    added to that entry, which is dropped if the two cancel.
     """
     try:
         return net._matrix
     except AttributeError:
         pass
-    d = net.species_count
-    entries = [[Fraction(0)] * net.reaction_count for _ in range(d)]
+    rows: List[List[Tuple[int, Fraction]]] = [[] for _ in range(net.species_count)]
     for j, reaction in enumerate(net.reactions):
         for index, coeff in reaction.reactant.terms:
-            entries[index][j] -= coeff
+            rows[index].append((j, -_to_fraction(coeff)))
         for index, coeff in reaction.product.terms:
-            entries[index][j] += coeff
+            row = rows[index]
+            if row and row[-1][0] == j:
+                value = row.pop()[1] + coeff
+                if value:
+                    row.append((j, value))
+            else:
+                row.append((j, _to_fraction(coeff)))
+    zero = Fraction(0)
+    entries = []
+    for row in rows:
+        dense = [zero] * net.reaction_count
+        for j, value in row:
+            dense[j] = value
+        entries.append(dense)
     matrix = RationalMatrix._of_fractions(entries)
+    matrix._nonzeros = tuple(map(tuple, rows))
     object.__setattr__(net, "_matrix", matrix)
     return matrix
 

@@ -1,10 +1,15 @@
 """Sign-pattern extraction and the combinatorial sign-status checkers.
 
-Every check reads one integer sign array: ``_sign_array`` turns exact
-rows into their entries' signs (1, -1, 0).  With P = (S > 0) and
-N = (S < 0) as 0/1 arrays, the number of terms of each sign that feed an
-entry of a derived matrix is an integer matrix product, and ``_status``
-maps the pair (plus count, minus count) of each entry to its status:
+Every check reads S through its nonzeros (``RationalMatrix.nonzeros()``),
+never through all d x d' entries: a fixed S is mostly zeros, since each
+fixing step borders it with one row and one column of two nonzeros each.
+``sign_pattern`` writes the sign of each nonzero into rows of zeros;
+``find_bad_submatrices`` keeps each row's positive and negative columns
+as sets; and ``_plus_minus`` scatters the nonzeros into P = (S > 0) and
+N = (S < 0), int64 0/1 arrays.  The number of terms of each sign that
+feed an entry of a derived matrix is then an integer matrix product, and
+``_status`` maps the pair (plus count, minus count) of each entry to its
+status:
 
 * ``jacobian_sign_status``: term k of entry (i, j) of the Jacobian
   S v'(x) is present iff reaction k consumes species j, and it has the
@@ -16,7 +21,8 @@ maps the pair (plus count, minus count) of each entry to its status:
   iff A_ik and A_jk have equal nonzero signs and minus iff they have
   opposite ones, so the counts are (P P^t + N N^t, P N^t + N P^t).  Both
   2x2 patterns (one plus with three minuses, and one minus with three
-  pluses) matter.
+  pluses) matter.  It takes a sign pattern, not S, so its P and N come
+  from the pattern's signs.
 
 The counts are exact: products of 0/1 arrays in int64, no float.  A
 narrower type would not do: an int8 product wraps at 128 contributing
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -114,26 +120,26 @@ class BadClass:
         return len(self.members)
 
 
-def _sign_array(rows: Sequence[Sequence]) -> np.ndarray:
-    """The signs (1, -1, 0) of the entries of exact rows (Fractions or
-    ints), as an int64 array.  A Fraction has the sign of its numerator,
+def _plus_minus(matrix: RationalMatrix) -> Tuple[np.ndarray, np.ndarray]:
+    """P = (M > 0) and N = (M < 0) as int64 0/1 arrays, scattered from
+    the matrix's nonzeros.  A Fraction has the sign of its numerator,
     which is compared as a plain int."""
-    width = len(rows[0]) if rows else 0
-    return np.array(
-        [[(v.numerator > 0) - (v.numerator < 0) for v in row] for row in rows],
-        dtype=np.int64,
-    ).reshape(len(rows), width)
+    plus: Tuple[List[int], List[int]] = ([], [])
+    minus: Tuple[List[int], List[int]] = ([], [])
+    for i, row in enumerate(matrix.nonzeros()):
+        for j, v in row:
+            rows, cols = plus if v.numerator > 0 else minus
+            rows.append(i)
+            cols.append(j)
+    P = np.zeros((matrix.rows, matrix.cols), dtype=np.int64)
+    N = np.zeros((matrix.rows, matrix.cols), dtype=np.int64)
+    P[plus] = 1
+    N[minus] = 1
+    return P, N
 
 
-def _plus_minus(signs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """P = (signs > 0) and N = (signs < 0) as int64 0/1 arrays."""
-    return (signs > 0).astype(np.int64), (signs < 0).astype(np.int64)
-
-
-# Indexed by a sign value (-1 picks the last), and by plus + 2 * minus.
-_SIGNS = (Sign.ZERO, Sign.PLUS, Sign.MINUS)
+# Indexed by plus + 2 * minus.
 _STATUSES = (Status.ZERO, Status.PLUS, Status.MINUS, Status.AMBIGUOUS)
-_SIGN_VALUES = {Sign.ZERO: 0, Sign.PLUS: 1, Sign.MINUS: -1}
 
 
 def _status(plus: np.ndarray, minus: np.ndarray) -> SignStatusMatrix:
@@ -144,9 +150,15 @@ def _status(plus: np.ndarray, minus: np.ndarray) -> SignStatusMatrix:
 
 
 def sign_pattern(matrix: RationalMatrix) -> SignMatrix:
-    """Entrywise signs of an exact matrix."""
-    signs = _sign_array(matrix.entries()).tolist()
-    return tuple(tuple(_SIGNS[v] for v in row) for row in signs)
+    """Entrywise signs of an exact matrix: each row is zeros with the sign
+    of each nonzero written in."""
+    out = []
+    for row in matrix.nonzeros():
+        signs = [Sign.ZERO] * matrix.cols
+        for j, v in row:
+            signs[j] = Sign.PLUS if v.numerator > 0 else Sign.MINUS
+        out.append(tuple(signs))
+    return tuple(out)
 
 
 def hermitian_square_status(pattern: SignMatrix) -> SignStatusMatrix:
@@ -158,7 +170,12 @@ def hermitian_square_status(pattern: SignMatrix) -> SignStatusMatrix:
     if none).  Diagonal entries are never minus.  The plus and minus
     counts are P P^t + N N^t and P N^t + N P^t, in int64.
     """
-    P, N = _plus_minus(_sign_array([[_SIGN_VALUES[s] for s in row] for row in pattern]))
+    width = len(pattern[0]) if pattern else 0
+    P, N = (
+        np.array([[s is sign for s in row] for row in pattern], dtype=np.int64)
+        .reshape(len(pattern), width)
+        for sign in (Sign.PLUS, Sign.MINUS)
+    )
     return _status(P @ P.T + N @ N.T, P @ N.T + N @ P.T)
 
 
@@ -171,11 +188,12 @@ def find_bad_submatrices(S: RationalMatrix) -> List[BadClass]:
     combined with each column positive in one row and negative in the
     other; the submatrices of a row pair are listed by their column pair.
     Classes are listed in lexicographic order of their positive entry
-    (row, then column); members keep the enumeration order.
+    (row, then column); members keep the enumeration order.  Each row's
+    positive and negative columns are read from its nonzeros.
     """
-    rows = _sign_array(S.entries()).tolist()
-    positive = [{c for c, v in enumerate(row) if v > 0} for row in rows]
-    negative = [{c for c, v in enumerate(row) if v < 0} for row in rows]
+    rows = S.nonzeros()
+    positive = [{c for c, v in row if v.numerator > 0} for row in rows]
+    negative = [{c for c, v in row if v.numerator < 0} for row in rows]
     by_entry: dict = {}
     for i in range(S.rows - 1):
         for j in range(i + 1, S.rows):
@@ -218,5 +236,5 @@ def jacobian_sign_status(net: Network) -> SignStatusMatrix:
             f"network is not in reaction form (violations: {violations}); "
             "sign analysis does not apply"
         )
-    P, N = _plus_minus(_sign_array(stoichiometric_matrix(net).entries()))
+    P, N = _plus_minus(stoichiometric_matrix(net))
     return _status(P @ N.T, N @ N.T)

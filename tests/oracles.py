@@ -34,8 +34,11 @@ the characteristic polynomial was interpolated from Bareiss determinants
 and the exact Jacobian read only each reaction's terms; and the CLI's
 ``non_finite_at`` walk of a report as it was before ``dump_report``
 found non-finite numbers while writing (``json.dumps`` itself is the
-writer's oracle).  The
-``sign_fix`` oracle enumerates its classes with that
+writer's oracle); and the dense readers of S (``dense_to_string_rows``,
+``dense_sparse_image``, ``dense_sign_pattern``,
+``dense_find_bad_submatrices``, ``dense_jacobian_sign_status`` and
+``dense_check_single_positive_column``) as they were before they read
+S's nonzeros.  The ``sign_fix`` oracle enumerates its classes with that
 ``find_bad_submatrices`` and steps with that ``fix_one``; the
 ``delta_audit`` oracle recounts with that ``deficiency``.  Production
 code does not use them; the tests compare the package's versions against
@@ -46,7 +49,8 @@ The oracles' own helpers ``to_float_rows``, ``multiply_vector`` and
 oracles called; ``transpose``, ``multiply``, ``identity`` and
 ``with_entry`` were ``RationalMatrix`` methods that only these oracles
 and the tests called once the characteristic polynomial no longer
-multiplied matrices.
+multiplied matrices; ``_class_of`` was the audit's lookup of a linkage
+class before the recount returned each complex's root.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, U
 
 import numpy as np
 
-from crnsign.deficiency import DeficiencyReport, DeltaAudit, _class_of
+from crnsign.deficiency import DeficiencyReport, DeltaAudit
 from crnsign.exactla import ConservationResult, KernelBasis, Vector
 from crnsign.kinetics import Terms, _check_state, jacobian
 from crnsign.model import (
@@ -405,6 +409,13 @@ def deficiency(net: Network) -> DeficiencyReport:
         complexes=tuple(complexes),
         classes=tuple(classes),
     )
+
+
+def _class_of(classes: Sequence[FrozenSet[int]], index: int) -> FrozenSet[int]:
+    for members in classes:
+        if index in members:
+            return members
+    raise AssertionError("complex missing from its own linkage partition")
 
 
 def delta_audit(report: FixReport) -> List[DeltaAudit]:
@@ -1407,3 +1418,138 @@ def non_finite_at(value, where: str = "") -> Optional[str]:
             if found:
                 return found
     return None
+
+
+# The dense readers of S as they were before they read its nonzeros
+# (``RationalMatrix.nonzeros()``), verbatim, each renamed with a ``dense_``
+# prefix where an older oracle above holds the name: ``to_string_rows``
+# (then a method), ``_sparse_image``'s scan of every entry (without its
+# cache, so the oracle never fills the package's), the sign layer on one
+# dense sign array (``sign_pattern``, ``find_bad_submatrices`` and
+# ``jacobian_sign_status``, with their helper ``_sign_array``), and
+# ``check_single_positive_column``'s column scan.
+def dense_to_string_rows(matrix: RationalMatrix) -> List[List[str]]:
+    """Rows of exact decimal-free strings such as "3" or "-1/2"."""
+    return [[str(v) for v in row] for row in matrix.entries()]
+
+
+def dense_sparse_image(matrix: RationalMatrix, side: str) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """The denominator-cleared rows ("right") or columns ("left") of the
+    matrix, each scaled by the lcm of its denominators, as their nonzero
+    (index, value) pairs in index order, built from the nonzero
+    ``Fraction``s alone."""
+    entries = matrix.entries() if side == "right" else zip(*matrix.entries())
+    found = []
+    for row in entries:
+        nonzero = [(j, v) for j, v in enumerate(row) if v]
+        scale = lcm(*(v.denominator for _, v in nonzero))
+        found.append(tuple((j, v.numerator * (scale // v.denominator)) for j, v in nonzero))
+    return tuple(found)
+
+
+def _sign_array(rows: Sequence[Sequence]) -> np.ndarray:
+    """The signs (1, -1, 0) of the entries of exact rows (Fractions or
+    ints), as an int64 array.  A Fraction has the sign of its numerator,
+    which is compared as a plain int."""
+    width = len(rows[0]) if rows else 0
+    return np.array(
+        [[(v.numerator > 0) - (v.numerator < 0) for v in row] for row in rows],
+        dtype=np.int64,
+    ).reshape(len(rows), width)
+
+
+def _plus_minus(signs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """P = (signs > 0) and N = (signs < 0) as int64 0/1 arrays."""
+    return (signs > 0).astype(np.int64), (signs < 0).astype(np.int64)
+
+
+# Indexed by a sign value (-1 picks the last), and by plus + 2 * minus.
+_SIGNS = (Sign.ZERO, Sign.PLUS, Sign.MINUS)
+_STATUSES = (Status.ZERO, Status.PLUS, Status.MINUS, Status.AMBIGUOUS)
+
+
+def _status(plus: np.ndarray, minus: np.ndarray) -> SignStatusMatrix:
+    """Each entry's status from its counts of plus and minus terms:
+    ambiguous if both occur, else the sign that occurs, zero if none."""
+    codes = (plus > 0) + 2 * (minus > 0)
+    return SignStatusMatrix(tuple(tuple(_STATUSES[c] for c in row) for row in codes.tolist()))
+
+
+def dense_sign_pattern(matrix: RationalMatrix) -> SignMatrix:
+    """Entrywise signs of an exact matrix."""
+    signs = _sign_array(matrix.entries()).tolist()
+    return tuple(tuple(_SIGNS[v] for v in row) for row in signs)
+
+
+def dense_find_bad_submatrices(S: RationalMatrix) -> List[BadClass]:
+    """Enumerate every 2x2 submatrix of S with exactly one positive and
+    three negative entries, grouped into equivalence classes by the shared
+    positive entry.
+
+    A row pair i < j holds one for each column negative in both rows
+    combined with each column positive in one row and negative in the
+    other; the submatrices of a row pair are listed by their column pair.
+    Classes are listed in lexicographic order of their positive entry
+    (row, then column); members keep the enumeration order.
+    """
+    rows = _sign_array(S.entries()).tolist()
+    positive = [{c for c, v in enumerate(row) if v > 0} for row in rows]
+    negative = [{c for c, v in enumerate(row) if v < 0} for row in rows]
+    by_entry: dict = {}
+    for i in range(S.rows - 1):
+        for j in range(i + 1, S.rows):
+            both_negative = negative[i] & negative[j]
+            if not both_negative:
+                continue
+            one_positive = [(c, i) for c in positive[i] & negative[j]]
+            one_positive += [(c, j) for c in negative[i] & positive[j]]
+            pairs = sorted(
+                ((min(k, c), max(k, c)), row, c)
+                for k in both_negative
+                for c, row in one_positive
+            )
+            for cols, pos_row, pos_col in pairs:
+                bad = BadSubmatrix((i, j), cols, (pos_row, pos_col))
+                by_entry.setdefault((pos_row, pos_col), []).append(bad)
+    return [
+        BadClass(entry, tuple(members))
+        for entry, members in sorted(by_entry.items())
+    ]
+
+
+def dense_jacobian_sign_status(net: Network) -> SignStatusMatrix:
+    """Sign statuses of the reaction Jacobian S v'(x) over the positive
+    orthant, valid for every monotone nondecreasing flux family.
+
+    Term k of entry (i, j) contributes sign(S_ik) exactly when reaction k
+    consumes species j (S_jk < 0); an entry is ambiguous iff both signs
+    occur among its contributing terms.  The plus and minus counts are
+    P N^t and N N^t, in int64.
+
+    Raises:
+        ValueError: if the network violates reaction form (some species
+            appears on both sides of a reaction), since then flux
+            dependencies are not determined by the signs of S.
+    """
+    violations = validate_reaction_form(net)
+    if violations:
+        raise ValueError(
+            f"network is not in reaction form (violations: {violations}); "
+            "sign analysis does not apply"
+        )
+    P, N = _plus_minus(_sign_array(stoichiometric_matrix(net).entries()))
+    return _status(P @ N.T, N @ N.T)
+
+
+def dense_check_single_positive_column(net: Network) -> bool:
+    """True iff every bad class's column has exactly one positive entry.
+
+    When true, a full fixing run leaves the deficiency unchanged (the
+    test suite asserts that consequence on every such network).
+    Vacuously true without bad classes.
+    """
+    S = stoichiometric_matrix(net)
+    return all(
+        sum(c > 0 for c in S.column(cls.positive_entry[1])) == 1
+        for cls in dense_find_bad_submatrices(S)
+    )

@@ -2,8 +2,10 @@
 
 Each invocation runs ``crnsign.cli.main`` in this process, inside a work
 directory that holds a copy of ``fixtures/`` plus a catalyst network and an
-empty file, so every path (and every path quoted in an error message) is
-relative and the same on every machine.  For each invocation the record
+empty file and the benchmark's two ``large`` networks (30 species, 80
+reactions, written by ``perfbench/gen.network_text``), so every path (and
+every path quoted in an error message) is relative and the same on every
+machine.  For each invocation the record
 holds the exit code, the sha256 of stdout, the sha256 of every file the
 invocation wrote and, for exit code 2 only, stderr.  An invocation that
 raises records the exception's type and message instead of an exit code.
@@ -19,9 +21,11 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
+import random
 import shutil
 import sys
 import tempfile
@@ -31,9 +35,26 @@ from typing import Dict, List
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE.parent / "fixtures"
 GOLDEN = HERE / "cli_golden.json"
+GEN = HERE.parent / "perfbench" / "gen.py"
 
 CATALYST = "A + B -> 2B\nB -> A\n"
 SUBCOMMANDS = ["analyze", "signfix", "altfix", "deficiency", "equilibria", "spectra", "graph", "decompose"]
+# The benchmark's ``large`` workload at its pinned seed: two networks of this size.
+LARGE_SIZE, LARGE_COUNT = (30, 80), 2
+
+
+def large_texts() -> List[str]:
+    """The ``.crn`` text of each ``large`` network, drawn as the benchmark
+    draws them (``perfbench/gen.py``, loaded by path, seed 0)."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = random.Random(0)
+    species, reactions = LARGE_SIZE
+    return [
+        gen.network_text(gen.make_network(rng, (species,) * 2, (reactions,) * 2))
+        for _ in range(LARGE_COUNT)
+    ]
 
 
 def _class_count(path: Path) -> int:
@@ -94,6 +115,9 @@ def invocations() -> Dict[str, List[str]]:
     runs["two_ambiguous/signfix/order-bad"] = ["signfix", "fixtures/two_ambiguous.crn", "--order", "0"]
     runs["two_ambiguous/signfix/order-zebra"] = ["signfix", "fixtures/two_ambiguous.crn", "--order", "zebra"]
     runs["two_ambiguous/signfix/rates-count"] = ["signfix", "fixtures/two_ambiguous.crn", "--rate", "1,2,3"]
+    for k in range(LARGE_COUNT):
+        runs[f"large{k}/analyze"] = ["analyze", f"large{k}.crn"]
+        runs[f"large{k}/deficiency/audit"] = ["deficiency", f"large{k}.crn", "--audit"]
     return runs
 
 
@@ -128,6 +152,8 @@ def record_all(workdir: Path) -> Dict[str, dict]:
     shutil.copytree(FIXTURES, workdir / "fixtures")
     (workdir / "catalyst.crn").write_text(CATALYST, encoding="utf-8")
     (workdir / "empty.crn").write_text("", encoding="utf-8")
+    for k, text in enumerate(large_texts()):
+        (workdir / f"large{k}.crn").write_text(text, encoding="utf-8")
     previous = os.getcwd()
     os.chdir(workdir)
     try:

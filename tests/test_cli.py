@@ -15,7 +15,7 @@ from crnsign.signfix import sign_fix
 from crnsign.textio import parse_network, serialize_network
 
 import record_cli_golden
-from conftest import FIXTURES, make_network
+from conftest import FIXTURES, make_network, network_text
 
 TWO_AMBIGUOUS = str(FIXTURES / "two_ambiguous.crn")
 DEF_JUMP = str(FIXTURES / "deficiency_jump.crn")
@@ -143,6 +143,28 @@ def test_two_builds_of_s_per_command(capsys, monkeypatch, argv):
     monkeypatch.setattr(RationalMatrix, "_of_fractions", classmethod(counted))
     _run_json(capsys, *argv)
     assert seen == [(7, 6), (9, 8)]
+
+
+def test_analyze_of_a_large_network_reads_s_through_its_nonzeros(
+    capsys, monkeypatch, tmp_path, large_networks
+):
+    """On each ``large`` network no reader of S walks all its entries: the
+    bad classes, the fix, the kernels, the rank, the sign checks and the
+    single-positive-column check read the nonzeros (8 calls per network
+    to ``entries()`` before they did)."""
+    calls = []
+    entries = RationalMatrix.entries
+
+    def counted(self):
+        calls.append((self.rows, self.cols))
+        return entries(self)
+
+    monkeypatch.setattr(RationalMatrix, "entries", counted)
+    for k, net in enumerate(large_networks):
+        path = tmp_path / f"large{k}.crn"
+        path.write_text(network_text(net), encoding="utf-8")
+        _run_json(capsys, "analyze", str(path))
+    assert calls == []
 
 
 @pytest.mark.parametrize(

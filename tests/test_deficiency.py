@@ -209,9 +209,9 @@ def test_fix_chain_work_counts(large_networks, monkeypatch):
     recounts = []
     recount = deficiency_module._recount
 
-    def counted_recount(net):
+    def counted_recount(net, *args):
         recounts.append(net)
-        return recount(net)
+        return recount(net, *args)
 
     monkeypatch.setattr(deficiency_module, "_recount", counted_recount)
     for net in large_networks:

@@ -4,8 +4,9 @@ one-pass recount, the index-permuted order relation, the integer exact
 core, the elimination with one level per row, the mass-action float
 kernel with its monomial table, the stacked determinant-sign sampling,
 the integer sign layer, the kernel-correspondence check on cached
-kernels, the characteristic polynomial interpolated from determinants
-and the sparse exact Jacobian, each against the implementation it
+kernels, the characteristic polynomial interpolated from determinants,
+the sparse exact Jacobian, the readers of S through its nonzeros and
+the audit on interned complex ids, each against the implementation it
 replaced (``oracles``)."""
 
 import dataclasses
@@ -20,8 +21,15 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import FIXTURES, fixture_text, load, network_text
+from crnsign.textio import parse_network
 from crnsign import exactla, kinetics, spectra, textio
-from crnsign.deficiency import complexes_decomposition, complexes_of, decomposition_residual, delta_audit
+from crnsign.deficiency import (
+    check_single_positive_column,
+    complexes_decomposition,
+    complexes_of,
+    decomposition_residual,
+    delta_audit,
+)
 from crnsign.exactla import determinant, is_conserving, kernel_basis, rank
 from crnsign.model import Complex, Network, RationalMatrix, Reaction, Species, stoichiometric_matrix
 from crnsign.signcheck import (
@@ -1002,3 +1010,160 @@ def test_exact_jacobian_matches_dense_oracle_on_random_networks(net_rates, rng):
         except ValueError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
+
+
+# ------------------------------------------------- readers of S's nonzeros
+
+
+def _fresh_s(net):
+    """S of a network equal to ``net`` that has built nothing yet, so the
+    integer images and the rank below are computed, not read from a
+    cache that other tests filled."""
+    return stoichiometric_matrix(dataclasses.replace(net))
+
+
+def _assert_same_reads(net):
+    """Every reader of S through its nonzeros gives what the dense reader
+    it replaced gave, and S's nonzeros, built from the reaction terms,
+    are those a constructor-built copy finds by scanning its entries."""
+    S = _fresh_s(net)
+    assert S.nonzeros() == RationalMatrix(S.entries()).nonzeros()
+    assert S.to_string_rows() == oracles.dense_to_string_rows(S)
+    for side in ("right", "left"):
+        assert exactla._sparse_image(S, side) == oracles.dense_sparse_image(S, side)
+    if S.rows * S.cols < exactla.MOD_P_MIN_ENTRIES:
+        # the Bareiss fallback eliminates the image scattered from the nonzeros
+        assert rank(_fresh_s(net)) == oracles.rank(S)
+    assert sign_pattern(S) == oracles.dense_sign_pattern(S)
+    assert find_bad_submatrices(S) == oracles.dense_find_bad_submatrices(S)
+    try:
+        expected = oracles.dense_jacobian_sign_status(net)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            jacobian_sign_status(net)
+        assert str(err.value) == str(exc)
+    else:
+        assert jacobian_sign_status(net) == expected
+    assert check_single_positive_column(net) == oracles.dense_check_single_positive_column(net)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.crn")))
+def test_readers_of_nonzeros_match_dense_oracles_on_fixtures(name):
+    for net in sign_fix(load(name)).networks:
+        _assert_same_reads(net)
+
+
+def test_readers_of_nonzeros_match_dense_oracles_on_corpus(corpus):
+    for net in corpus:
+        _assert_same_reads(net)
+        _assert_same_reads(sign_fix(net).result)
+
+
+def test_readers_of_nonzeros_match_dense_oracles_on_large_chains(large_networks):
+    for net in large_networks:
+        for stepped in sign_fix(net).networks:
+            _assert_same_reads(stepped)
+
+
+@pytest.mark.parametrize(
+    "text, nonzeros",
+    [
+        ("species A, B, C\nA + B -> A + C\n", ((), ((0, -1),), ((0, 1),))),
+        ("species A, B\n2A -> A + B\n", (((0, -1),), ((0, 1),))),
+        (
+            "species A, B, C\nA + B -> A + C\n2A -> A + B\nC -> 1/2A + 2C\n",
+            (((1, -1), (2, Fraction(1, 2))), ((0, -1), (1, 1)), ((0, 1), (2, 1))),
+        ),
+    ],
+    ids=["A+B->A+C", "2A->A+B", "three-reactions"],
+)
+def test_nonzeros_drop_a_catalyst_term_that_cancels(text, nonzeros):
+    """A species on both sides of a reaction with equal coefficients nets
+    to 0 there: no pair, as a scan of the entries finds none; one with
+    unequal coefficients keeps their difference."""
+    net = parse_network(text, allow_catalysts=True)
+    assert stoichiometric_matrix(net).nonzeros() == nonzeros
+    _assert_same_reads(net)
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(1, 9), st.integers(1, 6))
+
+
+@st.composite
+def sparse_networks(draw):
+    """Up to 14 reactions over up to 8 species with fractional
+    coefficients p/q (p <= 9, q <= 6) and zero complexes; a reaction may
+    hold a catalyst, the same species on both sides with the same
+    coefficient (its entry nets to 0) or with two drawn ones."""
+    d = draw(st.integers(1, 8))
+    side = st.dictionaries(st.integers(0, d - 1), _FRACTIONS, max_size=3)
+    drafts = []
+    for _ in range(draw(st.integers(1, 14))):
+        reactant, product = draw(side), draw(side)
+        catalyst = draw(st.none() | st.tuples(st.integers(0, d - 1), _FRACTIONS, st.booleans()))
+        if catalyst is not None:
+            i, c, cancels = catalyst
+            reactant[i] = c
+            product[i] = c if cancels else draw(_FRACTIONS)
+        if reactant != product:
+            drafts.append((reactant, product))
+    if not drafts:
+        drafts.append(({0: Fraction(1)}, {}))
+    referenced = sorted({i for r, p in drafts for i in list(r) + list(p)})
+    remap = {old: new for new, old in enumerate(referenced)}
+    reactions = tuple(
+        Reaction(*(Complex.from_dict({remap[i]: c for i, c in part.items()}) for part in (r, p)))
+        for r, p in drafts
+    )
+    species = tuple(Species(f"S{i + 1}", i) for i in range(len(referenced)))
+    return Network(species, reactions, allow_catalysts=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sparse_networks())
+def test_readers_of_nonzeros_match_dense_oracles_on_random_networks(net):
+    _assert_same_reads(net)
+
+
+# ---------------------------------------------- audit on interned complexes
+
+
+def _shared_complexes(net):
+    """``net`` with each set of equal complexes held as one object."""
+    shared = {}
+    reactions = tuple(
+        dataclasses.replace(
+            r,
+            reactant=shared.setdefault(r.reactant, r.reactant),
+            product=shared.setdefault(r.product, r.product),
+        )
+        for r in net.reactions
+    )
+    return Network(net.species, reactions, net.reversible_pairs, net.allow_catalysts)
+
+
+def _distinct_equal_complexes(net):
+    """How many complex objects of ``net`` equal an earlier, other object."""
+    first = {}
+    return sum(
+        first.setdefault(c, c) is not c for r in net.reactions for c in (r.reactant, r.product)
+    )
+
+
+def _assert_same_audits(net):
+    report = sign_fix(net)
+    assert delta_audit(report) == oracles.delta_audit(report)
+
+
+def test_audit_matches_oracle_on_parsed_and_shared_chains(corpus):
+    """Parsed from text, equal complexes are distinct objects, so the
+    interning must go by equality; held as one object, they must still
+    count once.  Either way the audit equals the oracle's."""
+    parsed = [load(p.name) for p in sorted(FIXTURES.glob("*.crn"))]
+    parsed += [parse_network(network_text(net)) for net in corpus]
+    assert sum(_distinct_equal_complexes(net) > 0 for net in parsed) > 100
+    for net in parsed:
+        _assert_same_audits(net)
+        shared = _shared_complexes(net)
+        assert shared == net and _distinct_equal_complexes(shared) == 0
+        _assert_same_audits(shared)

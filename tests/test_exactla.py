@@ -258,7 +258,8 @@ def test_determinant_stays_outside_the_cache_and_rank_keeps_its_own_slot():
     determinant(M)
     assert M._cache == {}
     assert rank(M) == 2
-    assert M._cache == {"rank": 2}
+    # the Bareiss fallback eliminates the cleared rows, kept as the kernels keep them
+    assert M._cache == {"rank": 2, ("sparse", "right"): (((0, 1), (1, 2)), ((0, 3), (1, 4)))}
 
 
 def _echelon_rank(M):

@@ -189,6 +189,27 @@ def test_stoichiometric_matrix_equals_a_coerced_matrix(corpus):
         assert all(type(v) is Fraction for row in S.entries() for v in row)
 
 
+def test_nonzeros_are_kept_and_not_part_of_the_value(corpus):
+    """S keeps the nonzeros it was built from; a constructor-built copy
+    finds the same ones by one scan, and neither side's nonzeros change
+    equality, hash or repr.  Integer coefficients become Fractions."""
+    ints = Network(
+        (Species("A", 0), Species("B", 1)),
+        (Reaction(Complex(((0, 2),)), Complex(((1, 3),))),),
+    )
+    for net in [ints] + [load(p.name) for p in sorted(FIXTURES.glob("*.crn"))] + corpus[:50]:
+        S = stoichiometric_matrix(dataclasses.replace(net))
+        assert S._nonzeros is not None
+        coerced = RationalMatrix(S.entries())
+        assert coerced._nonzeros is None
+        before = (hash(coerced), repr(coerced))
+        assert coerced.nonzeros() == S.nonzeros()
+        assert coerced.nonzeros() is coerced.nonzeros()
+        assert S == coerced and (hash(S), repr(S)) == before == (hash(coerced), repr(coerced))
+        assert all(type(v) is Fraction and v for row in S.nonzeros() for _, v in row)
+    assert stoichiometric_matrix(ints).nonzeros() == (((0, -2),), ((0, 3),))
+
+
 @pytest.mark.parametrize("entries", [[], [[]], [[Fraction(1), Fraction(2)], [Fraction(3)]]])
 def test_direct_construction_keeps_the_shape_errors(entries):
     with pytest.raises(ValueError) as public:
