@@ -33,8 +33,8 @@ The integer image of a matrix comes from its ``nonzeros()``, never from
 a scan of all its entries: each row's (column's) nonzero ``Fraction``s
 are cleared by the lcm of their denominators, and ``rank``'s and the
 kernels' eliminations scatter those cleared rows into fresh dense lists.
-Only ``determinant`` and the simplex of ``is_conserving`` read the
-entries themselves.
+Only ``determinant``, ``char_poly`` and the simplex of ``is_conserving``
+read the entries themselves.
 
 Each ``RationalMatrix`` carries a private cache that only this module
 reads and writes: the nonzeros of the denominator-cleared integer rows
