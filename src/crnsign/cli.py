@@ -223,8 +223,8 @@ def _kernels_section(S: RationalMatrix) -> dict:
     left = exactla.kernel_basis(S, "left")
     conserving = exactla.is_conserving(S)
     return {
-        "right_exact": [textio.vector_to_exact_json(v) for v in right.vectors],
-        "left_exact": [textio.vector_to_exact_json(v) for v in left.vectors],
+        "right_exact": [textio.vector_to_exact_json(v) for v in right.integers],
+        "left_exact": [textio.vector_to_exact_json(v) for v in left.integers],
         "conserving": conserving.conserving,
         "witness_exact": (
             textio.vector_to_exact_json(conserving.witness)

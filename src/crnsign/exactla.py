@@ -13,7 +13,7 @@ interpolation: kernel vectors, determinants, characteristic polynomials
 and conservation witnesses are returned as ``Fraction``s.  Nothing in
 this module ever rounds.
 
-A rank can also be certified modulo one fixed prime ``PRIME`` < 2^31
+A rank can also be certified modulo one fixed prime ``PRIME`` < 2^21
 (the modular idea of Cabay 1971).  Reducing an integer matrix mod p can
 only lose rank, and no rank exceeds min(rows, cols), so
 
@@ -29,12 +29,39 @@ at a time, and from there up by elimination on dense numpy int64 rows
 it only from ``MOD_P_MIN_ENTRIES`` entries up, below which Bareiss in
 Python integers is the faster of the two.
 
+From ``MOD_P_MIN_ENTRIES`` entries up a kernel basis is lifted
+p-adically (Dixon 1982) and certified, with Bareiss as the fallback.  Let
+A be the side's cleared rows, of n columns.  One Gauss-Jordan elimination
+of [A | I] mod p gives the pivot columns P mod p (first nonzero in
+column order), the r_p rows that carry them, and the inverse mod p of
+their pivot block B.  X = B^-1 N, N those rows' free columns, is lifted
+one p-adic digit per step in int64 products and rebuilt in rationals by
+rational reconstruction (Wang 1981) over one running common denominator,
+and free column f gives the vector with 1 at f and -X at the pivot
+columns, made coprime with a positive leading entry.  The basis is kept
+only when three checks hold in Python integers:
+
+- every vector v has A v = 0, checked on A's nonzeros;
+- there are n - r_p vectors, one per free column mod p;
+- support: the vector of free column f is zero at every pivot column
+  after f (it is nonzero at f and zero at the other free columns by
+  construction).
+
+Then each free column mod p is a combination over Q of earlier columns,
+so no such column is a pivot over Q: the pivots over Q lie among P.
+There are r_p = |P| of them, as rank_Q >= rank_p, so they are P.  The
+vector of f is then the unique kernel vector with 1 at f supported on f
+and P, which is the reduced row echelon form's, so the basis, and every
+byte written from it, is the one ``_eliminate`` gives.  Any failed check,
+a pivot block singular mod p among them, or a cleared entry too large
+for exact int64 products sends the matrix to ``_eliminate``.
+
 The integer image of a matrix comes from its ``nonzeros()``, never from
 a scan of all its entries: each row's (column's) nonzero ``Fraction``s
 are cleared by the lcm of their denominators, and ``rank``'s and the
 kernels' eliminations scatter those cleared rows into fresh dense lists.
-Only ``determinant``, ``char_poly`` and the simplex of ``is_conserving``
-read the entries themselves.
+Only ``determinant`` and ``char_poly`` read the entries themselves; the
+simplex of ``is_conserving`` scatters S's columns from its nonzeros.
 
 Each ``RationalMatrix`` carries a private cache that only this module
 reads and writes: the nonzeros of the denominator-cleared integer rows
@@ -73,9 +100,11 @@ kernel, eliminated over Q, and checks the counts against it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,20 +115,36 @@ Vector = Tuple[Fraction, ...]
 IntRows = Tuple[Tuple[int, ...], ...]
 SparseRows = Tuple[Tuple[Tuple[int, int], ...], ...]
 
-# 2^31 - 1 is prime, and (p - 1)^2 < 2^62, so a product of two residues,
-# and a residue less such a product, fit in an int64.
-PRIME = 2**31 - 1
-# rows * cols from which a rank is first tried mod p.  On generated S and
-# fixed S, numpy's per-call cost makes the elimination mod p slower than
-# Bareiss in Python integers below it (0.45 against 0.33 ms per matrix at
-# 200-399 entries); the two break even at 400-600, and from about 1,000
-# entries up the elimination mod p wins (2.3 against 5.7 ms at 2,000).
-# It is also where ``_rank_mod_p`` moves from sparse rows in Python
-# integers to numpy.  On the fixed matrices of six generated 14-18 x
-# 20-26 networks (Intel Xeon, best of 5), Python against numpy takes
-# 0.30 against 0.33 ms per matrix at 200-399 entries, 0.47 against 0.42
-# at 400-599 and 0.87 against 0.55 at 800-999; on the fixed 30 x 80
-# matrix, 20.1 against 4.4 ms.
+# The largest prime below 2^21.  A residue is below 2^21, so a sum of
+# 2^21 products of two residues stays exact in int64 (and of 2,048 in
+# float64, which this module does not use), and three p-adic digits make
+# one int64 (p^3 < 2^63).
+PRIME = 2**21 - 9
+# PRIME's inverse modulo 2^64 as an int64: int64 products wrap modulo 2^64,
+# so a multiple of PRIME times it is the exact quotient, without numpy's
+# integer division.
+_PRIME_INVERSE = np.int64(pow(PRIME, -1, 2**64) - 2**64)
+# rows * cols from which a rank is first tried mod p and a kernel is
+# lifted p-adically.  On generated S and fixed S, numpy's per-call cost
+# makes the elimination mod p slower than Bareiss in Python integers
+# below it (0.45 against 0.33 ms per matrix at 200-399 entries); the two
+# break even at 400-600, and from about 1,000 entries up the elimination
+# mod p wins (2.3 against 5.7 ms at 2,000).  It is also where
+# ``_rank_mod_p`` moves from sparse rows in Python integers to numpy.  On
+# the fixed matrices of six generated 14-18 x 20-26 networks (Intel Xeon,
+# best of 5), Python against numpy takes 0.30 against 0.33 ms per matrix
+# at 200-399 entries, 0.47 against 0.42 at 400-599 and 0.87 against 0.55
+# at 800-999; on the fixed 30 x 80 matrix, 20.1 against 4.4 ms.
+# Lifting a right kernel against Bareiss with its vectors, on the S and
+# fixed S (more columns than rows) of 30 generated networks of 8-30
+# species (Intel Xeon, best of 5 CPU times, every lift certified): 1.5
+# against 0.8 ms per matrix below 400 entries, 2.0 against 1.4 at
+# 400-599, 2.5 against 2.5 at 600-999, 3.7 against 5.4 at 1,000-1,999 and
+# 4.8 against 10.7 at 2,000-3,999; 6.1 against 7.8 ms on the 30 x 80 S,
+# 0.030 against 0.075 s at 60 x 160 and 0.5 against 3.0 s at 200 x 500.
+# So lifting breaks even near 1,000 entries and costs up to 0.6 ms more
+# per matrix between this threshold and there, where no benchmark
+# workload computes a kernel.
 MOD_P_MIN_ENTRIES = 400
 
 
@@ -108,19 +153,25 @@ class KernelBasis:
     """A basis of the exact right or left kernel of a matrix.
 
     Every vector satisfies M v = 0 (side "right") or v^t M = 0 (side
-    "left") exactly, and the vectors are linearly independent.
+    "left") exactly, and the vectors are linearly independent.  The basis
+    is held as coprime integer vectors (``integers``); ``vectors`` gives
+    them as ``Fraction``s, built on first use.
     """
 
-    vectors: Tuple[Vector, ...]
+    integers: IntRows
     side: str
 
     def __post_init__(self) -> None:
         if self.side not in ("right", "left"):
             raise ValueError("side must be 'right' or 'left'")
 
+    @cached_property
+    def vectors(self) -> Tuple[Vector, ...]:
+        return tuple(tuple(Fraction(x) for x in v) for v in self.integers)
+
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.integers)
 
 
 @dataclass(frozen=True)
@@ -185,6 +236,14 @@ def _eliminate(
     A nonzero factor keeps zeros zero, so the pivot search reads the
     stored rows.  Rows, pivots, D and sign are those of the eager
     elimination.
+
+    Its callers: kernels below ``MOD_P_MIN_ENTRIES`` entries and kernels
+    whose lifting certificate fails; ``rank`` when no exact rank is in
+    hand (below the threshold, or a rank mod p short of min(rows, cols));
+    and ``determinant``, so ``char_poly``.  One pass of each benchmark
+    workload at seed 0 runs it 988 times on ``corpus`` and 49 times on
+    ``verify``, all below the threshold, and never on ``large`` (whose
+    right kernels are lifted, 2 per pass) or ``kinetics``.
     """
     height = len(a)
     level = [1] * height
@@ -260,11 +319,44 @@ def _dense_image(matrix: RationalMatrix, side: str) -> List[List[int]]:
     return rows
 
 
-def _in_kernel(matrix: RationalMatrix, side: str, vector: Sequence[int]) -> bool:
-    """Whether the integer vector lies exactly in the right ("right") or
+# Vectors from which ``_in_kernel`` packs them.  Packing costs a fixed
+# amount per column; on a 30 x 80 S it takes 148 against 152 us for 6
+# kernel vectors and 634 against 1,343 us for 50, and on the fixed
+# matrices of small generated networks 20-38 against 6-25 us for 1-6.
+_PACKED_MIN_VECTORS = 8
+
+
+def _in_kernel(matrix: RationalMatrix, side: str, vectors: Sequence[Sequence[int]]) -> bool:
+    """Whether every integer vector lies exactly in the right ("right") or
     left ("left") kernel of the matrix: each cleared row (column) times
-    the vector, summed over its nonzeros only, is 0."""
-    return all(sum(x * vector[j] for j, x in row) == 0 for row in _sparse_image(matrix, side))
+    the vectors, summed over its nonzeros only, is 0.
+
+    From ``_PACKED_MIN_VECTORS`` vectors up, entry j of every vector is
+    packed into one integer, a slot of ``size`` bytes per vector
+    (Kronecker substitution), so a row costs one product per nonzero
+    instead of one per nonzero and vector.  No slot of a row's packed sum
+    reaches half the slot's range, so the sum is 0 exactly when every slot
+    is."""
+    if not vectors:
+        return True
+    rows = _sparse_image(matrix, side)
+    if len(vectors) < _PACKED_MIN_VECTORS:
+        return all(sum(x * v[j] for j, x in row) == 0 for v in vectors for row in rows)
+    reach = max(max(sum(abs(x) for _, x in row) for row in rows), 1)
+    largest = max(max(map(abs, v)) for v in vectors)
+    size = (reach * largest).bit_length() // 8 + 1
+    offset = 1 << (8 * size - 1)
+    zero = offset.to_bytes(size, "little")
+    ones = int.from_bytes((1).to_bytes(size, "little") * len(vectors), "little")
+    packed = [
+        int.from_bytes(
+            b"".join([(y + offset).to_bytes(size, "little") if y else zero for y in column]),
+            "little",
+        )
+        - offset * ones
+        for column in zip(*vectors)
+    ]
+    return all(sum(x * packed[j] for j, x in row) == 0 for row in rows)
 
 
 def _rank_mod_p(rows: SparseRows, width: int) -> int:
@@ -273,16 +365,32 @@ def _rank_mod_p(rows: SparseRows, width: int) -> int:
     Python integers first, since cleared rows can hold entries far beyond
     int64.  Below ``MOD_P_MIN_ENTRIES`` rows * width the rows are reduced
     in Python integers, one at a time against the pivot rows kept so far;
-    from it up, by Gaussian elimination on dense numpy int64 rows."""
+    from it up, by ``_eliminate_mod_p`` on dense numpy int64 rows."""
     if len(rows) * width < MOD_P_MIN_ENTRIES:
         return _rank_mod_p_sparse(rows)
-    height = len(rows)
-    a = np.zeros((height, width), dtype=np.int64)
+    a = np.zeros((len(rows), width), dtype=np.int64)
     for i, row in enumerate(rows):
         for j, x in row:
             a[i, j] = x % PRIME
-    r = 0
-    for c in range(width):
+    return len(_eliminate_mod_p(a)[0])
+
+
+def _eliminate_mod_p(
+    a: np.ndarray, reduce: bool = False, columns: Optional[int] = None
+) -> Tuple[List[int], np.ndarray]:
+    """Gaussian elimination modulo ``PRIME`` of the int64 residues ``a``,
+    in place, with pivots the first nonzero entry in column order, as in
+    ``_eliminate``.  Returns the pivot columns and ``order``, the original
+    index of the row now at each position, so ``order[:len(pivots)]`` are
+    the rows that carry the pivots.  Pivots are sought in the first
+    ``columns`` columns (all by default), and each pivot row is scaled to 1
+    at its pivot.  Without ``reduce`` only the rows below it are cleared
+    there (echelon form); with it every other row is (Gauss-Jordan)."""
+    height = a.shape[0]
+    order = np.arange(height)
+    pivots: List[int] = []
+    for c in range(a.shape[1] if columns is None else columns):
+        r = len(pivots)
         if r == height:
             break
         nonzero = r + np.flatnonzero(a[r:, c])
@@ -291,13 +399,18 @@ def _rank_mod_p(rows: SparseRows, width: int) -> int:
         i = nonzero[0]
         if i != r:
             a[[r, i]] = a[[i, r]]
-        # the row swapped down has a zero here, so only rows past i need it
-        update = nonzero[1:]
+            order[[r, i]] = order[[i, r]]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, PRIME) % PRIME
+        if reduce:
+            update = np.flatnonzero(a[:, c])
+            update = update[update != r]
+        else:
+            # the row swapped down has a zero here, so only rows past i need it
+            update = nonzero[1:]
         if update.size:
-            factors = a[update, c] * pow(int(a[r, c]), -1, PRIME) % PRIME
-            a[update, c:] = (a[update, c:] - np.outer(factors, a[r, c:])) % PRIME
-        r += 1
-    return r
+            a[update, c:] = (a[update, c:] - np.outer(a[update, c], a[r, c:])) % PRIME
+        pivots.append(c)
+    return pivots, order
 
 
 def _rank_mod_p_sparse(rows: SparseRows) -> int:
@@ -379,10 +492,12 @@ def determinant(matrix: RationalMatrix) -> Fraction:
 
 def _kernel_vectors(matrix: RationalMatrix, side: str) -> IntRows:
     """Integer basis of the right ("right") or left ("left") kernel of the
-    matrix, one vector per free column of the eliminated rows in order,
-    each coprime with a positive leading entry; cached on the matrix.  An
-    exact rank in hand that leaves no free column gives () without an
-    elimination."""
+    matrix, one vector per free column of the reduced row echelon form in
+    order, each coprime with a positive leading entry; cached on the
+    matrix.  An exact rank in hand that leaves no free column gives ()
+    without an elimination.  From ``MOD_P_MIN_ENTRIES`` entries up the
+    basis is lifted p-adically and certified (``_lifted_kernel``); below
+    it, or when the certificate fails, it is read off ``_eliminate``."""
     key = ("kernel", side)
     vectors = matrix._cache.get(key)
     if vectors is not None:
@@ -393,6 +508,27 @@ def _kernel_vectors(matrix: RationalMatrix, side: str) -> IntRows:
     if size == min(matrix.rows, matrix.cols) and _rank_in_hand(matrix) == size:
         vectors = matrix._cache[key] = ()
         return vectors
+    if matrix.rows * matrix.cols >= MOD_P_MIN_ENTRIES:
+        vectors = _lifted_kernel(matrix, side)
+    if vectors is None:
+        vectors = _eliminated_kernel(matrix, side)
+    matrix._cache[key] = vectors
+    return vectors
+
+
+def _normalized(v: List[int]) -> Tuple[int, ...]:
+    """The nonzero integer vector divided by the gcd of its entries, signed
+    so that its first nonzero entry is positive."""
+    g = gcd(*v)
+    if next(filter(None, v)) < 0:
+        g = -g
+    return tuple(v) if g == 1 else tuple([x // g for x in v])
+
+
+def _eliminated_kernel(matrix: RationalMatrix, side: str) -> IntRows:
+    """The kernel basis read off the fraction-free Gauss-Jordan elimination
+    of the side's cleared rows: free column f gives D at f and minus the
+    pivot rows' entries at f at their pivot columns."""
     a, pivots, last, _ = _eliminate(_dense_image(matrix, side))
     cols = len(a[0])
     pivot_set = set(pivots)
@@ -404,23 +540,159 @@ def _kernel_vectors(matrix: RationalMatrix, side: str) -> IntRows:
         v[f] = last
         for r, c in enumerate(pivots):
             v[c] = -a[r][f]
-        g = gcd(*v)
-        if next(x for x in v if x != 0) < 0:
-            g = -g
-        found.append(tuple(x // g for x in v))
-    vectors = matrix._cache[key] = tuple(found)
-    return vectors
+        found.append(_normalized(v))
+    return tuple(found)
+
+
+def _lifted_kernel(matrix: RationalMatrix, side: str) -> Optional[IntRows]:
+    """The kernel basis of ``_eliminated_kernel``, found by p-adic lifting
+    (Dixon 1982) and certified exactly, or None when the certificate
+    fails or a cleared entry is too large for exact int64 products.
+
+    One Gauss-Jordan elimination mod p of [A | I], A the side's cleared
+    rows, gives the pivot columns, the rows that carry them and the
+    inverse of their block B, invertible mod p; N is those rows' free
+    columns.  X = B^-1 N is lifted one p-adic digit per step, then rebuilt
+    in rationals with one running common denominator d (Wang 1981), and
+    free column f gives d at f and -d X at the pivot columns.  The basis is certified on A's nonzeros: every
+    vector lies in the kernel, there is one per free column (a column
+    that does not reconstruct has none), and each is zero at every pivot
+    column after its own free column (see the module docstring)."""
+    rows = _sparse_image(matrix, side)
+    width = matrix.cols if side == "right" else matrix.rows
+    # Every residual below stays under max_i sum_j |A_ij| in size and every
+    # R - B X under that times PRIME: exact in int64 below 2^63.
+    if max(sum(abs(x) for _, x in row) for row in rows) * PRIME >= 2**63:
+        return None
+    a = np.zeros((len(rows), width), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, x in row:
+            a[i, j] = x
+    # Gauss-Jordan of [A | I] mod p: the rows that carry the pivots end as
+    # [B^-1 A | T] with T zero outside their own columns, where it is B^-1.
+    height = len(rows)
+    reduced = np.concatenate([a % PRIME, np.eye(height, dtype=np.int64)], axis=1)
+    pivots, order = _eliminate_mod_p(reduced, reduce=True, columns=width)
+    r = len(pivots)
+    pivot_set = set(pivots)
+    free = [c for c in range(width) if c not in pivot_set]
+    if not free:
+        return ()
+    chosen = a[order[:r]]
+    # Hadamard's bound, squared, on |det B| and on every numerator of
+    # Cramer's rule for B X = N: the product of the chosen rows' norms.
+    bound2 = prod(sum(x * x for _, x in rows[i]) for i in order[:r].tolist())
+    inverse = reduced[:r, width:][:, order[:r]]
+    values, modulus, d = _lift(chosen[:, pivots], chosen[:, free], inverse, bound2)
+    vectors = []
+    for k, f in enumerate(free):
+        numerators, d = _rebuilt(values[k * r:(k + 1) * r], d, modulus)
+        if numerators is None:
+            continue
+        if any(numerators[bisect_left(pivots, f):]):
+            return None
+        v = [0] * width
+        v[f] = d
+        for c, y in zip(pivots, numerators):
+            v[c] = -y
+        vectors.append(_normalized(v))
+    if len(vectors) != len(free) or not _in_kernel(matrix, side, vectors):
+        return None
+    return tuple(vectors)
+
+
+def _rebuilt(column: List[int], d: int, modulus: int) -> Tuple[Optional[List[int]], int]:
+    """The numerators of the column's entries, given mod ``modulus``, over
+    a common denominator, and that denominator: d, times the rebuilt
+    denominator of each entry too wide for it (Wang 1981), the column
+    redone after each.  None in place of the numerators when an entry
+    does not rebuild with numerator and denominator up to
+    sqrt(modulus / 2)."""
+    bound = isqrt((modulus - 1) // 2)
+    half = modulus // 2
+    while True:
+        numerators = [y - modulus if y > half else y for y in [d * x % modulus for x in column]]
+        if max(numerators, default=0) <= bound and min(numerators, default=0) >= -bound:
+            return numerators, d
+        wide = next(y for y in numerators if abs(y) > bound)
+        found = _rational(wide, modulus, bound)
+        if found is None or d * found[1] > bound:
+            return None, d
+        d *= found[1]
+
+
+def _lift(
+    B: np.ndarray, N: np.ndarray, inverse: np.ndarray, bound2: int
+) -> Tuple[List[int], int, int]:
+    """X = B^-1 N modulo p^k, given the inverse C of B mod ``PRIME``: its
+    entries column by column, p^k, and a first guess at X's common
+    denominator.  Each step takes one p-adic digit X_i = C R mod p (R = N
+    at first) and R <- (R - B X_i) / p, which divides exactly (as a
+    product with ``_PRIME_INVERSE``).  The steps stop once a fixed
+    weighted sum of X's entries rebuilds to the same fraction at two steps
+    in a row, whose denominator is the guess, or else once p^k > 2
+    ``bound2``, a bound on the square of every denominator and numerator,
+    past which every entry rebuilds.  With r < 2^21 rows every int64 sum
+    of products of residues below is exact."""
+    r, width = N.shape
+    # B's nonzeros row by row, for the sparse product B X_i
+    B_rows, B_cols = np.nonzero(B)
+    B_values = B[B_rows, B_cols][:, None]
+    starts = np.flatnonzero(np.diff(B_rows, prepend=-1))
+    weights = np.arange(r * width, dtype=np.int64).reshape(r, width) % 97 + 1
+    residual = N
+    digits = []
+    modulus, probe, previous = 1, 0, None
+    while modulus <= 2 * bound2:
+        x = inverse @ (residual % PRIME) % PRIME
+        product = np.zeros_like(residual)
+        product[B_rows[starts]] = np.add.reduceat(B_values * x[B_cols], starts)
+        residual = (residual - product) * _PRIME_INVERSE
+        probe += int((weights * x).sum()) * modulus
+        modulus *= PRIME
+        digits.append(x)
+        found = _rational(probe, modulus, isqrt((modulus - 1) // 2))
+        if found is not None and found == previous:
+            break
+        previous = found
+    # Three digits make one int64 (p^3 < 2^63), then Python integers.
+    values = [0] * (r * width)
+    scale = 1
+    for k in range(0, len(digits), 3):
+        chunk = digits[k]
+        for t, x in enumerate(digits[k + 1:k + 3], 1):
+            chunk = chunk + x * PRIME**t
+        values = [v + c * scale for v, c in zip(values, chunk.T.ravel().tolist())]
+        scale *= PRIME**3
+    return values, modulus, previous[1] if previous is not None else 1
+
+
+def _rational(u: int, modulus: int, bound: int) -> Optional[Tuple[int, int]]:
+    """The fraction a / b = u mod ``modulus`` with |a| <= bound and
+    0 < b <= bound, as (a, b), or None when there is none (Wang 1981).
+    With 2 bound^2 < modulus it is unique."""
+    r0, r1, t0, t1 = modulus, u % modulus, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def kernel_basis(matrix: RationalMatrix, side: str = "right") -> KernelBasis:
     """Exact kernel basis; dimension is cols - rank (right) or
     rows - rank (left).
 
-    Each vector is read off the integer elimination of the matrix (its
-    transpose for "left"), normalized to coprime integer entries with a
-    positive leading entry, and the vectors are ordered by their free
-    column.  The integer vectors are cached on the matrix, so a second
-    call on the same object does not eliminate again.  When the exact
+    Each vector is the reduced row echelon form's vector of one free
+    column of the matrix (its transpose for "left"), normalized to
+    coprime integer entries with a positive leading entry, and the
+    vectors are ordered by their free column.  They are read off the
+    integer elimination, or from ``MOD_P_MIN_ENTRIES`` entries up lifted
+    p-adically and certified (see the module docstring), with the same
+    result.  The integer vectors are cached on the matrix, so a second
+    call on the same object does not compute them again, and the basis
+    holds them as they are (``KernelBasis.integers``).  When the exact
     rank is already in hand (cached, read off the cached right kernel, or
     certified mod p) and equals the side's length, the kernel is {0} and
     no elimination runs: the left kernel of a matrix of full row rank is
@@ -428,8 +700,7 @@ def kernel_basis(matrix: RationalMatrix, side: str = "right") -> KernelBasis:
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-    vectors = _kernel_vectors(matrix, side)
-    return KernelBasis(tuple(tuple(Fraction(x) for x in v) for v in vectors), side)
+    return KernelBasis(_kernel_vectors(matrix, side), side)
 
 
 def _phase1_simplex(
@@ -523,18 +794,22 @@ def is_conserving(S: RationalMatrix) -> ConservationResult:
     Such an m is a nonzero left-kernel vector, so an empty left kernel of
     S (from its cache, or computed and cached as by ``kernel_basis``)
     answers "not conserving" without a simplex.  Otherwise the simplex
-    decides, on S's entries alone, so the witness does not depend on the
-    kernel.
+    decides, on S's entries alone (its columns, scattered from S's
+    nonzeros), so the witness does not depend on the kernel.
     """
     if not _kernel_vectors(S, "left"):
         return ConservationResult(False, None)
-    equations = tuple(zip(*S.entries()))
+    zero = Fraction(0)
+    equations = [[zero] * S.rows for _ in range(S.cols)]
+    for i, row in enumerate(S.nonzeros()):
+        for j, v in row:
+            equations[j][i] = v
     solved = _phase1_simplex(equations, [-sum(row) for row in equations])
     if solved is None:
         return ConservationResult(False, None)
     u, denom = solved
     scaled = [denom + value for value in u]
-    if not _in_kernel(S, "left", scaled) or any(value < denom for value in scaled):
+    if not _in_kernel(S, "left", [scaled]) or any(value < denom for value in scaled):
         raise AssertionError("simplex returned an invalid conservation witness")
     return ConservationResult(True, tuple(Fraction(value, denom) for value in scaled))
 
@@ -602,13 +877,13 @@ def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixs
     if right is None:
         right = _kernel_vectors(S, "right")
     padded_right = _pad_right(right, ell)
-    if not all(_in_kernel(S_check, "right", v) for v in padded_right):
+    if not _in_kernel(S_check, "right", padded_right):
         return False
     left = S._cache.get(("chain", "left"))
     if left is None:
         left = _kernel_vectors(S, "left")
     padded_left = _pad_left(left, q, p2)
-    if not all(_in_kernel(S_check, "left", w) for w in padded_left):
+    if not _in_kernel(S_check, "left", padded_left):
         return False
 
     rank_p = _rank_mod_p(_sparse_image(S_check, "right"), S_check.cols)

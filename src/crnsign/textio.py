@@ -385,7 +385,7 @@ def network_to_json(net: Network) -> dict:
     }
 
 
-def vector_to_exact_json(vector: Sequence[Fraction]) -> List[str]:
+def vector_to_exact_json(vector: Sequence[Union[int, Fraction]]) -> List[str]:
     return [str(v) for v in vector]
 
 

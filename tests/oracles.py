@@ -610,7 +610,7 @@ def kernel_basis(matrix: RationalMatrix, side: str = "right") -> KernelBasis:
     """
     if side == "left":
         flipped = kernel_basis(transpose(matrix), "right")
-        return KernelBasis(flipped.vectors, "left")
+        return KernelBasis(flipped.integers, "left")
     if side != "right":
         raise ValueError("side must be 'right' or 'left'")
     a, pivots = _rref(matrix)
@@ -622,7 +622,7 @@ def kernel_basis(matrix: RationalMatrix, side: str = "right") -> KernelBasis:
         for r, c in enumerate(pivots):
             v[c] = -a[r][f]
         vectors.append(_normalize(v))
-    return KernelBasis(tuple(vectors), "right")
+    return KernelBasis(tuple(tuple(int(x) for x in v) for v in vectors), "right")
 
 
 def _phase1_simplex(

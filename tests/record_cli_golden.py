@@ -2,11 +2,12 @@
 
 Each invocation runs ``crnsign.cli.main`` in this process, inside a work
 directory that holds a copy of ``fixtures/`` plus a catalyst network and an
-empty file and the benchmark's two ``large`` networks (30 species, 80
-reactions, written by ``perfbench/gen.network_text``), so every path (and
-every path quoted in an error message) is relative and the same on every
-machine.  For each invocation the record
-holds the exit code, the sha256 of stdout, the sha256 of every file the
+empty file, the benchmark's two ``large`` networks (30 species, 80
+reactions, written by ``perfbench/gen.network_text``), a 60-species,
+160-reaction network and a rank-deficient 20 x 30 network
+(``conserving_text``), so every path (and every path quoted in an error
+message) is relative and the same on every machine.  For each invocation
+the record holds the exit code, the sha256 of stdout, the sha256 of every file the
 invocation wrote and, for exit code 2 only, stderr.  An invocation that
 raises records the exception's type and message instead of an exit code.
 
@@ -41,20 +42,56 @@ CATALYST = "A + B -> 2B\nB -> A\n"
 SUBCOMMANDS = ["analyze", "signfix", "altfix", "deficiency", "equilibria", "spectra", "graph", "decompose"]
 # The benchmark's ``large`` workload at its pinned seed: two networks of this size.
 LARGE_SIZE, LARGE_COUNT = (30, 80), 2
+# The 60 x 160 network that ``analyze`` timings are quoted for, drawn
+# from ``perfbench/gen.py`` at this seed.
+WIDE_SIZE, WIDE_SEED = (60, 160), 1
+
+
+def _gen():
+    """``perfbench/gen.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def large_texts() -> List[str]:
     """The ``.crn`` text of each ``large`` network, drawn as the benchmark
-    draws them (``perfbench/gen.py``, loaded by path, seed 0)."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    draws them (seed 0)."""
+    gen = _gen()
     rng = random.Random(0)
     species, reactions = LARGE_SIZE
     return [
         gen.network_text(gen.make_network(rng, (species,) * 2, (reactions,) * 2))
         for _ in range(LARGE_COUNT)
     ]
+
+
+def wide_text() -> str:
+    """The ``.crn`` text of the 60-species, 160-reaction network."""
+    gen = _gen()
+    species, reactions = WIDE_SIZE
+    rng = random.Random(WIDE_SEED)
+    return gen.network_text(gen.make_network(rng, (species,) * 2, (reactions,) * 2))
+
+
+def conserving_text(species: int = 20, reactions: int = 30, seed: int = 5) -> str:
+    """A network whose every reaction moves k = 1 or 2 species to k others
+    with the same multiset of coefficients (1/2, 1 or 2), so the all-ones
+    vector is a conservation law: S is rank-deficient on both sides, and
+    its cleared columns are fractional."""
+    rng = random.Random(seed)
+    names = [f"X{i + 1}" for i in range(species)]
+    lines = ["species " + ", ".join(names)]
+    for _ in range(reactions):
+        k = rng.randint(1, 2)
+        picked = rng.sample(names, 2 * k)
+        coefficients = [rng.choice(["1/2 ", "", "2 "]) for _ in range(k)]
+        moved = coefficients[::-1]
+        lhs = " + ".join(c + name for c, name in zip(coefficients, picked[:k]))
+        rhs = " + ".join(c + name for c, name in zip(moved, picked[k:]))
+        lines.append(f"{lhs} -> {rhs}")
+    return "\n".join(lines) + "\n"
 
 
 def _class_count(path: Path) -> int:
@@ -118,6 +155,8 @@ def invocations() -> Dict[str, List[str]]:
     for k in range(LARGE_COUNT):
         runs[f"large{k}/analyze"] = ["analyze", f"large{k}.crn"]
         runs[f"large{k}/deficiency/audit"] = ["deficiency", f"large{k}.crn", "--audit"]
+    runs["wide/analyze"] = ["analyze", "wide.crn"]
+    runs["conserving/analyze"] = ["analyze", "conserving.crn"]
     return runs
 
 
@@ -154,6 +193,8 @@ def record_all(workdir: Path) -> Dict[str, dict]:
     (workdir / "empty.crn").write_text("", encoding="utf-8")
     for k, text in enumerate(large_texts()):
         (workdir / f"large{k}.crn").write_text(text, encoding="utf-8")
+    (workdir / "wide.crn").write_text(wide_text(), encoding="utf-8")
+    (workdir / "conserving.crn").write_text(conserving_text(), encoding="utf-8")
     previous = os.getcwd()
     os.chdir(workdir)
     try:

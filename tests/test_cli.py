@@ -104,23 +104,31 @@ def test_one_elimination_of_s_per_command(capsys, monkeypatch, argv, shapes):
 def test_analyze_of_a_full_row_rank_network_eliminates_only_the_right_kernel(
     capsys, monkeypatch, tmp_path
 ):
-    """On a 30 x 80 network of full row rank, analyze eliminates S once,
-    for its right kernel: the left kernel is {0} by the rank read off it,
-    so conservation needs no simplex, and the fixed network's rank is
-    certified mod p."""
+    """On a 30 x 80 network of full row rank, analyze eliminates nothing
+    over Q: the right kernel of S is lifted p-adically and certified, once,
+    the left kernel is {0} by the rank read off it, so conservation needs
+    no simplex, and the fixed network's rank is certified mod p (S was
+    eliminated once, for its right kernel, before the lifting)."""
     path = tmp_path / "large.crn"
     path.write_text(serialize_network(make_network(random.Random(0), (30, 30), (80, 80))))
-    seen, simplex = [], []
-    eliminate = exactla._eliminate
+    seen, simplex, lifts = [], [], []
+    eliminate, lift = exactla._eliminate, exactla._lifted_kernel
 
     def counted(a, reduce=True):
         seen.append((len(a), len(a[0])))
         return eliminate(a, reduce)
 
+    def lifted(matrix, side):
+        vectors = lift(matrix, side)
+        lifts.append((matrix.rows, matrix.cols, side, vectors is not None))
+        return vectors
+
     monkeypatch.setattr(exactla, "_eliminate", counted)
+    monkeypatch.setattr(exactla, "_lifted_kernel", lifted)
     monkeypatch.setattr(exactla, "_phase1_simplex", lambda *a: simplex.append(a))
     body = _run_json(capsys, "analyze", str(path))
-    assert seen == [(30, 80)]
+    assert seen == []
+    assert lifts == [(30, 80, "right", True)]
     assert simplex == []
     assert body["kernels"]["conserving"] is False
     assert body["kernels"]["left_exact"] == []
@@ -165,6 +173,29 @@ def test_analyze_of_a_large_network_reads_s_through_its_nonzeros(
         path.write_text(network_text(net), encoding="utf-8")
         _run_json(capsys, "analyze", str(path))
     assert calls == []
+
+
+def test_analyze_of_corpus_networks_reads_s_through_its_nonzeros(
+    capsys, monkeypatch, tmp_path, corpus
+):
+    """On the first 100 corpus networks no reader of S walks all its
+    entries: ``is_conserving`` builds its simplex equations from S's
+    nonzeros (40 calls to ``entries()`` when it read them)."""
+    calls = []
+    entries = RationalMatrix.entries
+
+    def counted(self):
+        calls.append((self.rows, self.cols))
+        return entries(self)
+
+    monkeypatch.setattr(RationalMatrix, "entries", counted)
+    conserving = 0
+    for k, net in enumerate(corpus[:100]):
+        path = tmp_path / f"corpus{k}.crn"
+        path.write_text(network_text(net), encoding="utf-8")
+        conserving += _run_json(capsys, "analyze", str(path))["kernels"]["conserving"]
+    assert calls == []
+    assert conserving > 0
 
 
 @pytest.mark.parametrize(

@@ -539,3 +539,189 @@ def test_kernel_correspondence_checks_left_positivity(monkeypatch):
     assert not exactla._positivity_transfers([[6, 0, -1]])
     assert not exactla._positivity_transfers([[1, 0, 1], [0, 1, -2]])
     assert exactla._positivity_transfers([[1, -1, 1], [-1, 1, 0]])
+
+
+def _lift_outcomes(monkeypatch):
+    """Record, for each ``exactla._lifted_kernel`` call, whether it
+    returned a certified basis (True) or sent the matrix to Bareiss."""
+    outcomes = []
+    lift = exactla._lifted_kernel
+
+    def recorded(matrix, side):
+        vectors = lift(matrix, side)
+        outcomes.append(vectors is not None)
+        return vectors
+
+    monkeypatch.setattr(exactla, "_lifted_kernel", recorded)
+    return outcomes
+
+
+def _deficient(rng, rows, cols, rank_, values=(-3, -2, -1, 1, 2, 3)):
+    """A sparse rows x cols matrix of rank at most ``rank_``: that many
+    random rows of ``values`` and zeros, the others small combinations of
+    two of them, all shuffled, so the rows that carry the pivots are
+    spread among the others."""
+    base = [[rng.choice(values) if rng.random() < 0.3 else 0 for _ in range(cols)]
+            for _ in range(rank_)]
+    out = list(base)
+    while len(out) < rows:
+        a, b = rng.sample(base, 2)
+        s, t = rng.choice((-2, -1, 1, 2)), rng.choice((-2, -1, 1, 2))
+        out.append([s * x + t * y for x, y in zip(a, b)])
+    rng.shuffle(out)
+    return out
+
+
+def _assert_kernels_match_oracle(M, monkeypatch, lifted):
+    """Both kernels of a fresh copy equal the Fraction oracle's, and the
+    lifting was certified (``lifted``) or fell back on each side."""
+    outcomes = _lift_outcomes(monkeypatch)
+    seen = _counted_eliminate(monkeypatch)
+    fresh = _fresh(M)
+    for side in ("right", "left"):
+        assert kernel_basis(fresh, side) == oracles.kernel_basis(M, side), side
+    assert outcomes == [lifted, lifted]
+    assert (seen == []) == lifted
+    monkeypatch.undo()
+
+
+def test_lifted_kernels_match_the_oracle_on_rank_deficient_matrices(monkeypatch):
+    """At or above ``MOD_P_MIN_ENTRIES`` entries, rank-deficient matrices
+    of both orientations have both kernels lifted and certified, with no
+    elimination over Q, equal to the oracle's: the elimination mod p picks
+    the rows that carry the pivots, wherever they sit."""
+    rng = random.Random(11)
+    for rows, cols, rank_ in ((20, 30, 14), (30, 20, 17), (24, 24, 23), (25, 16, 9)):
+        M = RationalMatrix(_deficient(rng, rows, cols, rank_))
+        assert M.rows * M.cols >= exactla.MOD_P_MIN_ENTRIES
+        assert oracles.rank(M) < min(rows, cols)
+        _assert_kernels_match_oracle(M, monkeypatch, lifted=True)
+
+
+def test_lifted_kernels_match_the_oracle_on_fractional_matrices(monkeypatch):
+    """Fractional entries (each row and each column divided by its own
+    integer, so the rank stays deficient), cleared row by row (right) and
+    column by column (left), and the rank-deficient conserving network of
+    the CLI records: both kernels are lifted, certified and equal to the
+    oracle's."""
+    import record_cli_golden
+
+    rng = random.Random(12)
+    for rows, cols, rank_ in ((20, 30, 16), (30, 22, 18)):
+        a = _deficient(rng, rows, cols, rank_)
+        row_scale = [rng.randint(1, 9) for _ in range(rows)]
+        col_scale = [rng.randint(1, 9) for _ in range(cols)]
+        M = RationalMatrix(
+            [[Fraction(x, row_scale[i] * col_scale[j]) for j, x in enumerate(row)]
+             for i, row in enumerate(a)]
+        )
+        assert oracles.rank(M) < min(rows, cols)
+        _assert_kernels_match_oracle(M, monkeypatch, lifted=True)
+    S = stoichiometric_matrix(parse_network(record_cli_golden.conserving_text()))
+    assert (S.rows, S.cols) == (20, 30) and oracles.rank(S) == 19
+    _assert_kernels_match_oracle(S, monkeypatch, lifted=True)
+
+
+def test_lifted_kernels_stay_in_int64_or_go_to_bareiss(monkeypatch):
+    """Entries near 10^10 keep every product of the lifting below 2^63 and
+    are lifted; entries of 10^13, and a fractional row whose cleared
+    entries pass int64, go to Bareiss.  Every kernel equals the oracle's."""
+    rng = random.Random(13)
+    a = _deficient(rng, 20, 25, 15, values=(-(10**10), 10**10 - 7, 3 * 10**9, -1))
+    _assert_kernels_match_oracle(RationalMatrix(a), monkeypatch, lifted=True)
+    a = _deficient(rng, 20, 25, 15, values=(-(10**13), 10**13 + 1, 2, -1))
+    _assert_kernels_match_oracle(RationalMatrix(a), monkeypatch, lifted=False)
+    a = _deficient(rng, 20, 25, 15)
+    a[4] = [Fraction(x, 10**19 + 39) + Fraction(1, 3) for x in a[4]]
+    M = RationalMatrix(a)
+    assert max(abs(x) for row in exactla._sparse_image(M, "right") for _, x in row) > 2**63
+    outcomes = _lift_outcomes(monkeypatch)
+    assert kernel_basis(_fresh(M), "right") == oracles.kernel_basis(M, "right")
+    assert outcomes == [False]
+
+
+def test_a_pivot_block_singular_mod_p_sends_the_kernel_to_bareiss(monkeypatch):
+    """``_p_led``: the pivot block over Q holds PRIME on its diagonal, so
+    the elimination mod p misses that row and column.  The lifted vector
+    of that free column is the unit vector there, which has the right
+    support and count but is not in the kernel; the membership check
+    rejects it, and Bareiss gives the oracle's kernels."""
+    M = _p_led(20, 30, 7, random.Random(4))
+    unit = tuple(int(j == 7) for j in range(30))
+    assert not exactla._in_kernel(M, "right", [unit])
+    assert exactla._lifted_kernel(_fresh(M), "right") is None
+    assert exactla._lifted_kernel(_fresh(M), "left") is None
+    seen = _counted_eliminate(monkeypatch)
+    for side in ("right", "left"):
+        assert kernel_basis(_fresh(M), side) == oracles.kernel_basis(M, side)
+    assert seen == [(20, 30), (30, 20)]
+
+
+def test_pivots_that_differ_mod_p_are_rejected_by_the_support_rule(monkeypatch):
+    """Column 0 is p e_0 and column 1 is e_0, so over Q column 0 is a
+    pivot and column 1 is not, and mod p the other way round; the rest is
+    random and both ranks are 20, with nullity 10.  The lifted vector of
+    free column 0, e_0 - p e_1, lies in the kernel and the count is right,
+    but it is nonzero at the later pivot column 1: only the support rule
+    rejects it, and Bareiss gives the oracle's basis."""
+    p = exactla.PRIME
+    rng = random.Random(5)
+    a = [[p * (i == 0), int(i == 0)] + [rng.randint(-3, 3) for _ in range(28)] for i in range(20)]
+    M = RationalMatrix(a)
+    assert exactla._rank_mod_p(exactla._sparse_image(M, "right"), 30) == oracles.rank(M) == 20
+    candidate = (1, -p) + (0,) * 28
+    assert exactla._in_kernel(M, "right", [candidate])
+    assert exactla._lifted_kernel(_fresh(M), "right") is None
+    seen = _counted_eliminate(monkeypatch)
+    expected = oracles.kernel_basis(M, "right")
+    assert expected.dim == 10 and expected.integers[0][:2] == (1, -p)
+    assert kernel_basis(_fresh(M), "right") == expected
+    assert seen == [(20, 30)]
+
+
+def test_a_column_that_does_not_reconstruct_sends_the_kernel_to_bareiss(monkeypatch):
+    """With rational reconstruction made to fail, the lifting runs to its
+    Hadamard bound and only the columns of X with integer entries rebuild;
+    the others have no vector, so the count is short and Bareiss answers.
+    With reconstruction the same matrix lifts."""
+    M = RationalMatrix(_deficient(random.Random(14), 20, 30, 16))
+    assert exactla._lifted_kernel(_fresh(M), "right") is not None
+    monkeypatch.setattr(exactla, "_rational", lambda *args: None)
+    assert exactla._lifted_kernel(_fresh(M), "right") is None
+    assert kernel_basis(_fresh(M), "right") == oracles.kernel_basis(M, "right")
+
+
+def test_lifted_kernels_equal_bareiss_on_large_networks(large_networks):
+    """The ``large`` networks, their fixes and a 60 x 160
+    network: the lifted right kernel equals the Bareiss one."""
+    matrices = []
+    for net in large_networks:
+        matrices += [stoichiometric_matrix(net), stoichiometric_matrix(sign_fix(net).result)]
+    matrices.append(stoichiometric_matrix(make_network(random.Random(1), (60, 60), (160, 160))))
+    for S in matrices:
+        lifted = exactla._lifted_kernel(_fresh(S), "right")
+        assert lifted is not None and lifted == exactla._eliminated_kernel(_fresh(S), "right")
+
+
+def test_in_kernel_packs_many_vectors_exactly():
+    """The packed product gives the per-vector answer: kernel vectors of
+    random sparse matrices with huge and fractional entries, alone and
+    beside vectors off the kernel by +-1 or by a huge amount at one row,
+    on both sides, each list also repeated to ``_PACKED_MIN_VECTORS``
+    vectors or more, which are packed."""
+    rng = random.Random(15)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        values = [0, 0, 1, -1, 3, Fraction(-5, 7), 10**30, -(10**25) + 1]
+        M = RationalMatrix([[rng.choice(values) for _ in range(cols)] for _ in range(rows)])
+        for side in ("right", "left"):
+            image = exactla._sparse_image(M, side)
+            width = cols if side == "right" else rows
+            basis = list(oracles.kernel_basis(M, side).integers)
+            others = [tuple(rng.choice([0, 1, -1, 10**40]) for _ in range(width)) for _ in range(3)]
+            for vectors in (basis, basis + others[:1], others[1:] + basis, others):
+                expected = all(
+                    sum(x * v[j] for j, x in row) == 0 for v in vectors for row in image
+                )
+                assert exactla._in_kernel(M, side, vectors) == expected
+                assert exactla._in_kernel(M, side, vectors * exactla._PACKED_MIN_VECTORS) == expected
