@@ -35,6 +35,9 @@ RationalLike = Union[int, str, Fraction]
 # One row of a matrix's nonzero entries: (column, value) pairs in column order.
 SparseRow = Tuple[Tuple[int, Fraction], ...]
 
+# The coefficient of a species a complex does not hold.
+_ZERO = Fraction(0)
+
 
 def _to_fraction(value: RationalLike) -> Fraction:
     """Coerce ints, strings like "3", "0.5" or "2/3", and Fractions."""
@@ -79,17 +82,26 @@ class Complex:
     terms: Tuple[Tuple[int, Fraction], ...]
 
     def __post_init__(self) -> None:
-        seen = set()
-        for index, coeff in self.terms:
-            if index in seen:
-                raise ValueError(f"duplicate species index {index} in complex")
-            seen.add(index)
+        """Each term in turn: index not repeated, coefficient exact, then
+        positive; after all terms, indices sorted.  One pass: while the
+        indices strictly increase none can repeat, so the set of seen
+        indices is built only once one does not increase."""
+        seen = None
+        previous = None
+        for position, (index, coeff) in enumerate(self.terms):
+            if seen is None and position and not previous < index:
+                seen = {i for i, _ in self.terms[:position]}
+            if seen is not None:
+                if index in seen:
+                    raise ValueError(f"duplicate species index {index} in complex")
+                seen.add(index)
+            previous = index
             if not isinstance(coeff, (int, Fraction)):
                 # stoichiometric_matrix relies on exact coefficients
                 raise TypeError(f"cannot interpret {coeff!r} as an exact rational")
-            if coeff <= 0:
+            if coeff.numerator <= 0:
                 raise ValueError("complex coefficients must be positive")
-        if list(self.terms) != sorted(self.terms, key=lambda t: t[0]):
+        if seen is not None:
             raise ValueError("complex terms must be sorted by species index")
 
     def __hash__(self) -> int:
@@ -121,7 +133,7 @@ class Complex:
         for index, coeff in self.terms:
             if index == species_index:
                 return coeff
-        return Fraction(0)
+        return _ZERO
 
     def species_indices(self) -> Tuple[int, ...]:
         return tuple(index for index, _ in self.terms)
@@ -297,9 +309,9 @@ class RationalMatrix:
 
     ``_nonzeros`` holds ``nonzeros()`` once known, and ``_cache`` is a
     per-instance dict for data derived from the entries (``exactla`` keeps
-    the integer images and kernel vectors there).  Neither is part of the
-    value: equality, hash and repr ignore them, and since the entries
-    never change they cannot go stale.
+    the integer images and kernel vectors there, ``signcheck`` the bad
+    classes).  Neither is part of the value: equality, hash and repr
+    ignore them, and since the entries never change they cannot go stale.
     """
 
     __slots__ = ("rows", "cols", "_data", "_nonzeros", "_cache")
@@ -403,10 +415,9 @@ def stoichiometric_matrix(net: Network) -> RationalMatrix:
                     row.append((j, value))
             else:
                 row.append((j, _to_fraction(coeff)))
-    zero = Fraction(0)
     entries = []
     for row in rows:
-        dense = [zero] * net.reaction_count
+        dense = [_ZERO] * net.reaction_count
         for j, value in row:
             dense[j] = value
         entries.append(dense)

@@ -190,7 +190,17 @@ def find_bad_submatrices(S: RationalMatrix) -> List[BadClass]:
     Classes are listed in lexicographic order of their positive entry
     (row, then column); members keep the enumeration order.  Each row's
     positive and negative columns are read from its nonzeros.
+
+    The classes are found once per matrix and kept in its ``_cache``
+    (they are immutable); each call returns a fresh list of them.
     """
+    classes = S._cache.get("bad_classes")
+    if classes is None:
+        classes = S._cache["bad_classes"] = _bad_classes(S)
+    return list(classes)
+
+
+def _bad_classes(S: RationalMatrix) -> Tuple[BadClass, ...]:
     rows = S.nonzeros()
     positive = [{c for c, v in row if v.numerator > 0} for row in rows]
     negative = [{c for c, v in row if v.numerator < 0} for row in rows]
@@ -210,10 +220,10 @@ def find_bad_submatrices(S: RationalMatrix) -> List[BadClass]:
             for cols, pos_row, pos_col in pairs:
                 bad = BadSubmatrix((i, j), cols, (pos_row, pos_col))
                 by_entry.setdefault((pos_row, pos_col), []).append(bad)
-    return [
+    return tuple(
         BadClass(entry, tuple(members))
         for entry, members in sorted(by_entry.items())
-    ]
+    )
 
 
 def jacobian_sign_status(net: Network) -> SignStatusMatrix:

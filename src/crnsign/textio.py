@@ -33,12 +33,17 @@ explicitly; species not covered by a directive are ordered by first
 appearance in the file.  ``<->`` expands to two irreversible reactions,
 forward first.
 
+A plain digit run is read as ``Fraction(int(text))``, any other NUMBER
+by ``Fraction(text)``: the same value, without ``Fraction``'s regex.
+
 ``dump_report`` writes a report in one recursive pass into one list of
 chunks, joined once: the bytes of ``json.dumps(report, indent=2) + "\n"``
 (``json``'s own C quoting for strings, ``int.__repr__`` and
-``float.__repr__`` for numbers), with a list of strings written in one
-join.  A non-finite float is a ``ValueError`` naming its ``/key/index``
-path, found in the same pass.
+``float.__repr__`` for numbers).  A container writes its members of
+exact type ``str``, ``int``, ``float``, ``bool`` or ``None`` inline and
+recurses only into the others, and a list of only plain strings or only
+plain ints is written in one join.  A non-finite float is a
+``ValueError`` naming its ``/key/index`` path, found in the same pass.
 """
 
 from __future__ import annotations
@@ -98,6 +103,9 @@ _TOKEN_RE = re.compile(
     r"|(?P<COMMENT>#)|(?P<BAD>[^ \t])"
 )
 
+# The coefficient of a term written without one, shared by every such term.
+_ONE = Fraction(1)
+
 # Python's default int-to-str limit; it bounds a number's digits where the
 # limit is switched off (0) or missing (Python before 3.10.7) too.
 _DEFAULT_MAX_DIGITS = 4300
@@ -153,14 +161,17 @@ class _LineParser:
         """
         text = token.text
         try:
-            head, _, exponent = text.lower().partition("e")
-            if exponent:
-                whole, _, fraction = head.partition(".")
-                digits = len((whole + fraction).lstrip("0")) + abs(int(exponent) - len(fraction))
-                limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DEFAULT_MAX_DIGITS
-                if digits > limit:
-                    raise ValueError(f"{digits} digits")
-            value = Fraction(text)
+            if text.isdigit():  # a plain integer, read without Fraction's regex
+                value = Fraction(int(text))
+            else:
+                head, _, exponent = text.lower().partition("e")
+                if exponent:
+                    whole, _, fraction = head.partition(".")
+                    digits = len((whole + fraction).lstrip("0")) + abs(int(exponent) - len(fraction))
+                    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DEFAULT_MAX_DIGITS
+                    if digits > limit:
+                        raise ValueError(f"{digits} digits")
+                value = Fraction(text)
             if rate:
                 value = float(value)
         except (ValueError, ZeroDivisionError, OverflowError):
@@ -170,7 +181,7 @@ class _LineParser:
                 f"cannot read {'rate value' if rate else 'coefficient'} {text!r}",
                 KIND_BAD_COEFFICIENT,
             )
-        if not value > 0:
+        if not value:  # a NUMBER has no sign, so only zero is not positive
             raise ParseError(
                 self.lineno,
                 token.column,
@@ -189,7 +200,7 @@ class _LineParser:
         terms: Dict[int, Fraction] = {}
         while True:
             tok = self.peek()
-            coeff = Fraction(1)
+            coeff = _ONE
             if tok.kind == "NUMBER":
                 self.advance()
                 coeff = self.parse_number(tok)
@@ -198,12 +209,14 @@ class _LineParser:
                 raise self.error("expected a species name")
             self.advance()
             index = resolve(tok)
-            terms[index] = terms.get(index, Fraction(0)) + coeff
+            if index in terms:  # a repeated species: its coefficients add up
+                coeff += terms[index]
+            terms[index] = coeff
             if self.peek().kind == "PLUS":
                 self.advance()
                 continue
             break
-        return Complex.from_dict(terms)
+        return Complex(tuple(sorted(terms.items())))
 
     def parse_rates(self, reversible: bool) -> Dict[str, float]:
         pairs: Dict[str, float] = {}
@@ -397,9 +410,30 @@ class _NonFinite(Exception):
         self.keys: List[object] = []
 
 
+def _finite_repr(value: float) -> str:
+    if not math.isfinite(value):
+        raise _NonFinite()
+    return float.__repr__(value)
+
+
+# The writers of a container's scalar members, by exact type; a member of
+# any other type (a container, a subclass) goes through ``_write``.
+_INLINE = {
+    str: _quote,
+    int: int.__repr__,
+    float: _finite_repr,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
 def _write(value, newline: str, out: List[str]) -> None:
     """Append ``value`` to ``out`` as ``json.dumps(indent=2)`` writes it;
-    ``newline`` is a line break plus the indent of ``value``'s own line."""
+    ``newline`` is a line break plus the indent of ``value``'s own line.
+
+    A container writes its scalar members inline through ``_INLINE`` and
+    recurses only into the others; a list of only plain strings or only
+    plain ints is written in one join."""
     if isinstance(value, str):
         out.append(_quote(value))
     elif value is None:
@@ -411,26 +445,33 @@ def _write(value, newline: str, out: List[str]) -> None:
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise _NonFinite()
-        out.append(float.__repr__(value))
+        out.append(_finite_repr(value))
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
         inner = newline + "  "
         comma = "," + inner
-        try:  # a list of strings (matrix rows, kernel vectors) in one join
-            out += ("[", inner, comma.join(map(_quote, value)), newline, "]")
+        first = type(value[0])
+        if first is str:  # matrix rows and kernel vectors, in one join
+            try:
+                out += ("[", inner, comma.join(map(_quote, value)), newline, "]")
+                return
+            except TypeError:  # a member that is not a str
+                pass
+        elif first is int and set(map(type, value)) == {int}:  # index lists
+            out += ("[", inner, comma.join(map(int.__repr__, value)), newline, "]")
             return
-        except TypeError:
-            pass
         separator = "[" + inner
         try:
             for index, item in enumerate(value):
-                out.append(separator)
+                write = _INLINE.get(type(item))
+                if write is None:
+                    out.append(separator)
+                    _write(item, inner, out)
+                else:
+                    out += (separator, write(item))
                 separator = comma
-                _write(item, inner, out)
         except _NonFinite as exc:
             exc.keys.append(index)
             raise
@@ -441,14 +482,18 @@ def _write(value, newline: str, out: List[str]) -> None:
             return
         inner = newline + "  "
         separator = "{" + inner
-        for key, item in value.items():
-            out += (separator, _quote(key), ": ")  # a key not a str: TypeError
-            separator = "," + inner
-            try:
-                _write(item, inner, out)
-            except _NonFinite as exc:
-                exc.keys.append(key)
-                raise
+        try:
+            for key, item in value.items():
+                out += (separator, _quote(key), ": ")  # a key not a str: TypeError
+                separator = "," + inner
+                write = _INLINE.get(type(item))
+                if write is None:
+                    _write(item, inner, out)
+                else:
+                    out.append(write(item))
+        except _NonFinite as exc:
+            exc.keys.append(key)
+            raise
         out += (newline, "}")
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")

@@ -134,6 +134,39 @@ def test_analyze_of_a_full_row_rank_network_eliminates_only_the_right_kernel(
     assert body["kernels"]["left_exact"] == []
 
 
+class _LoggedCache(dict):
+    """A matrix ``_cache`` that logs each read and write of ``key``."""
+
+    def __init__(self, key):
+        super().__init__()
+        self.key, self.log = key, []
+
+    def get(self, key, default=None):
+        if key == self.key:
+            self.log.append("get")
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        if key == self.key:
+            self.log.append("set")
+        super().__setitem__(key, value)
+
+
+def test_analyze_enumerates_the_bad_classes_of_s_once(capsys, monkeypatch):
+    """The bad-classes section enumerates S's classes and keeps them on S;
+    ``sign_fix`` and the single-positive-column check read them from
+    there (one enumeration of S per command, four before)."""
+    net = parse_network(Path(DEF_JUMP).read_text(encoding="utf-8"))
+    S = stoichiometric_matrix(net)
+    S._cache = _LoggedCache("bad_classes")
+    monkeypatch.setattr(cli, "_load_network", lambda args: net)
+    body = _run_json(capsys, "analyze", DEF_JUMP)
+    assert S._cache.log == ["get", "set", "get", "get"]
+    classes = S._cache["bad_classes"]
+    assert [c["positive_entry"] for c in body["badclasses"]] == [list(c.positive_entry) for c in classes]
+    assert len(body["fixreport"]["steps"]) == len(classes) == 3
+
+
 @pytest.mark.parametrize(
     "argv", [("analyze", TWO_AMBIGUOUS), ("deficiency", TWO_AMBIGUOUS, "--audit")]
 )

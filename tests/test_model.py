@@ -80,6 +80,59 @@ def test_complex_rejects_inexact_coefficients():
     assert Complex(((0, 2),)) == Complex.from_dict({0: 2})
 
 
+_DUPLICATE = (ValueError, "duplicate species index {} in complex")
+_INEXACT = (TypeError, "cannot interpret {} as an exact rational")
+_NOT_POSITIVE = (ValueError, "complex coefficients must be positive")
+_UNSORTED = (ValueError, "complex terms must be sorted by species index")
+
+
+@pytest.mark.parametrize(
+    "terms, error, detail",
+    [
+        (((0, 1), (0, 1)), _DUPLICATE, 0),
+        (((0, 1), (2, 1), (1, 1), (2, 1)), _DUPLICATE, 2),
+        (((0, 1.5),), _INEXACT, 1.5),
+        (((0, 1), (1, "2")), _INEXACT, "'2'"),
+        (((0, 0),), _NOT_POSITIVE, None),
+        (((0, 1), (1, Fraction(-1, 2))), _NOT_POSITIVE, None),
+        (((1, 1), (0, 1)), _UNSORTED, None),
+        (((0, 1), (2, 1), (1, 1)), _UNSORTED, None),
+        # the per-term checks run in order, term by term, and the order
+        # check after them: a repeat before an unsorted pair, a bad
+        # coefficient before an unsorted pair, a repeat before the
+        # coefficient of its own term
+        (((1, 1), (0, 1), (1, 1)), _DUPLICATE, 1),
+        (((1, 1), (0, 1), (0, 1)), _DUPLICATE, 0),
+        (((1, 1), (0, -1)), _NOT_POSITIVE, None),
+        (((1, 1), (0, 0)), _NOT_POSITIVE, None),
+        (((1, 1), (0, 2.5)), _INEXACT, 2.5),
+        (((0, 1), (0, -1)), _DUPLICATE, 0),
+        (((0, 1), (0, 1.5)), _DUPLICATE, 0),
+        (((0, -1), (0, 1)), _NOT_POSITIVE, None),
+        (((0, "1"), (0, 1)), _INEXACT, "'1'"),
+        (((2, 1), (1, -1), (2, 1)), _NOT_POSITIVE, None),
+        (((2, 1), (1, 1), (2, 1.5)), _DUPLICATE, 2),
+        # valid: no term, one term, increasing indices, an int coefficient
+        ((), None, None),
+        (((3, Fraction(1, 2)),), None, None),
+        (((0, 1), (4, 2), (7, Fraction(3))), None, None),
+        # one term makes no comparison of indices, as sorting one term does not
+        (((1j, 1),), None, None),
+    ],
+)
+def test_complex_validation_order(terms, error, detail):
+    """``Complex`` reports the first failing check in the order term by
+    term (repeat, exact, positive), then sortedness, with these types
+    and messages."""
+    if error is None:
+        assert Complex(terms).terms == terms
+        return
+    kind, message = error
+    with pytest.raises(kind) as info:
+        Complex(terms)
+    assert str(info.value) == message.format(detail)
+
+
 def test_complex_format():
     species = tuple(Species(n, i) for i, n in enumerate("ABC"))
     assert Complex.from_dict({}).format(species) == "0"

@@ -111,6 +111,18 @@ def test_bad_classes_three_class_network(deficiency_jump):
     assert [S[c.positive_entry] for c in classes] == [2, 3, 1]
 
 
+def test_bad_classes_are_found_once_per_matrix_and_handed_out_as_fresh_lists():
+    S = stoichiometric_matrix(load("deficiency_jump.crn"))
+    first = find_bad_submatrices(S)
+    second = find_bad_submatrices(S)
+    assert first == second and first is not second
+    assert S._cache["bad_classes"] == tuple(first)
+    first.reverse()
+    first.pop()
+    assert [c.positive_entry for c in second] == [(0, 2), (1, 0), (2, 1)]
+    assert find_bad_submatrices(S) == second
+
+
 def test_shared_positive_entry_groups_into_one_class():
     # two distinct 2x2 witnesses through the same positive entry (0, 0)
     M = RationalMatrix([[3, -1, -1], [-1, -1, 0], [-1, 0, -1]])

@@ -17,6 +17,8 @@ from crnsign.signfix import (
 )
 from crnsign.textio import parse_network, serialize_network
 
+from conftest import load
+
 FIX_STEP_ONE = RationalMatrix(
     [
         [-1, -1, 0, 0, 0, 0, 0],
@@ -165,6 +167,21 @@ def test_stale_class_is_rejected(two_ambiguous):
     fixed, _ = fix_one(two_ambiguous, classes[0])
     with pytest.raises(ValueError, match="stale"):
         fix_one(fixed, classes[0])
+
+
+def test_stale_class_is_rejected_when_the_classes_are_cached():
+    """The fixed network's classes are enumerated (and cached) before the
+    stale class comes in, and the list handed out is changed: ``fix_one``
+    still reads the matrix's own classes."""
+    net = load("two_ambiguous.crn")
+    classes = find_bad_submatrices(stoichiometric_matrix(net))
+    fixed, _ = fix_one(net, classes[0])
+    current = find_bad_submatrices(stoichiometric_matrix(fixed))
+    assert [c.positive_entry for c in current] == [classes[1].positive_entry]
+    current.append(classes[0])
+    with pytest.raises(ValueError, match="stale"):
+        fix_one(fixed, classes[0])
+    fix_one(fixed, classes[1])
 
 
 def test_sign_fix_rejects_target_no_longer_bad(monkeypatch, deficiency_jump):

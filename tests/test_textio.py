@@ -1,3 +1,4 @@
+import enum
 import json
 import sys
 from fractions import Fraction
@@ -70,6 +71,21 @@ def test_primed_species_names():
 def test_duplicate_species_terms_merge():
     net = parse_network("A + A -> B")
     assert net.reactions[0].reactant == Complex.from_dict({0: 2})
+
+
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("A + A -> B", ((0, 2),)),
+        ("2A + 1/2 A -> B", ((0, Fraction(5, 2)),)),
+        ("A + 2B + 3A -> C", ((0, 4), (1, 2))),
+        ("species A, B, C\nC + 2B + A + B -> 0", ((0, 1), (1, 3), (2, 1))),  # sorted by index
+    ],
+)
+def test_repeated_terms_merge_to_fraction_sums(text, terms):
+    reactant = parse_network(text).reactions[0].reactant
+    assert reactant.terms == terms
+    assert all(type(value) is Fraction for _, value in reactant.terms)
 
 
 def test_reversible_reaction_and_rates():
@@ -183,6 +199,67 @@ def test_number_at_the_digit_limit_is_read_exactly(number, value):
     str(value)  # printable
 
 
+def _digits(max_size=12):
+    return st.text("0123456789", min_size=1, max_size=max_size)
+
+
+# NUMBER tokens (``[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+|/[0-9]+)?``): digit
+# runs with leading zeros, decimals, small exponents, ``p/q`` (q = 0
+# included), and plain or ``p/q`` digit runs at and one over the limit.
+_NUMBERS = st.one_of(
+    _digits(),
+    st.builds(lambda zeros, digits: "0" * zeros + digits, st.integers(1, 5), _digits()),
+    st.builds(lambda whole, fraction: f"{whole}.{fraction}", _digits(), _digits()),
+    st.builds(
+        lambda head, e, sign, exponent: f"{head}{e}{sign}{exponent}",
+        st.one_of(_digits(), st.builds(lambda w, f: f"{w}.{f}", _digits(), _digits())),
+        st.sampled_from("eE"),
+        st.sampled_from(["", "+", "-"]),
+        _digits(max_size=2),
+    ),
+    st.builds(lambda p, q: f"{p}/{q}", _digits(), _digits()),
+    st.builds(
+        lambda size, lead, tail: lead + "7" * (size - len(lead)) + tail,
+        st.sampled_from([LIMIT, LIMIT + 1]),
+        st.sampled_from(["", "0", "00"]),
+        st.sampled_from(["", "/3", "/0"]),
+    ),
+)
+
+
+def _refusal(text: str, rate: bool):
+    """What ``parse_number`` refuses ``text`` with, read through
+    ``Fraction(text)``, or None with the value it reads."""
+    try:
+        value = Fraction(text)
+        if rate:
+            value = float(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return f"cannot read {'rate value' if rate else 'coefficient'} {text!r}", None
+    if not value > 0:
+        return f"{'rate constants' if rate else 'coefficients'} must be strictly positive", None
+    return None, value
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_NUMBERS)
+def test_numbers_are_read_as_fraction_reads_them(number):
+    """Every coefficient equals ``Fraction(text)`` and is a ``Fraction``;
+    every rate equals ``float(Fraction(text))``; every refusal is a
+    positioned ``bad-coefficient`` error with ``Fraction``'s verdict."""
+    for text, column, rate in ((f"A -> {number}B", 6, False), (f"A -> B ; k={number}", 12, True)):
+        refusal, value = _refusal(number, rate)
+        if refusal is None:
+            reaction = parse_network(text).reactions[0]
+            read = reaction.rate if rate else reaction.product.terms[0][1]
+            assert read == value and type(read) is type(value)
+        else:
+            with pytest.raises(ParseError) as err:
+                parse_network(text)
+            assert (err.value.line, err.value.column, err.value.kind) == (1, column, KIND_BAD_COEFFICIENT)
+            assert err.value.message == refusal
+
+
 def test_error_identical_sides():
     with pytest.raises(ParseError) as err:
         parse_network("A + B -> B + A")
@@ -253,6 +330,11 @@ def test_network_to_json_shape(two_ambiguous):
     assert body["reversible_pairs"] == [[2, 3], [4, 5]]
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
 def _json_oracle(value) -> str:
     return json.dumps(value, indent=2, allow_nan=False) + "\n"
 
@@ -282,6 +364,10 @@ def _trees(floats):
             st.dictionaries(_TEXT, children, max_size=5),
             # strings, then something else: the one-join path gives up midway
             st.tuples(st.lists(_TEXT, min_size=1, max_size=4), children, st.lists(leaves, max_size=3)).map(
+                lambda parts: parts[0] + [parts[1]] + parts[2]
+            ),
+            # ints, then something else: the int join gives up
+            st.tuples(st.lists(_INTS, min_size=1, max_size=4), children, st.lists(leaves, max_size=3)).map(
                 lambda parts: parts[0] + [parts[1]] + parts[2]
             ),
         )
@@ -316,6 +402,7 @@ def test_dump_report_names_the_first_non_finite_number_as_the_walk_did(report):
         ({"s": ["p", "q", -float("inf"), float("nan")]}, "/s/2"),
         ({"a": ({"b": 1.0}, {"c": [0.5, float("nan")]}), "d": float("nan")}, "/a/1/c/1"),
         ({"": {"0": float("inf")}}, "//0"),
+        ({"a": [1, float("nan")]}, "/a/1"),
     ],
 )
 def test_dump_report_non_finite_paths(report, where):
@@ -331,6 +418,13 @@ def test_dump_report_non_finite_paths(report, where):
         {"a": np.float64(0.1), "b": [np.float64(1e-300)]},  # float subclasses: float.__repr__
         {"a": [[], {}, ()], "b": {"c": []}},
         {"a": "é\u2028\ud800\"\\"},
+        # a list of plain ints is one join, any other list is not
+        {"a": [1, True]},
+        {"a": [True, 1]},
+        {"a": [1, 2**70, -3]},
+        {"a": [1, "a"]},
+        {"a": [1, 2.5]},
+        {"a": list(_Level), "b": [_Level.LOW, 2]},  # int subclasses: int.__repr__
     ],
 )
 def test_dump_report_matches_json_dumps_on_edge_cases(report):
