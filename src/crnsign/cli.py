@@ -13,9 +13,12 @@ floating-point data under ``_f64`` keys.  Exit codes: 0 on success, 1
 when a requested check fails, 2 on input errors: an unreadable or
 malformed file, a bad or non-finite flag value, an unwritable output file,
 a network the command cannot work on, a simulation longer than
-``kinetics.MAX_STEPS`` steps, or a report that would hold a non-finite
-number.  numpy's floating-point warnings are silenced while a command
-runs, so stderr holds only the ``error:`` line.
+``kinetics.MAX_STEPS`` steps, a ``--k-grid`` of more than
+``kinetics.MAX_K_GRID_POINTS`` points, more than ``kinetics.MAX_SAMPLES``
+``--samples``, or a report that would hold a non-finite number.  numpy's
+floating-point warnings are silenced while a command runs, so stderr
+holds only the ``error:`` line.  ``--seed`` belongs to the two commands
+that sample states, ``spectra`` and ``decompose``.
 """
 
 from __future__ import annotations
@@ -128,6 +131,8 @@ def _k_grid(raw: str) -> List[float]:
         raise _InputError(f"--k-grid bounds must be finite, got {raw!r}")
     if not (0 < lo < hi) or count < 2:
         raise _InputError("--k-grid needs 0 < lo < hi and n >= 2")
+    if count > kinetics.MAX_K_GRID_POINTS:
+        raise _InputError(f"--k-grid n must be at most {kinetics.MAX_K_GRID_POINTS}, got {count}")
     return [float(k) for k in np.geomspace(lo, hi, count)]
 
 
@@ -143,6 +148,8 @@ def _parse_order(raw: Optional[str]) -> Optional[List[int]]:
 def _sample_points(rng: random.Random, dim: int, count: int) -> List[List[float]]:
     if count < 1:
         raise _InputError(f"--samples must be at least 1, got {count}")
+    if count > kinetics.MAX_SAMPLES:
+        raise _InputError(f"--samples must be at most {kinetics.MAX_SAMPLES}, got {count}")
     return [[10 ** rng.uniform(-1, 1) for _ in range(dim)] for _ in range(count)]
 
 
@@ -565,7 +572,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="network file (.crn)")
         p.add_argument("-o", "--output", help="write output here instead of stdout")
         p.add_argument("--plain", action="store_true", help="human-readable summary instead of JSON")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
     p = sub.add_parser("analyze", help="full sign/kernel/deficiency report")
     common(p)
@@ -608,6 +614,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0")
     p.add_argument("--k-grid", dest="k_grid", default="1:1e6:7")
     p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0, help="seed for the sampled states")
     p.set_defaults(func=_cmd_spectra)
 
     p = sub.add_parser("graph", help="species-reaction graph as DOT")
@@ -618,6 +625,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--rates")
     p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--seed", type=int, default=0, help="seed for the sampled states")
     p.set_defaults(func=_cmd_decompose)
 
     return parser

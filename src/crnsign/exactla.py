@@ -1,17 +1,32 @@
 """Exact rational dense linear algebra, computed in integers.
 
-Rank, determinant, kernel bases and the characteristic polynomial all
-come from one fraction-free Gauss-Jordan elimination (Bareiss 1968) of
-the denominator-cleared rows: every row update divides exactly by the
-previous pivot, and the reduced rows are the last pivot times the
-reduced row echelon form.  The characteristic polynomial of an n x n
-matrix is interpolated from n + 1 such determinants.
+Denominators are cleared in one place, ``_cleared``: each line (row, or
+column) of a matrix's ``nonzeros()`` is scaled by the lcm of its
+denominators, which leaves its row space unchanged.  From there every
+routine works in Python integers.  ``Fraction``s appear only where a
+matrix's entries are read and in the returned values: kernel vectors,
+determinants, characteristic polynomials and conservation witnesses.
+Nothing in this module ever rounds.
+
+Rank, determinant, kernel bases and the characteristic polynomial come
+from one fraction-free Gauss-Jordan elimination (Bareiss 1968) of the
+cleared rows: every row update divides exactly by the previous pivot,
+and the reduced rows are the last pivot times the reduced row echelon
+form.  A determinant is the signed last pivot over the product P of the
+row scales c_i.  For the characteristic polynomial, with C_i the cleared
+row i, the rows lambda c_i e_i - C_i have determinant P det(lambda I - M),
+an integer polynomial with leading coefficient P.  Its values at
+lambda = 0..n are n + 1 such determinants, and Newton's divided
+differences interpolate them in integers: the nodes are spaced 1 apart,
+so the k-th division is by k, and it is exact, since every divided
+difference of an integer polynomial at integer nodes is an integer.
+Only the returned coefficients are divided by P.
+
 Conservation-law feasibility {m : S^t m = 0, m >= 1} is decided by a
 phase-1 simplex with Bland's rule on an integer tableau, pivoted with the
-same row update.  Fractions appear only at the API and in that
-interpolation: kernel vectors, determinants, characteristic polynomials
-and conservation witnesses are returned as ``Fraction``s.  Nothing in
-this module ever rounds.
+same row update.  The tableau is built once from S's nonzeros, cleared
+by one lcm L of all of S's denominators: one row per column of S, L for
+each artificial variable, and minus the row's sum on the right.
 
 A rank can also be certified modulo one fixed prime ``PRIME`` < 2^21
 (the modular idea of Cabay 1971).  Reducing an integer matrix mod p can
@@ -54,14 +69,10 @@ vector of f is then the unique kernel vector with 1 at f supported on f
 and P, which is the reduced row echelon form's, so the basis, and every
 byte written from it, is the one ``_eliminate`` gives.  Any failed check,
 a pivot block singular mod p among them, or a cleared entry too large
-for exact int64 products sends the matrix to ``_eliminate``.
-
-The integer image of a matrix comes from its ``nonzeros()``, never from
-a scan of all its entries: each row's (column's) nonzero ``Fraction``s
-are cleared by the lcm of their denominators, and ``rank``'s and the
-kernels' eliminations scatter those cleared rows into fresh dense lists.
-Only ``determinant`` and ``char_poly`` read the entries themselves; the
-simplex of ``is_conserving`` scatters S's columns from its nonzeros.
+for exact int64 products sends the matrix to ``_eliminate``.  Kernel
+membership, there and for the conservation witness and the kernel
+bijection, is tested on the nonzeros of the cleared rows, with many
+vectors packed into one integer per index (``_in_kernel``).
 
 Each ``RationalMatrix`` carries a private cache that only this module
 reads and writes: the nonzeros of the denominator-cleared integer rows
@@ -94,8 +105,10 @@ for the next step to read as its S's kernels.  So a chain of one-step
 checks (S_0, S_1), (S_1, S_2), ... over the same matrix objects
 eliminates S_0 only, once per side, unless a certificate fails; a step
 whose bounds do not meet takes the exact rank of S_check from its right
-kernel, eliminated over Q, and checks the counts against it.
-``determinant`` is uncached.
+kernel, eliminated over Q, and checks the counts against it.  Each
+padded left vector is divided by the gcd of its entries, so a chain's
+entries do not gain a denominator factor at every step.
+``determinant`` and ``char_poly`` are uncached.
 """
 
 from __future__ import annotations
@@ -186,18 +199,16 @@ class ConservationResult:
     witness: Optional[Vector] = None
 
 
-def _denominator(values: Sequence[Fraction]) -> int:
-    """The lcm of the denominators of ``values``."""
-    return lcm(*(v.denominator for v in values))
-
-
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
-    """Scale each row by the lcm of its denominators (row space unchanged)."""
-    out = []
-    for row in rows:
-        scale = _denominator(row)
-        out.append([v.numerator * (scale // v.denominator) for v in row])
-    return out
+def _cleared(lines: Sequence[Sequence[Tuple[int, Fraction]]]) -> Tuple[SparseRows, List[int]]:
+    """Each line of nonzero (index, Fraction) pairs scaled by the lcm of its
+    denominators, as (index, integer) pairs in the same order, and those
+    lcms: the one place this module turns Fractions into integers."""
+    rows, scales = [], []
+    for line in lines:
+        scale = lcm(*(v.denominator for _, v in line))
+        rows.append(tuple((j, v.numerator * (scale // v.denominator)) for j, v in line))
+        scales.append(scale)
+    return tuple(rows), scales
 
 
 def _update(row: List[int], pivot_row: List[int], piv: int, prev: int, c: int) -> List[int]:
@@ -240,7 +251,7 @@ def _eliminate(
     Its callers: kernels below ``MOD_P_MIN_ENTRIES`` entries and kernels
     whose lifting certificate fails; ``rank`` when no exact rank is in
     hand (below the threshold, or a rank mod p short of min(rows, cols));
-    and ``determinant``, so ``char_poly``.  One pass of each benchmark
+    ``determinant`` and ``char_poly``.  One pass of each benchmark
     workload at seed 0 runs it 988 times on ``corpus`` and 49 times on
     ``verify``, all below the threshold, and never on ``large`` (whose
     right kernels are lifted, 2 per pass) or ``kinetics``.
@@ -282,11 +293,10 @@ def _eliminate(
 
 
 def _sparse_image(matrix: RationalMatrix, side: str) -> SparseRows:
-    """The denominator-cleared rows ("right") or columns ("left") of the
-    matrix, each scaled by the lcm of its denominators, as their nonzero
-    (index, value) pairs in index order, built from the matrix's
-    ``nonzeros()`` (the columns by distributing each row's pairs in row
-    order); cached on it."""
+    """The ``_cleared`` rows ("right") or columns ("left") of the matrix,
+    as their nonzero (index, value) pairs in index order, built from the
+    matrix's ``nonzeros()`` (the columns by distributing each row's pairs
+    in row order); cached on it."""
     key = ("sparse", side)
     sparse = matrix._cache.get(key)
     if sparse is None:
@@ -297,26 +307,33 @@ def _sparse_image(matrix: RationalMatrix, side: str) -> SparseRows:
                 for j, v in row:
                     columns[j].append((i, v))
             lines = columns
-        found = []
-        for line in lines:
-            scale = lcm(*(v.denominator for _, v in line))
-            found.append(tuple((j, v.numerator * (scale // v.denominator)) for j, v in line))
-        sparse = matrix._cache[key] = tuple(found)
+        sparse = matrix._cache[key] = _cleared(lines)[0]
     return sparse
 
 
-def _dense_image(matrix: RationalMatrix, side: str) -> List[List[int]]:
-    """Fresh dense lists of the cleared rows ("right") or columns ("left"),
-    scattered from ``_sparse_image``; ``_eliminate`` rewrites the rows it
-    is given, so the cached tuples are never handed to it."""
-    width = matrix.cols if side == "right" else matrix.rows
-    rows = []
-    for line in _sparse_image(matrix, side):
+def _dense(rows: SparseRows, width: int) -> List[List[int]]:
+    """Fresh dense lists of the sparse integer rows; ``_eliminate``
+    rewrites the rows it is given, so cached tuples are never handed to
+    it."""
+    out = []
+    for line in rows:
         dense = [0] * width
         for j, x in line:
             dense[j] = x
-        rows.append(dense)
-    return rows
+        out.append(dense)
+    return out
+
+
+def _int64(rows: SparseRows, width: int, residues: bool) -> np.ndarray:
+    """The sparse integer rows as a dense int64 array: their residues mod
+    ``PRIME``, reduced in Python integers first, since cleared entries can
+    be far beyond int64, or without ``residues`` the entries themselves,
+    which the caller has checked to fit."""
+    a = np.zeros((len(rows), width), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, x in row:
+            a[i, j] = x % PRIME if residues else x
+    return a
 
 
 # Vectors from which ``_in_kernel`` packs them.  Packing costs a fixed
@@ -368,11 +385,7 @@ def _rank_mod_p(rows: SparseRows, width: int) -> int:
     from it up, by ``_eliminate_mod_p`` on dense numpy int64 rows."""
     if len(rows) * width < MOD_P_MIN_ENTRIES:
         return _rank_mod_p_sparse(rows)
-    a = np.zeros((len(rows), width), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, x in row:
-            a[i, j] = x % PRIME
-    return len(_eliminate_mod_p(a)[0])
+    return len(_eliminate_mod_p(_int64(rows, width, residues=True))[0])
 
 
 def _eliminate_mod_p(
@@ -472,22 +485,27 @@ def rank(matrix: RationalMatrix) -> int:
     """
     value = _rank_in_hand(matrix)
     if value is None:
-        value = len(_eliminate(_dense_image(matrix, "right"), reduce=False)[1])
+        rows = _dense(_sparse_image(matrix, "right"), matrix.cols)
+        value = len(_eliminate(rows, reduce=False)[1])
         matrix._cache["rank"] = value
     return value
 
 
+def _integer_determinant(a: List[List[int]]) -> int:
+    """Determinant of the square integer rows, which it rewrites: the
+    signed last pivot of the echelon-only elimination, or 0 when a pivot
+    is missing."""
+    _, pivots, last, sign = _eliminate(a, reduce=False)
+    return sign * last if len(pivots) == len(a) else 0
+
+
 def determinant(matrix: RationalMatrix) -> Fraction:
-    """Exact determinant (square matrices): the signed last pivot of the
-    integer elimination divided by the row scales, or 0 when a pivot is
-    missing."""
+    """Exact determinant (square matrices): that of the ``_cleared`` rows,
+    divided by the product of the row scales."""
     if matrix.rows != matrix.cols:
         raise ValueError("determinant needs a square matrix")
-    _, pivots, last, sign = _eliminate(_integer_rows(matrix.entries()), reduce=False)
-    if len(pivots) < matrix.rows:
-        return Fraction(0)
-    scale = prod(_denominator(row) for row in matrix.entries())
-    return Fraction(sign * last, scale)
+    rows, scales = _cleared(matrix.nonzeros())
+    return Fraction(_integer_determinant(_dense(rows, matrix.cols)), prod(scales))
 
 
 def _kernel_vectors(matrix: RationalMatrix, side: str) -> IntRows:
@@ -529,14 +547,14 @@ def _eliminated_kernel(matrix: RationalMatrix, side: str) -> IntRows:
     """The kernel basis read off the fraction-free Gauss-Jordan elimination
     of the side's cleared rows: free column f gives D at f and minus the
     pivot rows' entries at f at their pivot columns."""
-    a, pivots, last, _ = _eliminate(_dense_image(matrix, side))
-    cols = len(a[0])
+    width = matrix.cols if side == "right" else matrix.rows
+    a, pivots, last, _ = _eliminate(_dense(_sparse_image(matrix, side), width))
     pivot_set = set(pivots)
     found = []
-    for f in range(cols):
+    for f in range(width):
         if f in pivot_set:
             continue
-        v = [0] * cols
+        v = [0] * width
         v[f] = last
         for r, c in enumerate(pivots):
             v[c] = -a[r][f]
@@ -564,10 +582,7 @@ def _lifted_kernel(matrix: RationalMatrix, side: str) -> Optional[IntRows]:
     # R - B X under that times PRIME: exact in int64 below 2^63.
     if max(sum(abs(x) for _, x in row) for row in rows) * PRIME >= 2**63:
         return None
-    a = np.zeros((len(rows), width), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, x in row:
-            a[i, j] = x
+    a = _int64(rows, width, residues=False)
     # Gauss-Jordan of [A | I] mod p: the rows that carry the pivots end as
     # [B^-1 A | T] with T zero outside their own columns, where it is B^-1.
     height = len(rows)
@@ -703,36 +718,23 @@ def kernel_basis(matrix: RationalMatrix, side: str = "right") -> KernelBasis:
     return KernelBasis(_kernel_vectors(matrix, side), side)
 
 
-def _phase1_simplex(
-    equations: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> Optional[Tuple[List[int], int]]:
-    """Solve {u >= 0 : A u = b} exactly; returns (numerators of u, common
-    denominator) or None if infeasible.
+def _phase1_simplex(tableau: List[List[int]], n: int) -> Optional[Tuple[List[int], int]]:
+    """Solve {u >= 0 : A u = b} exactly, given the integer tableau of m rows
+    [L A | L I | L b] with b >= 0 and L > 0, I the m x m identity of the
+    artificial variables; returns (numerators of u, common denominator)
+    or None if infeasible.
 
     Phase-1 simplex: one artificial variable per equation, minimize their
     sum, entering/leaving choices by Bland's rule (anti-cycling).  The
-    tableau is kept as integers A over the last pivot D, pivoted with the
-    elimination's row update.  It starts as the rational tableau times
-    one lcm L of all its denominators, with D = 1, so every division is
-    exact; A / D is then the rational tableau, except that the objective
-    row and the rows not yet pivoted on stay scaled by L.  No sign, ratio
-    or tie depends on a positive row scale, so the pivots are those of
-    the rational simplex, and the solution is read from pivoted rows.
+    tableau is kept as integers over the last pivot D, which starts at 1,
+    pivoted with the elimination's row update, so every division is
+    exact; divided by D it is the rational tableau, except that the
+    objective row and the rows not yet pivoted on stay scaled by L.  No
+    sign, ratio or tie depends on a positive row scale, so the pivots are
+    those of the rational simplex, and the solution is read from pivoted
+    rows.
     """
-    m = len(equations)
-    n = len(equations[0]) if m else 0
-    rows = []
-    for i in range(m):
-        row = list(equations[i])
-        b = rhs[i]
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-        row.extend(1 if k == i else 0 for k in range(m))
-        row.append(b)
-        rows.append(row)
-    scale = lcm(*(_denominator(row) for row in rows))
-    tableau = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    m = len(tableau)
     total = n + m
     basis = [n + i for i in range(m)]
     # Reduced-cost row for the phase-1 objective (artificials cost 1);
@@ -787,24 +789,36 @@ def is_conserving(S: RationalMatrix) -> ConservationResult:
     "strictly positive left-kernel vector": a positive vector exists iff
     one with entries >= 1 does.  Substituting m = 1 + u reduces the check
     to phase-1 feasibility of {u >= 0 : S^t u = -S^t 1}, solved by the
-    integer-pivot simplex.  The witness D m (D the simplex's last pivot)
-    is checked in integers against the denominator-cleared rows of S^t
-    before it is returned as Fractions.
+    integer-pivot simplex on the tableau of S's nonzeros, all cleared by
+    one lcm L of their denominators (each row's sign flipped where its
+    right-hand side would be negative).  The witness D m (D the simplex's
+    last pivot) is checked in integers against the denominator-cleared
+    rows of S^t before it is returned as Fractions.
 
     Such an m is a nonzero left-kernel vector, so an empty left kernel of
     S (from its cache, or computed and cached as by ``kernel_basis``)
     answers "not conserving" without a simplex.  Otherwise the simplex
-    decides, on S's entries alone (its columns, scattered from S's
-    nonzeros), so the witness does not depend on the kernel.
+    decides, on S's entries alone, so the witness does not depend on the
+    kernel.
     """
     if not _kernel_vectors(S, "left"):
         return ConservationResult(False, None)
-    zero = Fraction(0)
-    equations = [[zero] * S.rows for _ in range(S.cols)]
-    for i, row in enumerate(S.nonzeros()):
-        for j, v in row:
-            equations[j][i] = v
-    solved = _phase1_simplex(equations, [-sum(row) for row in equations])
+    n, m = S.rows, S.cols
+    rows, scales = _cleared(S.nonzeros())
+    # row i times L / c_i: each entry v is v.numerator * (L // v.denominator)
+    scale = lcm(*scales)
+    tableau = [[0] * (n + m + 1) for _ in range(m)]
+    for i, (row, c) in enumerate(zip(rows, scales)):
+        for j, x in row:
+            tableau[j][i] = x * (scale // c)
+    for j, row in enumerate(tableau):
+        # the right-hand side is minus the row's sum; keep it nonnegative
+        total = sum(row)
+        if total > 0:
+            row[:n] = [-x for x in row[:n]]
+        row[n + j] = scale
+        row[-1] = abs(total)
+    solved = _phase1_simplex(tableau, n)
     if solved is None:
         return ConservationResult(False, None)
     u, denom = solved
@@ -945,33 +959,33 @@ def _positivity_transfers(padded_vectors: Sequence[Sequence[int]]) -> bool:
 def char_poly(matrix: RationalMatrix) -> List[Fraction]:
     """Coefficients of det(lambda I - M), exact, lowest degree first.
 
-    The polynomial has degree n, so its values at the n + 1 nodes
-    lambda = 0..n fix it: each value is a ``determinant``, and Newton's
-    divided differences on those nodes (spaced 1 apart, so the k-th
-    division is by k) interpolate them in Fractions.  The returned list
-    has length n+1 and is monic (last coefficient 1).
+    With c_i the row scales of ``_cleared`` and P their product, the
+    integer rows lambda c_i e_i - C_i have determinant P det(lambda I - M),
+    an integer polynomial of degree n.  Its values at the n + 1 nodes
+    lambda = 0..n fix it, and Newton's divided differences on those nodes
+    (spaced 1 apart, so the k-th division is by k, and exact) interpolate
+    them in integers.  Each coefficient is then divided by P, so the
+    returned list has length n+1 and is monic (last coefficient 1).
     """
     if matrix.rows != matrix.cols:
         raise ValueError("characteristic polynomial needs a square matrix")
     n = matrix.rows
-    coeffs = [
-        determinant(
-            RationalMatrix(
-                [
-                    [(lam if i == j else 0) - v for j, v in enumerate(row)]
-                    for i, row in enumerate(matrix.entries())
-                ]
-            )
-        )
-        for lam in range(n + 1)
-    ]
-    # Divided differences in place: coeffs[k] becomes p[0, 1, ..., k].
+    rows, scales = _cleared(matrix.nonzeros())
+    negated = [[-x for x in row] for row in _dense(rows, n)]
+    values = []
+    for lam in range(n + 1):
+        a = [list(row) for row in negated]
+        for i, c in enumerate(scales):
+            a[i][i] += lam * c
+        values.append(_integer_determinant(a))
+    # Divided differences in place: values[k] becomes p[0, 1, ..., k].
     for k in range(1, n + 1):
         for i in range(n, k - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / k
-    # Expand the Newton form from the inside: poly = poly * (lambda - k) + coeffs[k].
-    poly = [coeffs[n]]
+            values[i] = (values[i] - values[i - 1]) // k
+    # Expand the Newton form from the inside: poly = poly * (lambda - k) + values[k].
+    poly = [values[n]]
     for k in range(n - 1, -1, -1):
         inner = [a - k * b for a, b in zip(poly, poly[1:])]
-        poly = [coeffs[k] - k * poly[0]] + inner + [poly[-1]]
-    return poly
+        poly = [values[k] - k * poly[0]] + inner + [poly[-1]]
+    scale = prod(scales)
+    return [Fraction(c, scale) for c in poly]

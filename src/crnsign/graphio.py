@@ -73,14 +73,11 @@ def build_graph(
         reaction_names = [f"R{j + 1}" for j in range(S.cols)]
     if len(species_names) != S.rows or len(reaction_names) != S.cols:
         raise ValueError("need one species name per row and one reaction name per column")
-    edges = []
-    for i in range(S.rows):
-        for j in range(S.cols):
-            value = S[i, j]
-            if value < 0:
-                edges.append(Edge(i, j, CONSUMED, "solid"))
-            elif value > 0:
-                edges.append(Edge(i, j, PRODUCED, "dotted"))
+    edges = [
+        Edge(i, j, CONSUMED, "solid") if value < 0 else Edge(i, j, PRODUCED, "dotted")
+        for i, row in enumerate(S.nonzeros())
+        for j, value in row
+    ]
     return SRGraph(species_names, reaction_names, edges)
 
 

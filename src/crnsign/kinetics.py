@@ -54,6 +54,18 @@ from .signfix import FixReport
 # Most RK4 steps ``simulate`` takes; each step's state is kept in memory
 # (8 bytes per coordinate).
 MAX_STEPS = 1_000_000
+# The command line's caps on the work a flag can ask for; a larger value
+# is an input error, refused before anything is allocated for it.  The
+# most points of a ``--k-grid lo:hi:n`` grid: each costs one
+# eigendecomposition of the fixed Jacobian and puts its d + 1 eigenvalues
+# in the report.  The slope fit needs 5 points over 4 decades, and 1,000
+# points give it 250 per decade (0.2 s in all on a 7-species fixture).
+MAX_K_GRID_POINTS = 1_000
+# The most ``--samples`` states of a sampled check: each is d floats and
+# two determinants (``spectra``) or one residual (``decompose``).  This is
+# 50 times the larger default (200), 0.2 s (``spectra``) and 0.5 s
+# (``decompose``) on a 7-species fixture, and about 20 s at 200 species.
+MAX_SAMPLES = 10_000
 
 Terms = Tuple[Tuple[Tuple[int, float], ...], ...]
 

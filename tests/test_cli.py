@@ -486,6 +486,48 @@ def test_non_finite_or_non_positive_flag_is_an_input_error(capsys, argv):
     assert "Traceback" not in err
 
 
+def _capped(over):
+    """Runs asking for the most k-grid points and samples, plus ``over``."""
+    points, samples = str(kinetics.MAX_K_GRID_POINTS + over), str(kinetics.MAX_SAMPLES + over)
+    return [
+        ["spectra", DEF_JUMP, "--k-grid", f"1:1e6:{points}"],
+        ["analyze", DEF_JUMP, "--k-grid", f"1:1e6:{points}"],
+        ["spectra", DEF_JUMP, "--samples", samples],
+        ["decompose", DEF_JUMP, "--samples", samples],
+    ]
+
+
+CAPPED_IDS = ["spectra-k-grid", "analyze-k-grid", "spectra-samples", "decompose-samples"]
+
+
+@pytest.mark.parametrize("argv", _capped(0), ids=CAPPED_IDS)
+def test_k_grid_and_samples_at_their_caps_run(capsys, argv):
+    body = _run_json(capsys, *argv)
+    if "--k-grid" in argv:
+        section = body["spectra"] if argv[0] == "analyze" else body["convergence"]
+        assert len(section["k_grid_f64"]) == kinetics.MAX_K_GRID_POINTS
+    else:
+        sampled = body["det_sign_sampling"] if argv[0] == "spectra" else body
+        assert sampled["samples"] == kinetics.MAX_SAMPLES
+
+
+@pytest.mark.parametrize("argv", _capped(1), ids=CAPPED_IDS)
+def test_k_grid_and_samples_over_their_caps_are_input_errors(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be at most" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "signfix", "altfix", "deficiency", "equilibria", "graph"])
+def test_seed_is_refused_by_the_commands_that_sample_nothing(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, CONSERVING, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_step_cap_is_checked_before_the_network_is_read(capsys, tmp_path):
     missing = str(tmp_path / "missing.crn")
     code, _, err = _run(capsys, "equilibria", missing, "--simulate", "--t-end", "1", "--dt", "1e-300")

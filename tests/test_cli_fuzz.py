@@ -6,11 +6,11 @@ coefficients, zero complexes, ``<->`` with kf/kr, rates near 1e+-300,
 non-ASCII names or digits, numbers too long to print, coefficients beyond
 the float range) and pairs it with a random subcommand and random flag
 values (nan, inf, 0, negative values, huge --t-end/--dt ratios, finite or
-not, unwritable -o paths).  Every run must exit with 0, 1 or 2 without
-raising, and a JSON report must parse as strict JSON.  The examples are
-derandomized, so every run draws the same ones.  They draw a junk line
-only now and then, so each junk line is also run on its own through
-every subcommand.
+not, a --k-grid or --samples one over its cap, unwritable -o paths).
+Every run must exit with 0, 1 or 2 without raising, and a JSON report
+must parse as strict JSON.  The examples are derandomized, so every run
+draws the same ones.  They draw a junk line only now and then, so each
+junk line is also run on its own through every subcommand.
 """
 
 import contextlib
@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crnsign.cli import main
+from crnsign.kinetics import MAX_K_GRID_POINTS, MAX_SAMPLES
 from crnsign.textio import ParseError, parse_network
 
 # The one uncaught error left: ``equilibria --simulate`` raises a ValueError
@@ -41,7 +42,11 @@ STEPS = [  # (--t-end, --dt)
     ("nan", "0.1"), ("1", "nan"), ("inf", "0.1"), ("1", "inf"), ("0", "0.1"), ("-1", "0.1"), ("1", "-0.1"),
 ]
 COMMANDS = ["analyze", "signfix", "altfix", "deficiency", "equilibria", "spectra", "graph", "decompose"]
-K_GRIDS = ["1:1e6:7", "1:1e4:5", "0.1:1e5:6", "1:inf:5", "nan:10:5", "0:1e6:7", "1e6:1:7", "1:1e6:1", "1e-300:1e300:5"]
+K_GRIDS = [
+    "1:1e6:7", "1:1e4:5", "0.1:1e5:6", "1:inf:5", "nan:10:5", "0:1e6:7", "1e6:1:7", "1:1e6:1",
+    "1e-300:1e300:5", f"1:1e6:{MAX_K_GRID_POINTS + 1}",
+]
+SAMPLES = ["0", "1", "5", "-3", "x", str(MAX_SAMPLES + 1)]
 
 
 JUNK = [
@@ -141,7 +146,7 @@ def invocations(draw, workdir: Path):
         elif flag == "--k-grid":
             argv += [flag, draw(st.sampled_from(K_GRIDS))]
         elif flag == "--samples":
-            argv += [flag, draw(st.sampled_from(["0", "1", "5", "-3", "x"]))]
+            argv += [flag, draw(st.sampled_from(SAMPLES))]
         elif flag == "--seed":
             argv += [flag, draw(st.sampled_from(["0", "7", "-2"]))]
         else:  # -o and --traj-csv: writable, in a missing directory, or a directory

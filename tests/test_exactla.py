@@ -16,6 +16,7 @@ from crnsign.exactla import (
     kernel_correspondence_check,
     rank,
 )
+from crnsign.graphio import build_graph
 from crnsign.model import RationalMatrix, stoichiometric_matrix
 from crnsign.signcheck import find_bad_submatrices
 from crnsign.signfix import fix_one, sign_fix
@@ -262,8 +263,42 @@ def test_determinant_stays_outside_the_cache_and_rank_keeps_its_own_slot():
     assert M._cache == {"rank": 2, ("sparse", "right"): (((0, 1), (1, 2)), ((0, 3), (1, 4)))}
 
 
+class _NonzerosOnly(RationalMatrix):
+    """A matrix whose dense readers raise, so only ``nonzeros()`` can be
+    read."""
+
+    __slots__ = ()
+
+    def entries(self):
+        raise AssertionError("entries() was read")
+
+    def __getitem__(self, key):
+        raise AssertionError(f"the entry at {key} was read")
+
+
+def test_the_exact_core_and_the_graph_read_only_nonzeros():
+    """determinant, char_poly, rank, both kernels, is_conserving and
+    build_graph give a plain matrix's results on a matrix whose
+    ``entries()`` and indexing raise; the graph's edges come in row-major
+    order."""
+    for M in _isolation_inputs():
+        only = _NonzerosOnly(M.entries())
+        if M.rows == M.cols:
+            assert determinant(only) == determinant(_fresh(M))
+            assert char_poly(only) == char_poly(_fresh(M))
+        assert rank(only) == rank(_fresh(M))
+        for side in ("right", "left"):
+            assert kernel_basis(only, side) == kernel_basis(_fresh(M), side)
+        assert is_conserving(only) == is_conserving(_fresh(M))
+        edges = build_graph(only).edges
+        assert [(e.species, e.reaction) for e in edges] == [
+            (i, j) for i, row in enumerate(M.entries()) for j, v in enumerate(row) if v
+        ]
+        assert edges == build_graph(_fresh(M)).edges
+
+
 def _echelon_rank(M):
-    return len(exactla._eliminate(exactla._integer_rows(M.entries()), reduce=False)[1])
+    return len(exactla._eliminate(oracles._cleared_rows(M.entries()), reduce=False)[1])
 
 
 def test_rank_reads_only_its_own_slot_the_right_kernel_and_the_right_image():
