@@ -206,6 +206,7 @@ def _badclasses_section(S: RationalMatrix) -> list:
 
 
 def _fixreport_section(report: signfix.FixReport) -> dict:
+    result_network, result_text = textio.network_json_and_text(report.result)
     return {
         "order": list(report.order),
         "steps": [
@@ -219,9 +220,9 @@ def _fixreport_section(report: signfix.FixReport) -> dict:
             }
             for step in report.steps
         ],
-        "result_network": textio.network_to_json(report.result),
+        "result_network": result_network,
         "result_matrix_exact": stoichiometric_matrix(report.result).to_string_rows(),
-        "result_text": textio.serialize_network(report.result),
+        "result_text": result_text,
     }
 
 

@@ -18,19 +18,25 @@ rates.  No ``Fraction`` arithmetic runs per
 evaluation.  The table evaluates start times prod x_j ** e_j for every
 reaction at once, for one state or a stack of states, with the rates as
 starts; the complex monomials of ``deficiency.complexes_decomposition``
-use one too, with start 1.0.  Each distinct (species, exponent) pair
+use one too, with start 1.0.  It works in a factor buffer laid out as
+``[x | power slots | starts]``.  Each distinct (species, exponent) pair
 with an exponent other than 1 is raised once per state, by one scalar C
-``pow`` (Python's float ``**``); an exponent of 1 reads x_j itself,
-which is what ``pow(x, 1.0)`` returns, also for zeros of both signs,
-infinities, nan and subnormals.  The powers stay scalar on purpose:
-numpy's vectorised ``np.power`` (and even ``x*x`` for ``x ** 2``) rounds
-differently from ``pow`` in a small share of cases on SIMD hardware,
-which would change the reported ``*_f64`` bits.  The products are
-vectorised: each monomial is start * t_1 * ... * t_w, strictly left to
-right in term order, one numpy multiply per term position, with missing
-terms padded by an exact 1.0.  Float multiplication is correctly rounded
-elementwise, so the bits equal those of the scalar loop that multiplied
-the same factors in the same order.
+``pow`` (Python's float ``**``), into its power slot; an exponent of 1
+reads x_j itself, which is what ``pow(x, 1.0)`` returns, also for zeros
+of both signs, infinities, nan and subnormals.  The powers stay scalar
+on purpose: numpy's vectorised ``np.power`` (and even ``x*x`` for
+``x ** 2``) rounds differently from ``pow`` in a small share of cases
+on SIMD hardware, which would change the reported ``*_f64`` bits.  The
+products are vectorised: one ``take`` gathers every factor of every
+monomial, start first and missing terms padded by an exact 1.0, and one
+``np.multiply.reduce`` along the factor axis forms start * t_1 * ... *
+t_w.  numpy reduces a float multiply strictly in index order (only
+additions are summed pairwise), and float multiplication is correctly
+rounded elementwise, so the bits equal those of the scalar loop that
+multiplied the same factors in the same order.  ``simulate`` keeps one
+buffer for a whole run, so each RK4 stage costs a fixed number of numpy
+calls: a clamp into the buffer, the powers, the gather, the product and
+``S @ v``.
 
 Equilibrium correspondence with a fixing run: each added species B' sits
 between reaction l and the appended reaction B' -> p2 B, so at
@@ -54,6 +60,9 @@ from .signfix import FixReport
 # Most RK4 steps ``simulate`` takes; each step's state is kept in memory
 # (8 bytes per coordinate).
 MAX_STEPS = 1_000_000
+# ``simulate`` checks the stored states for leaving the orthant once per
+# this many steps; a run that leaves it computes at most this many more.
+CHECK_BLOCK = 64
 # The command line's caps on the work a flag can ask for; a larger value
 # is an input error, refused before anything is allocated for it.  The
 # most points of a ``--k-grid lo:hi:n`` grid: each costs one
@@ -89,14 +98,19 @@ class MonomialTable:
     monomials, shape (len(terms),); on a stack of shape (n, d) it
     returns shape (n, len(terms)).  The caller checks the states.
 
-    Each distinct (species, exponent) pair with an exponent other than 1
-    gets one power slot, filled per state by one C ``pow`` (builtin
-    ``pow`` over ``map``, the same call as Python's float ``**``).  An
-    exponent of 1 reads x_j directly.  The factors of a monomial are then
-    multiplied left to right, start first, one numpy multiply per term
-    position; rows with fewer terms read one more slot, x_0 ** 0.0, which
-    ``pow`` makes exactly 1.0 for every float.  Where Python's
-    ``pow`` differs from numpy's scalar power, an overflow
+    The work runs in a factor buffer laid out as ``[x | power slots |
+    starts]``, one row per state (``buffer``); ``evaluate`` reads the
+    states and starts from it, and ``simulate`` keeps one buffer for a
+    whole run.  Each distinct (species, exponent) pair with an exponent
+    other than 1 gets one power slot, filled per state by one C ``pow``
+    (builtin ``pow`` over ``map``, the same call as Python's float
+    ``**``).  An exponent of 1 reads x_j directly.  One ``take`` through
+    a (width + 1, len(terms)) index, whose row 0 is the start slots and
+    row i the i-th factor of every monomial, gathers all factors, and
+    one ``np.multiply.reduce`` along that axis multiplies them strictly
+    in index order, start first.  Rows with fewer terms read one more
+    slot, x_0 ** 0.0, which ``pow`` makes exactly 1.0 for every float.
+    Where Python's ``pow`` differs from numpy's scalar power, an overflow
     (``OverflowError``, numpy gives inf) or a negative base under a
     fractional exponent (a complex result, numpy gives nan), that power
     is recomputed with an ``np.float64`` scalar, so every monomial holding
@@ -113,24 +127,36 @@ class MonomialTable:
             for j, e in term:
                 if e != 1.0:
                     slots.setdefault((j, e), species_count + len(slots))
+        self._species_count = species_count
         self._pow_species = np.array([j for j, _ in slots], dtype=np.intp)
         self._pow_exponents = [e for _, e in slots]
-        # Row i: factor i of every monomial, as a column of (x, the power slots).
-        columns = [[species_count] * len(terms) for _ in range(width)]
+        self._starts = species_count + len(slots)  # the first start slot
+        self._size = self._starts + len(terms)  # of a buffer row
+        # Row 0: the start of every monomial; row i: its factor i.
+        index = [list(range(self._starts, self._size))]
+        index += [[species_count] * len(terms) for _ in range(width)]
         for k, term in enumerate(terms):
             for i, (j, e) in enumerate(term):
-                columns[i][k] = j if e == 1.0 else slots[(j, e)]
-        self._columns = list(np.array(columns, dtype=np.intp))
+                index[i + 1][k] = j if e == 1.0 else slots[(j, e)]
+        self._index = np.array(index, dtype=np.intp)
 
     def __call__(self, x: np.ndarray, starts: Union[np.ndarray, float]) -> np.ndarray:
-        factors = np.concatenate((x, self._powers(x.take(self._pow_species, axis=-1))), axis=-1)
-        out = starts * factors.take(self._columns[0], axis=-1)
-        for columns in self._columns[1:]:
-            out *= factors.take(columns, axis=-1)
-        return out
+        factors = self.buffer(x.shape[:-1], starts)
+        factors[..., : self._species_count] = x
+        return self.evaluate(factors)
 
-    def _powers(self, bases: np.ndarray) -> np.ndarray:
-        """pow(base, e) for each slot of each state, shaped like ``bases``."""
+    def buffer(self, shape: Tuple[int, ...], starts: Union[np.ndarray, float]) -> np.ndarray:
+        """A factor buffer for states of shape ``shape + (d,)``: its start
+        slots hold ``starts``; the caller writes the states into its first
+        d columns before each ``evaluate``."""
+        factors = np.empty(shape + (self._size,))
+        factors[..., self._starts :] = starts
+        return factors
+
+    def evaluate(self, factors: np.ndarray) -> np.ndarray:
+        """The monomials of the states and starts in a factor buffer; the
+        power slots are overwritten."""
+        bases = factors.take(self._pow_species, axis=-1)
         values = bases.ravel().tolist()
         exponents = self._pow_exponents * math.prod(bases.shape[:-1])
         try:
@@ -138,7 +164,8 @@ class MonomialTable:
             powers = np.fromiter(map(pow, values, exponents), float, len(values))
         except (OverflowError, TypeError):
             powers = np.array([_numpy_pow(v, e) for v, e in zip(values, exponents)])
-        return powers.reshape(bases.shape)
+        factors[..., self._species_count : self._starts] = powers.reshape(bases.shape)
+        return np.multiply.reduce(factors.take(self._index, axis=-1), axis=-2)
 
 
 def _numpy_pow(x: float, e: float) -> float:
@@ -533,6 +560,15 @@ def simulate(
     into one preallocated (steps + 1, d) float array, so the trajectory
     holds (steps + 1) * d * 8 bytes, plus 8 bytes per step for the times.
 
+    One factor buffer of the flux table, ``[x | power slots | rates]``,
+    serves the whole run: each stage clamps its state into the buffer's
+    first d entries, and the table's ``evaluate`` writes the powers in
+    place, gathers every factor with one ``take`` and multiplies them in
+    index order with one ``np.multiply.reduce``, before ``S @ v``.  The
+    orthant test runs on each block of ``CHECK_BLOCK`` stored states;
+    the error names the first step outside it, as a test after every
+    step would.
+
     Raises:
         ValueError: if t_end or dt is not positive, dt is not finite, or
             the step count t_end / dt is not finite or exceeds
@@ -546,23 +582,31 @@ def simulate(
     times = np.arange(steps + 1) * dt
     states = np.empty((steps + 1, sys.species_count))
     states[0] = x
-    S, table, rates = sys._S, sys._table, sys._rates
+    S, evaluate = sys._S, sys._table.evaluate
+    factors = sys._table.buffer((), sys._rates)
+    clamped = factors[: sys.species_count]  # the state each stage reads
 
     def f(state: np.ndarray) -> np.ndarray:
-        return S @ table(np.maximum(state, 0.0), rates)
+        np.maximum(state, 0.0, out=clamped)
+        return S @ evaluate(factors)
 
     # overflow to inf/nan is caught below and turned into a clean error
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps):
-            k1 = f(x)
-            k2 = f(x + 0.5 * dt * k1)
-            k3 = f(x + 0.5 * dt * k2)
-            k4 = f(x + dt * k3)
-            x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.isfinite(x).all() or (x < -1e-9).any():
+        for start in range(0, steps, CHECK_BLOCK):
+            stop = min(start + CHECK_BLOCK, steps)
+            for i in range(start, stop):
+                k1 = f(x)
+                k2 = f(x + 0.5 * dt * k1)
+                k3 = f(x + 0.5 * dt * k2)
+                k4 = f(x + dt * k3)
+                x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                states[i + 1] = x
+            block = states[start + 1 : stop + 1]
+            left = (~np.isfinite(block) | (block < -1e-9)).any(axis=1)
+            if left.any():
+                i = start + int(left.argmax())
                 raise ValueError(
                     f"trajectory left the nonnegative orthant at t={float(times[i]) + dt:.6g}; "
                     "reduce dt"
                 )
-            states[i + 1] = x
     return times, states

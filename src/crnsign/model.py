@@ -177,9 +177,6 @@ class Reaction:
         reactant_side = set(self.reactant.species_indices())
         return tuple(i for i in self.product.species_indices() if i in reactant_side)
 
-    def format(self, species: Sequence[Species]) -> str:
-        return f"{self.reactant.format(species)} -> {self.product.format(species)}"
-
 
 @dataclass(frozen=True)
 class Network:
@@ -296,9 +293,6 @@ class Network:
     @property
     def reaction_count(self) -> int:
         return len(self.reactions)
-
-    def format_reaction(self, j: int) -> str:
-        return self.reactions[j].format(self.species)
 
 
 class RationalMatrix:

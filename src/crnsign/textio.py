@@ -358,14 +358,38 @@ def serialize_network(net: Network) -> str:
     structurally equal to ``net`` for every network produced by
     ``parse_network``.
     """
+    return _serialized(net, _sides(net))
+
+
+def network_to_json(net: Network) -> dict:
+    """A JSON-ready summary of a network (insertion-ordered, no floats
+    beyond the rate constants)."""
+    return _network_json(net, _sides(net))
+
+
+def network_json_and_text(net: Network) -> Tuple[dict, str]:
+    """``network_to_json(net)`` and ``serialize_network(net)``, formatting
+    each complex once for both."""
+    sides = _sides(net)
+    return _network_json(net, sides), _serialized(net, sides)
+
+
+def _sides(net: Network) -> List[Tuple[str, str]]:
+    """Each reaction's reactant and product as ``Complex.format`` writes
+    them, e.g. ``("3B+C", "0")``."""
+    return [(r.reactant.format(net.species), r.product.format(net.species)) for r in net.reactions]
+
+
+def _serialized(net: Network, sides: List[Tuple[str, str]]) -> str:
     lines = ["species " + ", ".join(s.name for s in net.species), ""]
     adjacent = {fwd: rev for fwd, rev in net.reversible_pairs if rev == fwd + 1}
     skip = set()
     for j, reaction in enumerate(net.reactions):
         if j in skip:
             continue
-        lhs = reaction.reactant.format(net.species, " + ")
-        rhs = reaction.product.format(net.species, " + ")
+        # A species name or coefficient holds no "+" (``SPECIES_NAME_RE``,
+        # positive rationals), so every "+" is a separator between terms.
+        lhs, rhs = (side.replace("+", " + ") for side in sides[j])
         if j in adjacent:
             rev = net.reactions[adjacent[j]]
             if (reaction.rate is None) == (rev.rate is None):
@@ -380,19 +404,14 @@ def serialize_network(net: Network) -> str:
     return "\n".join(lines) + "\n"
 
 
-def network_to_json(net: Network) -> dict:
-    """A JSON-ready summary of a network (insertion-ordered, no floats
-    beyond the rate constants)."""
+def _network_json(net: Network, sides: List[Tuple[str, str]]) -> dict:
     return {
         "species": [s.name for s in net.species],
         "d": net.species_count,
         "dprime": net.reaction_count,
         "reactions": [
-            {
-                "text": net.format_reaction(j),
-                "rate": net.reactions[j].rate,
-            }
-            for j in range(net.reaction_count)
+            {"text": f"{lhs} -> {rhs}", "rate": reaction.rate}
+            for reaction, (lhs, rhs) in zip(net.reactions, sides)
         ],
         "reversible_pairs": [list(p) for p in net.reversible_pairs],
     }

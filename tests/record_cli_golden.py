@@ -3,10 +3,12 @@
 Each invocation runs ``crnsign.cli.main`` in this process, inside a work
 directory that holds a copy of ``fixtures/`` plus a catalyst network and an
 empty file, the benchmark's two ``large`` networks (30 species, 80
-reactions, written by ``perfbench/gen.network_text``), a 60-species,
-160-reaction network and a rank-deficient 20 x 30 network
-(``conserving_text``), so every path (and every path quoted in an error
-message) is relative and the same on every machine.  For each invocation
+reactions, written by ``perfbench/gen.network_text``), the first
+``KINETICS_COUNT`` networks of the benchmark's ``kinetics`` workload (20
+species, 50 reactions with rates), a 60-species, 160-reaction network and
+a rank-deficient 20 x 30 network (``conserving_text``), so every path
+(and every path quoted in an error message) is relative and the same on
+every machine.  For each invocation
 the record holds the exit code, the sha256 of stdout, the sha256 of every file the
 invocation wrote and, for exit code 2 only, stderr.  An invocation that
 raises records the exception's type and message instead of an exit code.
@@ -42,6 +44,9 @@ CATALYST = "A + B -> 2B\nB -> A\n"
 SUBCOMMANDS = ["analyze", "signfix", "altfix", "deficiency", "equilibria", "spectra", "graph", "decompose"]
 # The benchmark's ``large`` workload at its pinned seed: two networks of this size.
 LARGE_SIZE, LARGE_COUNT = (30, 80), 2
+# The first networks of the benchmark's ``kinetics`` workload at its pinned
+# seed, simulated as that workload does; network 2 leaves the orthant.
+KINETICS_COUNT = 3
 # The 60 x 160 network that ``analyze`` timings are quoted for, drawn
 # from ``perfbench/gen.py`` at this seed.
 WIDE_SIZE, WIDE_SEED = (60, 160), 1
@@ -65,6 +70,14 @@ def large_texts() -> List[str]:
         gen.network_text(gen.make_network(rng, (species,) * 2, (reactions,) * 2))
         for _ in range(LARGE_COUNT)
     ]
+
+
+def kinetics_texts() -> List[str]:
+    """The ``.crn`` text of the first ``KINETICS_COUNT`` ``kinetics``
+    networks, drawn as the benchmark draws them (seed 0)."""
+    gen = _gen()
+    rng = random.Random(0)
+    return [gen.network_text(gen.make_reversible_network(rng)) for _ in range(KINETICS_COUNT)]
 
 
 def wide_text() -> str:
@@ -155,6 +168,10 @@ def invocations() -> Dict[str, List[str]]:
     for k in range(LARGE_COUNT):
         runs[f"large{k}/analyze"] = ["analyze", f"large{k}.crn"]
         runs[f"large{k}/deficiency/audit"] = ["deficiency", f"large{k}.crn", "--audit"]
+    for k in range(KINETICS_COUNT):
+        runs[f"kinetics{k}/equilibria/simulate"] = [
+            "equilibria", f"kinetics{k}.crn", "--simulate", "--t-end", "5", "--dt", "0.01",
+        ]
     runs["wide/analyze"] = ["analyze", "wide.crn"]
     runs["conserving/analyze"] = ["analyze", "conserving.crn"]
     return runs
@@ -193,6 +210,8 @@ def record_all(workdir: Path) -> Dict[str, dict]:
     (workdir / "empty.crn").write_text("", encoding="utf-8")
     for k, text in enumerate(large_texts()):
         (workdir / f"large{k}.crn").write_text(text, encoding="utf-8")
+    for k, text in enumerate(kinetics_texts()):
+        (workdir / f"kinetics{k}.crn").write_text(text, encoding="utf-8")
     (workdir / "wide.crn").write_text(wide_text(), encoding="utf-8")
     (workdir / "conserving.crn").write_text(conserving_text(), encoding="utf-8")
     previous = os.getcwd()

@@ -6,11 +6,13 @@ coefficients, zero complexes, ``<->`` with kf/kr, rates near 1e+-300,
 non-ASCII names or digits, numbers too long to print, coefficients beyond
 the float range) and pairs it with a random subcommand and random flag
 values (nan, inf, 0, negative values, huge --t-end/--dt ratios, finite or
-not, a --k-grid or --samples one over its cap, unwritable -o paths).
-Every run must exit with 0, 1 or 2 without raising, and a JSON report
-must parse as strict JSON.  The examples are derandomized, so every run
-draws the same ones.  They draw a junk line only now and then, so each
-junk line is also run on its own through every subcommand.
+not, unwritable -o paths).  Every run must exit with 0, 1 or 2 without
+raising, and a JSON report must parse as strict JSON.  The examples are
+derandomized, so every run draws the same ones.  They draw a junk line
+only now and then, so each junk line is also run on its own through every
+subcommand.  A flag value is drawn only when its flag is, so the capped
+flags' values at their cap and one over it have a test of their own,
+each on its own drawn networks.
 """
 
 import contextlib
@@ -44,10 +46,22 @@ STEPS = [  # (--t-end, --dt)
 COMMANDS = ["analyze", "signfix", "altfix", "deficiency", "equilibria", "spectra", "graph", "decompose"]
 K_GRIDS = [
     "1:1e6:7", "1:1e4:5", "0.1:1e5:6", "1:inf:5", "nan:10:5", "0:1e6:7", "1e6:1:7", "1:1e6:1",
-    "1e-300:1e300:5", f"1:1e6:{MAX_K_GRID_POINTS + 1}",
+    "1e-300:1e300:5",
 ]
-SAMPLES = ["0", "1", "5", "-3", "x", str(MAX_SAMPLES + 1)]
+SAMPLES = ["0", "1", "5", "-3", "x"]
+# (command, flag, value, over the cap): every command that takes a capped
+# flag, at the cap and one over it.
+CAPPED = [
+    (command, "--k-grid", f"1:1e6:{MAX_K_GRID_POINTS + over}", over)
+    for command in ("analyze", "spectra") for over in (False, True)
+] + [
+    (command, "--samples", str(MAX_SAMPLES + over), over)
+    for command in ("spectra", "decompose") for over in (False, True)
+]
 
+
+# A network that fixes in one step (``fixtures/one_ambiguous.crn``).
+ONE_STEP = "A -> B\nB -> C\nC <-> A + B\n"
 
 JUNK = [
     "A -> ", "A + -> B", "2.5.1A -> B", "A -> B ; k=", "A -> B ; kf=1", "A <-> B ; k=1", "0 -> 0", "A => B",
@@ -172,31 +186,55 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _assert_contract(argv):
+    """Run ``crnsign <argv>``: exit 0, 1 or 2 without a traceback, and a
+    JSON report that parses as strict JSON.  Returns the exit code and
+    stderr, or None for the known defect."""
+    try:
+        code, out, err = _run(argv)
+    except ValueError as exc:
+        if KNOWN_DEFECT in str(exc) and argv[0] == "equilibria" and "--simulate" in argv:
+            return None
+        raise
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err
+    command = argv[0]
+    if code == 2 or command == "graph" or "--plain" in argv:
+        return code, err
+    if "-o" in argv and command != "signfix":
+        assert out == ""
+        report = Path(argv[argv.index("-o") + 1]).read_text(encoding="utf-8")
+    else:
+        report = out
+    _strict_json(report)
+    return code, err
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_exit_code_contract_holds_for_random_inputs(data):
     with tempfile.TemporaryDirectory() as tmp:
-        workdir = Path(tmp)
-        argv = data.draw(invocations(workdir), label="argv")
-        try:
-            code, out, err = _run(argv)
-        except ValueError as exc:
-            if KNOWN_DEFECT in str(exc) and argv[0] == "equilibria" and "--simulate" in argv:
-                return
-            raise
-        assert code in (0, 1, 2), (code, err)
-        assert "Traceback" not in err
-        if code == 2:
-            return
-        command = argv[0]
-        if command == "graph" or "--plain" in argv:
-            return
-        if "-o" in argv and command != "signfix":
-            assert out == ""
-            report = Path(argv[argv.index("-o") + 1]).read_text(encoding="utf-8")
-        else:
-            report = out
-        _strict_json(report)
+        argv = data.draw(invocations(Path(tmp)), label="argv")
+        _assert_contract(argv)
+
+
+@pytest.mark.parametrize("command, flag, value, over", CAPPED)
+@settings(max_examples=5, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_exit_code_contract_holds_at_the_flag_caps(command, flag, value, over, data):
+    """A capped flag at its cap runs, or fails for another reason than the
+    cap; one over the cap is an input error.  The networks are one with a
+    bad class plus up to three drawn reactions, so most runs get past
+    reading the network to the flag."""
+    lines = [line for line, _ in data.draw(st.lists(reactions(), max_size=3), label="lines")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.crn"
+        path.write_text(ONE_STEP + "".join(line + "\n" for line in lines), encoding="utf-8")
+        code, err = _assert_contract([command, str(path), flag, value])
+    if over:
+        assert code == 2, err
+    else:
+        assert "must be at most" not in err
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -508,15 +508,51 @@ def test_kinetics_kernel_takes_both_fallback_paths():
     assert flux[0] == np.inf and np.isnan(psi[0])
 
 
+def _assert_same_simulation(net, rates, x0, t_end, dt):
+    """``kinetics.simulate`` gives the frozen oracle's times and states bit
+    for bit, or raises its ``ValueError`` with the same text; returns the
+    outcome (the error text if it raised).
+
+    The oracle's flux refuses a non-finite stage state ("state must be
+    finite"), where ``simulate`` finishes the step and reports leaving
+    the orthant at its end.  There both must agree on every step before
+    that one."""
+    outcomes = []
+    for module in (kinetics, oracles):
+        try:
+            outcomes.append(module.simulate(module.MassActionSystem(net, rates), x0, t_end, dt))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    new, old = outcomes
+    if old == "state must be finite":
+        assert new.startswith("trajectory left the nonnegative orthant at t="), new
+        steps = round(float(new.split("t=")[1].split(";")[0]) / dt) - 1
+        if steps > 0:
+            assert not isinstance(_assert_same_simulation(net, rates, x0, steps * dt, dt), str)
+    elif isinstance(new, str) or isinstance(old, str):
+        assert new == old
+    else:
+        _same_bits(new[0], old[0])
+        _same_bits(new[1], old[1])
+    return new
+
+
 def test_simulate_matches_oracle_trajectory(kinetics_networks):
-    net = kinetics_networks[0]
-    rates = [r.rate for r in net.reactions]
-    x0 = [1.0] * net.species_count
-    times, states = kinetics.simulate(kinetics.MassActionSystem(net, rates), x0, 5.0, 0.01)
-    old_times, old_states = oracles.simulate(oracles.MassActionSystem(net, rates), x0, 5.0, 0.01)
-    _same_bits(times, old_times)
-    _same_bits(states, old_states)
-    assert states.shape == (501, net.species_count)
+    """Every ``kinetics`` network as the workload simulates it (network 2
+    leaves the orthant at t=2.89, several check blocks in), and every
+    fixture at drawn rates."""
+    outcomes = []
+    for net in kinetics_networks:
+        x0 = [1.0] * net.species_count
+        outcomes.append(_assert_same_simulation(net, [r.rate for r in net.reactions], x0, 5.0, 0.01))
+    assert outcomes[0][1].shape == (501, kinetics_networks[0].species_count)
+    assert outcomes[2] == "trajectory left the nonnegative orthant at t=2.89; reduce dt"
+    for path in sorted(FIXTURES.glob("*.crn")):
+        net = load(path.name)
+        rng = random.Random(path.name)
+        rates = [10 ** rng.uniform(-1, 1) for _ in range(net.reaction_count)]
+        x0 = [10 ** rng.uniform(-1, 1) for _ in range(net.species_count)]
+        _assert_same_simulation(net, rates, x0, 5.0, 0.01)
 
 
 def test_monomial_table_pads_short_rows_and_shares_powers():
@@ -694,21 +730,50 @@ def test_cached_tables_match_a_fresh_network(kinetics_networks):
         assert errors[0] == errors[1]
 
 
-@pytest.mark.parametrize("x0, dt", [([3.0, 1.0], 0.07), ([30.0, 1.0], 0.013)])
-def test_simulate_orthant_error_matches_oracle(x0, dt):
-    """Leaving the orthant a few steps in gives the oracle's message,
-    whose time is the previous step's time plus dt."""
-    net = Network(
+def _autocatalytic_pair():
+    """2A -> 3B and 2B -> 3A: from a large enough start, RK4 overshoots."""
+    return Network(
         (Species("A", 0), Species("B", 1)),
         (Reaction(Complex.from_dict({0: 2}), Complex.from_dict({1: 3})),
          Reaction(Complex.from_dict({1: 2}), Complex.from_dict({0: 3}))),
     )
-    errors = []
-    for module in (kinetics, oracles):
-        with pytest.raises(ValueError, match="left the nonnegative orthant") as info:
-            module.simulate(module.MassActionSystem(net, [1.0, 1.0]), x0, 10.0, dt)
-        errors.append(str(info.value))
-    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("x0, dt", [([3.0, 1.0], 0.07), ([30.0, 1.0], 0.013)])
+def test_simulate_orthant_error_matches_oracle(x0, dt):
+    """Leaving the orthant a few steps in gives the oracle's message,
+    whose time is the previous step's time plus dt."""
+    error = _assert_same_simulation(_autocatalytic_pair(), [1.0, 1.0], x0, 10.0, dt)
+    assert error.startswith("trajectory left the nonnegative orthant")
+
+
+def test_simulate_orthant_error_after_more_than_one_check_block():
+    """Leaving the orthant in a later check block names the first step
+    outside it, as the oracle's test after every step does."""
+    dt = 0.05
+    error = _assert_same_simulation(_autocatalytic_pair(), [1.0, 1.0], [0.1, 0.1], 20.0, dt)
+    assert error == "trajectory left the nonnegative orthant at t=10.15; reduce dt"
+    assert round(10.15 / dt) > kinetics.CHECK_BLOCK
+
+
+def test_simulate_pow_overflow_mid_run_matches_oracle(monkeypatch):
+    """2A -> 3A blows up in finite time: some steps in, a stage's pow
+    overflows (``OverflowError``, so that power is numpy's inf) and the
+    run leaves the orthant with the oracle's message."""
+    net = Network(
+        (Species("A", 0),),
+        (Reaction(Complex.from_dict({0: 2}), Complex.from_dict({0: 3})),),
+        allow_catalysts=True,
+    )
+    overflowed = []
+    numpy_pow = kinetics._numpy_pow
+    monkeypatch.setattr(
+        kinetics, "_numpy_pow", lambda x, e: overflowed.append((x, e)) or numpy_pow(x, e)
+    )
+    error = _assert_same_simulation(net, [1.0], [2.0], 5.0, 0.01)
+    assert error == "trajectory left the nonnegative orthant at t=0.53; reduce dt"
+    base, exponent = overflowed[0]
+    assert exponent == 2.0 and base > 1.35e154  # its square is beyond the float range
 
 
 _COEFFICIENTS = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(3, 2),
@@ -748,6 +813,19 @@ def test_kinetics_kernel_matches_oracle_on_random_networks(net_rates, data):
     )
     states = data.draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=4))
     _assert_same_kernel(net, rates, states)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rated_networks(), st.data())
+def test_simulate_matches_oracle_on_random_networks(net_rates, data):
+    """Drawn states (zeros included) and steps, up to 150 of them: the
+    same trajectory bits as the oracle, or the same orthant error."""
+    net, rates = net_rates
+    d = net.species_count
+    x0 = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0, 10)), min_size=d, max_size=d))
+    dt = data.draw(st.floats(1e-3, 0.5))
+    steps = data.draw(st.integers(1, 150))
+    _assert_same_simulation(net, rates, x0, steps * dt, dt)
 
 
 # ------------------------------------------------------------ sign layer

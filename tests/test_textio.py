@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from crnsign import cli
 from crnsign.model import Complex, Network, Reaction, Species, stoichiometric_matrix
+from crnsign.signfix import sign_fix
 from crnsign.textio import (
     KIND_BAD_COEFFICIENT,
     KIND_DUPLICATE_RATE,
@@ -18,6 +19,7 @@ from crnsign.textio import (
     KIND_SYNTAX,
     ParseError,
     dump_report,
+    network_json_and_text,
     network_to_json,
     parse_network,
     serialize_network,
@@ -328,6 +330,22 @@ def test_network_to_json_shape(two_ambiguous):
     assert body["species"] == ["A", "B", "C", "D", "E", "F", "G"]
     assert len(body["reactions"]) == 6
     assert body["reversible_pairs"] == [[2, 3], [4, 5]]
+
+
+def test_network_json_and_text_match_the_separate_writers(corpus):
+    """One formatting of each complex serves both writers: the fixed
+    networks of corpus fixes (what ``analyze`` writes twice) and the
+    inputs, whose "+"-joined complexes read as their " + " format once
+    every "+" is spaced."""
+    for net in corpus[:200]:
+        for stepped in sign_fix(net).networks:
+            assert network_json_and_text(stepped) == (
+                network_to_json(stepped), serialize_network(stepped)
+            )
+        for reaction in net.reactions:
+            for side in (reaction.reactant, reaction.product):
+                spaced = side.format(net.species).replace("+", " + ")
+                assert spaced == side.format(net.species, " + ")
 
 
 class _Level(enum.IntEnum):
