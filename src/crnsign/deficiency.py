@@ -24,12 +24,20 @@ matrix: the rank is not recomputed per step, since each step is checked
 to be exactly the documented bordering, which raises the rank by one,
 and the rank of the final network's own S, built from its own reactions
 and never spliced from its parent's, confirms the total.  A mismatch
-means the implementation is wrong, not the input.
+means the implementation is wrong, not the input.  The reactions a step
+keeps are compared as two tuple slices around column l, and the
+rewritten and appended reactions field by field against the expected
+terms tuples.  The original and final ranks are ``exactla.rank`` of
+each network's one cached S, so a rank the command already knows costs
+nothing.
 
 Also here: the decomposition S v(x) = Y A_k psi(x) of the right-hand
 side through complex space (Y lists complex coefficients, A_k is the
 rate-weighted Laplacian of the reaction graph on complexes), built once
-per system and then evaluated at any number of states.
+per system and then evaluated at any number of states:
+``complexes_decomposition`` builds Y, A_k and the psi ``MonomialTable``
+(called with start 1.0) and returns a ``Decomposition`` that unpacks as
+(Y, a_k, psi) and checks a state with ``residual(x)``.
 """
 
 from __future__ import annotations

@@ -38,11 +38,23 @@ buffer for a whole run, so each RK4 stage costs a fixed number of numpy
 calls: a clamp into the buffer, the powers, the gather, the product and
 ``S @ v``.
 
+``exact_jacobian`` adds, per reaction, its reactant terms times the
+nonzeros of its column of S, not d x d' x d products.  ``simulate``
+takes at most ``MAX_STEPS`` steps, written into one preallocated
+(steps + 1, d) array, and checks the orthant once per ``CHECK_BLOCK``
+stored states; its error names the first step outside it.
+``step_count`` refuses a non-positive or infinite dt and a step count
+that is not finite or above the cap.  A NaN or infinite state is a
+``ValueError``, and so is a coefficient beyond the float range, named by
+its reaction and species.
+
 Equilibrium correspondence with a fixing run: each added species B' sits
 between reaction l and the appended reaction B' -> p2 B, so at
 equilibrium its concentration is forced to v_l(x)/k.  ``lift_equilibrium``
 extends an equilibrium of the original system one added coordinate at a
-time; ``project_equilibrium`` drops the added coordinates.
+time; ``project_equilibrium`` drops the added coordinates.  Both default
+to a residual tolerance of 1e-8 (1 + max_i sum_j |S_ij| k_j), which
+accepts every point the solver returns from a start in (0, 1]^d.
 """
 
 from __future__ import annotations
@@ -60,6 +72,8 @@ from .signfix import FixReport
 # Most RK4 steps ``simulate`` takes; each step's state is kept in memory
 # (8 bytes per coordinate).
 MAX_STEPS = 1_000_000
+# The most Newton steps ``find_equilibrium`` takes before it gives up.
+MAX_NEWTON_ITERATIONS = 200
 # ``simulate`` checks the stored states for leaving the orthant once per
 # this many steps; a run that leaves it computes at most this many more.
 CHECK_BLOCK = 64
@@ -192,13 +206,13 @@ def _rate_free_tables(network: Network) -> Tuple:
         pass
     # The exact S, converted where a reaction has a term (the rest is 0),
     # and the reactant exponents, sparse per reaction: [(species, exponent), ...]
-    exact = stoichiometric_matrix(network).entries()
+    exact = stoichiometric_matrix(network)
     S = np.zeros((network.species_count, network.reaction_count))
     reactant_terms = []
     try:
         for k, r in enumerate(network.reactions):
             for j, _ in r.reactant.terms + r.product.terms:
-                S[j, k] = float(exact[j][k])
+                S[j, k] = float(exact[j, k])
             term = []
             for j, c in r.reactant.terms:
                 term.append((j, float(c)))
@@ -351,11 +365,7 @@ def exact_jacobian(
     return RationalMatrix(rows)
 
 
-def find_equilibrium(
-    sys: MassActionSystem,
-    x0: Sequence[float],
-    max_iterations: int = 200,
-) -> Tuple[float, ...]:
+def find_equilibrium(sys: MassActionSystem, x0: Sequence[float]) -> Tuple[float, ...]:
     """Damped Newton search for a positive equilibrium of S v(x).
 
     Stops when the residual max-norm drops below 1e-9 * (1 + initial
@@ -363,13 +373,13 @@ def find_equilibrium(
     until the iterate stays positive and the residual decreases.
 
     Raises:
-        EquilibriumNotFound: if the tolerance is not met within the
-            iteration budget or a step stalls.
+        EquilibriumNotFound: if the tolerance is not met within
+            ``MAX_NEWTON_ITERATIONS`` steps or a step stalls.
     """
     x = _check_state(sys, x0, positive=True).copy()
     g = rhs(sys, x)
     tol = 1e-9 * (1.0 + float(np.max(np.abs(g))))
-    for iteration in range(max_iterations):
+    for iteration in range(MAX_NEWTON_ITERATIONS):
         norm = float(np.max(np.abs(g)))
         if norm <= tol:
             return tuple(float(v) for v in x)
@@ -398,7 +408,7 @@ def find_equilibrium(
     norm = float(np.max(np.abs(g)))
     if norm <= tol:
         return tuple(float(v) for v in x)
-    raise EquilibriumNotFound("iteration budget exhausted", max_iterations, norm)
+    raise EquilibriumNotFound("iteration budget exhausted", MAX_NEWTON_ITERATIONS, norm)
 
 
 @dataclass(frozen=True)

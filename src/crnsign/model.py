@@ -10,23 +10,31 @@ kept on the ``Network`` instance, so its callers share one matrix and
 everything ``exactla`` caches on it (integer images, kernels, rank).
 
 S is sparse: a fixing step borders it with one row and one column of two
-nonzeros each, so a fixed S is mostly zeros.  ``RationalMatrix.nonzeros()``
-holds each row's nonzero entries as (column, value) pairs, and the
-readers of S (the sign checks, the integer images, the exact strings)
-walk those instead of every entry.  ``stoichiometric_matrix`` builds them
-straight from the reaction terms, and the dense entries from them; any
-other matrix finds them by one scan of its entries on first use.  A
-matrix never changes after construction, so the nonzeros cannot go
-stale, and they are not part of its value.
+nonzeros each, so a fixed S is mostly zeros.  A ``RationalMatrix`` is
+therefore stored as its nonzeros alone, each row's nonzero entries as
+(column, value) pairs, and the readers of S (the sign checks, the
+integer images, the exact strings) walk those.  ``stoichiometric_matrix`` builds them
+straight from the reaction terms; the public constructor finds them by
+one scan of the entries it is given.  The dense views (indexing, rows,
+columns, ``entries()``) are read from the nonzeros on each call, and no
+copy of them is kept.
+
+A ``Complex`` is its sorted terms tuple and nothing more: it checks the
+terms in one pass, and its hash is the dataclass hash of the terms.  A
+fixing step builds its network with ``Network._bordered``, which splices
+the tuples without re-running the network checks, since the step keeps
+each of them by construction; so a step costs its own change and not the
+size of the network.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 # The species-name rule, ASCII only; ``textio``'s scanner reads names with it.
 SPECIES_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
@@ -104,22 +112,6 @@ class Complex:
         if seen is not None:
             raise ValueError("complex terms must be sorted by species index")
 
-    def __hash__(self) -> int:
-        """The dataclass hash ``hash((terms,))``, computed on first use and
-        kept on the instance (not a field: equality and repr ignore it).
-
-        Hashing the ``Fraction`` coefficients runs in Python, and one
-        complex is hashed many times over (complex sets, linkage classes,
-        the deficiency audit).  Lazy, so a complex that is never hashed
-        pays nothing.
-        """
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash((self.terms,))
-            object.__setattr__(self, "_hash", value)
-            return value
-
     @classmethod
     def from_dict(cls, terms: Mapping[int, RationalLike]) -> "Complex":
         items = sorted((i, _to_fraction(c)) for i, c in terms.items())
@@ -138,16 +130,16 @@ class Complex:
     def species_indices(self) -> Tuple[int, ...]:
         return tuple(index for index, _ in self.terms)
 
-    def format(self, species: Sequence[Species], separator: str = "+") -> str:
-        """Render as text, e.g. ``3B+C`` (``3B + C`` with separator
-        ``" + "``); the zero complex renders as ``0``."""
+    def format(self, species: Sequence[Species]) -> str:
+        """Render as text, e.g. ``3B+C``; the zero complex renders as
+        ``0``."""
         if not self.terms:
             return "0"
         parts = []
         for index, coeff in self.terms:
             name = species[index].name
             parts.append(name if coeff == 1 else f"{coeff}{name}")
-        return separator.join(parts)
+        return "+".join(parts)
 
 
 @dataclass(frozen=True)
@@ -296,71 +288,68 @@ class Network:
 
 
 class RationalMatrix:
-    """A dense matrix of exact rationals: an immutable value with
-    construction, indexing and accessors, and no arithmetic of its own.
-    Entries are `fractions.Fraction`; the exact computations on a matrix
-    live in ``exactla``.
+    """A matrix of exact rationals, stored as its nonzeros: an immutable
+    value with construction, indexing and accessors, and no arithmetic of
+    its own.  Entries are `fractions.Fraction`; the exact computations on a
+    matrix live in ``exactla``.
 
-    ``_nonzeros`` holds ``nonzeros()`` once known, and ``_cache`` is a
-    per-instance dict for data derived from the entries (``exactla`` keeps
-    the integer images and kernel vectors there, ``signcheck`` the bad
-    classes).  Neither is part of the value: equality, hash and repr
-    ignore them, and since the entries never change they cannot go stale.
+    ``_nonzeros`` holds each row's nonzero entries as (column, value) pairs
+    in column order, and is the only stored form: indexing, ``row``,
+    ``column``, ``entries()`` and ``repr`` read the dense view from it, a
+    missing entry being ``Fraction(0)``.  ``_cache`` is a per-instance dict
+    for data derived from the entries (``exactla`` keeps the integer images
+    and kernel vectors there, ``signcheck`` the bad classes); equality,
+    hash and repr ignore it, and since the entries never change it cannot
+    go stale.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_nonzeros", "_cache")
+    __slots__ = ("rows", "cols", "_nonzeros", "_cache")
 
-    def __init__(self, entries: Sequence[Sequence[RationalLike]]):
-        self._store(tuple(tuple(_to_fraction(v) for v in row) for row in entries))
+    def __init__(self, entries: Iterable[Iterable[RationalLike]]):
+        dense = [tuple(map(_to_fraction, row)) for row in entries]
+        if not dense or not dense[0]:
+            raise ValueError("matrix dimensions must be positive")
+        cols = len(dense[0])
+        if any(len(row) != cols for row in dense):
+            raise ValueError("ragged rows in matrix")
+        self.rows, self.cols = len(dense), cols
+        self._nonzeros = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in dense)
+        self._cache = {}
 
     @classmethod
-    def _of_fractions(cls, entries: Sequence[Sequence[Fraction]]) -> "RationalMatrix":
-        """A matrix of entries that are all ``Fraction``s already: the same
-        shape checks as the constructor, without coercing each entry."""
+    def _of_nonzeros(
+        cls, rows: int, cols: int, nonzeros: Tuple[SparseRow, ...]
+    ) -> "RationalMatrix":
+        """A rows x cols matrix of nonzeros the caller has built: nonzero
+        ``Fraction``s, in column order, one tuple per row."""
         matrix = cls.__new__(cls)
-        matrix._store(tuple(tuple(row) for row in entries))
+        matrix.rows, matrix.cols, matrix._nonzeros, matrix._cache = rows, cols, nonzeros, {}
         return matrix
-
-    def _store(self, data: Tuple[Tuple[Fraction, ...], ...]) -> None:
-        if not data or not data[0]:
-            raise ValueError("matrix dimensions must be positive")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise ValueError("ragged rows in matrix")
-        self.rows = len(data)
-        self.cols = width
-        self._data = data
-        self._nonzeros = None
-        self._cache = {}
 
     def __getitem__(self, key: Tuple[int, int]) -> Fraction:
         i, j = key
-        return self._data[i][j]
+        j = _position(j, self.cols)
+        return next((v for c, v in self._nonzeros[i] if c == j), _ZERO)
 
     def row(self, i: int) -> Tuple[Fraction, ...]:
-        return self._data[i]
+        return _dense(self._nonzeros[i], self.cols)
 
     def column(self, j: int) -> Tuple[Fraction, ...]:
-        return tuple(self._data[i][j] for i in range(self.rows))
+        return tuple(self[i, j] for i in range(self.rows))
 
     def entries(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        return self._data
+        """The dense rows, built on each call."""
+        return tuple(_dense(row, self.cols) for row in self._nonzeros)
 
     def nonzeros(self) -> Tuple[SparseRow, ...]:
         """Each row's nonzero entries as (column, value) pairs in column
-        order; found by one scan of the entries on first use, unless the
-        matrix was built from them."""
-        nonzeros = self._nonzeros
-        if nonzeros is None:
-            nonzeros = self._nonzeros = tuple(
-                tuple((j, v) for j, v in enumerate(row) if v) for row in self._data
-            )
-        return nonzeros
+        order."""
+        return self._nonzeros
 
     def to_string_rows(self) -> List[List[str]]:
         """Rows of exact decimal-free strings such as "3" or "-1/2"."""
         out = []
-        for row in self.nonzeros():
+        for row in self._nonzeros:
             strings = ["0"] * self.cols
             for j, v in row:
                 strings[j] = str(v)
@@ -370,14 +359,33 @@ class RationalMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self._data == other._data
+        return (self.rows, self.cols, self._nonzeros) == (other.rows, other.cols, other._nonzeros)
 
     def __hash__(self) -> int:
-        return hash(self._data)
+        return hash((self.rows, self.cols, self._nonzeros))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(v) for v in row) for row in self._data)
+        body = "; ".join(" ".join(map(str, _dense(row, self.cols))) for row in self._nonzeros)
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
+
+
+def _position(index: int, size: int) -> int:
+    """``index`` as a position in 0..size-1, a negative one counting from
+    the end, as a tuple counts it."""
+    position = operator.index(index)
+    if position < 0:
+        position += size
+    if not 0 <= position < size:
+        raise IndexError("matrix index out of range")
+    return position
+
+
+def _dense(row: SparseRow, cols: int) -> Tuple[Fraction, ...]:
+    """One row of nonzeros as its ``cols`` entries."""
+    dense = [_ZERO] * cols
+    for j, v in row:
+        dense[j] = v
+    return tuple(dense)
 
 
 def stoichiometric_matrix(net: Network) -> RationalMatrix:
@@ -388,10 +396,10 @@ def stoichiometric_matrix(net: Network) -> RationalMatrix:
     Built on the first call and kept on the network (not a field:
     equality, hash, repr and ``dataclasses.replace`` ignore it), so later
     calls return the same object.  Each row's nonzeros are appended in
-    reaction order straight from the terms, and kept as the matrix's
-    ``nonzeros()``.  A species on both sides of reaction j (a catalyst)
-    meets its own reactant entry last in row i, so its product term is
-    added to that entry, which is dropped if the two cancel.
+    reaction order straight from the terms, and they are the matrix.  A
+    species on both sides of reaction j (a catalyst) meets its own
+    reactant entry last in row i, so its product term is added to that
+    entry, which is dropped if the two cancel.
     """
     try:
         return net._matrix
@@ -409,14 +417,9 @@ def stoichiometric_matrix(net: Network) -> RationalMatrix:
                     row.append((j, value))
             else:
                 row.append((j, _to_fraction(coeff)))
-    entries = []
-    for row in rows:
-        dense = [_ZERO] * net.reaction_count
-        for j, value in row:
-            dense[j] = value
-        entries.append(dense)
-    matrix = RationalMatrix._of_fractions(entries)
-    matrix._nonzeros = tuple(map(tuple, rows))
+    matrix = RationalMatrix._of_nonzeros(
+        net.species_count, net.reaction_count, tuple(map(tuple, rows))
+    )
     object.__setattr__(net, "_matrix", matrix)
     return matrix
 

@@ -24,6 +24,11 @@ status:
   pluses) matter.  It takes a sign pattern, not S, so its P and N come
   from the pattern's signs.
 
+``find_bad_submatrices`` enumerates once per matrix and keeps the
+classes in its ``_cache``; each call returns a fresh list of the
+immutable classes, so the bad-classes section, ``sign_fix`` and the
+single-positive-column check share one enumeration of S.
+
 The counts are exact: products of 0/1 arrays in int64, no float.  A
 narrower type would not do: an int8 product wraps at 128 contributing
 columns, and a count of 256 wraps to 0.

@@ -6,7 +6,11 @@ p2 units of species q and instead produces one unit of a fresh species,
 and a new reaction converts that species back into p2 units of q at a
 chosen rate.  In matrix terms the positive entry is zeroed and the matrix
 is bordered by one row (+1 in column l, -1 in the new column) and one
-column (p2 in row q, -1 in the new row).
+column (p2 in row q, -1 in the new row).  Each step validates its two
+new reactions and builds the stepped network through
+``Network._bordered``; just before its step, a target is re-checked as
+still bad from the product and reactant coefficients of its members'
+entries.
 
 Also here: the verification of the order-permutation relation between two
 full runs, and the single-bordering shortcut that removes every bad
@@ -322,7 +326,9 @@ def verify_permutation_relation(
     permutation matrix with ``P[i][j] = 1`` iff ``tau[j] == sigma[i]``.
     So S_sigma[i][j] must equal S_tau at the row and column indices that
     P maps i and j to (the first d rows and d' columns map to
-    themselves); the identity is checked exactly, entry by entry.
+    themselves).  The identity is checked exactly, row by row: each row of
+    S_sigma, its columns mapped, must hold the nonzeros of the mapped row
+    of S_tau.
 
     Returns:
         P as a RationalMatrix.
@@ -352,14 +358,13 @@ def verify_permutation_relation(
     row_map = list(range(d)) + [d + j for j in perm]
     col_map = list(range(d_prime)) + [d_prime + j for j in perm]
     shape = (d + n, d_prime + n)
-    tau_rows = s_tau.entries()
+    tau_rows = s_tau.nonzeros()
     if (
         (s_sigma.rows, s_sigma.cols) != shape
         or (s_tau.rows, s_tau.cols) != shape
         or any(
-            row[j] != tau_rows[i][c]
-            for i, row in zip(row_map, s_sigma.entries())
-            for j, c in enumerate(col_map)
+            tuple(sorted((col_map[j], v) for j, v in row)) != tau_rows[i]
+            for i, row in zip(row_map, s_sigma.nonzeros())
         )
     ):
         raise ValueError(

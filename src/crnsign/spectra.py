@@ -13,7 +13,16 @@ polynomial identity itself is verified exactly, at any number of
 species, by interpolating in k over the rationals.
 
 None of this requires an equilibrium: every relation is an algebraic
-identity in the state, so checks run at arbitrary positive points.
+identity in the state, so checks run at arbitrary positive points.  A
+state is checked to be finite before it is checked to be positive, with
+``kinetics``' messages.
+
+``eigen_convergence`` builds one fixed system per k, all sharing the
+fixed network's tables.  ``char_poly_relation`` computes four exact
+Jacobians and four characteristic polynomials, at most d + 2
+determinants each.  ``det_sign_sampling`` checks every point first, then
+evaluates J and J_k on stacks of at most 32 points, bit-identical to one
+point at a time.
 """
 
 from __future__ import annotations
@@ -57,6 +66,8 @@ def _check_pair(sys: MassActionSystem, report: FixReport, x_hat: Sequence[float]
     arr = np.asarray(x_hat, dtype=float)
     if arr.shape != (d + 1,):
         raise ValueError(f"fixed-system state must have {d + 1} coordinates")
+    if not np.isfinite(arr).all():
+        raise ValueError("state must be finite")
     if not np.all(arr > 0):
         raise ValueError("state must be strictly positive")
     return arr[:d], arr

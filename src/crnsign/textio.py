@@ -34,7 +34,10 @@ appearance in the file.  ``<->`` expands to two irreversible reactions,
 forward first.
 
 A plain digit run is read as ``Fraction(int(text))``, any other NUMBER
-by ``Fraction(text)``: the same value, without ``Fraction``'s regex.
+by ``Fraction(text)``: the same value, without ``Fraction``'s regex.  A
+term without a coefficient shares one ``Fraction(1)``, a repeated
+species adds its coefficients in the term dict, and the sorted terms go
+to ``Complex`` directly.
 
 ``dump_report`` writes a report in one recursive pass into one list of
 chunks, joined once: the bytes of ``json.dumps(report, indent=2) + "\n"``

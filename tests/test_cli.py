@@ -175,13 +175,13 @@ def test_two_builds_of_s_per_command(capsys, monkeypatch, argv):
     on each; every other reader gets the same matrix (7 and 5 builds
     before S was kept on the network)."""
     seen = []
-    build = RationalMatrix._of_fractions.__func__
+    build = RationalMatrix._of_nonzeros.__func__
 
-    def counted(cls, entries):
-        seen.append((len(entries), len(entries[0])))
-        return build(cls, entries)
+    def counted(cls, rows, cols, nonzeros):
+        seen.append((rows, cols))
+        return build(cls, rows, cols, nonzeros)
 
-    monkeypatch.setattr(RationalMatrix, "_of_fractions", classmethod(counted))
+    monkeypatch.setattr(RationalMatrix, "_of_nonzeros", classmethod(counted))
     _run_json(capsys, *argv)
     assert seen == [(7, 6), (9, 8)]
 

@@ -4,6 +4,8 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, load
 from oracles import identity, multiply, multiply_vector, transpose, with_entry
@@ -24,8 +26,9 @@ def _net(reactions, names):
 
 
 def test_complex_hash_contract(corpus):
-    """The cached hash is the dataclass hash, and the cache is invisible:
-    not a field, not in repr, and harmless through pickle and deepcopy."""
+    """The hash is the dataclass hash of the terms, and ``terms`` is the
+    only field: repr shows only it, and pickle and deepcopy keep both
+    equality and hash."""
     fixtures = [load(p.name) for p in sorted(FIXTURES.glob("*.crn"))]
     complexes = [
         c for net in fixtures + list(corpus) for r in net.reactions for c in (r.reactant, r.product)
@@ -244,17 +247,15 @@ def test_stoichiometric_matrix_equals_a_coerced_matrix(corpus):
 
 def test_nonzeros_are_kept_and_not_part_of_the_value(corpus):
     """S keeps the nonzeros it was built from; a constructor-built copy
-    finds the same ones by one scan, and neither side's nonzeros change
-    equality, hash or repr.  Integer coefficients become Fractions."""
+    finds the same ones by one scan, and the two are equal with the same
+    hash and repr.  Integer coefficients become Fractions."""
     ints = Network(
         (Species("A", 0), Species("B", 1)),
         (Reaction(Complex(((0, 2),)), Complex(((1, 3),))),),
     )
     for net in [ints] + [load(p.name) for p in sorted(FIXTURES.glob("*.crn"))] + corpus[:50]:
         S = stoichiometric_matrix(dataclasses.replace(net))
-        assert S._nonzeros is not None
         coerced = RationalMatrix(S.entries())
-        assert coerced._nonzeros is None
         before = (hash(coerced), repr(coerced))
         assert coerced.nonzeros() == S.nonzeros()
         assert coerced.nonzeros() is coerced.nonzeros()
@@ -263,13 +264,85 @@ def test_nonzeros_are_kept_and_not_part_of_the_value(corpus):
     assert stoichiometric_matrix(ints).nonzeros() == (((0, -2),), ((0, 3),))
 
 
-@pytest.mark.parametrize("entries", [[], [[]], [[Fraction(1), Fraction(2)], [Fraction(3)]]])
-def test_direct_construction_keeps_the_shape_errors(entries):
-    with pytest.raises(ValueError) as public:
-        RationalMatrix(entries)
-    with pytest.raises(ValueError) as direct:
-        RationalMatrix._of_fractions(entries)
-    assert str(direct.value) == str(public.value)
+class _EntriesUnread(RationalMatrix):
+    """A matrix whose ``entries()`` raises, so the other dense views are
+    seen to read the nonzeros themselves."""
+
+    __slots__ = ()
+
+    def entries(self):
+        raise AssertionError("entries() was read")
+
+
+def _assert_dense_views(rows):
+    """Every dense view of a matrix built from ``rows`` (fed in as
+    generators) reads the input lists: each entry at every index, negative
+    ones included, each row and column, ``entries()``, ``repr``, ``==`` and
+    ``hash``; an index past either end is an ``IndexError``.  Only
+    ``entries()`` itself calls ``entries()``."""
+    expected = [[Fraction(v) for v in row] for row in rows]
+    n, m = len(expected), len(expected[0])
+    M = _EntriesUnread((v for v in row) for row in rows)
+    assert (M.rows, M.cols) == (n, m)
+    for i in range(-n, n):
+        assert M.row(i) == tuple(expected[i])
+        for j in range(-m, m):
+            assert M[i, j] == expected[i][j] and type(M[i, j]) is Fraction
+    for j in range(-m, m):
+        assert M.column(j) == tuple(row[j] for row in expected)
+    entries = RationalMatrix.entries(M)
+    assert entries == tuple(map(tuple, expected))
+    assert all(type(v) is Fraction for row in entries + (M.column(0),) for v in row)
+    body = "; ".join(" ".join(str(v) for v in row) for row in expected)
+    assert repr(M) == f"RationalMatrix({n}x{m}: {body})"
+    for key in [(n, 0), (-n - 1, 0), (0, m), (0, -m - 1)]:
+        with pytest.raises(IndexError):
+            M[key]
+    for read, size in [(M.row, n), (M.column, m)]:
+        for index in (size, -size - 1):
+            with pytest.raises(IndexError):
+                read(index)
+    same = RationalMatrix(expected)
+    assert M == same and hash(M) == hash(same) and not M != same
+    for i in range(n):
+        for j in range(m):
+            changed = [list(row) for row in expected]
+            changed[i][j] += 1
+            assert M != RationalMatrix(changed)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0]],
+    [[5]],
+    [[0, 0], [0, 0]],
+    [[0, 0, 0]],
+    [[0], [0]],
+    [[1, 0, -2], [0, 0, 0], [Fraction(3, 4), 0, "1/3"]],
+    [[0, 0, 7], [0, 0, 0]],
+    [[0, 1], [0, -1], [0, "2"]],
+])
+def test_dense_views_read_the_nonzeros(rows):
+    _assert_dense_views(rows)
+
+
+_ENTRY = st.sampled_from([0, 0, 0, 1, -1, 3, Fraction(-2, 3), Fraction(7, 5)])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.lists(_ENTRY, min_size=m, max_size=m), min_size=1, max_size=4)
+))
+def test_dense_views_read_the_nonzeros_of_random_matrices(rows):
+    _assert_dense_views(rows)
+
+
+def test_zero_matrices_differ_by_shape():
+    shapes = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    zeros = [RationalMatrix([[0] * m] * n) for n, m in shapes]
+    assert all(Z.nonzeros() == ((),) * Z.rows for Z in zeros)
+    assert [[a == b for b in zeros] for a in zeros] == [
+        [i == k for k in range(len(shapes))] for i in range(len(shapes))
+    ]
 
 
 def test_rational_matrix_operations():
@@ -292,10 +365,13 @@ def test_rational_matrix_is_a_value_without_arithmetic():
 
 
 def test_rational_matrix_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        RationalMatrix([])
-    with pytest.raises(ValueError):
-        RationalMatrix([[1, 2], [3]])
+    for entries, message in [
+        ([], "matrix dimensions must be positive"),
+        ([[]], "matrix dimensions must be positive"),
+        ([[1, 2], [3]], "ragged rows in matrix"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RationalMatrix(entries)
     with pytest.raises(ValueError):
         multiply(RationalMatrix([[1]]), RationalMatrix([[1, 2], [3, 4]]))
 

@@ -144,6 +144,22 @@ def test_det_relation_argument_validation(deficiency_jump, two_ambiguous):
         det_relation_check(sys, multi, _ones(6), 1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("at_end", [False, True])
+def test_a_non_finite_state_is_not_finite_before_it_is_not_positive(one_ambiguous, value, at_end):
+    """NaN or inf at coordinate 0 or d of x_hat is named as ``kinetics``
+    names it (NaN was called not strictly positive)."""
+    report = fix_one_report(one_ambiguous)
+    sys = _unit_system(one_ambiguous)
+    d = one_ambiguous.species_count
+    x_hat = _ones(d + 1)
+    x_hat[d if at_end else 0] = value
+    with pytest.raises(ValueError, match="^state must be finite$"):
+        det_relation_check(sys, report, x_hat, 1.0)
+    with pytest.raises(ValueError, match="^state must be finite$"):
+        eigen_convergence(sys, report, x_hat, GRID)
+
+
 def test_eigen_convergence_known_network(deficiency_jump):
     report = fix_one_report(deficiency_jump)
     sys = _unit_system(deficiency_jump)

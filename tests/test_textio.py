@@ -335,8 +335,8 @@ def test_network_to_json_shape(two_ambiguous):
 def test_network_json_and_text_match_the_separate_writers(corpus):
     """One formatting of each complex serves both writers: the fixed
     networks of corpus fixes (what ``analyze`` writes twice) and the
-    inputs, whose "+"-joined complexes read as their " + " format once
-    every "+" is spaced."""
+    inputs, whose "+"-joined complexes read as their terms joined by
+    " + " once every "+" is spaced."""
     for net in corpus[:200]:
         for stepped in sign_fix(net).networks:
             assert network_json_and_text(stepped) == (
@@ -345,7 +345,10 @@ def test_network_json_and_text_match_the_separate_writers(corpus):
         for reaction in net.reactions:
             for side in (reaction.reactant, reaction.product):
                 spaced = side.format(net.species).replace("+", " + ")
-                assert spaced == side.format(net.species, " + ")
+                terms = [
+                    (str(c) if c != 1 else "") + net.species[i].name for i, c in side.terms
+                ]
+                assert spaced == (" + ".join(terms) or "0")
 
 
 class _Level(enum.IntEnum):
