@@ -107,11 +107,20 @@ def _floats(raw: str, what: str, expected: Optional[int] = None) -> List[float]:
 
 
 def _rates_for(net: Network, override: Optional[str]) -> List[float]:
-    """Explicit --rates, else rates from the file, else unit rates."""
+    """Explicit --rates, else rates from the file, else unit rates when
+    the file gives none.  A file that rates only some of its reactions
+    (as ``signfix -o`` writes one) is an input error: no rate is
+    guessed for the rest."""
     if override:
         return _floats(override, "--rates", net.reaction_count)
-    if all(r.rate is not None for r in net.reactions):
+    missing = [j for j, r in enumerate(net.reactions) if r.rate is None]
+    if not missing:
         return [r.rate for r in net.reactions]
+    if len(missing) < net.reaction_count:
+        raise _InputError(
+            f"reaction R{missing[0] + 1} has no rate while others have one; "
+            "pass --rates to give every reaction a rate"
+        )
     return [1.0] * net.reaction_count
 
 
@@ -122,10 +131,10 @@ def _x0_for(net: Network, override: Optional[str]) -> List[float]:
 
 
 def _k_grid(raw: str) -> List[float]:
-    parts = raw.split(":")
     try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except (ValueError, IndexError):
+        lo, hi, count = raw.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
         raise _InputError(f"--k-grid must look like lo:hi:n, got {raw!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise _InputError(f"--k-grid bounds must be finite, got {raw!r}")

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -392,7 +391,7 @@ def complexes_decomposition(sys: MassActionSystem) -> Decomposition:
     net = sys.network
     complexes = complexes_of(net)
     index = {cx: c for c, cx in enumerate(complexes)}
-    y_rows = [[Fraction(0)] * len(complexes) for _ in range(net.species_count)]
+    y_rows = [[0] * len(complexes) for _ in range(net.species_count)]
     y_float = np.zeros((net.species_count, len(complexes)))
     for c, cx in enumerate(complexes):
         for j, coeff in cx.terms:

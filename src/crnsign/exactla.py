@@ -122,7 +122,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import RationalMatrix
+from .model import Exact, RationalMatrix
 
 Vector = Tuple[Fraction, ...]
 IntRows = Tuple[Tuple[int, ...], ...]
@@ -199,14 +199,19 @@ class ConservationResult:
     witness: Optional[Vector] = None
 
 
-def _cleared(lines: Sequence[Sequence[Tuple[int, Fraction]]]) -> Tuple[SparseRows, List[int]]:
-    """Each line of nonzero (index, Fraction) pairs scaled by the lcm of its
+def _cleared(lines: Sequence[Sequence[Tuple[int, Exact]]]) -> Tuple[SparseRows, List[int]]:
+    """Each line of nonzero (index, value) pairs scaled by the lcm of its
     denominators, as (index, integer) pairs in the same order, and those
-    lcms: the one place this module turns Fractions into integers."""
+    lcms: the one place this module turns Fractions into integers.  The
+    values are in ``model``'s canonical form, so a line whose lcm is 1
+    holds plain ints already and is kept as it is."""
     rows, scales = [], []
     for line in lines:
         scale = lcm(*(v.denominator for _, v in line))
-        rows.append(tuple((j, v.numerator * (scale // v.denominator)) for j, v in line))
+        if scale == 1:
+            rows.append(tuple(line))
+        else:
+            rows.append(tuple((j, v.numerator * (scale // v.denominator)) for j, v in line))
         scales.append(scale)
     return tuple(rows), scales
 
@@ -310,7 +315,7 @@ def _sparse_image(matrix: RationalMatrix, side: str) -> SparseRows:
     if sparse is None:
         lines = matrix.nonzeros()
         if side == "left":
-            columns: List[List[Tuple[int, Fraction]]] = [[] for _ in range(matrix.cols)]
+            columns: List[List[Tuple[int, Exact]]] = [[] for _ in range(matrix.cols)]
             for i, row in enumerate(lines):
                 for j, v in row:
                     columns[j].append((i, v))

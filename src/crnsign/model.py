@@ -1,9 +1,14 @@
 """Core data model: species, complexes, reactions, networks, and the
 exact-rational matrices derived from them.
 
-Everything in this module is immutable after construction and uses
-`fractions.Fraction` throughout, so all derived matrices are exact and
-bit-reproducible.
+Everything in this module is immutable after construction and exact,
+so all derived matrices are bit-reproducible.  Every exact value is kept
+in one canonical form: a plain ``int`` when it is integral, and a
+``fractions.Fraction`` only when its denominator is above 1.  Stoichiometric
+coefficients are nearly always integers, and an ``int`` hashes, compares,
+negates and prints in C where a ``Fraction`` runs Python code; ``==``,
+``hash``, ordering and ``str`` agree between ``3`` and ``Fraction(3)``,
+so the form changes no result and no output byte.
 
 A network's S is built on the first ``stoichiometric_matrix`` call and
 kept on the ``Network`` instance, so its callers share one matrix and
@@ -40,22 +45,27 @@ from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 SPECIES_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 RationalLike = Union[int, str, Fraction]
+# An exact value in canonical form: a plain int, or a Fraction whose
+# denominator is above 1.
+Exact = Union[int, Fraction]
 # One row of a matrix's nonzero entries: (column, value) pairs in column order.
-SparseRow = Tuple[Tuple[int, Fraction], ...]
+SparseRow = Tuple[Tuple[int, Exact], ...]
 
-# The coefficient of a species a complex does not hold.
+# A zero entry of a dense view, which reads every entry as a Fraction.
 _ZERO = Fraction(0)
 
 
-def _to_fraction(value: RationalLike) -> Fraction:
-    """Coerce ints, strings like "3", "0.5" or "2/3", and Fractions."""
-    if isinstance(value, Fraction):
+def _exact(value: RationalLike) -> Exact:
+    """The canonical form of an int (``bool`` and other subclasses
+    included), a string like "3", "0.5" or "2/3", or a Fraction: a plain
+    ``int`` when the value is integral, else a ``Fraction``."""
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    if type(value) is not Fraction:
+        if not isinstance(value, (int, str, Fraction)):
+            raise TypeError(f"cannot interpret {value!r} as an exact rational")
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 @dataclass(frozen=True)
@@ -83,19 +93,23 @@ class Complex:
 
     ``terms`` maps species index to a strictly positive rational
     coefficient, stored as a tuple of (index, coefficient) pairs sorted by
-    index.  The empty tuple is the zero complex.  Two complexes are equal
-    iff their term maps are equal.
+    index, each coefficient in canonical form (a plain ``int`` when
+    integral, else a ``Fraction``).  The empty tuple is the zero complex.
+    Two complexes are equal iff their term maps are equal.
     """
 
-    terms: Tuple[Tuple[int, Fraction], ...]
+    terms: Tuple[Tuple[int, Exact], ...]
 
     def __post_init__(self) -> None:
         """Each term in turn: index not repeated, coefficient exact, then
         positive; after all terms, indices sorted.  One pass: while the
         indices strictly increase none can repeat, so the set of seen
-        indices is built only once one does not increase."""
+        indices is built only once one does not increase.  A plain ``int``
+        coefficient passes with one type test; the terms are rebuilt in
+        canonical form only when some coefficient is not in it."""
         seen = None
         previous = None
+        rebuild = False
         for position, (index, coeff) in enumerate(self.terms):
             if seen is None and position and not previous < index:
                 seen = {i for i, _ in self.terms[:position]}
@@ -104,28 +118,34 @@ class Complex:
                     raise ValueError(f"duplicate species index {index} in complex")
                 seen.add(index)
             previous = index
-            if not isinstance(coeff, (int, Fraction)):
-                # stoichiometric_matrix relies on exact coefficients
-                raise TypeError(f"cannot interpret {coeff!r} as an exact rational")
+            if type(coeff) is not int:
+                if not isinstance(coeff, (int, Fraction)):
+                    # stoichiometric_matrix relies on exact coefficients
+                    raise TypeError(f"cannot interpret {coeff!r} as an exact rational")
+                rebuild = rebuild or type(coeff) is not Fraction or coeff.denominator == 1
             if coeff.numerator <= 0:
                 raise ValueError("complex coefficients must be positive")
         if seen is not None:
             raise ValueError("complex terms must be sorted by species index")
+        if rebuild:
+            object.__setattr__(
+                self, "terms", tuple((index, _exact(coeff)) for index, coeff in self.terms)
+            )
 
     @classmethod
     def from_dict(cls, terms: Mapping[int, RationalLike]) -> "Complex":
-        items = sorted((i, _to_fraction(c)) for i, c in terms.items())
+        items = sorted((i, _exact(c)) for i, c in terms.items())
         return cls(tuple(items))
 
     @property
     def is_empty(self) -> bool:
         return not self.terms
 
-    def coefficient(self, species_index: int) -> Fraction:
+    def coefficient(self, species_index: int) -> Exact:
         for index, coeff in self.terms:
             if index == species_index:
                 return coeff
-        return _ZERO
+        return 0
 
     def species_indices(self) -> Tuple[int, ...]:
         return tuple(index for index, _ in self.terms)
@@ -290,13 +310,15 @@ class Network:
 class RationalMatrix:
     """A matrix of exact rationals, stored as its nonzeros: an immutable
     value with construction, indexing and accessors, and no arithmetic of
-    its own.  Entries are `fractions.Fraction`; the exact computations on a
-    matrix live in ``exactla``.
+    its own.  The exact computations on a matrix live in ``exactla``.
 
     ``_nonzeros`` holds each row's nonzero entries as (column, value) pairs
-    in column order, and is the only stored form: indexing, ``row``,
-    ``column``, ``entries()`` and ``repr`` read the dense view from it, a
-    missing entry being ``Fraction(0)``.  ``_cache`` is a per-instance dict
+    in column order, each value in canonical form (a plain ``int`` when
+    integral, else a ``Fraction``), and is the only stored form: indexing,
+    ``row``, ``column``, ``entries()`` and ``repr`` read the dense view
+    from it.  The dense views return every entry as a ``Fraction``, a
+    missing one being ``Fraction(0)``, so their callers may divide with
+    ``/`` and stay exact.  ``_cache`` is a per-instance dict
     for data derived from the entries (``exactla`` keeps the integer images
     and kernel vectors there, ``signcheck`` the bad classes); equality,
     hash and repr ignore it, and since the entries never change it cannot
@@ -306,7 +328,7 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "_nonzeros", "_cache")
 
     def __init__(self, entries: Iterable[Iterable[RationalLike]]):
-        dense = [tuple(map(_to_fraction, row)) for row in entries]
+        dense = [tuple(map(_exact, row)) for row in entries]
         if not dense or not dense[0]:
             raise ValueError("matrix dimensions must be positive")
         cols = len(dense[0])
@@ -321,7 +343,7 @@ class RationalMatrix:
         cls, rows: int, cols: int, nonzeros: Tuple[SparseRow, ...]
     ) -> "RationalMatrix":
         """A rows x cols matrix of nonzeros the caller has built: nonzero
-        ``Fraction``s, in column order, one tuple per row."""
+        values in canonical form, in column order, one tuple per row."""
         matrix = cls.__new__(cls)
         matrix.rows, matrix.cols, matrix._nonzeros, matrix._cache = rows, cols, nonzeros, {}
         return matrix
@@ -329,7 +351,7 @@ class RationalMatrix:
     def __getitem__(self, key: Tuple[int, int]) -> Fraction:
         i, j = key
         j = _position(j, self.cols)
-        return next((v for c, v in self._nonzeros[i] if c == j), _ZERO)
+        return Fraction(next((v for c, v in self._nonzeros[i] if c == j), 0))
 
     def row(self, i: int) -> Tuple[Fraction, ...]:
         return _dense(self._nonzeros[i], self.cols)
@@ -381,10 +403,10 @@ def _position(index: int, size: int) -> int:
 
 
 def _dense(row: SparseRow, cols: int) -> Tuple[Fraction, ...]:
-    """One row of nonzeros as its ``cols`` entries."""
+    """One row of nonzeros as its ``cols`` entries, each a ``Fraction``."""
     dense = [_ZERO] * cols
     for j, v in row:
-        dense[j] = v
+        dense[j] = Fraction(v)
     return tuple(dense)
 
 
@@ -399,24 +421,26 @@ def stoichiometric_matrix(net: Network) -> RationalMatrix:
     reaction order straight from the terms, and they are the matrix.  A
     species on both sides of reaction j (a catalyst) meets its own
     reactant entry last in row i, so its product term is added to that
-    entry, which is dropped if the two cancel.
+    entry, which is dropped if the two cancel.  The terms are in canonical
+    form already, and so is every entry but such a sum (1/2 + 1/2 is a
+    ``Fraction`` of denominator 1), which alone is coerced.
     """
     try:
         return net._matrix
     except AttributeError:
         pass
-    rows: List[List[Tuple[int, Fraction]]] = [[] for _ in range(net.species_count)]
+    rows: List[List[Tuple[int, Exact]]] = [[] for _ in range(net.species_count)]
     for j, reaction in enumerate(net.reactions):
         for index, coeff in reaction.reactant.terms:
-            rows[index].append((j, -_to_fraction(coeff)))
+            rows[index].append((j, -coeff))
         for index, coeff in reaction.product.terms:
             row = rows[index]
             if row and row[-1][0] == j:
                 value = row.pop()[1] + coeff
                 if value:
-                    row.append((j, value))
+                    row.append((j, _exact(value)))
             else:
-                row.append((j, _to_fraction(coeff)))
+                row.append((j, coeff))
     matrix = RationalMatrix._of_nonzeros(
         net.species_count, net.reaction_count, tuple(map(tuple, rows))
     )

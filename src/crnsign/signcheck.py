@@ -127,8 +127,8 @@ class BadClass:
 
 def _plus_minus(matrix: RationalMatrix) -> Tuple[np.ndarray, np.ndarray]:
     """P = (M > 0) and N = (M < 0) as int64 0/1 arrays, scattered from
-    the matrix's nonzeros.  A Fraction has the sign of its numerator,
-    which is compared as a plain int."""
+    the matrix's nonzeros.  An exact value has the sign of its
+    numerator (an int is its own), which is compared as a plain int."""
     plus: Tuple[List[int], List[int]] = ([], [])
     minus: Tuple[List[int], List[int]] = ([], [])
     for i, row in enumerate(matrix.nonzeros()):

@@ -26,7 +26,15 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from . import exactla
-from .model import Complex, Network, Reaction, RationalMatrix, Species, stoichiometric_matrix
+from .model import (
+    Complex,
+    Exact,
+    Network,
+    Reaction,
+    RationalMatrix,
+    Species,
+    stoichiometric_matrix,
+)
 from .signcheck import BadClass, find_bad_submatrices
 
 
@@ -38,7 +46,8 @@ class FixStep:
         target_class: The class removed by this step (entries refer to the
             matrix current at the time of the step).
         modified_column: Reaction index l whose product was rewritten.
-        zeroed_entry: (species index q, positive value p2) that was zeroed.
+        zeroed_entry: (species index q, positive value p2) that was zeroed;
+            p2 is in ``model``'s canonical exact form.
         added_species: Name of the fresh species.
         added_species_index: Its row index (d at the time of the step).
         added_reaction_index: Column index of the appended reaction
@@ -48,7 +57,7 @@ class FixStep:
 
     target_class: BadClass
     modified_column: int
-    zeroed_entry: Tuple[int, Fraction]
+    zeroed_entry: Tuple[int, Exact]
     added_species: str
     added_species_index: int
     added_reaction_index: int
@@ -165,7 +174,7 @@ def _rewrite(net: Network, cls: BadClass, rate: float) -> Tuple[Network, FixStep
 
     rewritten_terms = dict(reaction.product.terms)
     del rewritten_terms[q]
-    rewritten_terms[new_index] = Fraction(1)
+    rewritten_terms[new_index] = 1
     rewritten = Reaction(
         reaction.reactant,
         Complex.from_dict(rewritten_terms),

@@ -21,7 +21,8 @@ tokens of a line then form::
     rates     := 'k' '=' NUMBER                        (for '->')
                | 'kf' '=' NUMBER ',' 'kr' '=' NUMBER   (for '<->', either order)
 
-Coefficients are exact ``Fraction`` values and rates are
+Coefficients are exact values in ``model``'s canonical form (a plain
+``int`` when integral, else a ``Fraction``) and rates are
 ``float(Fraction(text))``; both must be strictly positive.  A NUMBER
 with more digits than Python's int-to-str limit (4,300 by default),
 counting its significant digits plus its decimal exponent, is a
@@ -33,11 +34,12 @@ explicitly; species not covered by a directive are ordered by first
 appearance in the file.  ``<->`` expands to two irreversible reactions,
 forward first.
 
-A plain digit run is read as ``Fraction(int(text))``, any other NUMBER
-by ``Fraction(text)``: the same value, without ``Fraction``'s regex.  A
-term without a coefficient shares one ``Fraction(1)``, a repeated
-species adds its coefficients in the term dict, and the sorted terms go
-to ``Complex`` directly.
+A plain digit run is read as ``int(text)``, without ``Fraction``'s
+regex; any other NUMBER by ``Fraction(text)``, and as the ``int`` of
+its numerator when its value is integral (``4/2``, ``2.0``, ``1e2``).
+A term without a coefficient is ``1``, a repeated species adds its
+coefficients in the term dict, and the sorted terms go to ``Complex``
+directly (which stores a sum such as 1/2 + 1/2 as the ``int`` 1).
 
 ``dump_report`` writes a report in one recursive pass into one list of
 chunks, joined once: the bytes of ``json.dumps(report, indent=2) + "\n"``
@@ -106,8 +108,8 @@ _TOKEN_RE = re.compile(
     r"|(?P<COMMENT>#)|(?P<BAD>[^ \t])"
 )
 
-# The coefficient of a term written without one, shared by every such term.
-_ONE = Fraction(1)
+# The coefficient of a term written without one.
+_ONE = 1
 
 # Python's default int-to-str limit; it bounds a number's digits where the
 # limit is switched off (0) or missing (Python before 3.10.7) too.
@@ -153,9 +155,10 @@ class _LineParser:
             raise self.error(f"expected {what}")
         return self.advance()
 
-    def parse_number(self, token: _Token, rate: bool = False) -> Union[Fraction, float]:
+    def parse_number(self, token: _Token, rate: bool = False) -> Union[int, Fraction, float]:
         """The strictly positive value of a NUMBER token: a coefficient as
-        an exact ``Fraction``, a rate as ``float(Fraction(text))``.
+        an exact ``int`` when integral, else a ``Fraction``; a rate as
+        ``float(Fraction(text))``.
 
         A number with an exponent is refused before ``Fraction`` expands
         it when its significant digits plus its decimal shift exceed
@@ -165,7 +168,7 @@ class _LineParser:
         text = token.text
         try:
             if text.isdigit():  # a plain integer, read without Fraction's regex
-                value = Fraction(int(text))
+                value = int(text)
             else:
                 head, _, exponent = text.lower().partition("e")
                 if exponent:
@@ -175,6 +178,8 @@ class _LineParser:
                     if digits > limit:
                         raise ValueError(f"{digits} digits")
                 value = Fraction(text)
+                if value.denominator == 1:
+                    value = value.numerator
             if rate:
                 value = float(value)
         except (ValueError, ZeroDivisionError, OverflowError):
@@ -200,7 +205,7 @@ class _LineParser:
             if nxt.kind in ("ARROW", "SEMI", "END"):
                 self.advance()
                 return Complex(())
-        terms: Dict[int, Fraction] = {}
+        terms: Dict[int, Union[int, Fraction]] = {}
         while True:
             tok = self.peek()
             coeff = _ONE

@@ -1,5 +1,6 @@
 import importlib.util
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,14 @@ _spec.loader.exec_module(_gen)
 make_network = _gen.make_network
 make_reversible_network = _gen.make_reversible_network
 network_text = _gen.network_text
+
+
+def is_canonical(value) -> bool:
+    """True iff ``value`` is an exact value in the model's canonical form:
+    a plain ``int`` exactly when it is integral, a ``Fraction`` otherwise."""
+    if Fraction(value).denominator == 1:
+        return type(value) is int
+    return type(value) is Fraction
 
 
 def fixture_text(name: str) -> str:

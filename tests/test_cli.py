@@ -471,11 +471,13 @@ def test_zero_samples_is_an_input_error(capsys, command):
         ["spectra", ONE_AMBIGUOUS, "--rates", "1e200,1,1,1", "--plain"],
         ["equilibria", CONSERVING, "--simulate", "--t-end", "1e300", "--dt", "1e-10"],
         ["equilibria", CONSERVING, "--simulate", "--t-end", "1", "--dt", "1e-300"],
+        ["spectra", DEF_JUMP, "--k-grid", "1:1e6:7:junk"],
+        ["analyze", DEF_JUMP, "--k-grid", "1:1e6:7:junk"],
     ],
     ids=[
         "rates-nan", "rates-inf", "x0-nan", "x0-inf", "t-end-negative", "dt-nan", "k-grid-inf",
         "rate-inf", "rate-out-of-range", "report-nan", "report-nan-plain", "step-count-overflow",
-        "step-count-over-cap",
+        "step-count-over-cap", "spectra-k-grid-extra-part", "analyze-k-grid-extra-part",
     ],
 )
 def test_non_finite_or_non_positive_flag_is_an_input_error(capsys, argv):
@@ -484,6 +486,56 @@ def test_non_finite_or_non_positive_flag_is_an_input_error(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["spectra", "analyze"])
+@pytest.mark.parametrize("grid", ["1:1e6", "1:1e6:7:junk", "1:1e6:7:", ":1:1e6:7", "1e6"])
+def test_k_grid_needs_exactly_three_parts(capsys, command, grid):
+    code, out, err = _run(capsys, command, DEF_JUMP, "--k-grid", grid)
+    assert (code, out) == (2, "")
+    assert err == f"error: --k-grid must look like lo:hi:n, got {grid!r}\n"
+
+
+# Rates on some reactions only, as ``signfix -o`` writes them: reaction 1
+# has one and reaction 2 is the first without.  The first file suits the
+# commands that need no bad class, the second has one.
+PARTLY_RATED = "A -> B ; k=5\nB -> A\n"
+PARTLY_RATED_BAD = "A -> B ; k=5\nB -> C\nC <-> A + B\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv, rates",
+    [
+        (PARTLY_RATED, ["equilibria"], "5,1"),
+        (PARTLY_RATED, ["decompose"], "5,1"),
+        (PARTLY_RATED_BAD, ["spectra"], "5,1,1,1"),
+        (PARTLY_RATED_BAD, ["analyze", "--k-grid", "1:1e6:7"], "5,1,1,1"),
+    ],
+    ids=["equilibria", "decompose", "spectra", "analyze-k-grid"],
+)
+def test_partly_rated_network_needs_rates(capsys, tmp_path, text, argv, rates):
+    """Without --rates no rate is guessed for the unrated reactions: one
+    error line names the first of them; with --rates the run goes on."""
+    path = tmp_path / "partly_rated.crn"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "R2" in err and "--rates" in err
+    code, out, err = _run(capsys, argv[0], str(path), *argv[1:], "--rates", rates)
+    assert code in (0, 1), err
+    if argv[0] == "equilibria":
+        assert json.loads(out)["rates_f64"] == [5.0, 1.0]
+
+
+def test_partly_rated_network_from_signfix_needs_rates(capsys, tmp_path):
+    """``signfix -o`` rates its added reactions only, so its output is a
+    partly rated file."""
+    fixed = tmp_path / "fixed.crn"
+    assert _run(capsys, "signfix", ONE_AMBIGUOUS, "-o", str(fixed))[0] == 0
+    code, out, err = _run(capsys, "equilibria", str(fixed))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: reaction R1 ") and "--rates" in err
 
 
 def _capped(over):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import enum
 import pickle
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, load
+from conftest import FIXTURES, is_canonical, load
 from oracles import identity, multiply, multiply_vector, transpose, with_entry
 from crnsign.model import (
     Complex,
@@ -18,6 +19,8 @@ from crnsign.model import (
     stoichiometric_matrix,
     validate_reaction_form,
 )
+from crnsign.signfix import sign_fix
+from crnsign.textio import parse_network
 
 
 def _net(reactions, names):
@@ -248,7 +251,7 @@ def test_stoichiometric_matrix_equals_a_coerced_matrix(corpus):
 def test_nonzeros_are_kept_and_not_part_of_the_value(corpus):
     """S keeps the nonzeros it was built from; a constructor-built copy
     finds the same ones by one scan, and the two are equal with the same
-    hash and repr.  Integer coefficients become Fractions."""
+    hash and repr.  Integer coefficients stay plain ints."""
     ints = Network(
         (Species("A", 0), Species("B", 1)),
         (Reaction(Complex(((0, 2),)), Complex(((1, 3),))),),
@@ -260,8 +263,76 @@ def test_nonzeros_are_kept_and_not_part_of_the_value(corpus):
         assert coerced.nonzeros() == S.nonzeros()
         assert coerced.nonzeros() is coerced.nonzeros()
         assert S == coerced and (hash(S), repr(S)) == before == (hash(coerced), repr(coerced))
-        assert all(type(v) is Fraction and v for row in S.nonzeros() for _, v in row)
+        assert all(is_canonical(v) and v for row in S.nonzeros() for _, v in row)
     assert stoichiometric_matrix(ints).nonzeros() == (((0, -2),), ((0, 3),))
+
+
+# Networks with non-integer coefficients: sums of halves that are whole,
+# a catalyst whose entry -1/2 + 3/2 is whole, and a bad class of value 3/2.
+_FRACTIONAL = [
+    ("1/2A + 1/2A -> 3/2B + C\n3/2B -> 1/3A", False),
+    ("1/2A + B -> 3/2A + 1/2C\nC -> B", True),
+    ("A -> 3/2B\nB -> C\nC <-> A + 1/2B", False),
+]
+
+
+def test_every_stored_value_is_canonical(corpus, large_networks):
+    """Every complex coefficient, every nonzero of S and every step's p2,
+    over the fixtures, the corpus, the ``large`` networks, some networks
+    with fractional coefficients, and every network of their fix chains,
+    is a plain ``int`` exactly when it is integral, a ``Fraction``
+    otherwise; the dense views still read Fractions."""
+    fractional = [parse_network(text, allow_catalysts=c) for text, c in _FRACTIONAL]
+    nets = [load(p.name) for p in sorted(FIXTURES.glob("*.crn"))]
+    nets += list(corpus) + list(large_networks) + fractional
+    values = []
+    for net in nets:
+        chain = [net]
+        if not net.allow_catalysts:
+            report = sign_fix(net)
+            chain = report.networks
+            values += [step.zeroed_entry[1] for step in report.steps]
+        for member in chain:
+            for r in member.reactions:
+                values += [c for _, c in r.reactant.terms + r.product.terms]
+            S = stoichiometric_matrix(member)
+            values += [v for row in S.nonzeros() for _, v in row]
+        assert all(type(v) is Fraction for v in S.row(0) + S.column(0))
+    bad = [v for v in values if not is_canonical(v)]
+    assert bad == []
+    assert {type(v) for v in values} == {int, Fraction}
+
+
+class _Count(enum.IntEnum):
+    TWO = 2
+
+
+@pytest.mark.parametrize("coeff, stored", [
+    (2, 2),
+    (Fraction(4, 2), 2),
+    (True, 1),
+    (_Count.TWO, 2),
+    (Fraction(1, 2), Fraction(1, 2)),
+])
+def test_complex_stores_the_canonical_form(coeff, stored):
+    """A ``Fraction`` of denominator 1, a ``bool`` and an ``IntEnum`` are
+    stored as a plain ``int``, equal and hashing equal to the complex built
+    from the ``Fraction`` of the same value; ``from_dict`` and the matrix
+    constructor store the same form."""
+    built = Complex(((0, coeff), (3, Fraction(6, 3))))
+    twin = Complex(((0, Fraction(coeff)), (3, Fraction(2))))
+    assert built.terms == ((0, stored), (3, 2))
+    assert [type(c) for _, c in built.terms] == [type(stored), int]
+    assert built == twin and hash(built) == hash(twin)
+    canonical = ((0, stored), (3, 2))
+    assert Complex(canonical).terms is canonical  # rebuilt only when not canonical
+    assert all(is_canonical(c) for _, c in twin.terms)
+    assert Complex.from_dict({0: coeff, 3: "6/3"}).terms == built.terms
+    assert all(is_canonical(c) for _, c in Complex.from_dict({0: coeff, 3: "6/3"}).terms)
+    M = RationalMatrix([[coeff, 0, "4/2"]])
+    assert M.nonzeros() == (((0, stored), (2, 2)),)
+    assert all(is_canonical(v) for _, v in M.nonzeros()[0])
+    assert type(M[0, 0]) is Fraction and type(M[0, 1]) is Fraction
 
 
 class _EntriesUnread(RationalMatrix):

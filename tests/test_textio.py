@@ -25,7 +25,7 @@ from crnsign.textio import (
     serialize_network,
 )
 
-from conftest import load, make_network, network_text
+from conftest import is_canonical, load, make_network, network_text
 
 
 def test_minimal_reaction():
@@ -82,12 +82,24 @@ def test_duplicate_species_terms_merge():
         ("2A + 1/2 A -> B", ((0, Fraction(5, 2)),)),
         ("A + 2B + 3A -> C", ((0, 4), (1, 2))),
         ("species A, B, C\nC + 2B + A + B -> 0", ((0, 1), (1, 3), (2, 1))),  # sorted by index
+        ("1/2A + 1/2A -> B", ((0, 1),)),  # a whole sum is stored as an int
     ],
 )
 def test_repeated_terms_merge_to_fraction_sums(text, terms):
     reactant = parse_network(text).reactions[0].reactant
     assert reactant.terms == terms
-    assert all(type(value) is Fraction for _, value in reactant.terms)
+    assert all(is_canonical(value) for _, value in reactant.terms)
+
+
+@pytest.mark.parametrize(
+    "number, value",
+    [("2", 2), ("4/2", 2), ("2.0", 2), ("1e2", 100), ("0.5", Fraction(1, 2)), ("1/3", Fraction(1, 3))],
+)
+def test_integral_numbers_are_read_as_ints(number, value):
+    """A NUMBER whose value is integral is read as a plain ``int``, any
+    other as a ``Fraction``."""
+    read = parse_network(f"A -> {number}B").reactions[0].product.terms[0][1]
+    assert read == value and type(read) is type(value)
 
 
 def test_reversible_reaction_and_rates():
@@ -246,15 +258,17 @@ def _refusal(text: str, rate: bool):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_NUMBERS)
 def test_numbers_are_read_as_fraction_reads_them(number):
-    """Every coefficient equals ``Fraction(text)`` and is a ``Fraction``;
-    every rate equals ``float(Fraction(text))``; every refusal is a
-    positioned ``bad-coefficient`` error with ``Fraction``'s verdict."""
+    """Every coefficient equals ``Fraction(text)`` and is a plain ``int``
+    exactly when it is integral, else a ``Fraction``; every rate equals
+    ``float(Fraction(text))``; every refusal is a positioned
+    ``bad-coefficient`` error with ``Fraction``'s verdict."""
     for text, column, rate in ((f"A -> {number}B", 6, False), (f"A -> B ; k={number}", 12, True)):
         refusal, value = _refusal(number, rate)
         if refusal is None:
             reaction = parse_network(text).reactions[0]
             read = reaction.rate if rate else reaction.product.terms[0][1]
-            assert read == value and type(read) is type(value)
+            assert read == value
+            assert type(read) is float if rate else is_canonical(read)
         else:
             with pytest.raises(ParseError) as err:
                 parse_network(text)
