@@ -5,10 +5,12 @@ directory that holds a copy of ``fixtures/`` plus a catalyst network and an
 empty file, the benchmark's two ``large`` networks (30 species, 80
 reactions, written by ``perfbench/gen.network_text``), the first
 ``KINETICS_COUNT`` networks of the benchmark's ``kinetics`` workload (20
-species, 50 reactions with rates), a 60-species, 160-reaction network and
-a rank-deficient 20 x 30 network (``conserving_text``), so every path
-(and every path quoted in an error message) is relative and the same on
-every machine.  For each invocation
+species, 50 reactions with rates), a 60-species, 160-reaction network, a
+rank-deficient 20 x 30 network (``conserving_text``), a 60 x 160 network
+with a weighted conservation law (``weighted_conserving_text``) and the
+same network with two species no positive law can weigh
+(``blocked_text``), so every path (and every path quoted in an error
+message) is relative and the same on every machine.  For each invocation
 the record holds the exit code, the sha256 of stdout, the sha256 of every file the
 invocation wrote and, for exit code 2 only, stderr.  An invocation that
 raises records the exception's type and message instead of an exit code.
@@ -32,6 +34,7 @@ import random
 import shutil
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List
 
@@ -92,19 +95,52 @@ def conserving_text(species: int = 20, reactions: int = 30, seed: int = 5) -> st
     """A network whose every reaction moves k = 1 or 2 species to k others
     with the same multiset of coefficients (1/2, 1 or 2), so the all-ones
     vector is a conservation law: S is rank-deficient on both sides, and
-    its cleared columns are fractional."""
+    its cleared columns are fractional.  Since S^t 1 = 0, the conservation
+    simplex's right-hand side -S^t 1 is 0, and phase 1 starts decided."""
+    return _conserving(species, reactions, random.Random(seed), [1] * species)
+
+
+def weighted_conserving_text(species: int, reactions: int, seed: int) -> str:
+    """``conserving_text`` with a weight w from {1, 2, 3, 5} per species,
+    drawn first: the right side's coefficient c moved from species a to
+    species b becomes c w(a) / w(b).  The law sum_i w_i x_i is conserved,
+    but S^t 1 is not 0, so the conservation simplex has to pivot."""
     rng = random.Random(seed)
+    weights = [rng.choice([1, 2, 3, 5]) for _ in range(species)]
+    return _conserving(species, reactions, rng, weights)
+
+
+def blocked_text(species: int, reactions: int, seed: int) -> str:
+    """``weighted_conserving_text`` plus ``0 -> Y1`` and ``Y1 -> Y2``: every
+    law is 0 at Y1 and Y2, so S's left kernel is nonzero but holds no
+    positive vector."""
+    lines = weighted_conserving_text(species, reactions, seed).splitlines()
+    lines[0] += ", Y1, Y2"
+    return "\n".join(lines + ["0 -> Y1", "Y1 -> Y2"]) + "\n"
+
+
+def _conserving(species: int, reactions: int, rng: random.Random, weights: List[int]) -> str:
+    """The reactions of ``conserving_text`` drawn from ``rng``, each moved
+    coefficient scaled by the weight ratio of its two species."""
     names = [f"X{i + 1}" for i in range(species)]
+    weight = dict(zip(names, weights))
     lines = ["species " + ", ".join(names)]
     for _ in range(reactions):
         k = rng.randint(1, 2)
         picked = rng.sample(names, 2 * k)
-        coefficients = [rng.choice(["1/2 ", "", "2 "]) for _ in range(k)]
-        moved = coefficients[::-1]
-        lhs = " + ".join(c + name for c, name in zip(coefficients, picked[:k]))
-        rhs = " + ".join(c + name for c, name in zip(moved, picked[k:]))
+        coefficients = [rng.choice(["1/2", "1", "2"]) for _ in range(k)]
+        moved = [
+            Fraction(c) * weight[a] / weight[b]
+            for c, a, b in zip(coefficients[::-1], picked[:k][::-1], picked[k:])
+        ]
+        lhs = " + ".join(_term(Fraction(c), name) for c, name in zip(coefficients, picked[:k]))
+        rhs = " + ".join(_term(c, name) for c, name in zip(moved, picked[k:]))
         lines.append(f"{lhs} -> {rhs}")
     return "\n".join(lines) + "\n"
+
+
+def _term(coefficient: Fraction, name: str) -> str:
+    return name if coefficient == 1 else f"{coefficient} {name}"
 
 
 def _class_count(path: Path) -> int:
@@ -174,6 +210,9 @@ def invocations() -> Dict[str, List[str]]:
         ]
     runs["wide/analyze"] = ["analyze", "wide.crn"]
     runs["conserving/analyze"] = ["analyze", "conserving.crn"]
+    runs["weighted/analyze"] = ["analyze", "weighted.crn"]
+    runs["weighted/altfix"] = ["altfix", "weighted.crn"]
+    runs["blocked/analyze"] = ["analyze", "blocked.crn"]
     return runs
 
 
@@ -214,6 +253,8 @@ def record_all(workdir: Path) -> Dict[str, dict]:
         (workdir / f"kinetics{k}.crn").write_text(text, encoding="utf-8")
     (workdir / "wide.crn").write_text(wide_text(), encoding="utf-8")
     (workdir / "conserving.crn").write_text(conserving_text(), encoding="utf-8")
+    for name, text in (("weighted", weighted_conserving_text), ("blocked", blocked_text)):
+        (workdir / f"{name}.crn").write_text(text(*WIDE_SIZE, WIDE_SEED), encoding="utf-8")
     previous = os.getcwd()
     os.chdir(workdir)
     try:
