@@ -197,10 +197,11 @@ def _signcheck_section(net: Network, S: RationalMatrix) -> dict:
 
 
 def _badclasses_section(S: RationalMatrix) -> list:
+    rows = S.nonzeros()
     return [
         {
             "positive_entry": list(cls.positive_entry),
-            "value_exact": str(S[cls.positive_entry]),
+            "value_exact": str(dict(rows[cls.positive_entry[0]])[cls.positive_entry[1]]),
             "members": [
                 {
                     "rows": list(m.rows),

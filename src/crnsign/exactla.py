@@ -25,8 +25,11 @@ Only the returned coefficients are divided by P.
 Conservation-law feasibility {m : S^t m = 0, m >= 1} is decided by a
 phase-1 simplex with Bland's rule on an integer tableau, pivoted with the
 same row update.  The tableau is built once from S's nonzeros, cleared
-by one lcm L of all of S's denominators: one row per column of S, L for
-each artificial variable, and minus the row's sum on the right.
+by one lcm L of all of S's denominators: one row per column of S, holding
+that column and minus its sum on the right.  The artificial variables
+have no columns: the simplex stops once the phase-1 objective is 0, and
+answers "infeasible" when no column of S^t can lower it (Farkas' lemma),
+so no artificial variable ever enters the basis.
 
 A rank can also be certified modulo one fixed prime ``PRIME`` < 2^21
 (the modular idea of Cabay 1971).  Reducing an integer matrix mod p can
@@ -733,34 +736,47 @@ def kernel_basis(matrix: RationalMatrix, side: str = "right") -> KernelBasis:
 
 def _phase1_simplex(tableau: List[List[int]], n: int) -> Optional[Tuple[List[int], int]]:
     """Solve {u >= 0 : A u = b} exactly, given the integer tableau of m rows
-    [L A | L I | L b] with b >= 0 and L > 0, I the m x m identity of the
-    artificial variables; returns (numerators of u, common denominator)
-    or None if infeasible.
+    [L A | L b] with b >= 0 and L > 0; returns (numerators of u, common
+    denominator) or None if infeasible.
 
-    Phase-1 simplex: one artificial variable per equation, minimize their
-    sum, entering/leaving choices by Bland's rule (anti-cycling).  The
-    tableau is kept as integers over the last pivot D, which starts at 1,
-    pivoted with the elimination's row update, so every division is
+    Phase-1 simplex: one artificial variable per equation, basic at the
+    start, minimize their sum, entering/leaving choices by Bland's rule
+    (anti-cycling), with artificial i numbered n + i for the tie-break.
+    The tableau is kept as integers over the last pivot D, which starts at
+    1, pivoted with the elimination's row update, so every division is
     exact; divided by D it is the rational tableau, except that the
     objective row and the rows not yet pivoted on stay scaled by L.  No
     sign, ratio or tie depends on a positive row scale, so the pivots are
     those of the rational simplex, and the solution is read from pivoted
     rows.
+
+    The artificial columns are never stored, and the run ends as soon as
+    phase 1 is decided:
+
+    - Once the objective is 0, every further pivot is degenerate (a step
+      above 0 would push a sum of nonnegative variables below 0), so the
+      point, and with it the witness, cannot move.  The loop stops there.
+    - While the objective is above 0 and no structural column has a
+      negative reduced cost, the simplex multipliers y give
+      y^t A <= 0 < y^t b, so by Farkas' lemma no u >= 0 has A u = b: the
+      answer is None.
+
+    So no artificial column ever enters.  A row update reads only the
+    row's own entries and the entering column, so leaving the artificial
+    block out of the tableau (n + 1 columns instead of n + m + 1) changes
+    no pivot.
     """
     m = len(tableau)
-    total = n + m
     basis = [n + i for i in range(m)]
     # Reduced-cost row for the phase-1 objective (artificials cost 1);
-    # basic artificial columns start with reduced cost zero.
+    # its last cell is minus the objective's value.
     obj = [-sum(column) for column in zip(*tableau)]
-    for i in range(m):
-        obj[n + i] = 0
 
     prev = 1
-    while True:
-        entering = next((j for j in range(total) if obj[j] < 0), None)
+    while obj[n]:
+        entering = next((j for j in range(n) if obj[j] < 0), None)
         if entering is None:
-            break
+            return None
         leaving = None
         for i in range(m):
             coeff = tableau[i][entering]
@@ -769,8 +785,8 @@ def _phase1_simplex(tableau: List[List[int]], n: int) -> Optional[Tuple[List[int
                     leaving = i
                     continue
                 # ratio b_i / coeff against the best row's, cross-multiplied
-                lhs = tableau[i][total] * tableau[leaving][entering]
-                best = tableau[leaving][total] * coeff
+                lhs = tableau[i][n] * tableau[leaving][entering]
+                best = tableau[leaving][n] * coeff
                 if lhs < best or (lhs == best and basis[i] < basis[leaving]):
                     leaving = i
         if leaving is None:
@@ -786,12 +802,10 @@ def _phase1_simplex(tableau: List[List[int]], n: int) -> Optional[Tuple[List[int
         prev = piv
         basis[leaving] = entering
 
-    if obj[total] != 0:
-        return None
     u = [0] * n
     for i, var in enumerate(basis):
         if var < n:
-            u[var] = tableau[i][total]
+            u[var] = tableau[i][n]
     return u, prev
 
 
@@ -802,11 +816,14 @@ def is_conserving(S: RationalMatrix) -> ConservationResult:
     "strictly positive left-kernel vector": a positive vector exists iff
     one with entries >= 1 does.  Substituting m = 1 + u reduces the check
     to phase-1 feasibility of {u >= 0 : S^t u = -S^t 1}, solved by the
-    integer-pivot simplex on the tableau of S's nonzeros, all cleared by
-    one lcm L of their denominators (each row's sign flipped where its
-    right-hand side would be negative).  The witness D m (D the simplex's
-    last pivot) is checked in integers against the denominator-cleared
-    rows of S^t before it is returned as Fractions.
+    integer-pivot simplex on the tableau [L A | L b] of S's nonzeros, all
+    cleared by one lcm L of their denominators (each row's sign flipped
+    where its right-hand side would be negative); the artificial columns
+    are left implicit (see ``_phase1_simplex``).  The simplex ends when
+    the objective reaches 0, at once when S^t 1 = 0, or when no column of
+    S^t can lower it.  The witness D m (D the simplex's last pivot) is
+    checked in integers against the denominator-cleared rows of S^t
+    before it is returned as Fractions.
 
     Such an m is a nonzero left-kernel vector, so an empty left kernel of
     S (from its cache, or computed and cached as by ``kernel_basis``)
@@ -820,17 +837,16 @@ def is_conserving(S: RationalMatrix) -> ConservationResult:
     rows, scales = _cleared(S.nonzeros())
     # row i times L / c_i: each entry v is v.numerator * (L // v.denominator)
     scale = lcm(*scales)
-    tableau = [[0] * (n + m + 1) for _ in range(m)]
+    tableau = [[0] * (n + 1) for _ in range(m)]
     for i, (row, c) in enumerate(zip(rows, scales)):
         for j, x in row:
             tableau[j][i] = x * (scale // c)
-    for j, row in enumerate(tableau):
+    for row in tableau:
         # the right-hand side is minus the row's sum; keep it nonnegative
         total = sum(row)
         if total > 0:
             row[:n] = [-x for x in row[:n]]
-        row[n + j] = scale
-        row[-1] = abs(total)
+        row[n] = abs(total)
     solved = _phase1_simplex(tableau, n)
     if solved is None:
         return ConservationResult(False, None)
@@ -893,9 +909,10 @@ def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixs
     q, p2 = fixstep.zeroed_entry
     if not (0 <= ell < S.cols and 0 <= q < S.rows):
         raise ValueError("fix step coordinates out of range for the matrix")
-    if S[q, ell] != p2 or p2 <= 0:
+    # the matrix's own value, an int or a Fraction, whatever the record's type
+    value = dict(S.nonzeros()[q]).get(ell, 0)
+    if value != p2 or value <= 0:
         raise ValueError("fix step records a positive entry the matrix lacks")
-    p2 = S[q, ell]  # the recorded value as a Fraction, whatever its type
 
     # Any integer basis of S's kernels gives the same answer: membership
     # is linear, the counts are the dimensions, and for every vector the
@@ -909,7 +926,7 @@ def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixs
     left = S._cache.get(("chain", "left"))
     if left is None:
         left = _kernel_vectors(S, "left")
-    padded_left = _pad_left(left, q, p2)
+    padded_left = _pad_left(left, q, value)
     if not _in_kernel(S_check, "left", padded_left):
         return False
 
@@ -940,7 +957,7 @@ def _pad_right(vectors: IntRows, ell: int) -> IntRows:
     return tuple(v + (v[ell],) for v in vectors)
 
 
-def _pad_left(vectors: IntRows, q: int, p2: Fraction) -> IntRows:
+def _pad_left(vectors: IntRows, q: int, p2: Exact) -> IntRows:
     """Each left kernel vector w of S padded with w[q] * p2, all of it
     times p2's denominator and divided by the gcd of its entries: a
     coprime left kernel vector of the cleared columns, so the entries of

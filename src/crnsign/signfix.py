@@ -142,7 +142,7 @@ def fix_one(net: Network, cls: BadClass, rate: float = 1.0) -> Tuple[Network, Fi
             "current matrix"
         )
     fixed, step = _rewrite(net, cls, rate)
-    if step.zeroed_entry[1] != S[q, ell]:
+    if step.zeroed_entry[1] != dict(S.nonzeros()[q]).get(ell, 0):
         raise AssertionError("matrix entry disagrees with reaction product")
     return fixed, step
 

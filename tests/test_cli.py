@@ -186,21 +186,35 @@ def test_two_builds_of_s_per_command(capsys, monkeypatch, argv):
     assert seen == [(7, 6), (9, 8)]
 
 
+def _counted_dense_reads(monkeypatch):
+    """Record each call to ``RationalMatrix.entries`` and each single
+    entry read through ``RationalMatrix.__getitem__``."""
+    calls = []
+    entries, getitem = RationalMatrix.entries, RationalMatrix.__getitem__
+
+    def counted_entries(self):
+        calls.append(("entries", self.rows, self.cols))
+        return entries(self)
+
+    def counted_getitem(self, key):
+        calls.append(("getitem", self.rows, self.cols))
+        return getitem(self, key)
+
+    monkeypatch.setattr(RationalMatrix, "entries", counted_entries)
+    monkeypatch.setattr(RationalMatrix, "__getitem__", counted_getitem)
+    return calls
+
+
 def test_analyze_of_a_large_network_reads_s_through_its_nonzeros(
     capsys, monkeypatch, tmp_path, large_networks
 ):
-    """On each ``large`` network no reader of S walks all its entries: the
-    bad classes, the fix, the kernels, the rank, the sign checks and the
-    single-positive-column check read the nonzeros (8 calls per network
-    to ``entries()`` before they did)."""
-    calls = []
-    entries = RationalMatrix.entries
-
-    def counted(self):
-        calls.append((self.rows, self.cols))
-        return entries(self)
-
-    monkeypatch.setattr(RationalMatrix, "entries", counted)
+    """On each ``large`` network no reader of S walks all its entries or
+    reads one through the dense view: the bad classes, the fix, the
+    kernels, the rank, the sign checks and the single-positive-column
+    check read the nonzeros (8 calls per network to ``entries()`` before
+    they did, and one indexing per bad class before the bad-classes
+    section read its values from S's rows)."""
+    calls = _counted_dense_reads(monkeypatch)
     for k, net in enumerate(large_networks):
         path = tmp_path / f"large{k}.crn"
         path.write_text(network_text(net), encoding="utf-8")
@@ -212,16 +226,11 @@ def test_analyze_of_corpus_networks_reads_s_through_its_nonzeros(
     capsys, monkeypatch, tmp_path, corpus
 ):
     """On the first 100 corpus networks no reader of S walks all its
-    entries: ``is_conserving`` builds its simplex equations from S's
-    nonzeros (40 calls to ``entries()`` when it read them)."""
-    calls = []
-    entries = RationalMatrix.entries
-
-    def counted(self):
-        calls.append((self.rows, self.cols))
-        return entries(self)
-
-    monkeypatch.setattr(RationalMatrix, "entries", counted)
+    entries or indexes one: ``is_conserving`` builds its simplex
+    equations from S's nonzeros (40 calls to ``entries()`` when it read
+    them), and the bad-classes section reads each class's value from its
+    row's nonzeros (one indexing per class before)."""
+    calls = _counted_dense_reads(monkeypatch)
     conserving = 0
     for k, net in enumerate(corpus[:100]):
         path = tmp_path / f"corpus{k}.crn"

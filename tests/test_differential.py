@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import record_cli_golden
 from conftest import FIXTURES, fixture_text, load, network_text
 from crnsign.textio import parse_network
 from crnsign import exactla, kinetics, spectra, textio
@@ -211,6 +212,25 @@ def test_exact_core_matches_oracle_on_large_networks(large_networks):
     for net in large_networks:
         _assert_same_core(stoichiometric_matrix(net))
         _assert_same_core(stoichiometric_matrix(sign_fix(net).result))
+
+
+@pytest.mark.parametrize("size, seed", [((20, 30), 5), ((30, 80), 3)], ids=["20x30", "30x80"])
+@pytest.mark.parametrize(
+    "make, conserving",
+    [(record_cli_golden.weighted_conserving_text, True), (record_cli_golden.blocked_text, False)],
+    ids=["weighted", "blocked"],
+)
+def test_conservation_matches_oracle_on_weighted_law_networks(make, conserving, size, seed):
+    """A weighted law leaves the simplex a nonzero right-hand side, so it
+    pivots to a witness; the blocked variant's left kernel holds no
+    positive vector, and the run ends when no column of S^t can lower the
+    objective.  Result and witness equal the Fraction oracle's, which
+    pivots on to the end of Bland's rule."""
+    S = stoichiometric_matrix(parse_network(make(*size, seed)))
+    assert kernel_basis(S, "left").dim > 0
+    result = is_conserving(S)
+    assert result.conserving is conserving
+    assert result == oracles.is_conserving(S)
 
 
 _SHAPES = st.one_of(

@@ -415,6 +415,29 @@ def test_is_conserving_on_a_fresh_full_row_rank_s_needs_no_elimination(monkeypat
     assert S._cache[("kernel", "left")] == () and S._cache["rank"] == 30
 
 
+def test_is_conserving_stops_where_phase_1_is_decided(monkeypatch):
+    """The all-ones law of a 60 x 160 ``conserving_text`` network puts the
+    simplex's right-hand side at 0, so phase 1 is decided before the first
+    pivot: with the left kernel cached, ``is_conserving`` makes no row
+    update (about 78,000 when it pivoted on to the end of Bland's rule)
+    and the witness is all ones."""
+    import record_cli_golden
+
+    S = stoichiometric_matrix(parse_network(record_cli_golden.conserving_text(60, 160, 1)))
+    assert kernel_basis(S, "left").dim > 0
+    calls = []
+    update = exactla._update
+
+    def counted(*args):
+        calls.append(args[-1])
+        return update(*args)
+
+    monkeypatch.setattr(exactla, "_update", counted)
+    result = is_conserving(S)
+    assert calls == []
+    assert result == exactla.ConservationResult(True, (Fraction(1),) * 60)
+
+
 def test_kernel_correspondence_chain_eliminates_each_matrix_once_per_side(monkeypatch):
     """Over a 6-step chain of shared matrix objects only S_0's right and
     left kernels are eliminated: every step's certificate closes, and the
@@ -432,6 +455,38 @@ def test_kernel_correspondence_chain_eliminates_each_matrix_once_per_side(monkey
     assert seen == [(d, d_prime), (d_prime, d)]
     for M in matrices[1:]:
         assert M._cache["rank"] == oracles.rank(M)
+
+
+def test_a_verify_style_chain_reads_no_single_dense_entry(monkeypatch):
+    """``sign_fix``, ``fix_one`` and each step's
+    ``kernel_correspondence_check`` read the entry at a class's positive
+    position from its row's nonzeros, never through
+    ``RationalMatrix.__getitem__`` (two reads per checked step and one per
+    ``fix_one`` when they indexed it).  The weighted-law network's
+    coefficients are fractional, so some recorded values are Fractions."""
+    import record_cli_golden
+
+    calls = []
+    getitem = RationalMatrix.__getitem__
+
+    def counted(self, key):
+        calls.append(key)
+        return getitem(self, key)
+
+    monkeypatch.setattr(RationalMatrix, "__getitem__", counted)
+    for net in (
+        load("conserving_family.crn"),
+        parse_network(record_cli_golden.weighted_conserving_text(6, 8, 2)),
+    ):
+        report = sign_fix(net)
+        matrices = report.matrices()
+        for S, S_check, step in zip(matrices, matrices[1:], report.steps):
+            assert kernel_correspondence_check(S, S_check, step)
+        fixed, step = fix_one(net, find_bad_submatrices(stoichiometric_matrix(net))[0])
+        assert kernel_correspondence_check(
+            stoichiometric_matrix(net), stoichiometric_matrix(fixed), step
+        )
+    assert calls == []
 
 
 def test_chain_bases_never_reach_the_public_api():
