@@ -128,12 +128,12 @@ def _conserving(species: int, reactions: int, rng: random.Random, weights: List[
     for _ in range(reactions):
         k = rng.randint(1, 2)
         picked = rng.sample(names, 2 * k)
-        coefficients = [rng.choice(["1/2", "1", "2"]) for _ in range(k)]
+        coefficients = [rng.choice([Fraction(1, 2), Fraction(1), Fraction(2)]) for _ in range(k)]
         moved = [
-            Fraction(c) * weight[a] / weight[b]
+            c * weight[a] / weight[b]
             for c, a, b in zip(coefficients[::-1], picked[:k][::-1], picked[k:])
         ]
-        lhs = " + ".join(_term(Fraction(c), name) for c, name in zip(coefficients, picked[:k]))
+        lhs = " + ".join(_term(c, name) for c, name in zip(coefficients, picked[:k]))
         rhs = " + ".join(_term(c, name) for c, name in zip(moved, picked[k:]))
         lines.append(f"{lhs} -> {rhs}")
     return "\n".join(lines) + "\n"

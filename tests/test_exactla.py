@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+import record_cli_golden
 from conftest import FIXTURES, load, make_network
 from crnsign import exactla
 from crnsign.exactla import (
@@ -421,8 +422,6 @@ def test_is_conserving_stops_where_phase_1_is_decided(monkeypatch):
     pivot: with the left kernel cached, ``is_conserving`` makes no row
     update (about 78,000 when it pivoted on to the end of Bland's rule)
     and the witness is all ones."""
-    import record_cli_golden
-
     S = stoichiometric_matrix(parse_network(record_cli_golden.conserving_text(60, 160, 1)))
     assert kernel_basis(S, "left").dim > 0
     calls = []
@@ -464,8 +463,6 @@ def test_a_verify_style_chain_reads_no_single_dense_entry(monkeypatch):
     ``RationalMatrix.__getitem__`` (two reads per checked step and one per
     ``fix_one`` when they indexed it).  The weighted-law network's
     coefficients are fractional, so some recorded values are Fractions."""
-    import record_cli_golden
-
     calls = []
     getitem = RationalMatrix.__getitem__
 
@@ -694,8 +691,6 @@ def test_lifted_kernels_match_the_oracle_on_fractional_matrices(monkeypatch):
     column by column (left), and the rank-deficient conserving network of
     the CLI records: both kernels are lifted, certified and equal to the
     oracle's."""
-    import record_cli_golden
-
     rng = random.Random(12)
     for rows, cols, rank_ in ((20, 30, 16), (30, 22, 18)):
         a = _deficient(rng, rows, cols, rank_)
