@@ -142,8 +142,15 @@ def test_exact_jacobian_validations():
         ("1e2000A -> B\nB -> A", "reaction R1: a coefficient of species 'A'"),
         # net coefficient 0: only the exponent is beyond the float range
         ("1e2000A + B -> 1e2000A + C\nC -> B", "reaction R1: a coefficient of species 'A'"),
+        # reaction order first: a row-major walk of S's nonzeros meets R2's A first
+        ("A -> 1e2000B\n1e2000A -> C", "reaction R1: a coefficient of species 'B'"),
+        # net coefficients before exponents: A's exponent is converted after C's entry
+        (
+            "1e2000A + B -> 1e2000A + 1e2000C\nC -> B\nB -> C",
+            "reaction R1: a coefficient of species 'C'",
+        ),
     ],
-    ids=["product", "reactant", "exponent-only"],
+    ids=["product", "reactant", "exponent-only", "reaction-order", "entries-before-exponents"],
 )
 def test_coefficient_beyond_the_float_range_names_its_reaction_and_species(text, named):
     net = parse_network(text, allow_catalysts=True)
