@@ -11,7 +11,8 @@ the report to stdout, and ``graph`` always writes DOT.
 Exact matrices appear as "p/q" strings under ``_exact`` keys and
 floating-point data under ``_f64`` keys.  Exit codes: 0 on success, 1
 when a requested check fails, 2 on input errors: an unreadable or
-malformed file, a bad or non-finite flag value, an unwritable output file,
+malformed file, a bad or non-finite flag value (checked also where the
+run does not use it), an unwritable output file,
 a network the command cannot work on, a simulation longer than
 ``kinetics.MAX_STEPS`` steps, a ``--k-grid`` of more than
 ``kinetics.MAX_K_GRID_POINTS`` points, more than ``kinetics.MAX_SAMPLES``
@@ -307,6 +308,10 @@ def _convergence_section(report: spectra.ConvergenceReport) -> dict:
 
 def _cmd_analyze(args) -> _Outcome:
     net = _load_network(args)
+    if not args.k_grid:  # the spectral section checks them in its own order
+        if args.rates:
+            _floats(args.rates, "--rates", net.reaction_count)
+        _x0_for(net, args.x0)
     S = stoichiometric_matrix(net)
     badclasses = _badclasses_section(S)
     kernels = _kernels_section(S)
@@ -430,8 +435,7 @@ def _cmd_deficiency(args) -> _Outcome:
 
 
 def _cmd_equilibria(args) -> _Outcome:
-    if args.simulate:
-        _checked(kinetics.step_count, args.t_end, args.dt)
+    _checked(kinetics.step_count, args.t_end, args.dt)
     net = _load_network(args)
     rates = _rates_for(net, args.rates)
     sys_ = _checked(kinetics.MassActionSystem, net, rates)

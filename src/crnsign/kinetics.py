@@ -10,8 +10,9 @@ cross-checking.
 
 The float tables do not depend on the rates, so the first
 ``MassActionSystem`` over a ``Network`` builds them and keeps them on
-that network, as ``stoichiometric_matrix`` keeps S: the float S (the
-entries of that exact S converted by ``float``), the sparse reactant
+that network, as ``stoichiometric_matrix`` keeps S: the float S (each
+reaction's net coefficients, product minus reactant, converted by
+``float`` into its column), the sparse reactant
 terms as index arrays for the Jacobian, and a ``MonomialTable`` for the
 fluxes.  Every system over that network shares them and adds only its
 rates.  No ``Fraction`` arithmetic runs per
@@ -38,11 +39,12 @@ buffer for a whole run, so each RK4 stage costs a fixed number of numpy
 calls: a clamp into the buffer, the powers, the gather, the product and
 ``S @ v``.
 
-``exact_jacobian`` adds, per reaction, its reactant terms times the
-nonzeros of its column of S, not d x d' x d products.  ``simulate``
-takes at most ``MAX_STEPS`` steps, written into one preallocated
-(steps + 1, d) array, and checks the orthant once per ``CHECK_BLOCK``
-stored states; its error names the first step outside it.
+``exact_jacobian`` computes each reaction's slopes once and adds s
+times them over the nonzeros s of S's rows, not d x d' x d products.
+``simulate`` takes at most ``MAX_STEPS`` steps, written into one
+preallocated (steps + 1, d) array, and checks the orthant once per
+``CHECK_BLOCK`` stored states; its error names the first step outside
+it.
 ``step_count`` refuses a non-positive or infinite dt and a step count
 that is not finite or above the cap.  A NaN or infinite state is a
 ``ValueError``, and so is a coefficient beyond the float range, named by
@@ -204,15 +206,15 @@ def _rate_free_tables(network: Network) -> Tuple:
         return network._kinetics
     except AttributeError:
         pass
-    # The exact S, converted where a reaction has a term (the rest is 0),
-    # and the reactant exponents, sparse per reaction: [(species, exponent), ...]
-    exact = stoichiometric_matrix(network)
+    # Each reaction's net coefficient at each of its terms, converted into
+    # its column (the rest is 0), then its reactant exponents, sparse per
+    # reaction: [(species, exponent), ...]
     S = np.zeros((network.species_count, network.reaction_count))
     reactant_terms = []
     try:
         for k, r in enumerate(network.reactions):
             for j, _ in r.reactant.terms + r.product.terms:
-                S[j, k] = float(exact[j, k])
+                S[j, k] = float(r.product.coefficient(j) - r.reactant.coefficient(j))
             term = []
             for j, c in r.reactant.terms:
                 term.append((j, float(c)))
@@ -336,18 +338,17 @@ def exact_jacobian(
     float Jacobian and for exact characteristic polynomials.
 
     J[i][j] = sum_k S[i, k] V'[k][j] is accumulated sparsely: V'[k] is
-    nonzero only at reaction k's reactant terms and S[:, k] only at the
-    species of its terms, so each reaction adds the products of those
-    two short lists, as the float Jacobian's scatter does.
+    nonzero only at reaction k's reactant terms, so each reaction's
+    slopes V'[k][j] are computed once, and row i of J adds s times the
+    slopes of reaction k for each nonzero (k, s) of row i of S.
     """
-    S = stoichiometric_matrix(network)
     rates = [Fraction(r) for r in rates]
     xs = [Fraction(v) for v in x]
     if len(rates) != network.reaction_count:
         raise ValueError("one rate per reaction required")
     if len(xs) != network.species_count or any(v <= 0 for v in xs):
         raise ValueError("state must be strictly positive with one entry per species")
-    rows = [[Fraction(0)] * network.species_count for _ in range(network.species_count)]
+    slopes = []
     for k, reaction in enumerate(network.reactions):
         value = rates[k]
         for j, coeff in reaction.reactant.terms:
@@ -356,12 +357,12 @@ def exact_jacobian(
                     "exact jacobian requires integer reactant coefficients"
                 )
             value *= xs[j] ** int(coeff)
-        species = dict.fromkeys(i for i, _ in reaction.reactant.terms + reaction.product.terms)
-        column = [(i, S[i, k]) for i in species if S[i, k] != 0]
-        for j, coeff in reaction.reactant.terms:
-            slope = value * coeff / xs[j]
-            for i, s in column:
-                rows[i][j] += s * slope
+        slopes.append([(j, value * coeff / xs[j]) for j, coeff in reaction.reactant.terms])
+    rows = [[0] * network.species_count for _ in range(network.species_count)]
+    for J_i, row in zip(rows, stoichiometric_matrix(network).nonzeros()):
+        for k, s in row:
+            for j, slope in slopes[k]:
+                J_i[j] += s * slope
     return RationalMatrix(rows)
 
 

@@ -22,7 +22,9 @@ integer images, the exact strings) walk those.  ``stoichiometric_matrix`` builds
 straight from the reaction terms; the public constructor finds them by
 one scan of the entries it is given.  The dense views (indexing, rows,
 columns, ``entries()``) are read from the nonzeros on each call, and no
-copy of them is kept.
+copy of them is kept.  They serve the public API and the test oracles
+only: no production code reads them, and the test suite's replay of
+every golden CLI record asserts that it makes no call to any of them.
 
 A ``Complex`` is its sorted terms tuple and nothing more: it checks the
 terms in one pass, and its hash is the dataclass hash of the terms.  A

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from . import exactla
@@ -33,6 +32,7 @@ from .model import (
     Reaction,
     RationalMatrix,
     Species,
+    _exact,
     stoichiometric_matrix,
 )
 from .signcheck import BadClass, find_bad_submatrices
@@ -386,31 +386,29 @@ def verify_permutation_relation(
 def altfix(net: Network) -> Tuple[RationalMatrix, AltFixReport]:
     """Remove every bad submatrix with a single bordering row and column.
 
-    Each class's positive entry is zeroed; the new column accumulates, per
-    row, the sum of the values zeroed in that row; the new row gets a 1 in
-    every column where something was zeroed; the bottom-right entry is the
-    negative sum of the new row.  This is cheaper than per-class fixing
-    but does NOT preserve the kernel dimension, so equilibria of the two
-    systems do not correspond; the returned report documents that.
+    Each class's positive entry is zeroed; the new column holds, per row,
+    the sum of the values zeroed in that row; the new row holds a 1 in
+    every column where something was zeroed; the bottom-right entry is
+    minus the count of those columns.  s-tilde is built from S's rows of
+    nonzeros, each value in canonical form (1/2 + 1/2 moved into one cell
+    is the int 1).  This is cheaper than per-class fixing but does NOT
+    preserve the kernel dimension, so equilibria of the two systems do
+    not correspond; the returned report documents that.
 
     A network with no bad classes yields S bordered by zeros (flagged
     degenerate).
     """
     S = stoichiometric_matrix(net)
     classes = find_bad_submatrices(S)
-    entries = [list(row) for row in S.entries()]
-    new_col = [Fraction(0)] * S.rows
-    new_row = [Fraction(0)] * S.cols
-    for cls in classes:
-        q, ell = cls.positive_entry
-        new_col[q] += entries[q][ell]
-        new_row[ell] = Fraction(1)
-        entries[q][ell] = Fraction(0)
-    bottom_right = -sum(new_row, Fraction(0))
-    for i in range(S.rows):
-        entries[i].append(new_col[i])
-    entries.append(new_row + [bottom_right])
-    s_tilde = RationalMatrix(entries)
+    zeroed = {cls.positive_entry for cls in classes}
+    columns = sorted({ell for _, ell in zeroed})
+    rows = []
+    for q, row in enumerate(S.nonzeros()):
+        moved = sum(v for j, v in row if (q, j) in zeroed)
+        kept = tuple((j, v) for j, v in row if (q, j) not in zeroed)
+        rows.append(kept + ((S.cols, _exact(moved)),) if moved else kept)
+    rows.append(tuple((ell, 1) for ell in columns) + ((S.cols, -len(columns)),) if columns else ())
+    s_tilde = RationalMatrix._of_nonzeros(S.rows + 1, S.cols + 1, tuple(rows))
 
     report = AltFixReport(
         classes_removed=len(classes),

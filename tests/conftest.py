@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from crnsign.model import Network
+from crnsign.model import Network, RationalMatrix
 from crnsign.textio import parse_network
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +40,29 @@ def fixture_text(name: str) -> str:
 
 def load(name: str) -> Network:
     return parse_network(fixture_text(name))
+
+
+@pytest.fixture
+def dense_reads(monkeypatch):
+    """Record each call to a dense view of ``RationalMatrix``: ``entries``,
+    ``__getitem__``, ``row`` and ``column``, as (view, rows, cols).  The
+    package reads S through its nonzeros, so a test asserts the list
+    stays empty; ``column`` reads its entries by indexing, so a call to it
+    records those too."""
+    calls = []
+
+    def counted(name):
+        view = getattr(RationalMatrix, name)
+
+        def spy(self, *args):
+            calls.append((name, self.rows, self.cols))
+            return view(self, *args)
+
+        return spy
+
+    for name in ("entries", "__getitem__", "row", "column"):
+        monkeypatch.setattr(RationalMatrix, name, counted(name))
+    return calls
 
 
 @pytest.fixture(scope="session")

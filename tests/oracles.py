@@ -38,7 +38,8 @@ writer's oracle); and the dense readers of S (``dense_to_string_rows``,
 ``dense_sparse_image``, ``dense_sign_pattern``,
 ``dense_find_bad_submatrices``, ``dense_jacobian_sign_status`` and
 ``dense_check_single_positive_column``) as they were before they read
-S's nonzeros.  The ``sign_fix`` oracle enumerates its classes with that
+S's nonzeros; and ``altfix`` as it was before it bordered S's rows of
+nonzeros instead of a dense ``Fraction`` copy.  The ``sign_fix`` oracle enumerates its classes with that
 ``find_bad_submatrices`` and steps with that ``fix_one``; the
 ``delta_audit`` oracle recounts with that ``deficiency``.  Production
 code does not use them; the tests compare the package's versions against
@@ -62,6 +63,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, U
 
 import numpy as np
 
+from crnsign import exactla, signcheck
 from crnsign.deficiency import DeficiencyReport, DeltaAudit
 from crnsign.exactla import ConservationResult, KernelBasis, Vector
 from crnsign.kinetics import Terms, _check_state, jacobian
@@ -82,7 +84,7 @@ from crnsign.signcheck import (
     SignStatusMatrix,
     Status,
 )
-from crnsign.signfix import FixReport, FixStep, default_order
+from crnsign.signfix import AltFixReport, FixReport, FixStep, default_order
 from crnsign.spectra import DetSignSample, _fixed_system, _single_step
 from crnsign.textio import ParseError, _Token
 
@@ -1553,3 +1555,37 @@ def dense_check_single_positive_column(net: Network) -> bool:
         sum(c > 0 for c in S.column(cls.positive_entry[1])) == 1
         for cls in dense_find_bad_submatrices(S)
     )
+
+
+def altfix(net: Network) -> Tuple[RationalMatrix, AltFixReport]:
+    """The single-bordering shortcut as it was before it bordered S's rows
+    of nonzeros: a dense ``Fraction`` copy of S, bordered in ``Fraction``
+    arithmetic and handed to the public constructor, with the report
+    computed by the package's ``exactla``."""
+    S = stoichiometric_matrix(net)
+    classes = signcheck.find_bad_submatrices(S)
+    entries = [list(row) for row in S.entries()]
+    new_col = [Fraction(0)] * S.rows
+    new_row = [Fraction(0)] * S.cols
+    for cls in classes:
+        q, ell = cls.positive_entry
+        new_col[q] += entries[q][ell]
+        new_row[ell] = Fraction(1)
+        entries[q][ell] = Fraction(0)
+    bottom_right = -sum(new_row, Fraction(0))
+    for i in range(S.rows):
+        entries[i].append(new_col[i])
+    entries.append(new_row + [bottom_right])
+    s_tilde = RationalMatrix(entries)
+
+    report = AltFixReport(
+        classes_removed=len(classes),
+        degenerate=not classes,
+        kernel_dim_original=exactla.kernel_basis(S, "right").dim,
+        kernel_dim_alt=exactla.kernel_basis(s_tilde, "right").dim,
+        left_kernel_dim_original=exactla.kernel_basis(S, "left").dim,
+        left_kernel_dim_alt=exactla.kernel_basis(s_tilde, "left").dim,
+        conserving_original=exactla.is_conserving(S),
+        conserving_alt=exactla.is_conserving(s_tilde),
+    )
+    return s_tilde, report

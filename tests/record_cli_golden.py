@@ -201,6 +201,13 @@ def invocations() -> Dict[str, List[str]]:
     runs["two_ambiguous/signfix/order-bad"] = ["signfix", "fixtures/two_ambiguous.crn", "--order", "0"]
     runs["two_ambiguous/signfix/order-zebra"] = ["signfix", "fixtures/two_ambiguous.crn", "--order", "zebra"]
     runs["two_ambiguous/signfix/rates-count"] = ["signfix", "fixtures/two_ambiguous.crn", "--rate", "1,2,3"]
+    # flags a run does not use are still checked
+    runs["one_ambiguous/analyze/x0-nan"] = ["analyze", "fixtures/one_ambiguous.crn", "--x0", "nan"]
+    runs["one_ambiguous/analyze/rates-count"] = ["analyze", "fixtures/one_ambiguous.crn", "--rates", "1,2"]
+    runs["conserving_family/equilibria/t-end-nan"] = [
+        "equilibria", "fixtures/conserving_family.crn", "--t-end", "nan"
+    ]
+    runs["conserving_family/equilibria/dt-inf"] = ["equilibria", "fixtures/conserving_family.crn", "--dt", "inf"]
     for k in range(LARGE_COUNT):
         runs[f"large{k}/analyze"] = ["analyze", f"large{k}.crn"]
         runs[f"large{k}/deficiency/audit"] = ["deficiency", f"large{k}.crn", "--audit"]

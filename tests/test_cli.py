@@ -186,27 +186,8 @@ def test_two_builds_of_s_per_command(capsys, monkeypatch, argv):
     assert seen == [(7, 6), (9, 8)]
 
 
-def _counted_dense_reads(monkeypatch):
-    """Record each call to ``RationalMatrix.entries`` and each single
-    entry read through ``RationalMatrix.__getitem__``."""
-    calls = []
-    entries, getitem = RationalMatrix.entries, RationalMatrix.__getitem__
-
-    def counted_entries(self):
-        calls.append(("entries", self.rows, self.cols))
-        return entries(self)
-
-    def counted_getitem(self, key):
-        calls.append(("getitem", self.rows, self.cols))
-        return getitem(self, key)
-
-    monkeypatch.setattr(RationalMatrix, "entries", counted_entries)
-    monkeypatch.setattr(RationalMatrix, "__getitem__", counted_getitem)
-    return calls
-
-
 def test_analyze_of_a_large_network_reads_s_through_its_nonzeros(
-    capsys, monkeypatch, tmp_path, large_networks
+    capsys, dense_reads, tmp_path, large_networks
 ):
     """On each ``large`` network no reader of S walks all its entries or
     reads one through the dense view: the bad classes, the fix, the
@@ -214,29 +195,27 @@ def test_analyze_of_a_large_network_reads_s_through_its_nonzeros(
     check read the nonzeros (8 calls per network to ``entries()`` before
     they did, and one indexing per bad class before the bad-classes
     section read its values from S's rows)."""
-    calls = _counted_dense_reads(monkeypatch)
     for k, net in enumerate(large_networks):
         path = tmp_path / f"large{k}.crn"
         path.write_text(network_text(net), encoding="utf-8")
         _run_json(capsys, "analyze", str(path))
-    assert calls == []
+    assert dense_reads == []
 
 
 def test_analyze_of_corpus_networks_reads_s_through_its_nonzeros(
-    capsys, monkeypatch, tmp_path, corpus
+    capsys, dense_reads, tmp_path, corpus
 ):
     """On the first 100 corpus networks no reader of S walks all its
     entries or indexes one: ``is_conserving`` builds its simplex
     equations from S's nonzeros (40 calls to ``entries()`` when it read
     them), and the bad-classes section reads each class's value from its
     row's nonzeros (one indexing per class before)."""
-    calls = _counted_dense_reads(monkeypatch)
     conserving = 0
     for k, net in enumerate(corpus[:100]):
         path = tmp_path / f"corpus{k}.crn"
         path.write_text(network_text(net), encoding="utf-8")
         conserving += _run_json(capsys, "analyze", str(path))["kernels"]["conserving"]
-    assert calls == []
+    assert dense_reads == []
     assert conserving > 0
 
 
@@ -482,11 +461,22 @@ def test_zero_samples_is_an_input_error(capsys, command):
         ["equilibria", CONSERVING, "--simulate", "--t-end", "1", "--dt", "1e-300"],
         ["spectra", DEF_JUMP, "--k-grid", "1:1e6:7:junk"],
         ["analyze", DEF_JUMP, "--k-grid", "1:1e6:7:junk"],
+        # flags the run does not use: no --k-grid, no --simulate
+        ["analyze", ONE_AMBIGUOUS, "--x0", "nan"],
+        ["analyze", ONE_AMBIGUOUS, "--x0", "-1"],
+        ["analyze", ONE_AMBIGUOUS, "--x0", "1,1,-1"],
+        ["analyze", ONE_AMBIGUOUS, "--rates", "abc"],
+        ["analyze", ONE_AMBIGUOUS, "--rates", "1,2"],
+        ["equilibria", CONSERVING, "--t-end", "nan"],
+        ["equilibria", CONSERVING, "--t-end", "-5"],
+        ["equilibria", CONSERVING, "--dt", "inf"],
     ],
     ids=[
         "rates-nan", "rates-inf", "x0-nan", "x0-inf", "t-end-negative", "dt-nan", "k-grid-inf",
         "rate-inf", "rate-out-of-range", "report-nan", "report-nan-plain", "step-count-overflow",
         "step-count-over-cap", "spectra-k-grid-extra-part", "analyze-k-grid-extra-part",
+        "unused-x0-nan", "unused-x0-count", "unused-x0-negative", "unused-rates-abc",
+        "unused-rates-count", "unused-t-end-nan", "unused-t-end-negative", "unused-dt-inf",
     ],
 )
 def test_non_finite_or_non_positive_flag_is_an_input_error(capsys, argv):
@@ -545,6 +535,16 @@ def test_partly_rated_network_from_signfix_needs_rates(capsys, tmp_path):
     code, out, err = _run(capsys, "equilibria", str(fixed))
     assert (code, out) == (2, "")
     assert err.startswith("error: reaction R1 ") and "--rates" in err
+
+
+def test_analyze_of_a_partly_rated_network_needs_no_rates(capsys, tmp_path):
+    """Without --k-grid and --rates, ``analyze`` reads no rate, so a file
+    that rates some reactions only is no error, also when --x0 is given
+    (and checked)."""
+    path = tmp_path / "partly_rated.crn"
+    path.write_text(PARTLY_RATED_BAD, encoding="utf-8")
+    assert _run(capsys, "analyze", str(path))[0] == 0
+    assert _run(capsys, "analyze", str(path), "--x0", "1,1,1")[0] == 0
 
 
 def _capped(over):
@@ -713,13 +713,18 @@ def test_simulate_leaving_the_orthant_is_an_input_error(capsys):
     assert err.startswith("error: ")
 
 
-def test_cli_matches_golden(tmp_path):
-    """Every recorded invocation prints, writes and exits as it did when recorded."""
+def test_cli_matches_golden(tmp_path, dense_reads):
+    """Every recorded invocation prints, writes and exits as it did when
+    recorded, and none reads a matrix through a dense view: ``altfix``
+    borders S's rows of nonzeros and the kinetics tables convert each
+    reaction's net coefficients (13 calls to ``entries()`` and 2,084
+    indexings in all when they read the dense views)."""
     golden = json.loads(record_cli_golden.GOLDEN.read_text(encoding="utf-8"))
     records = record_cli_golden.record_all(tmp_path)
     assert list(records) == list(golden)
     changed = [key for key in golden if records[key] != golden[key]]
     assert changed == [], {key: (golden[key], records[key]) for key in changed[:3]}
+    assert dense_reads == []
 
 
 def test_graph_dot_output(capsys, deficiency_jump):

@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 
 import oracles
 import record_cli_golden
-from conftest import FIXTURES, fixture_text, load, network_text
+from conftest import FIXTURES, fixture_text, is_canonical, load, network_text
 from crnsign.textio import parse_network
-from crnsign import exactla, kinetics, spectra, textio
+from crnsign import exactla, kinetics, signfix, spectra, textio
 from crnsign.deficiency import (
     check_single_positive_column,
     complexes_decomposition,
@@ -1267,3 +1267,55 @@ def test_audit_matches_oracle_on_parsed_and_shared_chains(corpus):
         shared = _shared_complexes(net)
         assert shared == net and _distinct_equal_complexes(shared) == 0
         _assert_same_audits(shared)
+
+
+# ------------------------------------------------ single-bordering shortcut
+
+
+def _assert_altfix_like_oracle(net):
+    """``altfix`` borders S's rows of nonzeros into the s-tilde and report
+    the dense ``Fraction`` construction gave, every stored value in
+    canonical form (equality alone would pass a ``Fraction(1)``)."""
+    s_tilde, report = signfix.altfix(dataclasses.replace(net))
+    expected, expected_report = oracles.altfix(dataclasses.replace(net))
+    assert s_tilde == expected
+    assert s_tilde.to_string_rows() == expected.to_string_rows()
+    assert all(is_canonical(v) for row in s_tilde.nonzeros() for _, v in row)
+    assert report == expected_report
+    return s_tilde, report
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.crn")))
+def test_altfix_matches_dense_oracle_on_fixtures(name):
+    _assert_altfix_like_oracle(load(name))
+
+
+def test_altfix_matches_dense_oracle_on_corpus(corpus):
+    degenerate = sum(_assert_altfix_like_oracle(net)[1].degenerate for net in corpus)
+    assert 0 < degenerate < len(corpus)
+
+
+@pytest.mark.parametrize("seed", [2, 3, 5])
+def test_altfix_matches_dense_oracle_on_weighted_law_networks(seed):
+    """Fractional moved values; the weighted law of S is lost in s-tilde."""
+    net = parse_network(record_cli_golden.weighted_conserving_text(20, 30, seed))
+    _, report = _assert_altfix_like_oracle(net)
+    assert report.conserving_original.conserving and not report.conserving_alt.conserving
+
+
+def test_altfix_without_bad_classes_borders_s_by_zeros():
+    net = parse_network("A -> B\nB -> C\n")
+    s_tilde, report = _assert_altfix_like_oracle(net)
+    assert report.degenerate and report.classes_removed == 0
+    assert s_tilde.nonzeros() == stoichiometric_matrix(net).nonzeros() + ((),)
+
+
+def test_altfix_sums_two_halves_into_the_int_1():
+    """Both classes of row C move 1/2 into its new column: the cell holds
+    the int 1, not ``Fraction(1)``."""
+    net = parse_network("A -> 1/2C\nD -> 1/2C\nA + C -> B\nD + C -> B\n")
+    s_tilde, report = _assert_altfix_like_oracle(net)
+    c = [s.name for s in net.species].index("C")
+    assert report.classes_removed == 2
+    assert s_tilde.nonzeros()[c][-1] == (net.reaction_count, 1)
+    assert type(s_tilde.nonzeros()[c][-1][1]) is int

@@ -456,21 +456,13 @@ def test_kernel_correspondence_chain_eliminates_each_matrix_once_per_side(monkey
         assert M._cache["rank"] == oracles.rank(M)
 
 
-def test_a_verify_style_chain_reads_no_single_dense_entry(monkeypatch):
+def test_a_verify_style_chain_reads_no_single_dense_entry(dense_reads):
     """``sign_fix``, ``fix_one`` and each step's
     ``kernel_correspondence_check`` read the entry at a class's positive
     position from its row's nonzeros, never through
     ``RationalMatrix.__getitem__`` (two reads per checked step and one per
     ``fix_one`` when they indexed it).  The weighted-law network's
     coefficients are fractional, so some recorded values are Fractions."""
-    calls = []
-    getitem = RationalMatrix.__getitem__
-
-    def counted(self, key):
-        calls.append(key)
-        return getitem(self, key)
-
-    monkeypatch.setattr(RationalMatrix, "__getitem__", counted)
     for net in (
         load("conserving_family.crn"),
         parse_network(record_cli_golden.weighted_conserving_text(6, 8, 2)),
@@ -483,7 +475,7 @@ def test_a_verify_style_chain_reads_no_single_dense_entry(monkeypatch):
         assert kernel_correspondence_check(
             stoichiometric_matrix(net), stoichiometric_matrix(fixed), step
         )
-    assert calls == []
+    assert dense_reads == []
 
 
 def test_chain_bases_never_reach_the_public_api():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import make_network
 from crnsign import spectra
+from crnsign.deficiency import delta_audit
 from crnsign.kinetics import MassActionSystem, jacobian
 from crnsign.model import stoichiometric_matrix
 from crnsign.signcheck import find_bad_submatrices
@@ -256,6 +257,19 @@ def test_char_poly_relation_validation(two_ambiguous, deficiency_jump):
     multi = sign_fix(deficiency_jump)
     with pytest.raises(ValueError, match="one-step"):
         char_poly_relation(multi, [Fraction(1)] * 3, [Fraction(1)] * 3)
+
+
+def test_char_poly_relation_and_audit_read_no_dense_view(dense_reads, deficiency_jump, conserving_family):
+    """``char_poly_relation`` builds its four exact Jacobians over S's row
+    nonzeros (84 and 140 indexings of S when ``exact_jacobian`` read
+    S[i, k]); ``delta_audit`` of a full fix reads no dense view either."""
+    for net in (deficiency_jump, conserving_family):
+        half = [Fraction(1, 2)] * net.reaction_count
+        relation = char_poly_relation(fix_one_report(net), half, [Fraction(3)] * net.species_count)
+        assert relation.passed
+        report = sign_fix(net)
+        assert len(delta_audit(report)) == len(report.steps)
+    assert dense_reads == []
 
 
 def _rational_point(rng, report):
