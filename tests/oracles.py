@@ -39,9 +39,10 @@ writer's oracle); and the dense readers of S (``dense_to_string_rows``,
 ``dense_find_bad_submatrices``, ``dense_jacobian_sign_status`` and
 ``dense_check_single_positive_column``) as they were before they read
 S's nonzeros; and ``altfix`` as it was before it bordered S's rows of
-nonzeros instead of a dense ``Fraction`` copy.  The ``sign_fix`` oracle enumerates its classes with that
-``find_bad_submatrices`` and steps with that ``fix_one``; the
-``delta_audit`` oracle recounts with that ``deficiency``.  Production
+nonzeros instead of a dense ``Fraction`` copy.  The ``sign_fix`` oracle
+enumerates its classes with that ``find_bad_submatrices`` and steps with
+that ``fix_one``; the ``delta_audit`` oracle recounts with that
+``deficiency``; the ``altfix`` oracle takes the package's classes.  Production
 code does not use them; the tests compare the package's versions against
 them on the same inputs.
 
