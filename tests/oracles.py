@@ -52,7 +52,10 @@ oracles called; ``transpose``, ``multiply``, ``identity`` and
 ``with_entry`` were ``RationalMatrix`` methods that only these oracles
 and the tests called once the characteristic polynomial no longer
 multiplied matrices; ``_class_of`` was the audit's lookup of a linkage
-class before the recount returned each complex's root.
+class before the recount returned each complex's root.  ``_check_state``
+is a copy of the package's state check as these oracles were written
+against it (a negative state passes when ``positive`` is false), so a
+change to the package's state rule does not change an oracle.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ import numpy as np
 from crnsign import exactla, signcheck
 from crnsign.deficiency import DeficiencyReport, DeltaAudit
 from crnsign.exactla import ConservationResult, KernelBasis, Vector
-from crnsign.kinetics import Terms, _check_state, jacobian
+from crnsign.kinetics import Terms, jacobian
 from crnsign.model import (
     Complex,
     Network,
@@ -784,6 +787,22 @@ def monomials(
             value = float(value)
         out.append(value)
     return out
+
+
+def _check_state(sys: MassActionSystem, x: Sequence[float], positive: bool) -> np.ndarray:
+    """The package's state check as the oracles were written against it:
+    shape, then finite, then strictly positive when ``positive`` (a
+    negative state passes when it is not)."""
+    arr = np.asarray(x, dtype=float)
+    if arr.shape != (sys.species_count,):
+        raise ValueError(
+            f"state must have {sys.species_count} coordinates, got shape {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
+        raise ValueError("state must be finite")
+    if positive and not (arr > 0).all():
+        raise ValueError("state must be strictly positive")
+    return arr
 
 
 def flux(sys: MassActionSystem, x: Sequence[float]) -> np.ndarray:
