@@ -163,6 +163,18 @@ def _sample_points(rng: random.Random, dim: int, count: int) -> List[List[float]
     return [[10 ** rng.uniform(-1, 1) for _ in range(dim)] for _ in range(count)]
 
 
+def _one_step_convergence(args, net: Network):
+    """The system, one-step report, x_hat, k grid and eigenvalue
+    convergence that ``analyze --k-grid`` and ``spectra`` share, each
+    input checked in that order."""
+    sys_ = _checked(kinetics.MassActionSystem, net, _rates_for(net, args.rates))
+    one_step = _checked(signfix.fix_one_report, net)
+    x_hat = _x0_for(net, args.x0) + [1.0]
+    grid = _k_grid(args.k_grid)
+    conv = _checked(spectra.eigen_convergence, sys_, one_step, x_hat, grid)
+    return sys_, one_step, x_hat, grid, conv
+
+
 def _complex_pairs(values: Sequence[complex]) -> List[List[float]]:
     return [[z.real, z.imag] for z in values]
 
@@ -330,18 +342,7 @@ def _cmd_analyze(args) -> _Outcome:
     if args.k_grid:
         if not badclasses:
             raise _InputError("--k-grid requested but the network has no bad classes")
-        rates = _rates_for(net, args.rates)
-        one_step = _checked(signfix.fix_one_report, net)
-        x_hat = _x0_for(net, args.x0) + [1.0]
-        spectra_section = _convergence_section(
-            _checked(
-                spectra.eigen_convergence,
-                _checked(kinetics.MassActionSystem, net, rates),
-                one_step,
-                x_hat,
-                _k_grid(args.k_grid),
-            )
-        )
+        spectra_section = _convergence_section(_one_step_convergence(args, net)[-1])
 
     report = {
         "network": textio.network_to_json(net),
@@ -493,12 +494,7 @@ def _cmd_equilibria(args) -> _Outcome:
 
 def _cmd_spectra(args) -> _Outcome:
     net = _load_network(args)
-    rates = _rates_for(net, args.rates)
-    sys_ = _checked(kinetics.MassActionSystem, net, rates)
-    one_step = _checked(signfix.fix_one_report, net)
-    x_hat = _x0_for(net, args.x0) + [1.0]
-    grid = _k_grid(args.k_grid)
-    conv = _checked(spectra.eigen_convergence, sys_, one_step, x_hat, grid)
+    sys_, one_step, x_hat, grid, conv = _one_step_convergence(args, net)
 
     det_checks = []
     for k in (1.0, 10.0, 100.0):

@@ -273,6 +273,8 @@ class MassActionSystem:
 
 
 def _check_state(sys: MassActionSystem, x: Sequence[float], positive: bool) -> np.ndarray:
+    """The one state rule: x as a float array of shape (d,), finite, and
+    strictly positive (``positive``) or nonnegative, checked in that order."""
     arr = np.asarray(x, dtype=float)
     if arr.shape != (sys.species_count,):
         raise ValueError(
@@ -282,15 +284,14 @@ def _check_state(sys: MassActionSystem, x: Sequence[float], positive: bool) -> n
         raise ValueError("state must be finite")
     if positive and not (arr > 0).all():
         raise ValueError("state must be strictly positive")
+    if not positive and (arr < 0).any():
+        raise ValueError("state must be nonnegative")
     return arr
 
 
 def flux(sys: MassActionSystem, x: Sequence[float]) -> np.ndarray:
     """Reaction fluxes v(x); x must be finite and componentwise nonnegative."""
-    arr = _check_state(sys, x, positive=False)
-    if (arr < 0).any():
-        raise ValueError("state must be nonnegative")
-    return _flux(sys, arr)
+    return _flux(sys, _check_state(sys, x, positive=False))
 
 
 def _flux(sys: MassActionSystem, arr: np.ndarray) -> np.ndarray:
@@ -588,8 +589,6 @@ def simulate(
     """
     steps = step_count(t_end, dt)
     x = _check_state(sys, x0, positive=False)
-    if (x < 0).any():
-        raise ValueError("initial state must be nonnegative")
     times = np.arange(steps + 1) * dt
     states = np.empty((steps + 1, sys.species_count))
     states[0] = x

@@ -13,9 +13,11 @@ polynomial identity itself is verified exactly, at any number of
 species, by interpolating in k over the rationals.
 
 None of this requires an equilibrium: every relation is an algebraic
-identity in the state, so checks run at arbitrary positive points.  A
-state is checked to be finite before it is checked to be positive, with
-``kinetics``' messages.
+identity in the state, so checks run at arbitrary positive points.  The
+three float checks enter through one check, ``_check_report``: the
+report is a one-step fix of the system's network.  x_hat is then
+checked against the fixed system, and each sample point against the
+original one, by ``kinetics``' one state rule.
 
 ``eigen_convergence`` builds one fixed system per k, all sharing the
 fixed network's tables.  ``char_poly_relation`` computes four exact
@@ -57,20 +59,12 @@ def _single_step(report: FixReport) -> None:
         )
 
 
-def _check_pair(sys: MassActionSystem, report: FixReport, x_hat: Sequence[float]):
-    """Validate (sys, report, x_hat) and return (x, x_hat as arrays)."""
+def _check_report(sys: MassActionSystem, report: FixReport) -> None:
+    """The entry check of the three float checks: ``report`` must be a
+    one-step fix of ``sys``'s network."""
     _single_step(report)
     if sys.network != report.original:
         raise ValueError("system does not match the report's original network")
-    d = report.original.species_count
-    arr = np.asarray(x_hat, dtype=float)
-    if arr.shape != (d + 1,):
-        raise ValueError(f"fixed-system state must have {d + 1} coordinates")
-    if not np.isfinite(arr).all():
-        raise ValueError("state must be finite")
-    if not np.all(arr > 0):
-        raise ValueError("state must be strictly positive")
-    return arr[:d], arr
 
 
 def _fixed_system(sys: MassActionSystem, report: FixReport, k: float) -> MassActionSystem:
@@ -99,24 +93,20 @@ def det_relation_check(
     report: FixReport,
     x_hat: Sequence[float],
     k: float,
-    jacobian_original: Optional[np.ndarray] = None,
-    jacobian_fixed: Optional[np.ndarray] = None,
 ) -> DetRelationResult:
-    """Check det J_k(x_hat) = -k det J(x) for a one-step fix.
+    """Check det J_k(x_hat) = -k det J(x) for a one-step fix, where x is
+    x_hat without its last coordinate.
 
     Holds pointwise at every positive x_hat, so the point need not be an
-    equilibrium.  The optional Jacobian overrides exist so tests can
-    inject a corrupted matrix and confirm the check fails.
+    equilibrium.
     """
     if not k > 0:
         raise ValueError("k must be positive")
-    x, x_hat_arr = _check_pair(sys, report, x_hat)
-    if jacobian_original is None:
-        jacobian_original = jacobian(sys, x)
-    if jacobian_fixed is None:
-        jacobian_fixed = jacobian(_fixed_system(sys, report, k), x_hat_arr)
-    det_j = float(np.linalg.det(np.asarray(jacobian_original, dtype=float)))
-    det_jk = float(np.linalg.det(np.asarray(jacobian_fixed, dtype=float)))
+    _check_report(sys, report)
+    fixed = _fixed_system(sys, report, k)
+    x_hat_arr = _check_state(fixed, x_hat, positive=True)
+    det_j = float(np.linalg.det(jacobian(sys, x_hat_arr[:-1])))
+    det_jk = float(np.linalg.det(jacobian(fixed, x_hat_arr)))
     residual = abs(det_jk + k * det_j)
     tolerance = 1e-9 * (1.0 + k * abs(det_j))
     return DetRelationResult(
@@ -213,7 +203,7 @@ def eigen_convergence(
     cluster flag is set (not failed) when eig(J) contains eigenvalues
     closer than the matching resolution.
     """
-    x, x_hat_arr = _check_pair(sys, report, x_hat)
+    _check_report(sys, report)
     ks = [float(k) for k in k_grid]
     if len(ks) < 5:
         raise ValueError("k grid must have at least 5 points")
@@ -221,8 +211,10 @@ def eigen_convergence(
         raise ValueError("k grid must be positive and strictly increasing")
     if ks[-1] / ks[0] < 1e4:
         raise ValueError("k grid must span at least 4 decades")
+    systems = [_fixed_system(sys, report, k) for k in ks]
+    x_hat_arr = _check_state(systems[0], x_hat, positive=True)
 
-    eig_j = eigenvalues(jacobian(sys, x))
+    eig_j = eigenvalues(jacobian(sys, x_hat_arr[:-1]))
     scale = 1.0 + max(abs(z) for z in eig_j)
     resolution = 1e-3 * scale
     clustered = any(
@@ -233,8 +225,8 @@ def eigen_convergence(
     escapers: List[complex] = []
     all_fixed: List[Tuple[complex, ...]] = []
     matched_at_largest: List[complex] = []
-    for k in ks:
-        eig_fixed = eigenvalues(jacobian(_fixed_system(sys, report, k), x_hat_arr))
+    for k, fixed in zip(ks, systems):
+        eig_fixed = eigenvalues(jacobian(fixed, x_hat_arr))
         pairs, leftover = _greedy_match(eig_fixed, eig_j)
         matched_errors.append(
             max(abs(eig_fixed[fi] - eig_j[ti]) for fi, ti in pairs)
@@ -353,12 +345,10 @@ def char_poly_relation(
     if d < 2:
         raise ValueError("need at least 2 species for the degree bound to say anything")
     rates = [Fraction(r) for r in rates]
-    xs = [Fraction(v) for v in x]
-    if len(xs) != d or any(v <= 0 for v in xs):
-        raise ValueError("state must be strictly positive with one entry per species")
-    x_hat = xs + [Fraction(1)]  # fixed Jacobian does not depend on the added coordinate
+    x_hat = list(x) + [1]  # fixed Jacobian does not depend on the added coordinate
 
-    p_direct = tuple(exactla.char_poly(exact_jacobian(report.original, rates, xs)))
+    # exact_jacobian checks the state
+    p_direct = tuple(exactla.char_poly(exact_jacobian(report.original, rates, x)))
     p_at = {}
     for k in (1, 2, 3):
         j_hat = exact_jacobian(report.result, rates + [Fraction(k)], x_hat)
@@ -413,8 +403,9 @@ def det_sign_sampling(
     of row norms), which keeps float noise from a singular matrix with
     large entries from reading as a sign.
 
-    Every point is checked first, in order, as ``kinetics.jacobian``
-    checks a state, so the first bad point raises its ``ValueError``.
+    After the report, every point is checked, in order, as
+    ``kinetics.jacobian`` checks a state, so the first bad point raises
+    its ``ValueError``.
     The Jacobians are then evaluated on stacks of at most 32 points: one
     monomial-table call, one scatter into V', one S @ V', one
     ``np.linalg.det`` and one row-norm product per system and stack.
@@ -423,7 +414,7 @@ def det_sign_sampling(
     point-by-point evaluation; the cap keeps the stacked arrays, and so
     the peak memory, small.
     """
-    _single_step(report)
+    _check_report(sys, report)
     if not points:
         raise ValueError("at least one sample point required")
     fixed = _fixed_system(sys, report, k)

@@ -332,9 +332,9 @@ def test_simulate_rejects_a_negative_initial_state():
     """A negative x0 is an input error of its own, not a step-size one;
     zero coordinates stay allowed."""
     sys = MassActionSystem(parse_network("A -> B"), [1.0])
-    with pytest.raises(ValueError, match="^initial state must be nonnegative$"):
+    with pytest.raises(ValueError, match="^state must be nonnegative$"):
         simulate(sys, [-1.0, 1.0], t_end=1.0, dt=0.1)
-    with pytest.raises(ValueError, match="^initial state must be nonnegative$"):
+    with pytest.raises(ValueError, match="^state must be nonnegative$"):
         simulate(sys, [1.0, -1e-300], t_end=1.0, dt=0.1)
     times, states = simulate(sys, [0.0, 1.0], t_end=1.0, dt=0.1)
     assert states[-1].tolist() == [0.0, 1.0]

@@ -116,15 +116,18 @@ def test_det_relation_at_random_points(invertible_net):
             assert det_relation_check(sys, report, x_hat, k).passed
 
 
-def test_det_relation_detects_perturbation(invertible_net):
+def test_det_relation_detects_perturbation(invertible_net, monkeypatch):
     report = fix_one_report(invertible_net)
     sys = _unit_system(invertible_net)
-    J = jacobian(sys, _ones(3))
-    J_perturbed = J.copy()
-    J_perturbed[0, 0] += 1e-3
-    result = det_relation_check(
-        sys, report, _ones(4), 1.0, jacobian_original=J_perturbed
-    )
+
+    def perturbed(system, x):
+        J = jacobian(system, x)
+        if system is sys:
+            J[0, 0] += 1e-3
+        return J
+
+    monkeypatch.setattr(spectra, "jacobian", perturbed)
+    result = det_relation_check(sys, report, _ones(4), 1.0)
     assert not result.passed
     assert result.residual > result.tolerance
 
@@ -335,6 +338,15 @@ def test_det_sign_sampling_pointwise_opposition(invertible_net, deficiency_jump)
         for a, b in zip(sample.signs_original, sample.signs_fixed):
             assert b == -a
         assert det_sign_sampling(sys, report, points, k=10.0).passed
+
+
+def test_det_sign_sampling_checks_the_system_against_the_report(deficiency_jump):
+    """A system of another network is refused, as the other two float
+    checks refuse it."""
+    cycle = MassActionSystem(parse_network("A -> B\nB -> C\nC -> A\n"), [1.0] * 3)
+    report = fix_one_report(deficiency_jump)
+    with pytest.raises(ValueError, match="^system does not match the report's original network$"):
+        det_sign_sampling(cycle, report, [_ones(3)])
 
 
 def test_det_sign_sampling_zero_case(deficiency_jump):
