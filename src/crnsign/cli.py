@@ -12,14 +12,15 @@ Exact matrices appear as "p/q" strings under ``_exact`` keys and
 floating-point data under ``_f64`` keys.  Exit codes: 0 on success, 1
 when a requested check fails, 2 on input errors: an unreadable or
 malformed file, a bad or non-finite flag value (checked also where the
-run does not use it), an unwritable output file,
-a network the command cannot work on, a simulation longer than
-``kinetics.MAX_STEPS`` steps, a ``--k-grid`` of more than
-``kinetics.MAX_K_GRID_POINTS`` points, more than ``kinetics.MAX_SAMPLES``
-``--samples``, or a report that would hold a non-finite number.  numpy's
-floating-point warnings are silenced while a command runs, so stderr
-holds only the ``error:`` line.  ``--seed`` belongs to the two commands
-that sample states, ``spectra`` and ``decompose``.
+run does not use it), ``--traj-csv`` without ``--simulate``, an
+unwritable output file, a network the command cannot work on, a
+simulation longer than ``kinetics.MAX_STEPS`` steps, a ``--k-grid`` of
+more than ``kinetics.MAX_K_GRID_POINTS`` points, more than
+``kinetics.MAX_SAMPLES`` ``--samples``, or a report that would hold a
+non-finite number.  numpy's floating-point warnings are silenced while a
+command runs, so stderr holds only the ``error:`` line.  ``--seed``
+belongs to the two commands that sample states, ``spectra`` and
+``decompose``.
 """
 
 from __future__ import annotations
@@ -437,6 +438,8 @@ def _cmd_deficiency(args) -> _Outcome:
 
 def _cmd_equilibria(args) -> _Outcome:
     _checked(kinetics.step_count, args.t_end, args.dt)
+    if args.traj_csv and not args.simulate:
+        raise _InputError("--traj-csv needs --simulate")
     net = _load_network(args)
     rates = _rates_for(net, args.rates)
     sys_ = _checked(kinetics.MassActionSystem, net, rates)

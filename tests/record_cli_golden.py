@@ -208,6 +208,9 @@ def invocations() -> Dict[str, List[str]]:
         "equilibria", "fixtures/conserving_family.crn", "--t-end", "nan"
     ]
     runs["conserving_family/equilibria/dt-inf"] = ["equilibria", "fixtures/conserving_family.crn", "--dt", "inf"]
+    runs["conserving_family/equilibria/traj-csv"] = [
+        "equilibria", "fixtures/conserving_family.crn", "--traj-csv", "traj.csv"
+    ]
     for k in range(LARGE_COUNT):
         runs[f"large{k}/analyze"] = ["analyze", f"large{k}.crn"]
         runs[f"large{k}/deficiency/audit"] = ["deficiency", f"large{k}.crn", "--audit"]

@@ -596,6 +596,15 @@ def test_step_cap_is_checked_before_the_network_is_read(capsys, tmp_path):
     assert "exceeds the limit" in err
 
 
+def test_traj_csv_without_simulate_is_checked_before_the_network_is_read(capsys, tmp_path):
+    """The flag was dropped without a word (exit 0, no file)."""
+    target = tmp_path / "traj.csv"
+    for source in (CONSERVING, str(tmp_path / "missing.crn")):
+        code, out, err = _run(capsys, "equilibria", source, "--traj-csv", str(target))
+        assert (code, out, err) == (2, "", "error: --traj-csv needs --simulate\n")
+    assert not target.exists()
+
+
 def test_numeric_warnings_do_not_precede_the_error_line():
     """Run as a process, where numpy's warnings would reach stderr."""
     src = Path(__file__).resolve().parent.parent / "src"
