@@ -1,9 +1,10 @@
 """Record what ``crnsign`` prints and writes for a fixed set of invocations.
 
 Each invocation runs ``crnsign.cli.main`` in this process, inside a work
-directory that holds a copy of ``fixtures/`` plus a catalyst network and an
-empty file, the benchmark's two ``large`` networks (30 species, 80
-reactions, written by ``perfbench/gen.network_text``), the first
+directory that holds a copy of ``fixtures/`` plus two catalyst networks
+(one whose fix fails) and an empty file, the benchmark's two ``large``
+networks (30 species, 80 reactions, written by
+``perfbench/gen.network_text``), the first
 ``KINETICS_COUNT`` networks of the benchmark's ``kinetics`` workload (20
 species, 50 reactions with rates), a 60-species, 160-reaction network, a
 rank-deficient 20 x 30 network (``conserving_text``), a 60 x 160 network
@@ -44,6 +45,8 @@ GOLDEN = HERE / "cli_golden.json"
 GEN = HERE.parent / "perfbench" / "gen.py"
 
 CATALYST = "A + B -> 2B\nB -> A\n"
+# One bad class, at (A, R1), whose fix fails: A is consumed by R1.
+CATALYTIC_FIX = "A + B -> 2A\nA + B -> C\n"
 SUBCOMMANDS = ["analyze", "signfix", "altfix", "deficiency", "equilibria", "spectra", "graph", "decompose"]
 # The benchmark's ``large`` workload at its pinned seed: two networks of this size.
 LARGE_SIZE, LARGE_COUNT = (30, 80), 2
@@ -195,6 +198,13 @@ def invocations() -> Dict[str, List[str]]:
     runs["catalyst/analyze"] = ["analyze", "catalyst.crn"]
     runs["catalyst/analyze/allow"] = ["analyze", "catalyst.crn", "--allow-catalysts"]
     runs["catalyst/analyze/allow/plain"] = ["analyze", "catalyst.crn", "--allow-catalysts", "--plain"]
+    runs["catalytic_fix/analyze/allow"] = ["analyze", "catalytic_fix.crn", "--allow-catalysts"]
+    runs["catalytic_fix/analyze/allow/plain"] = [
+        "analyze", "catalytic_fix.crn", "--allow-catalysts", "--plain"
+    ]
+    runs["catalytic_fix/analyze/allow/k-grid"] = [
+        "analyze", "catalytic_fix.crn", "--allow-catalysts", "--k-grid", "1:1e6:7"
+    ]
     for command in SUBCOMMANDS:
         runs[f"missing/{command}"] = [command, "missing.crn"]
         runs[f"empty/{command}"] = [command, "empty.crn"]
@@ -256,6 +266,7 @@ def record_all(workdir: Path) -> Dict[str, dict]:
     """Run every invocation inside ``workdir`` (left holding the inputs)."""
     shutil.copytree(FIXTURES, workdir / "fixtures")
     (workdir / "catalyst.crn").write_text(CATALYST, encoding="utf-8")
+    (workdir / "catalytic_fix.crn").write_text(CATALYTIC_FIX, encoding="utf-8")
     (workdir / "empty.crn").write_text("", encoding="utf-8")
     for k, text in enumerate(large_texts()):
         (workdir / f"large{k}.crn").write_text(text, encoding="utf-8")
