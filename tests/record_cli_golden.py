@@ -124,10 +124,14 @@ def blocked_text(species: int, reactions: int, seed: int) -> str:
 
 def _conserving(species: int, reactions: int, rng: random.Random, weights: List[int]) -> str:
     """The reactions of ``conserving_text`` drawn from ``rng``, each moved
-    coefficient scaled by the weight ratio of its two species."""
+    coefficient scaled by the weight ratio of its two species.  A species
+    no drawn reaction names, u, is then moved to the species after it, v,
+    by ``u -> (w(u) / w(v)) v``, which keeps the law and leaves the text
+    of a network that names every species as it was."""
     names = [f"X{i + 1}" for i in range(species)]
     weight = dict(zip(names, weights))
     lines = ["species " + ", ".join(names)]
+    named = set()
     for _ in range(reactions):
         k = rng.randint(1, 2)
         picked = rng.sample(names, 2 * k)
@@ -139,6 +143,10 @@ def _conserving(species: int, reactions: int, rng: random.Random, weights: List[
         lhs = " + ".join(_term(c, name) for c, name in zip(coefficients, picked[:k]))
         rhs = " + ".join(_term(c, name) for c, name in zip(moved, picked[k:]))
         lines.append(f"{lhs} -> {rhs}")
+        named.update(picked)
+    for u, v in zip(names, names[1:] + names[:1]):
+        if u not in named:
+            lines.append(f"{u} -> {_term(Fraction(weight[u], weight[v]), v)}")
     return "\n".join(lines) + "\n"
 
 

@@ -437,6 +437,21 @@ def test_is_conserving_stops_where_phase_1_is_decided(monkeypatch):
     assert result == exactla.ConservationResult(True, (Fraction(1),) * 60)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_conservation_generators_name_every_species(seed):
+    """At 20 x 30 every seed gives a network that parses (seeds 1, 7 and 8
+    of ``conserving_text`` and 1, 7 and 18 of the other two drew one that
+    left a species unnamed); the unit-weight and weighted networks are
+    conserving and the blocked ones are not."""
+    for make, conserving in (
+        (record_cli_golden.conserving_text, True),
+        (record_cli_golden.weighted_conserving_text, True),
+        (record_cli_golden.blocked_text, False),
+    ):
+        S = stoichiometric_matrix(parse_network(make(20, 30, seed)))
+        assert is_conserving(S).conserving is conserving
+
+
 def test_kernel_correspondence_chain_eliminates_each_matrix_once_per_side(monkeypatch):
     """Over a 6-step chain of shared matrix objects only S_0's right and
     left kernels are eliminated: every step's certificate closes, and the
