@@ -11,6 +11,7 @@ import random
 import numpy as np
 import pytest
 
+from crnsign import spectra
 from crnsign.deficiency import deficiency, delta_audit
 from crnsign.exactla import (
     is_conserving,
@@ -35,7 +36,6 @@ from crnsign.signfix import (
     sign_fix,
     verify_permutation_relation,
 )
-from crnsign import spectra
 from crnsign.spectra import det_relation_check, eigen_convergence
 from crnsign.textio import parse_network
 
