@@ -40,12 +40,11 @@ only lose rank, and no rank exceeds min(rows, cols), so
 and when rank_p equals min(rows, cols) it is the exact rank over Q.
 Otherwise the answer comes from the Bareiss elimination, as it would
 without the certificate, so an unlucky prime costs time, never
-exactness.  The rank mod p is taken of the nonzeros of the cleared rows:
-below ``MOD_P_MIN_ENTRIES`` entries in Python integers, one sparse row
-at a time, and from there up by elimination on dense numpy int64 rows
-(entries below p, so every product fits).  ``rank`` and the kernels try
-it only from ``MOD_P_MIN_ENTRIES`` entries up, below which Bareiss in
-Python integers is the faster of the two.
+exactness.  The rank mod p is taken by elimination on the residues of
+the cleared rows as dense numpy int64 rows (entries below p, so every
+product fits).  ``rank`` and the kernels try it only from
+``MOD_P_MIN_ENTRIES`` entries up, below which Bareiss in Python integers
+is the faster of the two.
 
 From ``MOD_P_MIN_ENTRIES`` entries up a kernel basis is lifted
 p-adically (Dixon 1982) and certified, with Bareiss as the fallback.  Let
@@ -73,9 +72,9 @@ and P, which is the reduced row echelon form's, so the basis, and every
 byte written from it, is the one ``_eliminate`` gives.  Any failed check,
 a pivot block singular mod p among them, or a cleared entry too large
 for exact int64 products sends the matrix to ``_eliminate``.  Kernel
-membership, there and for the conservation witness and the kernel
-bijection, is tested on the nonzeros of the cleared rows, with many
-vectors packed into one integer per index (``_in_kernel``).
+membership, there and for the conservation witness, is tested on the
+nonzeros of the cleared rows, with many vectors packed into one integer
+per index (``_in_kernel``).
 
 Each ``RationalMatrix`` carries a private cache that only this module
 reads and writes: the nonzeros of the denominator-cleared integer rows
@@ -96,21 +95,28 @@ right kernel (rank = cols - nullity) or a certified rank mod p; no
 elimination is ever run just to look for it.  ``is_conserving`` then
 answers "not conserving" from an empty left kernel without a simplex.
 
-The paper's kernel bijection is checked by certificate.  For a fixing
-step from S to S_check, the padded kernel vectors of S are checked
-exactly to lie in the kernels of S_check, on its sparse cleared rows and
-columns; they are independent, so each nullity of S_check is at least
-their count, and its rank is at least its rank mod p.  When the two
-bounds meet on both sides, the padded vectors are bases of S_check's
-kernels with no elimination over Q, and they are cached on S_check under
-("chain", side), apart from the reduced basis ``kernel_basis`` returns,
-for the next step to read as its S's kernels.  So a chain of one-step
-checks (S_0, S_1), (S_1, S_2), ... over the same matrix objects
-eliminates S_0 only, once per side, unless a certificate fails; a step
-whose bounds do not meet takes the exact rank of S_check from its right
-kernel, eliminated over Q, and checks the counts against it.  Each
-padded left vector is divided by the gcd of its entries, so a chain's
-entries do not gain a denominator factor at every step.
+The paper's kernel bijection is checked by certificate, on the lines a
+fixing step changed.  For a step from S (d x n) to S_check, a row of
+S_check is changed when it differs from S's row.  S's kernel bases are
+exact, so an unchanged row, empty in column n, kills every padded right
+vector, and a padded left vector w' has w'^t S_check equal to the sum
+of w'_i (rC_i - rS_i) over the changed rows i plus w'_d rC_d, rC_d the
+border row: both tests read only those lines, cleared one by one.  The
+padded vectors are independent, so each nullity of S_check is at least
+their count.  When every changed row differs from S's by a multiple of
+rC_d, and rC_d is nonzero in column n, S_check's rows span S's rows and
+rC_d, so its rank is at least rank(S) + 1, with rank(S) = n less the
+size of S's right basis.  The bounds then meet, and the padded vectors
+are bases of S_check's kernels with no elimination, cached on S_check
+under ("chain", side), apart from the reduced basis ``kernel_basis``
+returns, for the next step to read as its S's kernels.  So a chain of
+one-step checks (S_0, S_1), (S_1, S_2), ... over the same matrix objects
+eliminates S_0 only, once per side, and builds no integer image of a
+later matrix, unless a certificate fails; a step whose certificate fails
+takes the exact rank of S_check from its right kernel, eliminated over
+Q, and checks the counts against it.  Each padded left vector is divided
+by the gcd of its entries, so a chain's entries do not gain a
+denominator factor at every step.
 ``determinant`` and ``char_poly`` are uncached.
 """
 
@@ -121,11 +127,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import Exact, RationalMatrix
+from .model import Exact, RationalMatrix, SparseRow, _exact
 
 Vector = Tuple[Fraction, ...]
 IntRows = Tuple[Tuple[int, ...], ...]
@@ -145,12 +151,7 @@ _PRIME_INVERSE = np.int64(pow(PRIME, -1, 2**64) - 2**64)
 # makes the elimination mod p slower than Bareiss in Python integers
 # below it (0.45 against 0.33 ms per matrix at 200-399 entries); the two
 # break even at 400-600, and from about 1,000 entries up the elimination
-# mod p wins (2.3 against 5.7 ms at 2,000).  It is also where
-# ``_rank_mod_p`` moves from sparse rows in Python integers to numpy.  On
-# the fixed matrices of six generated 14-18 x 20-26 networks (Intel Xeon,
-# best of 5), Python against numpy takes 0.30 against 0.33 ms per matrix
-# at 200-399 entries, 0.47 against 0.42 at 400-599 and 0.87 against 0.55
-# at 800-999; on the fixed 30 x 80 matrix, 20.1 against 4.4 ms.
+# mod p wins (2.3 against 5.7 ms at 2,000).
 # Lifting a right kernel against Bareiss with its vectors, on the S and
 # fixed S (more columns than rows) of 30 generated networks of 8-30
 # species (Intel Xeon, best of 5 CPU times, every lift certified): 1.5
@@ -269,8 +270,10 @@ def _eliminate(
     hand (below the threshold, or a rank mod p short of min(rows, cols));
     ``determinant`` and ``char_poly``.  One pass of each benchmark
     workload at seed 0 runs it 988 times on ``corpus`` and 49 times on
-    ``verify``, all below the threshold, and never on ``large`` (whose
-    right kernels are lifted, 2 per pass) or ``kinetics``.
+    ``verify`` (the kernels of each chain's S_0: all 255 steps of its
+    chain checks are certified), all below the threshold, and never on
+    ``large`` (whose right kernels are lifted, 2 per pass) or
+    ``kinetics``.
     """
     height = len(a)
     level = [1] * height
@@ -352,6 +355,12 @@ def _int64(rows: SparseRows, width: int, residues: bool) -> np.ndarray:
     return a
 
 
+def _kills(lines: SparseRows, vectors: Sequence[Sequence[int]]) -> bool:
+    """Whether each sparse integer line times each vector, summed over the
+    line's nonzeros only, is 0."""
+    return all(sum(x * v[j] for j, x in line) == 0 for v in vectors for line in lines)
+
+
 # Vectors from which ``_in_kernel`` packs them.  Packing costs a fixed
 # amount per column; on a 30 x 80 S it takes 148 against 152 us for 6
 # kernel vectors and 634 against 1,343 us for 50, and on the fixed
@@ -374,7 +383,7 @@ def _in_kernel(matrix: RationalMatrix, side: str, vectors: Sequence[Sequence[int
         return True
     rows = _sparse_image(matrix, side)
     if len(vectors) < _PACKED_MIN_VECTORS:
-        return all(sum(x * v[j] for j, x in row) == 0 for v in vectors for row in rows)
+        return _kills(rows, vectors)
     reach = max(max(sum(abs(x) for _, x in row) for row in rows), 1)
     largest = max(max(map(abs, v)) for v in vectors)
     size = (reach * largest).bit_length() // 8 + 1
@@ -394,13 +403,10 @@ def _in_kernel(matrix: RationalMatrix, side: str, vectors: Sequence[Sequence[int
 
 def _rank_mod_p(rows: SparseRows, width: int) -> int:
     """Rank modulo ``PRIME`` of the sparse integer rows of ``width``
-    columns, a lower bound on the rank over Q.  Each entry is reduced in
+    columns, a lower bound on the rank over Q: ``_eliminate_mod_p`` on
+    their residues as dense numpy int64 rows, each entry reduced in
     Python integers first, since cleared rows can hold entries far beyond
-    int64.  Below ``MOD_P_MIN_ENTRIES`` rows * width the rows are reduced
-    in Python integers, one at a time against the pivot rows kept so far;
-    from it up, by ``_eliminate_mod_p`` on dense numpy int64 rows."""
-    if len(rows) * width < MOD_P_MIN_ENTRIES:
-        return _rank_mod_p_sparse(rows)
+    int64."""
     return len(_eliminate_mod_p(_int64(rows, width, residues=True))[0])
 
 
@@ -440,33 +446,6 @@ def _eliminate_mod_p(
             a[update, c:] = (a[update, c:] - np.outer(a[update, c], a[r, c:])) % PRIME
         pivots.append(c)
     return pivots, order
-
-
-def _rank_mod_p_sparse(rows: SparseRows) -> int:
-    """Rank modulo ``PRIME`` of the sparse integer rows, in Python
-    integers.  Each row, as a dict of its nonzero residues, loses its
-    first column against the pivot row kept there until it is zero or
-    starts at a new column; it is then kept, scaled to 1 there.  A pivot
-    row has no column before its own, so every reduction leaves only
-    later columns, and the kept rows are the pivots of an echelon form."""
-    pivot_rows = {}
-    for row in rows:
-        residues = {j: r for j, x in row if (r := x % PRIME)}
-        while residues:
-            c = min(residues)
-            pivot_row = pivot_rows.get(c)
-            if pivot_row is None:
-                inverse = pow(residues[c], -1, PRIME)
-                pivot_rows[c] = [(j, x * inverse % PRIME) for j, x in residues.items()]
-                break
-            f = residues[c]
-            for j, y in pivot_row:
-                x = (residues.get(j, 0) - f * y) % PRIME
-                if x:
-                    residues[j] = x
-                else:
-                    del residues[j]
-    return len(pivot_rows)
 
 
 def _rank_in_hand(matrix: RationalMatrix) -> Optional[int]:
@@ -867,24 +846,26 @@ def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixs
     The check is performed on exactly computed bases.
 
     A basis of each kernel of S is read from S's ("chain", side) cache
-    key, else from ``_kernel_vectors``.  Each padded vector is checked
-    exactly to lie in the kernel of ``S_check``, on the nonzeros of its
-    cleared rows (columns); a miss is the answer False.  The padded
+    key, else from ``_kernel_vectors``.  Only the rows of ``S_check``
+    that differ from S's, and its border row d, are read (see the module
+    docstring): each padded vector is checked exactly on them to lie in
+    the kernel of ``S_check``; a miss is the answer False.  The padded
     vectors are independent, since their heads are a basis, so each
-    nullity of ``S_check`` over Q is at least their count, while its rank
-    over Q is at least its rank mod p.  When that rank mod p plus the
-    count is the column (right) and the row (left) count, the bounds
-    meet: the padded bases are bases of the kernels of ``S_check`` and
-    the maps are bijections, with no elimination over Q.  They are then
-    cached on ``S_check`` under ("chain", side), never as the basis that
-    ``kernel_basis`` returns, together with the now exact rank, so the
-    next step of a chain (S_check passed as S) starts from them: a chain
-    of steps over the same matrix objects eliminates S_0 only, unless a
-    certificate fails.  When the bounds do not meet, the exact rank of
+    nullity of ``S_check`` over Q is at least their count.  When every
+    changed row differs from S's by a multiple of row d, which is nonzero
+    in column d', the rank of ``S_check`` is at least rank(S) + 1, and
+    when that plus each count is the column (right) and the row (left)
+    count, the bounds meet: the padded bases are bases of the kernels of
+    ``S_check`` and the maps are bijections, with no elimination.  They
+    are then cached on ``S_check`` under ("chain", side), never as the
+    basis that ``kernel_basis`` returns, together with the now exact
+    rank, so the next step of a chain (S_check passed as S) starts from
+    them: a chain of steps over the same matrix objects eliminates S_0
+    only, unless a certificate fails.  When it fails, the exact rank of
     ``S_check``, read off its right kernel eliminated over Q, decides
-    whether the counts are its nullities, so the answer never depends on
-    the prime.  Every bound comes from the entries of ``S_check``;
-    nothing is inferred from the bordering theorem.
+    whether the counts are its nullities.  Every bound comes from the
+    entries of ``S_check``; nothing is inferred from the bordering
+    theorem.
 
     Args:
         S: Original d x d' matrix.
@@ -917,28 +898,53 @@ def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixs
     # Any integer basis of S's kernels gives the same answer: membership
     # is linear, the counts are the dimensions, and for every vector the
     # added coordinate is a copy (a positive multiple) of an existing one.
+    # S's bases are exact, so a row of S_check equal to S's row (and so
+    # empty in column n) kills every padded right vector, and the rows of
+    # S weighted by a padded left vector sum to 0: only the changed rows
+    # and the border row d are read.
+    rows, check_rows = S.nonzeros(), S_check.nonzeros()
+    n, border = S.cols, dict(check_rows[S.rows])
+    changed = [i for i, row in enumerate(rows) if check_rows[i] != row]
     right = S._cache.get(("chain", "right"))
     if right is None:
         right = _kernel_vectors(S, "right")
     padded_right = _pad_right(right, ell)
-    if not _in_kernel(S_check, "right", padded_right):
+    if not _kills(_cleared([check_rows[i] for i in changed + [S.rows]])[0], padded_right):
         return False
     left = S._cache.get(("chain", "left"))
     if left is None:
         left = _kernel_vectors(S, "left")
     padded_left = _pad_left(left, q, value)
-    if not _in_kernel(S_check, "left", padded_left):
+    # w'^t S_check is the sum of w'_i (rC_i - rS_i) over the changed rows i
+    # and w'_d rC_d: tested column by column on those lines.
+    differences = [_difference(check_rows[i], rows[i]) for i in changed]
+    columns: Dict[int, List[Tuple[int, Exact]]] = {}
+    for i, line in zip(changed + [S.rows], differences + [border]):
+        for j, x in line.items():
+            columns.setdefault(j, []).append((i, x))
+    if not _kills(_cleared(columns.values())[0], padded_left):
         return False
 
-    rank_p = _rank_mod_p(_sparse_image(S_check, "right"), S_check.cols)
-    if rank_p + len(padded_right) == S_check.cols and rank_p + len(padded_left) == S_check.rows:
+    # Rank certificate: when every changed row is rS_i plus a multiple of
+    # rC_d, and rC_d is nonzero in column n, S_check's rows span S's rows
+    # (0 in column n) and rC_d, so rank(S_check) >= rank(S) + 1, with
+    # rank(S) = n - |right| exact.  The padded vectors bound each nullity
+    # from below; on the right the bounds meet by that count, on the left
+    # when rank(S) + 1 + |padded left| = d + 1.
+    lead = border.get(n, 0)
+    certified = lead != 0 and all(
+        line.keys() == border.keys()
+        and all(line[j] * lead == line[n] * x for j, x in border.items())
+        for line in differences
+    )
+    check_rank = n - len(right) + 1
+    if certified and check_rank + len(padded_left) == S_check.rows:
         S_check._cache[("chain", "right")] = padded_right
         S_check._cache[("chain", "left")] = padded_left
-        S_check._cache["rank"] = rank_p
+        S_check._cache["rank"] = check_rank
     else:
-        # The bounds do not meet: the exact rank of S_check, from its right
-        # kernel eliminated over Q, decides whether the counts are the
-        # nullities.  The answer never depends on the prime.
+        # The exact rank of S_check, from its right kernel eliminated over
+        # Q, decides whether the counts are the nullities.
         check_rank = S_check.cols - len(_kernel_vectors(S_check, "right"))
         if (
             check_rank + len(padded_right) != S_check.cols
@@ -950,6 +956,15 @@ def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixs
     # existing one, so strict/weak positivity transfers both ways; assert
     # it on each padded basis and its sum as a concrete spot check.
     return _positivity_transfers(padded_right) and _positivity_transfers(padded_left)
+
+
+def _difference(new: SparseRow, old: SparseRow) -> Dict[int, Exact]:
+    """The row new - old as a dict of its nonzero entries, each in
+    canonical form."""
+    difference = dict(new)
+    for j, x in old:
+        difference[j] = difference.get(j, 0) - x
+    return {j: _exact(x) for j, x in difference.items() if x}
 
 
 def _pad_right(vectors: IntRows, ell: int) -> IntRows:

@@ -457,8 +457,10 @@ def test_kernel_correspondence_chain_eliminates_each_matrix_once_per_side(monkey
     left kernels are eliminated: every step's certificate closes, and the
     padded bases it stores on S_check are the next step's bases of S
     (18 eliminations before the kernel cache, 13 with it and before the
-    certificate).  The network is parsed here: a shared fixture's S keeps
-    the kernels earlier tests computed on it."""
+    certificate).  Each step reads only the rows that changed, so no
+    later matrix gets an integer image of its rows or columns.  The
+    network is parsed here: a shared fixture's S keeps the kernels
+    earlier tests computed on it."""
     report = sign_fix(load("conserving_family.crn"))
     matrices = report.matrices()
     assert len(report.steps) == 6
@@ -469,6 +471,7 @@ def test_kernel_correspondence_chain_eliminates_each_matrix_once_per_side(monkey
     assert seen == [(d, d_prime), (d_prime, d)]
     for M in matrices[1:]:
         assert M._cache["rank"] == oracles.rank(M)
+        assert ("sparse", "right") not in M._cache and ("sparse", "left") not in M._cache
 
 
 def test_a_verify_style_chain_reads_no_single_dense_entry(dense_reads):
@@ -540,62 +543,107 @@ def test_chain_left_bases_stay_coprime_on_a_fractional_chain():
         assert M._cache[("chain", "left")] == (tuple(int(x) for x in expected.vectors[0]),)
 
 
-def test_kernel_correspondence_falls_back_when_the_rank_mod_p_is_short(monkeypatch):
+def test_kernel_correspondence_certificate_closes_when_the_rank_mod_p_is_short(monkeypatch):
     """``deficiency_jump.crn`` with A + B -> C scaled by p = PRIME: that
     reaction's column of every fixed matrix vanishes mod p, so its rank
-    mod p is below its rank over Q and no certificate closes.  Each step
-    gives the oracle's bool from the exact check, which eliminates
-    S_check, stores no chain basis, and rejects a corrupted S_check as the
-    oracle does."""
+    mod p is below its rank over Q.  The certificate reads no rank mod p:
+    each step changes row q by a multiple of the border row, so it
+    closes with no elimination of S_check, stores the chain bases and a
+    rank equal to the oracle's, gives the oracle's bool, and a corrupted
+    S_check is rejected as the oracle rejects it."""
     p = exactla.PRIME
     report = sign_fix(parse_network(f"2A -> 3B + C\n{p}A + {p}B -> {p}C\n3B + C -> 2A\n"))
     matrices = report.matrices()
     assert len(report.steps) == 3
     seen = _counted_eliminate(monkeypatch)
     for S, S_check, step in zip(matrices, matrices[1:], report.steps):
-        image = exactla._sparse_image(S_check, "right")
+        image = exactla._sparse_image(_fresh(S_check), "right")
         assert exactla._rank_mod_p(image, S_check.cols) < oracles.rank(S_check)
         bad = oracles.with_entry(S_check, S.rows, step.modified_column, Fraction(5))
         assert kernel_correspondence_check(S, bad, step) is False
         assert oracles.kernel_correspondence_check(S, bad, step) is False
         del seen[:]
         assert kernel_correspondence_check(S, S_check, step) is True
+        assert not {(S_check.rows, S_check.cols), (S_check.cols, S_check.rows)} & set(seen)
         assert oracles.kernel_correspondence_check(S, S_check, step) is True
-        assert (S_check.rows, S_check.cols) in seen
-        assert ("chain", "right") not in S_check._cache and ("chain", "left") not in S_check._cache
+        assert ("chain", "right") in S_check._cache and ("chain", "left") in S_check._cache
+        assert S_check._cache["rank"] == oracles.rank(S_check)
 
 
 def test_kernel_correspondence_chain_across_the_mod_p_threshold(monkeypatch):
     """A 15 x 22 network (330 entries) whose first fixed matrix has 368
-    entries and every later one at least ``MOD_P_MIN_ENTRIES``: the rank
-    mod p of step 1 is taken in Python integers, the rest by numpy, every
-    certificate closes (only S_0 is eliminated), and every bool is the
-    oracle's."""
+    entries and every later one at least ``MOD_P_MIN_ENTRIES``: every
+    certificate closes with no rank mod p (only S_0 is eliminated), no
+    fixed matrix gets an integer image of its rows or columns, and every
+    bool is the oracle's."""
     report = sign_fix(make_network(random.Random(2), (15, 15), (22, 22)))
     matrices = report.matrices()
     sizes = [M.rows * M.cols for M in matrices]
     assert sizes[1] < exactla.MOD_P_MIN_ENTRIES <= sizes[2] and len(report.steps) == 12
-    sparse_heights = []
-    sparse = exactla._rank_mod_p_sparse
-
-    def recorded(rows):
-        sparse_heights.append(len(rows))
-        return sparse(rows)
-
-    monkeypatch.setattr(exactla, "_rank_mod_p_sparse", recorded)
+    mod_p_calls = []
+    monkeypatch.setattr(exactla, "_rank_mod_p", lambda *args: mod_p_calls.append(args))
     seen = _counted_eliminate(monkeypatch)
     for S, S_check, step in zip(matrices, matrices[1:], report.steps):
         assert kernel_correspondence_check(S, S_check, step) is True
         assert oracles.kernel_correspondence_check(S, S_check, step) is True
-    assert sparse_heights == [matrices[1].rows]
+    assert mod_p_calls == []
     assert seen == [(15, 22)]
-    assert all(M._cache["rank"] == oracles.rank(M) for M in matrices[1:])
+    for M in matrices[1:]:
+        assert M._cache["rank"] == oracles.rank(M)
+        assert ("sparse", "right") not in M._cache and ("sparse", "left") not in M._cache
 
 
-def test_rank_mod_p_is_the_same_in_python_integers_and_numpy(monkeypatch):
+def _one_ambiguous_step():
+    """S, S_check and the step of ``one_ambiguous.crn``'s one fix: S is
+    3 x 4 of full row rank, and rows 0 and 2 of S_check are S's rows."""
+    net = parse_network((FIXTURES / "one_ambiguous.crn").read_text())
+    fixed, step = fix_one(net, find_bad_submatrices(stoichiometric_matrix(net))[0])
+    S, S_check = stoichiometric_matrix(net), stoichiometric_matrix(fixed)
+    assert oracles.rank(S) == S.rows == 3 and step.zeroed_entry[0] == 1
+    return S, S_check, step
+
+
+def _with_row(M, i, factor):
+    """M with row i times ``factor``."""
+    return RationalMatrix([[x * factor for x in row] if k == i else row
+                           for k, row in enumerate(M.entries())])
+
+
+def test_kernel_correspondence_falls_back_when_the_certificate_fails(monkeypatch):
+    """Row 0 of ``one_ambiguous``'s S_check doubled: both kernels are kept
+    (the left one is {0}), but that row is not S's row plus a multiple of
+    the border row, so the certificate fails.  The exact branch
+    eliminates S_check once, stores no chain basis, and gives True, as
+    the oracle does."""
+    S, S_check, step = _one_ambiguous_step()
+    doubled = _with_row(S_check, 0, 2)
+    kernel_basis(S, "right"), kernel_basis(S, "left")
+    seen = _counted_eliminate(monkeypatch)
+    assert kernel_correspondence_check(S, doubled, step) is True
+    assert seen == [(4, 5)]
+    assert ("chain", "right") not in doubled._cache and ("chain", "left") not in doubled._cache
+    assert oracles.kernel_correspondence_check(S, doubled, step) is True
+
+
+def test_kernel_correspondence_rejects_a_zeroed_row_of_a_full_row_rank_network(monkeypatch):
+    """Row 0 of ``one_ambiguous``'s S_check zeroed: it kills every padded
+    right vector and S has no left kernel, so only the rank can tell.  The
+    certificate fails, and the exact rank of S_check, one below the
+    fix's, gives False, as the oracle does."""
+    S, S_check, step = _one_ambiguous_step()
+    zeroed = _with_row(S_check, 0, 0)
+    kernel_basis(S, "right"), kernel_basis(S, "left")
+    seen = _counted_eliminate(monkeypatch)
+    assert kernel_correspondence_check(S, zeroed, step) is False
+    assert seen == [(4, 5)]
+    assert ("chain", "right") not in zeroed._cache and ("chain", "left") not in zeroed._cache
+    assert oracles.kernel_correspondence_check(S, zeroed, step) is False
+
+
+def test_rank_mod_p_is_the_same_in_python_integers_and_numpy():
     """Random sparse integer rows, some entries multiples of p or beyond
-    int64: both sides of ``_rank_mod_p`` give the same rank, at most the
-    rank over Q."""
+    int64: ``_rank_mod_p`` in numpy gives the rank of a dense elimination
+    mod p in Python integers, at most the rank over Q."""
     rng = random.Random(8)
     p = exactla.PRIME
     values = [0, 0, 0, 1, -1, 2, 3, p, -2 * p, p + 1, 10**30]
@@ -603,10 +651,26 @@ def test_rank_mod_p_is_the_same_in_python_integers_and_numpy(monkeypatch):
         rows, cols = rng.randint(1, 9), rng.randint(1, 9)
         M = RationalMatrix([[rng.choice(values) for _ in range(cols)] for _ in range(rows)])
         image = exactla._sparse_image(M, "right")
-        python_rank = exactla._rank_mod_p_sparse(image)
-        with monkeypatch.context() as patched:
-            patched.setattr(exactla, "MOD_P_MIN_ENTRIES", 0)
-            assert exactla._rank_mod_p(image, cols) == python_rank <= oracles.rank(M)
+        assert exactla._rank_mod_p(image, cols) == _dense_rank_mod_p(M) <= oracles.rank(M)
+
+
+def _dense_rank_mod_p(M):
+    """Rank mod ``PRIME`` of an integer matrix by Gaussian elimination on
+    its dense rows in Python integers."""
+    p = exactla.PRIME
+    a = [[int(x) % p for x in row] for row in M.entries()]
+    r = 0
+    for c in range(M.cols):
+        pivot = next((i for i in range(r, M.rows) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inverse = pow(a[r][c], -1, p)
+        for i in range(r + 1, M.rows):
+            f = a[i][c] * inverse % p
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
 
 
 def test_kernel_correspondence_checks_left_positivity(monkeypatch):
