@@ -38,20 +38,24 @@ only lose rank, and no rank exceeds min(rows, cols), so
     rank_p <= rank_Q <= min(rows, cols),
 
 and when rank_p equals min(rows, cols) it is the exact rank over Q.
-Otherwise the answer comes from the Bareiss elimination, as it would
-without the certificate, so an unlucky prime costs time, never
-exactness.  The rank mod p is taken by elimination on the residues of
-the cleared rows as dense numpy int64 rows (entries below p, so every
-product fits).  ``rank`` and the kernels try it only from
-``MOD_P_MIN_ENTRIES`` entries up, below which Bareiss in Python integers
-is the faster of the two.
+Otherwise ``rank`` reads the kernel of the smaller side, the left one
+when rows <= cols and the right one otherwise, lifted and certified as
+below, or eliminated by Bareiss when its certificate fails: the rank is
+min(rows, cols) less its dimension.  A matrix with conservation laws
+has one left kernel vector per law, so its rank costs one short lift,
+and an unlucky prime costs time, never exactness.  The rank mod p is
+taken by elimination on the residues of the cleared rows as dense numpy
+int64 rows (entries below p, so every product fits).  ``rank`` and the
+kernels try it only from ``MOD_P_MIN_ENTRIES`` entries up, below which
+Bareiss in Python integers is the faster of the two.
 
 From ``MOD_P_MIN_ENTRIES`` entries up a kernel basis is lifted
 p-adically (Dixon 1982) and certified, with Bareiss as the fallback.  Let
-A be the side's cleared rows, of n columns.  One Gauss-Jordan elimination
-of [A | I] mod p gives the pivot columns P mod p (first nonzero in
-column order), the r_p rows that carry them, and the inverse mod p of
-their pivot block B.  X = B^-1 N, N those rows' free columns, is lifted
+A be the side's cleared rows, of n columns.  The echelon elimination of
+A mod p gives the pivot columns P mod p (first nonzero in column order)
+and the r_p rows that carry them, and a Gauss-Jordan elimination of
+[B | I] mod p the inverse of their pivot block B, r_p x r_p however many
+rows A has.  X = B^-1 N, N those rows' free columns, is lifted
 one p-adic digit per step in int64 products and rebuilt in rationals by
 rational reconstruction (Wang 1981) over one running common denominator,
 and free column f gives the vector with 1 at f and -X at the pivot
@@ -245,44 +249,18 @@ def _eliminate(
     below each pivot are updated: the pivots, D and the sign are the same,
     but the rows are left in echelon form.
 
-    A row with a zero in the pivot column would only be scaled by
-    piv / prev, so it is left as it is, and ``level[i]`` records the
-    pivot row i was last brought up to.  The skipped factors telescope:
-    settling the row (x becomes x * prev // level[i]) applies them all at
-    once, and divides exactly, since the result is the Bareiss integer
-    the eager update would have stored.  A row is settled before it is
-    the pivot row or is updated, and at the end every row (with
-    ``reduce``) or every row below the last pivot (without) is settled.
-    A nonzero factor keeps zeros zero, so the pivot search reads the
-    stored rows.  Rows, pivots, D and sign are those of the eager
-    elimination.
-
-    No benchmark workload gains from the pending factors (``large`` never
-    eliminates, ``verify`` only in its first pass, ``corpus`` is within
-    0.2%), but they stay for the rank of a rank-deficient fixed S:
-    ``rank`` of the fixed S of ``tests/record_cli_golden.conserving_text``
-    networks (seed 1) takes 0.009 s at 76 x 176 and 0.13 s at 208 x 508,
-    against 0.030 and 0.56 s when every row is updated at every pivot
-    (best CPU time of 3, one core of a 2-CPU Intel Xeon).
-
     Its callers: kernels below ``MOD_P_MIN_ENTRIES`` entries and kernels
-    whose lifting certificate fails; ``rank`` when no exact rank is in
-    hand (below the threshold, or a rank mod p short of min(rows, cols));
-    ``determinant`` and ``char_poly``.  One pass of each benchmark
-    workload at seed 0 runs it 988 times on ``corpus`` and 49 times on
-    ``verify`` (the kernels of each chain's S_0: all 255 steps of its
-    chain checks are certified), all below the threshold, and never on
-    ``large`` (whose right kernels are lifted, 2 per pass) or
-    ``kinetics``.
+    whose lifting certificate fails; ``rank`` below the threshold when no
+    exact rank is in hand (above it, a rank mod p short of min(rows,
+    cols) goes to the smaller side's kernel); ``determinant`` and
+    ``char_poly``.  One pass of each benchmark workload at seed 0 or 1
+    runs it 988 times on ``corpus`` (670 kernels and 318 ranks) and 49
+    times on ``verify`` (the kernels of each chain's S_0: all 255 steps
+    of its chain checks are certified), all below the threshold, and
+    never on ``large`` (whose right kernels are lifted, 2 per pass) or
+    ``kinetics``.  Every rank mod p those passes take is min(rows, cols).
     """
     height = len(a)
-    level = [1] * height
-
-    def settle(i: int) -> None:
-        if level[i] != prev:
-            a[i] = [x * prev // level[i] for x in a[i]]
-            level[i] = prev
-
     pivots: List[int] = []
     prev, sign = 1, 1
     for c in range(len(a[0])):
@@ -294,20 +272,13 @@ def _eliminate(
             continue
         if p != r:
             a[r], a[p] = a[p], a[r]
-            level[r], level[p] = level[p], level[r]
             sign = -sign
-        settle(r)
         pivot_row, piv = a[r], a[r][c]
         for i in range(height) if reduce else range(r + 1, height):
-            if i != r and a[i][c] != 0:
-                settle(i)
+            if i != r:
                 a[i] = _update(a[i], pivot_row, piv, prev, c)
-                level[i] = piv
-        level[r] = piv
         pivots.append(c)
         prev = piv
-    for i in range(0 if reduce else len(pivots), height):
-        settle(i)
     return a, pivots, prev, sign
 
 
@@ -473,15 +444,29 @@ def rank(matrix: RationalMatrix) -> int:
     """Exact rank, cached on the matrix.
 
     It is read from the cache, or from the cached right kernel (columns
-    less its dimension), or certified mod p (see the module docstring);
-    only when none of them gives it does the echelon-only integer
-    elimination of the cleared rows, scattered from their nonzeros, count
-    the pivots.  Every source is this matrix's own entries.
+    less its dimension), or certified mod p (see the module docstring).
+    From ``MOD_P_MIN_ENTRIES`` entries up a rank mod p short of
+    min(rows, cols) leaves the smaller side's kernel to settle it: the
+    rank is min(rows, cols) less that kernel's dimension, the left kernel
+    when rows <= cols and the right one otherwise, read from the cache or
+    else lifted and certified, or eliminated when the certificate fails
+    (``_computed_kernel``), and cached.  Below the threshold
+    the echelon-only integer elimination of the cleared rows, scattered
+    from their nonzeros, counts the pivots.  Every source is this
+    matrix's own entries.
     """
     value = _rank_in_hand(matrix)
     if value is None:
-        rows = _dense(_sparse_image(matrix, "right"), matrix.cols)
-        value = len(_eliminate(rows, reduce=False)[1])
+        if matrix.rows * matrix.cols >= MOD_P_MIN_ENTRIES:
+            # The rank mod p fell short: no rank is in hand to look for again.
+            side = "left" if matrix.rows <= matrix.cols else "right"
+            vectors = matrix._cache.get(("kernel", side))
+            if vectors is None:
+                vectors = _computed_kernel(matrix, side)
+            value = min(matrix.rows, matrix.cols) - len(vectors)
+        else:
+            rows = _dense(_sparse_image(matrix, "right"), matrix.cols)
+            value = len(_eliminate(rows, reduce=False)[1])
         matrix._cache["rank"] = value
     return value
 
@@ -508,9 +493,7 @@ def _kernel_vectors(matrix: RationalMatrix, side: str) -> IntRows:
     matrix, one vector per free column of the reduced row echelon form in
     order, each coprime with a positive leading entry; cached on the
     matrix.  An exact rank in hand that leaves no free column gives ()
-    without an elimination.  From ``MOD_P_MIN_ENTRIES`` entries up the
-    basis is lifted p-adically and certified (``_lifted_kernel``); below
-    it, or when the certificate fails, it is read off ``_eliminate``."""
+    without an elimination; otherwise ``_computed_kernel`` finds it."""
     key = ("kernel", side)
     vectors = matrix._cache.get(key)
     if vectors is not None:
@@ -521,11 +504,20 @@ def _kernel_vectors(matrix: RationalMatrix, side: str) -> IntRows:
     if size == min(matrix.rows, matrix.cols) and _rank_in_hand(matrix) == size:
         vectors = matrix._cache[key] = ()
         return vectors
+    return _computed_kernel(matrix, side)
+
+
+def _computed_kernel(matrix: RationalMatrix, side: str) -> IntRows:
+    """The basis of ``_kernel_vectors`` when no rank in hand settles it:
+    from ``MOD_P_MIN_ENTRIES`` entries up lifted p-adically and certified
+    (``_lifted_kernel``); below it, or when the certificate fails, read
+    off ``_eliminate``.  Cached on the matrix."""
+    vectors = None
     if matrix.rows * matrix.cols >= MOD_P_MIN_ENTRIES:
         vectors = _lifted_kernel(matrix, side)
     if vectors is None:
         vectors = _eliminated_kernel(matrix, side)
-    matrix._cache[key] = vectors
+    matrix._cache[("kernel", side)] = vectors
     return vectors
 
 
@@ -562,13 +554,14 @@ def _lifted_kernel(matrix: RationalMatrix, side: str) -> Optional[IntRows]:
     (Dixon 1982) and certified exactly, or None when the certificate
     fails or a cleared entry is too large for exact int64 products.
 
-    One Gauss-Jordan elimination mod p of [A | I], A the side's cleared
-    rows, gives the pivot columns, the rows that carry them and the
-    inverse of their block B, invertible mod p; N is those rows' free
-    columns.  X = B^-1 N is lifted one p-adic digit per step, then rebuilt
-    in rationals with one running common denominator d (Wang 1981), and
-    free column f gives d at f and -d X at the pivot columns.  The basis is certified on A's nonzeros: every
-    vector lies in the kernel, there is one per free column (a column
+    The echelon elimination mod p of A, the side's cleared rows, gives
+    the pivot columns and the rows that carry them, whose block B is
+    invertible mod p, and a Gauss-Jordan elimination of [B | I] mod p its
+    inverse; N is those rows' free columns.  X = B^-1 N is lifted one
+    p-adic digit per step, then rebuilt in rationals with one running
+    common denominator d (Wang 1981), and free column f gives d at f and
+    -d X at the pivot columns.  The basis is certified on A's nonzeros:
+    every vector lies in the kernel, there is one per free column (a column
     that does not reconstruct has none), and each is zero at every pivot
     column after its own free column (see the module docstring)."""
     rows = _sparse_image(matrix, side)
@@ -578,11 +571,7 @@ def _lifted_kernel(matrix: RationalMatrix, side: str) -> Optional[IntRows]:
     if max(sum(abs(x) for _, x in row) for row in rows) * PRIME >= 2**63:
         return None
     a = _int64(rows, width, residues=False)
-    # Gauss-Jordan of [A | I] mod p: the rows that carry the pivots end as
-    # [B^-1 A | T] with T zero outside their own columns, where it is B^-1.
-    height = len(rows)
-    reduced = np.concatenate([a % PRIME, np.eye(height, dtype=np.int64)], axis=1)
-    pivots, order = _eliminate_mod_p(reduced, reduce=True, columns=width)
+    pivots, order = _eliminate_mod_p(a % PRIME)
     r = len(pivots)
     pivot_set = set(pivots)
     free = [c for c in range(width) if c not in pivot_set]
@@ -592,7 +581,11 @@ def _lifted_kernel(matrix: RationalMatrix, side: str) -> Optional[IntRows]:
     # Hadamard's bound, squared, on |det B| and on every numerator of
     # Cramer's rule for B X = N: the product of the chosen rows' norms.
     bound2 = prod(sum(x * x for _, x in rows[i]) for i in order[:r].tolist())
-    inverse = reduced[:r, width:][:, order[:r]]
+    # The rows that carry the pivots reach them in order, so their block
+    # is invertible mod p; Gauss-Jordan turns [B | I] into [I | B^-1].
+    block = np.concatenate([chosen[:, pivots] % PRIME, np.eye(r, dtype=np.int64)], axis=1)
+    _eliminate_mod_p(block, reduce=True, columns=r)
+    inverse = block[:, r:]
     values, modulus, d = _lift(chosen[:, pivots], chosen[:, free], inverse, bound2)
     vectors = []
     for k, f in enumerate(free):

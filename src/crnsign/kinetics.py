@@ -64,7 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -447,6 +447,42 @@ def _default_tolerance(sys: MassActionSystem) -> float:
     return 1e-8 * (1.0 + float(np.max(np.abs(sys._S) @ sys._rates)))
 
 
+def _carried(
+    source: MassActionSystem,
+    point: Sequence[float],
+    tol: Optional[float],
+    carry: Callable[[np.ndarray], Tuple[MassActionSystem, Sequence[float]]],
+    image: str,
+    name: str,
+) -> Tuple[np.ndarray, float, Sequence[float], float]:
+    """The one check of ``lift_equilibrium`` and ``project_equilibrium``.
+
+    ``point`` must be an equilibrium of ``source``, the ``name`` system,
+    to within ``tol`` (``_default_tolerance(source)`` by default).  Only
+    then does ``carry`` give its image, the ``image`` point, and the
+    system it belongs to, where its residual must be at most
+    max(tol, 10 * the residual of ``point``).  Returns the checked point,
+    its residual, the image and the image's residual.
+    """
+    point_arr = _check_state(source, point, positive=True)
+    if tol is None:
+        tol = _default_tolerance(source)
+    res_in = float(np.max(np.abs(rhs(source, point_arr))))
+    if res_in > tol:
+        raise ValueError(
+            f"input point has residual {res_in:.3e} > {tol:.3e}; "
+            f"it is not an equilibrium of the {name} system"
+        )
+    target, mapped = carry(point_arr)
+    res_out = float(np.max(np.abs(rhs(target, mapped))))
+    if res_out > max(tol, 10 * res_in):
+        raise ValueError(
+            f"{image} point has residual {res_out:.3e}; "
+            f"the input is not an equilibrium of the {name} system"
+        )
+    return point_arr, res_in, mapped, res_out
+
+
 def lift_equilibrium(
     report: FixReport,
     rates: Sequence[float],
@@ -468,32 +504,17 @@ def lift_equilibrium(
             an inconsistent fixing report).
     """
     original = MassActionSystem(report.original, rates)
-    x_arr = _check_state(original, x, positive=True)
-    if tol is None:
-        tol = _default_tolerance(original)
-    res_orig = float(np.max(np.abs(rhs(original, x_arr))))
-    if res_orig > tol:
-        raise ValueError(
-            f"input point has residual {res_orig:.3e} > {tol:.3e}; "
-            "it is not an equilibrium of the original system"
-        )
 
-    fixed = MassActionSystem(report.result, fixed_system_rates(report, rates))
-    x_hat = list(float(v) for v in x_arr)
-    v_orig = flux(original, x_arr)
-    for step in report.steps:
+    def lifted(x_arr: np.ndarray) -> Tuple[MassActionSystem, List[float]]:
+        fixed = MassActionSystem(report.result, fixed_system_rates(report, rates))
         # The rewritten reaction keeps its reactant, so its flux at the
         # lifted point equals the original flux of that column.
-        x_hat.append(float(v_orig[step.modified_column]) / step.added_rate)
-    res_fixed = float(np.max(np.abs(rhs(fixed, x_hat))))
-    if res_fixed > max(tol, 10 * res_orig):
-        raise ValueError(
-            f"lifted point has residual {res_fixed:.3e}; "
-            "the input is not an equilibrium of the original system"
-        )
-    return EquilibriumPair(
-        tuple(float(v) for v in x_arr), tuple(x_hat), res_orig, res_fixed
-    )
+        v_orig = flux(original, x_arr)
+        added = [float(v_orig[step.modified_column]) / step.added_rate for step in report.steps]
+        return fixed, [float(v) for v in x_arr] + added
+
+    x_arr, res_orig, x_hat, res_fixed = _carried(original, x, tol, lifted, "lifted", "original")
+    return EquilibriumPair(tuple(float(v) for v in x_arr), tuple(x_hat), res_orig, res_fixed)
 
 
 def project_equilibrium(
@@ -512,24 +533,11 @@ def project_equilibrium(
             tolerance max(tol, 10 * residual of x_hat).
     """
     fixed = MassActionSystem(report.result, fixed_system_rates(report, rates))
-    x_hat_arr = _check_state(fixed, x_hat, positive=True)
-    if tol is None:
-        tol = _default_tolerance(fixed)
-    res_fixed = float(np.max(np.abs(rhs(fixed, x_hat_arr))))
-    if res_fixed > tol:
-        raise ValueError(
-            f"input point has residual {res_fixed:.3e} > {tol:.3e}; "
-            "it is not an equilibrium of the fixed system"
-        )
 
-    original = MassActionSystem(report.original, rates)
-    x = x_hat_arr[: report.original.species_count]
-    res_orig = float(np.max(np.abs(rhs(original, x))))
-    if res_orig > max(tol, 10 * res_fixed):
-        raise ValueError(
-            f"projected point has residual {res_orig:.3e}; "
-            "the input is not an equilibrium of the fixed system"
-        )
+    def projected(x_hat_arr: np.ndarray) -> Tuple[MassActionSystem, np.ndarray]:
+        return MassActionSystem(report.original, rates), x_hat_arr[: report.original.species_count]
+
+    x_hat_arr, res_fixed, x, res_orig = _carried(fixed, x_hat, tol, projected, "projected", "fixed")
     return EquilibriumPair(
         tuple(float(v) for v in x), tuple(float(v) for v in x_hat_arr), res_orig, res_fixed
     )

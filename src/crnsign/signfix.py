@@ -172,20 +172,11 @@ def _rewrite(net: Network, cls: BadClass, rate: float) -> Tuple[Network, FixStep
     name = _fresh_species_name(net.species[q].name, taken)
     new_index = net.species_count
 
-    rewritten_terms = dict(reaction.product.terms)
-    del rewritten_terms[q]
-    rewritten_terms[new_index] = 1
-    rewritten = Reaction(
-        reaction.reactant,
-        Complex.from_dict(rewritten_terms),
-        reaction.rate,
-        reaction.label,
-    )
-    added = Reaction(
-        Complex.from_dict({new_index: 1}),
-        Complex.from_dict({q: p2}),
-        float(rate),
-    )
+    # The product's terms are canonical and sorted, and the fresh index is
+    # above all of them, so the new complexes are built from their terms.
+    product = Complex(tuple(t for t in reaction.product.terms if t[0] != q) + ((new_index, 1),))
+    rewritten = Reaction(reaction.reactant, product, reaction.rate, reaction.label)
+    added = Reaction(Complex(((new_index, 1),)), Complex(((q, p2),)), float(rate))
     fixed = Network._bordered(net, Species(name, new_index), ell, rewritten, added)
     step = FixStep(
         target_class=cls,

@@ -108,9 +108,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<COMMENT>#)|(?P<BAD>[^ \t])"
 )
 
-# The coefficient of a term written without one.
-_ONE = 1
-
 # Python's default int-to-str limit; it bounds a number's digits where the
 # limit is switched off (0) or missing (Python before 3.10.7) too.
 _DEFAULT_MAX_DIGITS = 4300
@@ -208,7 +205,7 @@ class _LineParser:
         terms: Dict[int, Union[int, Fraction]] = {}
         while True:
             tok = self.peek()
-            coeff = _ONE
+            coeff = 1
             if tok.kind == "NUMBER":
                 self.advance()
                 coeff = self.parse_number(tok)

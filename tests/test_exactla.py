@@ -307,7 +307,10 @@ def test_rank_reads_only_its_own_slot_the_right_kernel_and_the_right_image():
     kernel or right integer image (the image is what the rank mod p
     eliminates); a wrong left kernel or a planted key of another name
     (such as a chain basis, which only the kernel correspondence check
-    reads) is never read."""
+    reads) is not read.  No input here has a short rank mod p, the one
+    case in which the rank reads the smaller side's kernel, left or
+    right: each is below ``MOD_P_MIN_ENTRIES`` entries or of full rank
+    mod p."""
     for M in _isolation_inputs():
         expected = _echelon_rank(M)
         assert rank(_fresh(M)) == expected
@@ -352,21 +355,50 @@ def _counted_eliminate(monkeypatch):
 
 def test_rank_mod_p_below_min_falls_back_to_the_exact_rank(monkeypatch):
     """A 20 x 30 matrix of full row rank with a pivot equal to p: the rank
-    mod p is 19, below min(rows, cols), so it certifies nothing and the
-    rank, both kernels and conservation come from Bareiss and the
-    simplex, equal to the Fraction oracle's."""
+    mod p is 19, below min(rows, cols), so it certifies nothing.  The rank
+    goes to the smaller side's kernel, the left one, whose lift fails its
+    certificate, so Bareiss of the columns decides; both kernels and
+    conservation come from Bareiss and the simplex, equal to the Fraction
+    oracle's."""
     M = _p_led(20, 30, 7, random.Random(1))
     assert M.rows * M.cols >= exactla.MOD_P_MIN_ENTRIES
     assert exactla._rank_mod_p(exactla._sparse_image(M, "right"), M.cols) == 19
     seen = _counted_eliminate(monkeypatch)
     assert rank(M) == 20 == oracles.rank(M)
-    assert seen == [(20, 30)]
+    assert seen == [(30, 20)]
+    assert M._cache[("kernel", "left")] == () and ("kernel", "right") not in M._cache
     fresh = _fresh(M)
     assert kernel_basis(fresh, "left") == oracles.kernel_basis(M, "left")
     assert kernel_basis(fresh, "left").dim == 0
     assert kernel_basis(fresh, "right") == oracles.kernel_basis(M, "right")
-    assert seen == [(20, 30), (30, 20), (20, 30)]
+    assert seen == [(30, 20), (30, 20), (20, 30)]
     assert is_conserving(_fresh(M)) == oracles.is_conserving(M)
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["wide", "tall"])
+def test_a_short_rank_mod_p_is_settled_by_the_smaller_sides_kernel(monkeypatch, transpose):
+    """The fixed S of a 60 x 160 ``conserving_text`` network (76 x 176,
+    one conservation law) and its transpose: the rank mod p is short of
+    min(rows, cols), so it certifies nothing, and the rank is min(rows, cols) less the lifted kernel of the smaller side
+    (left when wide, right when tall).  On a fresh copy it equals the
+    oracle's, makes no elimination over Q, and caches that side's kernel,
+    equal to the oracle's, and the rank; the other side is not read."""
+    net = parse_network(record_cli_golden.conserving_text(60, 160, 1))
+    M = stoichiometric_matrix(sign_fix(net).result)
+    if transpose:
+        M = oracles.transpose(M)
+    side, other = ("right", "left") if transpose else ("left", "right")
+    assert min(M.rows, M.cols) == 76 and max(M.rows, M.cols) == 176
+    expected = oracles.rank(M)
+    assert expected == 75
+    assert exactla._rank_mod_p(exactla._sparse_image(_fresh(M), "right"), M.cols) < 76
+    fresh = _fresh(M)
+    seen = _counted_eliminate(monkeypatch)
+    assert rank(fresh) == expected
+    assert seen == []
+    assert fresh._cache["rank"] == expected
+    assert fresh._cache[("kernel", side)] == oracles.kernel_basis(M, side).integers
+    assert ("kernel", other) not in fresh._cache
 
 
 def test_rank_mod_p_reduces_entries_beyond_int64():
