@@ -379,10 +379,11 @@ def test_rank_mod_p_below_min_falls_back_to_the_exact_rank(monkeypatch):
 def test_a_short_rank_mod_p_is_settled_by_the_smaller_sides_kernel(monkeypatch, transpose):
     """The fixed S of a 60 x 160 ``conserving_text`` network (76 x 176,
     one conservation law) and its transpose: the rank mod p is short of
-    min(rows, cols), so it certifies nothing, and the rank is min(rows, cols) less the lifted kernel of the smaller side
-    (left when wide, right when tall).  On a fresh copy it equals the
-    oracle's, makes no elimination over Q, and caches that side's kernel,
-    equal to the oracle's, and the rank; the other side is not read."""
+    min(rows, cols), so it certifies nothing, and the rank is
+    min(rows, cols) less the lifted kernel of the smaller side (left when
+    wide, right when tall).  On a fresh copy it equals the oracle's, makes
+    no elimination over Q, and caches that side's kernel, equal to the
+    oracle's, and the rank; the other side is not read."""
     net = parse_network(record_cli_golden.conserving_text(60, 160, 1))
     M = stoichiometric_matrix(sign_fix(net).result)
     if transpose:
