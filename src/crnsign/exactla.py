@@ -156,16 +156,19 @@ _PRIME_INVERSE = np.int64(pow(PRIME, -1, 2**64) - 2**64)
 # below it (0.45 against 0.33 ms per matrix at 200-399 entries); the two
 # break even at 400-600, and from about 1,000 entries up the elimination
 # mod p wins (2.3 against 5.7 ms at 2,000).
-# Lifting a right kernel against Bareiss with its vectors, on the S and
-# fixed S (more columns than rows) of 30 generated networks of 8-30
-# species (Intel Xeon, best of 5 CPU times, every lift certified): 1.5
-# against 0.8 ms per matrix below 400 entries, 2.0 against 1.4 at
-# 400-599, 2.5 against 2.5 at 600-999, 3.7 against 5.4 at 1,000-1,999 and
-# 4.8 against 10.7 at 2,000-3,999; 6.1 against 7.8 ms on the 30 x 80 S,
-# 0.030 against 0.075 s at 60 x 160 and 0.5 against 3.0 s at 200 x 500.
-# So lifting breaks even near 1,000 entries and costs up to 0.6 ms more
-# per matrix between this threshold and there, where no benchmark
-# workload computes a kernel.
+# Lifting a right kernel (the r x r pivot block inverted) against Bareiss
+# with its vectors, on the S and fixed S (more columns than rows) of 30
+# generated networks of 8-30 species (Intel Xeon, best of 5 CPU times,
+# every lift certified): 0.8 against 0.4 ms per matrix below 400
+# entries, 1.3 against 0.8 at 400-599, 1.9 against 1.4 at 600-999, 2.7
+# against 3.5 at 1,000-1,999 and 3.1 against 10.0 at 2,000-3,999; 4.3
+# against 7.6 ms on the 30 x 80 S, 0.018 against 0.061 s at 60 x 160 and
+# 0.38 against 2.8 s at 200 x 500.  So lifting breaks even near 1,000
+# entries and costs up to 0.5 ms more per matrix between this threshold
+# and there, where no benchmark workload computes a kernel.  The
+# threshold stays at 400 for the rank mod p: raising it to 1,000 would
+# send the 43 ranks mod p of a ``corpus`` pass (414-928 entries) to
+# Bareiss.
 MOD_P_MIN_ENTRIES = 400
 
 
@@ -858,7 +861,11 @@ def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixs
     ``S_check``, read off its right kernel eliminated over Q, decides
     whether the counts are its nullities.  Every bound comes from the
     entries of ``S_check``; nothing is inferred from the bordering
-    theorem.
+    theorem.  (Non)negativity is checked by its reason, on each padded
+    vector: its added coordinate is v[l] on the right and w[q] * p2 on
+    the left.  The ratio, 1 or p2 > 0, is the same for every vector, so
+    strict and weak positivity transfer both ways for every combination
+    of the vectors, their sum included.
 
     Args:
         S: Original d x d' matrix.
@@ -868,7 +875,8 @@ def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixs
 
     Returns:
         True iff both padded bases land in, and span, the kernels of
-        ``S_check``, with dimensions preserved.
+        ``S_check``, with dimensions preserved, and each added coordinate
+        follows the padding rule.
 
     Raises:
         ValueError: if the step metadata is inconsistent with the matrix
@@ -944,11 +952,12 @@ def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixs
             or check_rank + len(padded_left) != S_check.rows
         ):
             return False
-    # The padded vectors are bases of the kernels of S_check.  Positivity:
-    # the added coordinate is a copy (resp. positive multiple) of an
-    # existing one, so strict/weak positivity transfers both ways; assert
-    # it on each padded basis and its sum as a concrete spot check.
-    return _positivity_transfers(padded_right) and _positivity_transfers(padded_left)
+    # The padded vectors are bases of the kernels of S_check.  Positivity
+    # transfers by the padding rule, checked per vector (see above).
+    num, den = value.numerator, value.denominator
+    return all(v[-1] == v[ell] for v in padded_right) and all(
+        w[-1] * den == w[q] * num for w in padded_left
+    )
 
 
 def _difference(new: SparseRow, old: SparseRow) -> Dict[int, Exact]:
@@ -977,21 +986,6 @@ def _pad_left(vectors: IntRows, q: int, p2: Exact) -> IntRows:
         g = gcd(*padded)
         out.append(tuple(x // g for x in padded))
     return tuple(out)
-
-
-def _positivity_transfers(padded_vectors: Sequence[Sequence[int]]) -> bool:
-    """Each padded vector, and their sum, is strictly (weakly) positive
-    exactly when its head without the added coordinate is."""
-    samples = list(padded_vectors)
-    if samples:
-        samples.append([sum(column) for column in zip(*samples)])
-    for padded in samples:
-        head = padded[:-1]
-        if (all(x > 0 for x in head)) != (all(x > 0 for x in padded)):
-            return False
-        if (all(x >= 0 for x in head)) != (all(x >= 0 for x in padded)):
-            return False
-    return True
 
 
 def char_poly(matrix: RationalMatrix) -> List[Fraction]:

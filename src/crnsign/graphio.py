@@ -9,14 +9,19 @@ for reproducible output.
 A bad 4-cycle is a species-reaction-species-reaction cycle whose four
 edges split three consumed / one produced; these are in bijection with
 the bad 2x2 submatrices of the matrix, and ``find_bad_cycles`` is the
-graph-side enumeration used to cross-check the matrix-side one.
+graph-side enumeration used to cross-check the matrix-side one.  It
+pairs two species only over the reactions both touch, and lists the
+cycles by species pair, then by reaction pair; ``find_bad_submatrices``
+groups its members into classes ordered by their positive entry, so the
+two agree as sets, not as lists.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from itertools import combinations
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .model import RationalMatrix
 
@@ -96,22 +101,27 @@ class BadCycle:
 
 
 def find_bad_cycles(graph: SRGraph) -> List[BadCycle]:
-    """All bad 4-cycles, ordered like the matrix-side enumeration."""
+    """All bad 4-cycles, in order of species pair (i, j), i < j, then of
+    reaction pair (k, l), k < l.
+
+    Each species' reactions are indexed once, and a species pair is paired
+    only with the reactions both species touch.  An edge of no direction,
+    or whose species or reaction lies outside the name lists, is ignored,
+    and of two edges on one (species, reaction) pair the later one counts.
+    """
     by_pair = {(e.species, e.reaction): e.direction for e in graph.edges}
+    species, reactions = range(len(graph.species_names)), range(len(graph.reaction_names))
+    touched: Dict[int, Set[int]] = {}
+    for (i, k), direction in by_pair.items():
+        if direction is not None and i in species and k in reactions:
+            touched.setdefault(i, set()).add(k)
     cycles = []
-    d = len(graph.species_names)
-    d_prime = len(graph.reaction_names)
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(d_prime):
-                for ell in range(k + 1, d_prime):
-                    corners = [(i, k), (i, ell), (j, k), (j, ell)]
-                    directions = [by_pair.get(c) for c in corners]
-                    if None in directions:
-                        continue
-                    produced = [c for c, dirn in zip(corners, directions) if dirn == PRODUCED]
-                    if len(produced) == 1:
-                        cycles.append(BadCycle((i, j), (k, ell), produced[0]))
+    for i, j in combinations(sorted(touched), 2):
+        for k, ell in combinations(sorted(touched[i] & touched[j]), 2):
+            corners = ((i, k), (i, ell), (j, k), (j, ell))
+            produced = [c for c in corners if by_pair[c] == PRODUCED]
+            if len(produced) == 1:
+                cycles.append(BadCycle((i, j), (k, ell), produced[0]))
     return cycles
 
 

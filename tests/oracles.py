@@ -39,12 +39,16 @@ writer's oracle); and the dense readers of S (``dense_to_string_rows``,
 ``dense_find_bad_submatrices``, ``dense_jacobian_sign_status`` and
 ``dense_check_single_positive_column``) as they were before they read
 S's nonzeros; and ``altfix`` as it was before it bordered S's rows of
-nonzeros instead of a dense ``Fraction`` copy.  The ``sign_fix`` oracle
-enumerates its classes with that ``find_bad_submatrices`` and steps with
-that ``fix_one``; the ``delta_audit`` oracle recounts with that
-``deficiency``; the ``altfix`` oracle takes the package's classes.  Production
-code does not use them; the tests compare the package's versions against
-them on the same inputs.
+nonzeros instead of a dense ``Fraction`` copy; and the brute-force
+``find_bad_cycles`` of the species-reaction graph, every species pair
+against every reaction pair, as it was before each species' reactions
+were indexed and a species pair was paired only over the reactions it
+shares.  The ``sign_fix`` oracle enumerates its classes with that
+``find_bad_submatrices`` and steps with that ``fix_one``; the
+``delta_audit`` oracle recounts with that ``deficiency``; the ``altfix``
+oracle takes the package's classes.  Production code does not use them;
+the tests compare the package's versions against them on the same
+inputs.
 
 The oracles' own helpers ``to_float_rows``, ``multiply_vector`` and
 ``sign_of`` were ``RationalMatrix`` and ``Sign`` methods that only the
@@ -70,6 +74,7 @@ import numpy as np
 from crnsign import exactla, signcheck
 from crnsign.deficiency import DeficiencyReport, DeltaAudit
 from crnsign.exactla import ConservationResult, KernelBasis, Vector
+from crnsign.graphio import PRODUCED, BadCycle, SRGraph
 from crnsign.kinetics import Terms, jacobian
 from crnsign.model import (
     Complex,
@@ -1609,3 +1614,23 @@ def altfix(net: Network) -> Tuple[RationalMatrix, AltFixReport]:
         conserving_alt=exactla.is_conserving(s_tilde),
     )
     return s_tilde, report
+
+
+def find_bad_cycles(graph: SRGraph) -> List[BadCycle]:
+    """All bad 4-cycles, ordered like the matrix-side enumeration."""
+    by_pair = {(e.species, e.reaction): e.direction for e in graph.edges}
+    cycles = []
+    d = len(graph.species_names)
+    d_prime = len(graph.reaction_names)
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(d_prime):
+                for ell in range(k + 1, d_prime):
+                    corners = [(i, k), (i, ell), (j, k), (j, ell)]
+                    directions = [by_pair.get(c) for c in corners]
+                    if None in directions:
+                        continue
+                    produced = [c for c, dirn in zip(corners, directions) if dirn == PRODUCED]
+                    if len(produced) == 1:
+                        cycles.append(BadCycle((i, j), (k, ell), produced[0]))
+    return cycles

@@ -5,8 +5,9 @@ core, the elimination with one level per row, the mass-action float
 kernel with its monomial table, the stacked determinant-sign sampling,
 the integer sign layer, the kernel-correspondence check on cached
 kernels, the characteristic polynomial interpolated from determinants,
-the sparse exact Jacobian, the readers of S through its nonzeros and
-the audit on interned complex ids, each against the implementation it
+the sparse exact Jacobian, the readers of S through its nonzeros, the
+audit on interned complex ids and the bad 4-cycle search over the
+reactions a species pair shares, each against the implementation it
 replaced (``oracles``)."""
 
 import dataclasses
@@ -32,6 +33,7 @@ from crnsign.deficiency import (
     delta_audit,
 )
 from crnsign.exactla import determinant, is_conserving, kernel_basis, rank
+from crnsign.graphio import CONSUMED, PRODUCED, Edge, SRGraph, build_graph, find_bad_cycles
 from crnsign.model import Complex, Network, RationalMatrix, Reaction, Species, stoichiometric_matrix
 from crnsign.signcheck import (
     Sign,
@@ -411,8 +413,8 @@ def integer_matrices(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(integer_matrices())
-# A row scaled at column 2 and then updated at column 3: updating it
-# before settling divides inexactly.
+# A row scaled at column 2 and then updated at column 3: the elimination
+# that deferred its row scalings divided this row inexactly.
 @example([[0, 0, 0, 1, 0], [0, 0, 0, 2, 1], [0, 0, 1, 0, 1]])
 def test_elimination_matches_eager_oracle_on_integer_matrices(a):
     _assert_same_elimination(a)
@@ -1319,3 +1321,72 @@ def test_altfix_sums_two_halves_into_the_int_1():
     assert report.classes_removed == 2
     assert s_tilde.nonzeros()[c][-1] == (net.reaction_count, 1)
     assert type(s_tilde.nonzeros()[c][-1][1]) is int
+
+
+# ------------------------------------------------------------ bad 4-cycles
+
+
+def _assert_same_cycles(graph):
+    """The cycles, order included, are the brute-force search's.  Returns
+    how many there are."""
+    cycles = find_bad_cycles(graph)
+    assert cycles == oracles.find_bad_cycles(graph)
+    return len(cycles)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.crn")))
+def test_bad_cycles_match_oracle_on_fixture_chains(name):
+    for M in sign_fix(load(name)).matrices():
+        _assert_same_cycles(build_graph(M))
+
+
+def test_bad_cycles_match_oracle_on_corpus_chains(corpus):
+    found = 0
+    for net in corpus[:80]:
+        for M in sign_fix(net).matrices():
+            found += _assert_same_cycles(build_graph(M))
+    assert found > 100
+
+
+@st.composite
+def sr_graphs(draw):
+    """Graphs as the public ``SRGraph`` constructor takes them: up to 6
+    species and 7 reactions, with edges whose species or reaction lies
+    outside the name lists (negative ones included), repeated (species,
+    reaction) pairs and edges of no direction.  Most edges fall inside,
+    so most graphs hold bad cycles."""
+    d, d_prime = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    inside = st.tuples(st.integers(0, max(d - 1, 0)), st.integers(0, max(d_prime - 1, 0)))
+    anywhere = st.tuples(st.integers(-3, d + 2), st.integers(-3, d_prime + 2))
+    edge = st.builds(
+        lambda at, direction, style: Edge(*at, direction, style),
+        st.one_of(inside, inside, inside, anywhere),
+        st.sampled_from([CONSUMED, CONSUMED, PRODUCED, None]),
+        st.sampled_from(["solid", "dotted"]),
+    )
+    names = [f"S{i + 1}" for i in range(d)], [f"R{k + 1}" for k in range(d_prime)]
+    return SRGraph(*names, draw(st.lists(edge, min_size=d * d_prime, max_size=80)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(sr_graphs())
+# One bad cycle.  Wrapped round, species -1 would be species 1 and make a
+# second produced edge; of the two edges on (0, 0), the later, consumed
+# one counts.
+@example(
+    SRGraph(
+        ["A", "B"],
+        ["R1", "R2"],
+        [
+            Edge(0, 0, PRODUCED, "dotted"),
+            Edge(0, 0, CONSUMED, "solid"),
+            Edge(0, 1, CONSUMED, "solid"),
+            Edge(1, 0, CONSUMED, "solid"),
+            Edge(1, 1, PRODUCED, "dotted"),
+            Edge(-1, 0, PRODUCED, "dotted"),
+            Edge(0, -2, PRODUCED, "dotted"),
+        ],
+    )
+)
+def test_bad_cycles_match_oracle_on_random_graphs(graph):
+    _assert_same_cycles(graph)

@@ -706,30 +706,18 @@ def _dense_rank_mod_p(M):
     return r
 
 
-def test_kernel_correspondence_checks_left_positivity(monkeypatch):
+def test_kernel_correspondence_checks_left_positivity():
     """A -> (3/2) B and back, fixed at (B, 0): the left kernel (3, 2) pads
     to (6, 4, 6) over S_check's cleared columns, divided by its gcd to
-    (3, 2, 3), and that padded vector and its sum reach the positivity
-    check."""
+    (3, 2, 3), whose added coordinate is w[q] * p2 = 2 * 3/2; the right
+    kernel (1, 1) pads to (1, 1, 1), a copy of v[l].  The certified
+    check caches both padded bases on S_check."""
     S = RationalMatrix([[-1, 1], ["3/2", "-3/2"]])
     S_check = RationalMatrix([[-1, 1, 0], [0, "-3/2", "3/2"], [1, 0, -1]])
     step = SimpleNamespace(modified_column=0, zeroed_entry=(1, Fraction(3, 2)))
-    seen = []
-    transfers = exactla._positivity_transfers
-
-    def recorded(padded_vectors):
-        seen.append([list(v) for v in padded_vectors])
-        return transfers(padded_vectors)
-
-    monkeypatch.setattr(exactla, "_positivity_transfers", recorded)
     assert kernel_correspondence_check(S, S_check, step) is True
-    monkeypatch.undo()
-    assert seen == [[[1, 1, 1]], [[3, 2, 3]]]
-    # a padded coordinate that breaks strict or weak positivity fails
-    assert not exactla._positivity_transfers([[6, 4, -6]])
-    assert not exactla._positivity_transfers([[6, 0, -1]])
-    assert not exactla._positivity_transfers([[1, 0, 1], [0, 1, -2]])
-    assert exactla._positivity_transfers([[1, -1, 1], [-1, 1, 0]])
+    assert S_check._cache[("chain", "left")] == ((3, 2, 3),)
+    assert S_check._cache[("chain", "right")] == ((1, 1, 1),)
 
 
 def _lift_outcomes(monkeypatch):

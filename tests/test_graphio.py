@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from conftest import make_network
 from crnsign.graphio import (
     CONSUMED,
     PRODUCED,
@@ -57,15 +60,22 @@ def test_graph_matches_matrix_signs(two_ambiguous):
 
 
 def test_bad_cycles_known_network(two_ambiguous):
+    """The cycles come by species pair, then by reaction pair, while the
+    classes of the matrix side come by positive entry: (2, 5) first."""
     cycles = find_bad_cycles(_graph_of(two_ambiguous))
     assert [(c.species, c.reactions, c.produced_at) for c in cycles] == [
         ((2, 3), (2, 4), (3, 4)),
         ((2, 3), (2, 5), (2, 5)),
     ]
+    classes = find_bad_submatrices(stoichiometric_matrix(two_ambiguous))
+    assert [cls.positive_entry for cls in classes] == [(2, 5), (3, 4)]
 
 
 def test_cycles_match_bad_submatrices(two_ambiguous, deficiency_jump, sharp_bounds, conserving_family):
-    for net in (two_ambiguous, deficiency_jump, sharp_bounds, conserving_family):
+    """The fixtures and a 60 x 160 network, where a species pair shares
+    few reactions."""
+    wide = make_network(random.Random(1), (60, 60), (160, 160))
+    for net in (two_ambiguous, deficiency_jump, sharp_bounds, conserving_family, wide):
         S = stoichiometric_matrix(net)
         members = {
             (m.rows, m.cols, m.positive_at)
