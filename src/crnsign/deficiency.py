@@ -27,9 +27,15 @@ and never spliced from its parent's, confirms the total.  A mismatch
 means the implementation is wrong, not the input.  The reactions a step
 keeps are compared as two tuple slices around column l, and the
 rewritten and appended reactions field by field against the expected
-terms tuples.  The original and final ranks are ``exactla.rank`` of
-each network's one cached S, so a rank the command already knows costs
-nothing.
+terms tuples.  The original rank is ``exactla.rank`` of the original
+network's one cached S, so a rank the command already knows costs
+nothing.  The final rank is read from the final S by certificate
+(``signfix._bordered_form``): one pass over its nonzeros checks that it
+is S bordered by the steps, [[S_z, P], [E, -I]] up to column order,
+whose rank is the number of steps plus rank(S), and rank(S) is then
+eliminated again from S's entries, never read from a cached rank or
+kernel, so a wrong cached kernel of S is still caught.  When the
+certificate refuses, the final S is ranked by ``exactla.rank``.
 
 Also here: the decomposition S v(x) = Y A_k psi(x) of the right-hand
 side through complex space (Y lists complex coefficients, A_k is the
@@ -52,7 +58,7 @@ from . import exactla
 from .kinetics import MassActionSystem, MonomialTable, rhs
 from .model import Complex, Network, RationalMatrix, Reaction, stoichiometric_matrix
 from .signcheck import find_bad_submatrices
-from .signfix import FixReport, FixStep
+from .signfix import FixReport, FixStep, _bordered_form
 
 
 class _Interner:
@@ -257,8 +263,14 @@ def delta_audit(report: FixReport) -> List[DeltaAudit]:
 
     Once: the rank of the final network's S, read from that matrix and
     never inferred from the steps, must be the original rank plus the
-    number of steps.  Both ranks go through ``exactla.rank``'s cache on
-    each network's S, so a rank the command already knows costs nothing.
+    number of steps.  The original rank goes through ``exactla.rank``'s
+    cache on S, so a rank the command already knows costs nothing.  The
+    final rank is read by certificate (``_final_rank``): one pass over
+    the final S's nonzeros checks that it is S bordered by the steps
+    (``signfix._bordered_form``), which makes it the number of steps plus
+    rank(S), with rank(S) eliminated again from S's entries and not read
+    from any cached rank or kernel; a refused certificate sends the final
+    S to ``exactla.rank``.
 
     Raises:
         AssertionError: on any disagreement (internal-consistency
@@ -267,7 +279,8 @@ def delta_audit(report: FixReport) -> List[DeltaAudit]:
     audits: List[DeltaAudit] = []
     if not report.steps:
         return audits
-    s0 = exactla.rank(stoichiometric_matrix(report.original))
+    S = stoichiometric_matrix(report.original)
+    s0 = exactla.rank(S)
     interner = _Interner()
     pre_index, pre_roots = _recount(report.original, interner)
     pre_classes = len(set(pre_roots))
@@ -321,13 +334,25 @@ def delta_audit(report: FixReport) -> List[DeltaAudit]:
         )
         pre_index, pre_classes = post_index, post_classes
 
-    final = exactla.rank(stoichiometric_matrix(report.result))
+    final = _final_rank(S, stoichiometric_matrix(report.result), report.steps)
     if final != s0 + len(report.steps):
         raise AssertionError(
             f"final rank {final} is not the original {s0} plus "
             f"{len(report.steps)} steps"
         )
     return audits
+
+
+def _final_rank(S: RationalMatrix, fixed: RationalMatrix, steps: Sequence[FixStep]) -> int:
+    """The rank of ``fixed``, the final network's S.  When ``fixed`` is S
+    bordered by the steps in the documented form (``_bordered_form``), it
+    is exactly the number of steps plus the rank of S, recomputed from S's
+    entries, which the certificate found equal to the top block of
+    ``fixed`` restored; no cached rank or kernel of S is read.  Otherwise
+    it is ``exactla.rank`` of ``fixed``."""
+    if _bordered_form(S, fixed, steps):
+        return len(steps) + exactla._recomputed_rank(S)
+    return exactla.rank(fixed)
 
 
 def check_single_positive_column(net: Network) -> bool:

@@ -158,17 +158,18 @@ _PRIME_INVERSE = np.int64(pow(PRIME, -1, 2**64) - 2**64)
 # mod p wins (2.3 against 5.7 ms at 2,000).
 # Lifting a right kernel (the r x r pivot block inverted) against Bareiss
 # with its vectors, on the S and fixed S (more columns than rows) of 30
-# generated networks of 8-30 species (Intel Xeon, best of 5 CPU times,
-# every lift certified): 0.8 against 0.4 ms per matrix below 400
-# entries, 1.3 against 0.8 at 400-599, 1.9 against 1.4 at 600-999, 2.7
-# against 3.5 at 1,000-1,999 and 3.1 against 10.0 at 2,000-3,999; 4.3
-# against 7.6 ms on the 30 x 80 S, 0.018 against 0.061 s at 60 x 160 and
-# 0.38 against 2.8 s at 200 x 500.  So lifting breaks even near 1,000
-# entries and costs up to 0.5 ms more per matrix between this threshold
-# and there, where no benchmark workload computes a kernel.  The
-# threshold stays at 400 for the rank mod p: raising it to 1,000 would
-# send the 43 ranks mod p of a ``corpus`` pass (414-928 entries) to
-# Bareiss.
+# generated networks of 8-24 species and twice as many reactions (Intel
+# Xeon, best of 5 CPU times, every lift certified): 0.7 against 0.3 ms
+# per matrix below 400 entries, 1.2 against 0.8 at 400-599, 1.5 against
+# 1.5 at 600-999, 2.0 against 4.0 at 1,000-1,999, 3.0 against 8.4 at
+# 2,000-3,999 and 4.6 against 18.8 from 4,000; 3.8 against 7.0 ms on the
+# 30 x 80 S, 0.016 against 0.064 s at 60 x 160 and 0.44 against 3.0 s at
+# 200 x 500.  So lifting breaks even near 600-1,000 entries and costs up
+# to 0.4 ms more per matrix between this threshold and there, where no
+# benchmark workload computes a kernel.  The threshold stays at 400, where
+# the rank mod p breaks even.  A ``corpus`` pass takes no rank mod p: its
+# S have at most 80 entries, and its fixed S (414-928 entries for 43 of
+# them) are certified, not ranked (``deficiency._final_rank``).
 MOD_P_MIN_ENTRIES = 400
 
 
@@ -254,10 +255,11 @@ def _eliminate(
 
     Its callers: kernels below ``MOD_P_MIN_ENTRIES`` entries and kernels
     whose lifting certificate fails; ``rank`` below the threshold when no
-    exact rank is in hand (above it, a rank mod p short of min(rows,
-    cols) goes to the smaller side's kernel); ``determinant`` and
-    ``char_poly``.  One pass of each benchmark workload at seed 0 or 1
-    runs it 988 times on ``corpus`` (670 kernels and 318 ranks) and 49
+    exact rank is in hand, and ``_recomputed_rank`` below it (above it, a
+    rank mod p short of min(rows, cols) goes to the smaller side's
+    kernel); ``determinant`` and ``char_poly``.  One pass of each
+    benchmark workload at seed 0 or 1 runs it 1,031 times on ``corpus``
+    (670 kernels, and 361 ranks of S for the audit's final rank) and 49
     times on ``verify`` (the kernels of each chain's S_0: all 255 steps
     of its chain checks are certified), all below the threshold, and
     never on ``large`` (whose right kernels are lifted, 2 per pass) or
@@ -468,10 +470,28 @@ def rank(matrix: RationalMatrix) -> int:
                 vectors = _computed_kernel(matrix, side)
             value = min(matrix.rows, matrix.cols) - len(vectors)
         else:
-            rows = _dense(_sparse_image(matrix, "right"), matrix.cols)
-            value = len(_eliminate(rows, reduce=False)[1])
+            value = _recomputed_rank(matrix)  # the echelon-only elimination
         matrix._cache["rank"] = value
     return value
+
+
+def _recomputed_rank(matrix: RationalMatrix) -> int:
+    """The exact rank as ``rank`` finds it with nothing cached, reading
+    and writing no cached rank or kernel of the matrix, so a wrong one
+    planted there cannot reach it: the echelon-only elimination below
+    ``MOD_P_MIN_ENTRIES`` entries, else the rank mod p when it is
+    min(rows, cols), else min(rows, cols) less the dimension of the
+    smaller side's kernel, lifted and certified or eliminated."""
+    rows, small = _sparse_image(matrix, "right"), min(matrix.rows, matrix.cols)
+    if matrix.rows * matrix.cols < MOD_P_MIN_ENTRIES:
+        return len(_eliminate(_dense(rows, matrix.cols), reduce=False)[1])
+    if _rank_mod_p(rows, matrix.cols) == small:
+        return small
+    side = "left" if matrix.rows <= matrix.cols else "right"
+    vectors = _lifted_kernel(matrix, side)
+    if vectors is None:
+        vectors = _eliminated_kernel(matrix, side)
+    return small - len(vectors)
 
 
 def _integer_determinant(a: List[List[int]]) -> int:

@@ -79,16 +79,18 @@ def test_parser_is_built_once_per_process(capsys):
     "argv, shapes",
     [
         # right and left kernels of S (7x6), then the audit's rank of the fix
-        (("analyze", TWO_AMBIGUOUS), [(7, 6), (6, 7), (9, 8)]),
-        (("deficiency", TWO_AMBIGUOUS, "--audit"), [(7, 6), (9, 8)]),
+        (("analyze", TWO_AMBIGUOUS), [(7, 6), (6, 7), (7, 6)]),
+        (("deficiency", TWO_AMBIGUOUS, "--audit"), [(7, 6), (7, 6)]),
         (("deficiency", TWO_AMBIGUOUS), [(7, 6)]),
     ],
 )
 def test_one_elimination_of_s_per_command(capsys, monkeypatch, argv, shapes):
-    """S is eliminated once per command: its rank is carried from the
-    right kernel (analyze) or from one ``rank`` (deficiency) to the
-    deficiency section and the audit; only the fixed network is ranked
-    again, from scratch."""
+    """S is eliminated once per command for what the command reports: its
+    rank is carried from the right kernel (analyze) or from one ``rank``
+    (deficiency) to the deficiency section and the audit.  The audit's
+    final rank is the fix's 2 steps plus the rank of S eliminated once
+    more from its own entries, since the fixed 9 x 8 matrix is certified
+    to be S in the bordered form; the fixed matrix is not eliminated."""
     seen = []
     eliminate = exactla._eliminate
 
@@ -107,8 +109,9 @@ def test_analyze_of_a_full_row_rank_network_eliminates_only_the_right_kernel(
     """On a 30 x 80 network of full row rank, analyze eliminates nothing
     over Q: the right kernel of S is lifted p-adically and certified, once,
     the left kernel is {0} by the rank read off it, so conservation needs
-    no simplex, and the fixed network's rank is certified mod p (S was
-    eliminated once, for its right kernel, before the lifting)."""
+    no simplex, and the fixed network's rank is the number of steps plus
+    the rank of S, certified mod p from S's entries (S was eliminated
+    once, for its right kernel, before the lifting)."""
     path = tmp_path / "large.crn"
     path.write_text(serialize_network(make_network(random.Random(0), (30, 30), (80, 80))))
     seen, simplex, lifts = [], [], []
@@ -154,14 +157,15 @@ class _LoggedCache(dict):
 
 def test_analyze_enumerates_the_bad_classes_of_s_once(capsys, monkeypatch):
     """The bad-classes section enumerates S's classes and keeps them on S;
-    ``sign_fix`` and the single-positive-column check read them from
-    there (one enumeration of S per command, four before)."""
+    ``sign_fix``, the bordered-form certificate of the fixed S (run by
+    ``sign_fix`` and by the audit) and the single-positive-column check
+    read them from there (one enumeration of S per command, four before)."""
     net = parse_network(Path(DEF_JUMP).read_text(encoding="utf-8"))
     S = stoichiometric_matrix(net)
     S._cache = _LoggedCache("bad_classes")
     monkeypatch.setattr(cli, "_load_network", lambda args: net)
     body = _run_json(capsys, "analyze", DEF_JUMP)
-    assert S._cache.log == ["get", "set", "get", "get"]
+    assert S._cache.log == ["get", "set", "get", "get", "get", "get"]
     classes = S._cache["bad_classes"]
     assert [c["positive_entry"] for c in body["badclasses"]] == [list(c.positive_entry) for c in classes]
     assert len(body["fixreport"]["steps"]) == len(classes) == 3

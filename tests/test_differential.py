@@ -26,6 +26,7 @@ from conftest import FIXTURES, fixture_text, is_canonical, load, network_text
 from crnsign.textio import parse_network
 from crnsign import exactla, kinetics, signfix, spectra, textio
 from crnsign.deficiency import (
+    _final_rank,
     check_single_positive_column,
     complexes_decomposition,
     complexes_of,
@@ -36,14 +37,23 @@ from crnsign.exactla import determinant, is_conserving, kernel_basis, rank
 from crnsign.graphio import CONSUMED, PRODUCED, Edge, SRGraph, build_graph, find_bad_cycles
 from crnsign.model import Complex, Network, RationalMatrix, Reaction, Species, stoichiometric_matrix
 from crnsign.signcheck import (
+    BadClass,
     Sign,
+    _bad_classes,
     Status,
     find_bad_submatrices,
     hermitian_square_status,
     jacobian_sign_status,
     sign_pattern,
 )
-from crnsign.signfix import FixReport, fix_one_report, sign_fix, verify_permutation_relation
+from crnsign.signfix import (
+    FixReport,
+    _bordered_form,
+    _check_no_class_left,
+    fix_one_report,
+    sign_fix,
+    verify_permutation_relation,
+)
 
 
 # ------------------------------------------------------------- .crn scanner
@@ -174,6 +184,110 @@ def test_permutation_relation_matches_dense_oracle(corpus):
         for check in (verify_permutation_relation, oracles.verify_permutation_relation):
             with pytest.raises(ValueError, match="permutation relation failed"):
                 check(a, mismatched)
+
+
+# ------------------------------------------- certificate of the fixed S
+
+
+def _fresh(M):
+    """A copy of the matrix with an empty cache."""
+    return RationalMatrix._of_nonzeros(M.rows, M.cols, M.nonzeros())
+
+
+def _assert_certified_like_recomputed(net):
+    """The bordered-form certificate accepts the fixed S of the run, and
+    what it certifies equals the full recomputation on a fresh copy: the
+    audit's final rank that of ``exactla.rank``, and "no bad class" the
+    enumeration's."""
+    report = sign_fix(net)
+    S, fixed = stoichiometric_matrix(net), stoichiometric_matrix(report.result)
+    assert _bordered_form(S, fixed, report.steps)
+    assert _final_rank(S, fixed, report.steps) == rank(_fresh(fixed))
+    assert _bad_classes(_fresh(fixed)) == ()
+    _check_no_class_left(S, fixed, report.steps)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.crn")))
+def test_certificate_matches_recomputation_on_fixtures(name):
+    _assert_certified_like_recomputed(load(name))
+
+
+def test_certificate_matches_recomputation_on_corpus(corpus):
+    for net in corpus:
+        _assert_certified_like_recomputed(net)
+
+
+def test_certificate_matches_recomputation_on_large_networks(large_networks):
+    for net in large_networks:
+        _assert_certified_like_recomputed(net)
+
+
+def _with_rows(M, changes):
+    """M with the rows in ``changes`` ({row: {column: value}}) updated; a
+    value of 0 removes the entry."""
+    rows = list(M.nonzeros())
+    for i, update in changes.items():
+        entries = {**dict(rows[i]), **update}
+        rows[i] = tuple(sorted((j, v) for j, v in entries.items() if v != 0))
+    return RationalMatrix._of_nonzeros(M.rows, M.cols, tuple(rows))
+
+
+def _forgeries(report):
+    """Forged (kind, fixed S, steps) from a run of at least two steps."""
+    S, fixed, steps = (
+        stoichiometric_matrix(report.original), stoichiometric_matrix(report.result), report.steps
+    )
+    d, n = S.rows, S.cols
+    (q, p2), ell = steps[0].zeroed_entry, steps[0].modified_column
+    top, (j, v) = next((i, row[0]) for i, row in enumerate(fixed.nonzeros()[:d]) if row and row[0][0] < n)
+    free = 1 if ell == 0 else 0  # a column < n where added row d is 0
+    targets = {(step.zeroed_entry[0], step.modified_column) for step in steps}
+    positive = [(i, j) for i, row in enumerate(S.nonzeros()) for j, x in row if x > 0]
+    yield "zeroed entry restored", _with_rows(fixed, {q: {ell: p2}}), steps
+    yield "top-row entry doubled", _with_rows(fixed, {top: {j: 2 * v}}), steps
+    yield "top-row entry negated", _with_rows(fixed, {top: {j: -v}}), steps
+    yield "added row with an extra nonzero", _with_rows(fixed, {d: {free: -1}}), steps
+    yield "added row with a nonzero in another added column", _with_rows(fixed, {d: {n + 1: 1}}), steps
+    yield "wrong p2 in an added column", _with_rows(fixed, {q: {n: p2 + 1}}), steps
+    yield "added column nonzero in another top row", _with_rows(fixed, {(q + 1) % d: {n: 1}}), steps
+    yield "zeroed entry not a class entry", fixed, (
+        dataclasses.replace(steps[0], modified_column=free),
+    ) + steps[1:]
+    for i, j in [e for e in positive if e not in targets][:1]:
+        yield "zeroed entry another positive entry", fixed, (
+            dataclasses.replace(steps[0], zeroed_entry=(i, p2), modified_column=j),
+        ) + steps[1:]
+        # A true bordering whose last step zeroes that entry instead of its class's
+        current = report.networks[-2]
+        current, step = signfix._rewrite(current, BadClass((i, j), ()), 1.0)
+        yield "bordered at an entry of no class", stoichiometric_matrix(current), steps[:-1] + (step,)
+    yield "a step dropped", stoichiometric_matrix(report.networks[-2]), steps[:-1]
+    yield "a step repeated", fixed, steps[:1] + steps[:-1]
+
+
+def test_forged_fixed_s_is_refused_and_recomputed(large_networks):
+    """Each forgery of the fixed S, or of the steps it is read against,
+    makes the certificate refuse, and the fallback then gives the full
+    recomputation's verdict: the final rank is ``exactla.rank`` of the
+    forged matrix, and the end-of-run check raises exactly when the
+    enumeration finds a bad class.  Both verdicts occur."""
+    verdicts = set()
+    nets = [load(name) for name in ("two_ambiguous.crn", "deficiency_jump.crn", "conserving_family.crn")]
+    for net in nets + [large_networks[0]]:
+        report = sign_fix(net)
+        assert len(report.steps) >= 2
+        S = stoichiometric_matrix(net)
+        for kind, fixed, steps in _forgeries(report):
+            assert not _bordered_form(S, fixed, steps), kind
+            assert _final_rank(S, fixed, steps) == rank(_fresh(fixed)) == oracles.rank(fixed), kind
+            remaining = bool(_bad_classes(_fresh(fixed)))
+            verdicts.add(remaining)
+            if remaining:
+                with pytest.raises(AssertionError, match="bad classes remaining"):
+                    _check_no_class_left(S, fixed, steps)
+            else:
+                _check_no_class_left(S, fixed, steps)
+    assert verdicts == {True, False}
 
 
 # ------------------------------------------------------------ exact core
@@ -413,8 +527,11 @@ def integer_matrices(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(integer_matrices())
-# A row scaled at column 2 and then updated at column 3: the elimination
-# that deferred its row scalings divided this row inexactly.
+# Two zero columns, a row swap at the first pivot, and a row with a zero
+# at the second pivot's column, so only scaled there (piv * x // prev),
+# then updated at the third, where the division by the previous pivot 2
+# must still be exact.  An elimination that deferred its row scalings
+# divided this row inexactly.
 @example([[0, 0, 0, 1, 0], [0, 0, 0, 2, 1], [0, 0, 1, 0, 1]])
 def test_elimination_matches_eager_oracle_on_integer_matrices(a):
     _assert_same_elimination(a)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from crnsign import signfix
 
 from crnsign.exactla import kernel_basis
-from crnsign.model import RationalMatrix, stoichiometric_matrix
+from crnsign.model import Complex, RationalMatrix, Reaction, stoichiometric_matrix
 from crnsign.signcheck import find_bad_submatrices
 from crnsign.signfix import (
     altfix,
@@ -199,6 +200,36 @@ def test_sign_fix_rejects_target_no_longer_bad(monkeypatch, deficiency_jump):
     monkeypatch.setattr(signfix, "_rewrite", interfering)
     with pytest.raises(AssertionError, match="no longer bad"):
         sign_fix(deficiency_jump)
+
+
+def test_sign_fix_raises_when_bad_classes_remain(monkeypatch, two_ambiguous):
+    """A rewrite that keeps p2*B in reaction l's product, beside the fresh
+    B', zeroes nothing, so every class is still bad at the end: the
+    bordered-form certificate refuses the fixed S, and the enumeration it
+    falls back to finds the classes and raises."""
+    rewrite = signfix._rewrite
+
+    def keeping(net, cls, rate):
+        fixed, step = rewrite(net, cls, rate)
+        (q, p2), ell = step.zeroed_entry, step.modified_column
+        old = fixed.reactions[ell]
+        kept = Reaction(old.reactant, Complex.from_dict({**dict(old.product.terms), q: p2}),
+                        old.rate, old.label)
+        reactions = fixed.reactions[:ell] + (kept,) + fixed.reactions[ell + 1:]
+        return dataclasses.replace(fixed, reactions=reactions), step
+
+    certified = []
+    bordered_form = signfix._bordered_form
+
+    def recorded(*args):
+        certified.append(bordered_form(*args))
+        return certified[-1]
+
+    monkeypatch.setattr(signfix, "_rewrite", keeping)
+    monkeypatch.setattr(signfix, "_bordered_form", recorded)
+    with pytest.raises(AssertionError, match="fixing run finished with bad classes remaining"):
+        sign_fix(two_ambiguous)
+    assert certified == [False]
 
 
 def test_clean_network_gives_identity_report(two_ambiguous):
