@@ -78,7 +78,7 @@ def test_parser_is_built_once_per_process(capsys):
 @pytest.mark.parametrize(
     "argv, shapes",
     [
-        # right and left kernels of S (7x6), then the audit's rank of the fix
+        # right and left kernels of S (7x6), then the audit's rank of S again
         (("analyze", TWO_AMBIGUOUS), [(7, 6), (6, 7), (7, 6)]),
         (("deficiency", TWO_AMBIGUOUS, "--audit"), [(7, 6), (7, 6)]),
         (("deficiency", TWO_AMBIGUOUS), [(7, 6)]),
