@@ -113,7 +113,7 @@ def _rates_for(net: Network, override: Optional[str]) -> List[float]:
     the file gives none.  A file that rates only some of its reactions
     (as ``signfix -o`` writes one) is an input error: no rate is
     guessed for the rest."""
-    if override:
+    if override is not None:
         return _floats(override, "--rates", net.reaction_count)
     missing = [j for j, r in enumerate(net.reactions) if r.rate is None]
     if not missing:
@@ -127,7 +127,7 @@ def _rates_for(net: Network, override: Optional[str]) -> List[float]:
 
 
 def _x0_for(net: Network, override: Optional[str]) -> List[float]:
-    if override:
+    if override is not None:
         return _floats(override, "--x0", net.species_count)
     return [1.0] * net.species_count
 
@@ -321,8 +321,8 @@ def _convergence_section(report: spectra.ConvergenceReport) -> dict:
 
 def _cmd_analyze(args) -> _Outcome:
     net = _load_network(args)
-    if not args.k_grid:  # the spectral section checks them in its own order
-        if args.rates:
+    if args.k_grid is None:  # the spectral section checks them in its own order
+        if args.rates is not None:
             _floats(args.rates, "--rates", net.reaction_count)
         _x0_for(net, args.x0)
     S = stoichiometric_matrix(net)
@@ -340,7 +340,7 @@ def _cmd_analyze(args) -> _Outcome:
         fix_error = str(exc)
 
     spectra_section = None
-    if args.k_grid:
+    if args.k_grid is not None:
         if not badclasses:
             raise _InputError("--k-grid requested but the network has no bad classes")
         spectra_section = _convergence_section(_one_step_convergence(args, net)[-1])
@@ -396,7 +396,7 @@ def _cmd_signfix(args) -> _Outcome:
             f"  zeroed ({fix.original.species[q].name}, R{step.modified_column + 1}) "
             f"value {p2}; added species {step.added_species}"
         )
-    files = ((args.output, body["result_text"]),) if args.output else ()
+    files = ((args.output, body["result_text"]),) if args.output is not None else ()
     return _Outcome(body, "\n".join(lines) + "\n", files=files, report_to_stdout=True)
 
 
@@ -438,7 +438,7 @@ def _cmd_deficiency(args) -> _Outcome:
 
 def _cmd_equilibria(args) -> _Outcome:
     _checked(kinetics.step_count, args.t_end, args.dt)
-    if args.traj_csv and not args.simulate:
+    if args.traj_csv is not None and not args.simulate:
         raise _InputError("--traj-csv needs --simulate")
     net = _load_network(args)
     rates = _rates_for(net, args.rates)
@@ -485,7 +485,7 @@ def _cmd_equilibria(args) -> _Outcome:
             "dt_f64": args.dt,
             "final_state_f64": [float(v) for v in states[-1]],
         }
-        if args.traj_csv:
+        if args.traj_csv is not None:
             csv_text = io.StringIO()
             writer = csv.writer(csv_text)
             writer.writerow(["t"] + [s.name for s in net.species])
@@ -661,7 +661,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 text = report
         for path, content in outcome.files:
             _write_file(path, content)
-        if args.output and not outcome.report_to_stdout:
+        if args.output is not None and not outcome.report_to_stdout:
             _write_file(args.output, text)
         else:
             sys.stdout.write(text)

@@ -31,11 +31,11 @@ terms tuples.  The original rank is ``exactla.rank`` of the original
 network's one cached S, so a rank the command already knows costs
 nothing.  The final rank is read from the final S by certificate
 (``signfix._bordered_form``): one pass over its nonzeros checks that it
-is S bordered by the steps, [[S_z, P], [E, -I]] up to column order,
-whose rank is the number of steps plus rank(S), and rank(S) is then
-eliminated again from S's entries, never read from a cached rank or
-kernel, so a wrong cached kernel of S is still caught.  When the
-certificate refuses, the final S is ranked by ``exactla.rank``.
+is S bordered by the steps, [[S_z, P], [E, -I]] up to column order with
+S_z + P E = S, whose rank is the number of steps plus rank(S), and
+rank(S) is then recomputed from S's entries, never read from a cached
+rank or kernel, so a wrong cached kernel of S is still caught.  A
+refused certificate raises; nothing ranks the final S instead.
 
 Also here: the decomposition S v(x) = Y A_k psi(x) of the right-hand
 side through complex space (Y lists complex coefficients, A_k is the
@@ -265,16 +265,19 @@ def delta_audit(report: FixReport) -> List[DeltaAudit]:
     never inferred from the steps, must be the original rank plus the
     number of steps.  The original rank goes through ``exactla.rank``'s
     cache on S, so a rank the command already knows costs nothing.  The
-    final rank is read by certificate (``_final_rank``): one pass over
-    the final S's nonzeros checks that it is S bordered by the steps
-    (``signfix._bordered_form``), which makes it the number of steps plus
-    rank(S), with rank(S) eliminated again from S's entries and not read
-    from any cached rank or kernel; a refused certificate sends the final
-    S to ``exactla.rank``.
+    final rank is read by certificate: one pass over the final S's
+    nonzeros must find it S bordered by the steps
+    (``signfix._bordered_form``), or the audit raises.  Its rank is then
+    the number of steps plus rank(S), with rank(S) recomputed from S's
+    entries (``exactla._recomputed_rank``), not read from any cached rank
+    or kernel, so a wrong one cached on S is caught.  The class condition
+    of ``sign_fix`` is not needed for the rank, so a one-step report of
+    ``fix_one_report`` is certified too.
 
     Raises:
         AssertionError: on any disagreement (internal-consistency
-            failure, not an input error).
+            failure, not an input error), a refused certificate among
+            them.
     """
     audits: List[DeltaAudit] = []
     if not report.steps:
@@ -334,25 +337,15 @@ def delta_audit(report: FixReport) -> List[DeltaAudit]:
         )
         pre_index, pre_classes = post_index, post_classes
 
-    final = _final_rank(S, stoichiometric_matrix(report.result), report.steps)
+    if not _bordered_form(S, stoichiometric_matrix(report.result), report.steps):
+        raise AssertionError("final network's S is not S bordered by the steps")
+    final = len(report.steps) + exactla._recomputed_rank(S)
     if final != s0 + len(report.steps):
         raise AssertionError(
             f"final rank {final} is not the original {s0} plus "
             f"{len(report.steps)} steps"
         )
     return audits
-
-
-def _final_rank(S: RationalMatrix, fixed: RationalMatrix, steps: Sequence[FixStep]) -> int:
-    """The rank of ``fixed``, the final network's S.  When ``fixed`` is S
-    bordered by the steps in the documented form (``_bordered_form``), it
-    is exactly the number of steps plus the rank of S, recomputed from S's
-    entries, which the certificate found equal to the top block of
-    ``fixed`` restored; no cached rank or kernel of S is read.  Otherwise
-    it is ``exactla.rank`` of ``fixed``."""
-    if _bordered_form(S, fixed, steps):
-        return len(steps) + exactla._recomputed_rank(S)
-    return exactla.rank(fixed)
 
 
 def check_single_positive_column(net: Network) -> bool:

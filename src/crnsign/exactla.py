@@ -31,23 +31,17 @@ have no columns: the simplex stops once the phase-1 objective is 0, and
 answers "infeasible" when no column of S^t can lower it (Farkas' lemma),
 so no artificial variable ever enters the basis.
 
-A rank can also be certified modulo one fixed prime ``PRIME`` < 2^21
-(the modular idea of Cabay 1971).  Reducing an integer matrix mod p can
-only lose rank, and no rank exceeds min(rows, cols), so
-
-    rank_p <= rank_Q <= min(rows, cols),
-
-and when rank_p equals min(rows, cols) it is the exact rank over Q.
-Otherwise ``rank`` reads the kernel of the smaller side, the left one
-when rows <= cols and the right one otherwise, lifted and certified as
-below, or eliminated by Bareiss when its certificate fails: the rank is
-min(rows, cols) less its dimension.  A matrix with conservation laws
-has one left kernel vector per law, so its rank costs one short lift,
-and an unlucky prime costs time, never exactness.  The rank mod p is
-taken by elimination on the residues of the cleared rows as dense numpy
-int64 rows (entries below p, so every product fits).  ``rank`` and the
-kernels try it only from ``MOD_P_MIN_ENTRIES`` entries up, below which
-Bareiss in Python integers is the faster of the two.
+A rank is counted by the echelon-only elimination below
+``MOD_P_MIN_ENTRIES`` entries.  From there up it is min(rows, cols) less
+the dimension of the smaller side's kernel, the left one when
+rows <= cols and the right one otherwise, lifted and certified as below,
+or eliminated by Bareiss when its certificate fails.  The lift starts
+with an elimination mod p, which can only lose rank, so when it leaves
+no column free, rank_p = min(rows, cols) <= rank_Q and the kernel is {0}
+at the cost of that one elimination (the modular idea of Cabay 1971).  A
+matrix with conservation laws has one left kernel vector per law, so its
+rank costs one short lift, and an unlucky prime costs time, never
+exactness.
 
 From ``MOD_P_MIN_ENTRIES`` entries up a kernel basis is lifted
 p-adically (Dixon 1982) and certified, with Bareiss as the fallback.  Let
@@ -88,14 +82,13 @@ side, the exact rank, and the chain bases that
 the cache cannot go stale; it dies with the matrix, and
 ``model.stoichiometric_matrix`` gives every caller of a network the same
 matrix.  Every cached value is computed from, or certified on, that
-matrix's own entries, and only an exact one is stored: a rank mod p is
-stored as the rank only when certified.  The cached tuples are never
-handed to the elimination, which works on a copy.
+matrix's own entries, and only an exact one is stored.  The cached
+tuples are never handed to the elimination, which works on a copy.
 
-An exact rank in hand answers two questions without an elimination over
-Q: it is the rank, and a rank equal to the row (column) count means the
-left (right) kernel is {0}.  "In hand" means the cached rank, the cached
-right kernel (rank = cols - nullity) or a certified rank mod p; no
+An exact rank in hand answers two questions without an elimination: it
+is the rank, and a rank equal to the row (column) count means the left
+(right) kernel is {0}.  "In hand" means the cached rank or a cached
+kernel (rank = cols - right nullity = rows - left nullity); no
 elimination is ever run just to look for it.  ``is_conserving`` then
 answers "not conserving" from an empty left kernel without a simplex.
 
@@ -150,12 +143,14 @@ PRIME = 2**21 - 9
 # so a multiple of PRIME times it is the exact quotient, without numpy's
 # integer division.
 _PRIME_INVERSE = np.int64(pow(PRIME, -1, 2**64) - 2**64)
-# rows * cols from which a rank is first tried mod p and a kernel is
-# lifted p-adically.  On generated S and fixed S, numpy's per-call cost
-# makes the elimination mod p slower than Bareiss in Python integers
-# below it (0.45 against 0.33 ms per matrix at 200-399 entries); the two
-# break even at 400-600, and from about 1,000 entries up the elimination
-# mod p wins (2.3 against 5.7 ms at 2,000).
+# rows * cols from which a kernel, and with it a rank (the smaller side's
+# kernel), is lifted p-adically instead of eliminated by Bareiss: the one
+# thing this gates.  A full rank costs the lift's elimination mod p alone,
+# which numpy's per-call cost makes slower than Bareiss in Python integers
+# below it (0.45 against 0.33 ms per matrix at 200-399 entries, on
+# generated S and fixed S); the two break even at 400-600, and from about
+# 1,000 entries up the elimination mod p wins (2.3 against 5.7 ms at
+# 2,000).
 # Lifting a right kernel (the r x r pivot block inverted) against Bareiss
 # with its vectors, on the S and fixed S (more columns than rows) of 30
 # generated networks of 8-24 species and twice as many reactions (Intel
@@ -167,9 +162,9 @@ _PRIME_INVERSE = np.int64(pow(PRIME, -1, 2**64) - 2**64)
 # 200 x 500.  So lifting breaks even near 600-1,000 entries and costs up
 # to 0.4 ms more per matrix between this threshold and there, where no
 # benchmark workload computes a kernel.  The threshold stays at 400, where
-# the rank mod p breaks even.  A ``corpus`` pass takes no rank mod p: its
-# S have at most 80 entries, and its fixed S (414-928 entries for 43 of
-# them) are certified, not ranked (``deficiency._final_rank``).
+# a full rank breaks even.  A ``corpus`` pass lifts nothing: its S have at
+# most 80 entries, and its fixed S (414-928 entries for 43 of them) are
+# certified, not ranked (``deficiency.delta_audit``).
 MOD_P_MIN_ENTRIES = 400
 
 
@@ -253,17 +248,17 @@ def _eliminate(
     below each pivot are updated: the pivots, D and the sign are the same,
     but the rows are left in echelon form.
 
-    Its callers: kernels below ``MOD_P_MIN_ENTRIES`` entries and kernels
-    whose lifting certificate fails; ``rank`` below the threshold when no
-    exact rank is in hand, and ``_recomputed_rank`` below it (above it, a
-    rank mod p short of min(rows, cols) goes to the smaller side's
-    kernel); ``determinant`` and ``char_poly``.  One pass of each
-    benchmark workload at seed 0 or 1 runs it 1,031 times on ``corpus``
-    (670 kernels, and 361 ranks of S for the audit's final rank) and 49
-    times on ``verify`` (the kernels of each chain's S_0: all 255 steps
-    of its chain checks are certified), all below the threshold, and
-    never on ``large`` (whose right kernels are lifted, 2 per pass) or
-    ``kinetics``.  Every rank mod p those passes take is min(rows, cols).
+    Its callers: kernels and ranks below ``MOD_P_MIN_ENTRIES`` entries,
+    and kernels and ranks whose lifting certificate fails
+    (``_recomputed_rank``); ``determinant`` and ``char_poly``.  One pass
+    of each benchmark workload at seed 0 runs it 1,031 times on
+    ``corpus`` (670 kernels, and 361 ranks of S for the audit's final
+    rank) and 49 times on ``verify`` (the kernels of each chain's S_0:
+    all 255 steps of its chain checks are certified), all below the
+    threshold, and never on ``large`` or ``kinetics``.  ``large`` lifts 4
+    kernels per pass: the right kernel of each S, and for the audit's
+    rank of each S its left kernel, which the elimination mod p finds
+    {0}.
     """
     height = len(a)
     pivots: List[int] = []
@@ -377,15 +372,6 @@ def _in_kernel(matrix: RationalMatrix, side: str, vectors: Sequence[Sequence[int
     return all(sum(x * packed[j] for j, x in row) == 0 for row in rows)
 
 
-def _rank_mod_p(rows: SparseRows, width: int) -> int:
-    """Rank modulo ``PRIME`` of the sparse integer rows of ``width``
-    columns, a lower bound on the rank over Q: ``_eliminate_mod_p`` on
-    their residues as dense numpy int64 rows, each entry reduced in
-    Python integers first, since cleared rows can hold entries far beyond
-    int64."""
-    return len(_eliminate_mod_p(_int64(rows, width, residues=True))[0])
-
-
 def _eliminate_mod_p(
     a: np.ndarray, reduce: bool = False, columns: Optional[int] = None
 ) -> Tuple[List[int], np.ndarray]:
@@ -425,73 +411,45 @@ def _eliminate_mod_p(
 
 
 def _rank_in_hand(matrix: RationalMatrix) -> Optional[int]:
-    """The exact rank when it costs no elimination over Q, else None: the
-    cached rank, else columns less the cached right kernel's dimension,
-    else (from ``MOD_P_MIN_ENTRIES`` entries) the rank mod p of the right
-    integer image when it equals min(rows, cols).  A rank found here is
-    cached."""
+    """The exact rank when it costs no elimination, else None: the cached
+    rank, else columns less the cached right kernel's dimension, else rows
+    less the cached left kernel's.  A rank found here is cached."""
     value = matrix._cache.get("rank")
     if value is not None:
         return value
-    kernel = matrix._cache.get(("kernel", "right"))
-    if kernel is not None:
-        value = matrix.cols - len(kernel)
-    elif matrix.rows * matrix.cols >= MOD_P_MIN_ENTRIES:
-        rank_p = _rank_mod_p(_sparse_image(matrix, "right"), matrix.cols)
-        if rank_p == min(matrix.rows, matrix.cols):
-            value = rank_p
-    if value is not None:
-        matrix._cache["rank"] = value
+    right, left = matrix._cache.get(("kernel", "right")), matrix._cache.get(("kernel", "left"))
+    if right is not None:
+        value = matrix._cache["rank"] = matrix.cols - len(right)
+    elif left is not None:
+        value = matrix._cache["rank"] = matrix.rows - len(left)
     return value
 
 
 def rank(matrix: RationalMatrix) -> int:
-    """Exact rank, cached on the matrix.
-
-    It is read from the cache, or from the cached right kernel (columns
-    less its dimension), or certified mod p (see the module docstring).
-    From ``MOD_P_MIN_ENTRIES`` entries up a rank mod p short of
-    min(rows, cols) leaves the smaller side's kernel to settle it: the
-    rank is min(rows, cols) less that kernel's dimension, the left kernel
-    when rows <= cols and the right one otherwise, read from the cache or
-    else lifted and certified, or eliminated when the certificate fails
-    (``_computed_kernel``), and cached.  Below the threshold
-    the echelon-only integer elimination of the cleared rows, scattered
-    from their nonzeros, counts the pivots.  Every source is this
-    matrix's own entries.
+    """Exact rank, cached on the matrix: read from the cache or from either
+    side's cached kernel (``_rank_in_hand``), else ``_recomputed_rank``.
+    Every source is this matrix's own entries.
     """
     value = _rank_in_hand(matrix)
     if value is None:
-        if matrix.rows * matrix.cols >= MOD_P_MIN_ENTRIES:
-            # The rank mod p fell short: no rank is in hand to look for again.
-            side = "left" if matrix.rows <= matrix.cols else "right"
-            vectors = matrix._cache.get(("kernel", side))
-            if vectors is None:
-                vectors = _computed_kernel(matrix, side)
-            value = min(matrix.rows, matrix.cols) - len(vectors)
-        else:
-            value = _recomputed_rank(matrix)  # the echelon-only elimination
-        matrix._cache["rank"] = value
+        value = matrix._cache["rank"] = _recomputed_rank(matrix)
     return value
 
 
 def _recomputed_rank(matrix: RationalMatrix) -> int:
-    """The exact rank as ``rank`` finds it with nothing cached, reading
-    and writing no cached rank or kernel of the matrix, so a wrong one
-    planted there cannot reach it: the echelon-only elimination below
-    ``MOD_P_MIN_ENTRIES`` entries, else the rank mod p when it is
-    min(rows, cols), else min(rows, cols) less the dimension of the
-    smaller side's kernel, lifted and certified or eliminated."""
-    rows, small = _sparse_image(matrix, "right"), min(matrix.rows, matrix.cols)
+    """The exact rank from the matrix's entries, reading and writing no
+    cached rank or kernel of it, so a wrong one planted there cannot reach
+    it.  Below ``MOD_P_MIN_ENTRIES`` entries it counts the pivots of the
+    echelon-only elimination of the cleared rows.  From there up it is
+    min(rows, cols) less the dimension of the smaller side's kernel, the
+    left one when rows <= cols and the right one otherwise, lifted and
+    certified, or eliminated when the certificate fails: a full rank costs
+    the lift's one elimination mod p and no more (``_lifted_kernel``)."""
     if matrix.rows * matrix.cols < MOD_P_MIN_ENTRIES:
+        rows = _sparse_image(matrix, "right")
         return len(_eliminate(_dense(rows, matrix.cols), reduce=False)[1])
-    if _rank_mod_p(rows, matrix.cols) == small:
-        return small
     side = "left" if matrix.rows <= matrix.cols else "right"
-    vectors = _lifted_kernel(matrix, side)
-    if vectors is None:
-        vectors = _eliminated_kernel(matrix, side)
-    return small - len(vectors)
+    return min(matrix.rows, matrix.cols) - len(_computed_kernel(matrix, side))
 
 
 def _integer_determinant(a: List[List[int]]) -> int:
@@ -515,33 +473,27 @@ def _kernel_vectors(matrix: RationalMatrix, side: str) -> IntRows:
     """Integer basis of the right ("right") or left ("left") kernel of the
     matrix, one vector per free column of the reduced row echelon form in
     order, each coprime with a positive leading entry; cached on the
-    matrix.  An exact rank in hand that leaves no free column gives ()
-    without an elimination; otherwise ``_computed_kernel`` finds it."""
+    matrix.  An exact rank in hand equal to the side's length leaves no
+    free column, so the kernel is () without an elimination; otherwise
+    ``_computed_kernel`` finds it."""
     key = ("kernel", side)
     vectors = matrix._cache.get(key)
-    if vectors is not None:
-        return vectors
-    # An exact rank equal to the side's length leaves the kernel {0}.  No
-    # rank exceeds min(rows, cols), so look for one only at that length.
-    size = matrix.rows if side == "left" else matrix.cols
-    if size == min(matrix.rows, matrix.cols) and _rank_in_hand(matrix) == size:
-        vectors = matrix._cache[key] = ()
-        return vectors
-    return _computed_kernel(matrix, side)
+    if vectors is None:
+        full = _rank_in_hand(matrix) == (matrix.rows if side == "left" else matrix.cols)
+        vectors = matrix._cache[key] = () if full else _computed_kernel(matrix, side)
+    return vectors
 
 
 def _computed_kernel(matrix: RationalMatrix, side: str) -> IntRows:
-    """The basis of ``_kernel_vectors`` when no rank in hand settles it:
-    from ``MOD_P_MIN_ENTRIES`` entries up lifted p-adically and certified
+    """The basis of ``_kernel_vectors`` from the matrix's entries alone,
+    reading and writing no cached kernel or rank: from
+    ``MOD_P_MIN_ENTRIES`` entries up lifted p-adically and certified
     (``_lifted_kernel``); below it, or when the certificate fails, read
-    off ``_eliminate``.  Cached on the matrix."""
+    off ``_eliminate``."""
     vectors = None
     if matrix.rows * matrix.cols >= MOD_P_MIN_ENTRIES:
         vectors = _lifted_kernel(matrix, side)
-    if vectors is None:
-        vectors = _eliminated_kernel(matrix, side)
-    matrix._cache[("kernel", side)] = vectors
-    return vectors
+    return _eliminated_kernel(matrix, side) if vectors is None else vectors
 
 
 def _normalized(v: List[int]) -> Tuple[int, ...]:
@@ -575,7 +527,10 @@ def _eliminated_kernel(matrix: RationalMatrix, side: str) -> IntRows:
 def _lifted_kernel(matrix: RationalMatrix, side: str) -> Optional[IntRows]:
     """The kernel basis of ``_eliminated_kernel``, found by p-adic lifting
     (Dixon 1982) and certified exactly, or None when the certificate
-    fails or a cleared entry is too large for exact int64 products.
+    fails or a cleared entry is too large for exact int64 products.  When
+    the elimination mod p leaves no column free the kernel is {0}, since
+    the rank over Q is at least the rank mod p, and () is returned before
+    any entry is bounded: a full rank costs that one elimination.
 
     The echelon elimination mod p of A, the side's cleared rows, gives
     the pivot columns and the rows that carry them, whose block B is
@@ -589,18 +544,18 @@ def _lifted_kernel(matrix: RationalMatrix, side: str) -> Optional[IntRows]:
     column after its own free column (see the module docstring)."""
     rows = _sparse_image(matrix, side)
     width = matrix.cols if side == "right" else matrix.rows
-    # Every residual below stays under max_i sum_j |A_ij| in size and every
-    # R - B X under that times PRIME: exact in int64 below 2^63.
-    if max(sum(abs(x) for _, x in row) for row in rows) * PRIME >= 2**63:
-        return None
-    a = _int64(rows, width, residues=False)
-    pivots, order = _eliminate_mod_p(a % PRIME)
+    pivots, order = _eliminate_mod_p(_int64(rows, width, residues=True))
     r = len(pivots)
     pivot_set = set(pivots)
     free = [c for c in range(width) if c not in pivot_set]
     if not free:
+        # rank over Q >= rank mod p = width: the kernel is {0}
         return ()
-    chosen = a[order[:r]]
+    # Every residual below stays under max_i sum_j |A_ij| in size and every
+    # R - B X under that times PRIME: exact in int64 below 2^63.
+    if max(sum(abs(x) for _, x in row) for row in rows) * PRIME >= 2**63:
+        return None
+    chosen = _int64([rows[i] for i in order[:r].tolist()], width, residues=False)
     # Hadamard's bound, squared, on |det B| and on every numerator of
     # Cramer's rule for B X = N: the product of the chosen rows' norms.
     bound2 = prod(sum(x * x for _, x in rows[i]) for i in order[:r].tolist())
@@ -719,10 +674,10 @@ def kernel_basis(matrix: RationalMatrix, side: str = "right") -> KernelBasis:
     result.  The integer vectors are cached on the matrix, so a second
     call on the same object does not compute them again, and the basis
     holds them as they are (``KernelBasis.integers``).  When the exact
-    rank is already in hand (cached, read off the cached right kernel, or
-    certified mod p) and equals the side's length, the kernel is {0} and
-    no elimination runs: the left kernel of a matrix of full row rank is
-    free once its right kernel is known.
+    rank is already in hand (cached, or read off either cached kernel) and
+    equals the side's length, the kernel is {0} and no elimination runs:
+    the left kernel of a matrix of full row rank is free once its right
+    kernel or its rank is known.
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")

@@ -12,8 +12,10 @@ new reactions and builds the stepped network through
 still bad from the product and reactant coefficients of its members'
 entries.  The fixed matrix of a full run is certified, in one pass over
 its nonzeros, to be S bordered by the steps (``_bordered_form``), which
-leaves no bad submatrix and gives its rank; the audit's final rank reads
-the same certificate.
+gives its rank; with the steps at exactly S's classes, it leaves no bad
+submatrix.  A run whose fixed matrix is refused raises, with no
+enumeration to fall back on, and the audit's final rank reads the same
+certificate.
 
 Also here: the verification of the order-permutation relation between two
 full runs, and the single-bordering shortcut that removes every bad
@@ -272,20 +274,22 @@ def sign_fix(
     removes exactly its own class and leaves the other classes' members
     in place, so the steps apply the rewrites in order; before each step
     the target's members are re-read from the current reactions to check
-    that it is still bad.  At the end the fixed matrix is read once, in
-    time linear in its nonzeros, to check that it is S bordered by the
-    steps in the documented form, with the steps' zeroed entries exactly
-    the positive entries of S's classes (``_bordered_form``, whose
-    docstring proves the four cases that leave no bad submatrix).  Only
-    when that check fails is the fixed matrix enumerated, and a bad class
-    found there raises.
+    that it is still bad.  At the end the fixed matrix is certified free
+    of bad submatrices, with no enumeration of it: the steps' zeroed
+    entries must be exactly the positive entries of S's classes (the
+    class condition), and one read of the fixed matrix's nonzeros, in
+    time linear in their number, must find it S bordered by the steps in
+    the documented form (``_bordered_form``, whose docstring proves the
+    four cases that then leave no bad submatrix).  Either check failing
+    raises.
 
     Raises:
         ValueError: if ``order`` is not a permutation of the class indices
             or the rates are invalid.
         AssertionError: if a target class is no longer bad before its
-            step, or bad classes remain after the last step (an
-            implementation fault, not an input error).
+            step, or the fixed matrix is refused by the class condition or
+            the bordered-form certificate (an implementation fault, not an
+            input error).
     """
     S = stoichiometric_matrix(net)
     classes = find_bad_submatrices(S)
@@ -319,15 +323,14 @@ def sign_fix(
         networks.append(current)
         steps.append(step)
 
-    _check_no_class_left(S, stoichiometric_matrix(current), steps)
+    # The class condition: the zeroed entries are exactly the classes'
+    # positive entries, which the enumeration lists in sorted order.
+    targets = sorted((step.zeroed_entry[0], step.modified_column) for step in steps)
+    if targets != [cls.positive_entry for cls in classes] or not _bordered_form(
+        S, stoichiometric_matrix(current), steps
+    ):
+        raise AssertionError("fixed matrix is not S bordered at its classes: bad classes may remain")
     return FixReport(tuple(steps), tuple(networks), tuple(order))
-
-
-def _check_no_class_left(S: RationalMatrix, fixed: RationalMatrix, steps: Sequence[FixStep]) -> None:
-    """Raise unless ``fixed``, S after ``steps``, has no bad class: it is
-    certified by ``_bordered_form``, or else ``fixed`` is enumerated."""
-    if not _bordered_form(S, fixed, steps) and find_bad_submatrices(fixed):
-        raise AssertionError("fixing run finished with bad classes remaining")
 
 
 def _bordered_form(S: RationalMatrix, fixed: RationalMatrix, steps: Sequence[FixStep]) -> bool:
@@ -336,34 +339,30 @@ def _bordered_form(S: RationalMatrix, fixed: RationalMatrix, steps: Sequence[Fix
 
     S is d x d' and step t zeroes S's entry p2_t at (q_t, l_t) and adds row
     d + t and column d' + t, so with k steps ``fixed`` must be, up to
-    column order, [[S_z, P], [E, -I]]: it is (d + k) x (d' + k); row d + t
-    is exactly ((l_t, 1), (d' + t, -1)); top row i holds, in the added
-    columns, exactly (d' + t, p2_t) for each step with q_t = i; and its
-    first d' entries, which hold nothing at those l_t, plus p2_t at each
-    l_t, are S's row i.  The steps' entries (q_t, l_t) must be exactly the
-    positive entries of S's bad classes.
+    column order, [[S_z, P], [E, -I]] with S_z + P E = S: it is
+    (d + k) x (d' + k); row d + t is exactly ((l_t, 1), (d' + t, -1)); top
+    row i holds, in the added columns, exactly (d' + t, p2_t) for each step
+    with q_t = i; and its first d' entries, which hold nothing at those
+    l_t, plus p2_t at each l_t, are S's row i.  Then, with no elimination,
+    rank(fixed) = rank(S) + k: adding P times the added rows to the top
+    rows gives [[S, 0], [E, -I]], and the -I block clears E by column
+    operations.
 
-    Two facts then follow with no elimination and no enumeration of
-    ``fixed``:
-
-    - rank(fixed) = rank(S) + k.  Adding P times the added rows to the top
-      rows gives [[S, 0], [E, -I]], since S_z + P E = S, and the -I block
-      clears E by column operations.
-    - ``fixed`` has no bad submatrix: a 2 x 2 with four nonzero entries
-      and one positive.  Both rows on top, both columns original: its
-      entries are S's, so it is bad in S, and its positive entry is some
-      class's (q_t, l_t), which S_z holds as 0.  Both rows on top, a
-      column added: that column has one nonzero on top.  Both rows added:
-      rows d + t and d + u share at most one nonzero column, l_t = l_u.
-      One row on top and row d + t: the columns are l_t and d' + t, and
-      (d + t, l_t) is +1, so the 2 x 2 needs a negative entry on top in
-      column d' + t, which holds only p2_t, S's positive entry.
+    With the class condition of ``sign_fix`` as well, that the steps'
+    entries (q_t, l_t) are exactly the positive entries of S's bad
+    classes, ``fixed`` has no bad submatrix, a 2 x 2 with four nonzero
+    entries and one positive, with no enumeration of it.  Both rows on
+    top, both columns original: its entries are S's, so it is bad in S,
+    and its positive entry is some class's (q_t, l_t), which S_z holds as
+    0.  Both rows on top, a column added: that column has one nonzero on
+    top.  Both rows added: rows d + t and d + u share at most one nonzero
+    column, l_t = l_u.  One row on top and row d + t: the columns are l_t
+    and d' + t, and (d + t, l_t) is +1, so the 2 x 2 needs a negative
+    entry on top in column d' + t, which holds only p2_t, S's positive
+    entry.
     """
     d, n, k = S.rows, S.cols, len(steps)
-    targets = sorted((step.zeroed_entry[0], step.modified_column) for step in steps)
-    if (fixed.rows, fixed.cols) != (d + k, n + k) or targets != [
-        cls.positive_entry for cls in find_bad_submatrices(S)
-    ]:
+    if (fixed.rows, fixed.cols) != (d + k, n + k):
         return False
     rows = fixed.nonzeros()
     moved: List[List[Tuple[int, int, Exact]]] = [[] for _ in range(d)]

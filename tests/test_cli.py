@@ -110,8 +110,9 @@ def test_analyze_of_a_full_row_rank_network_eliminates_only_the_right_kernel(
     over Q: the right kernel of S is lifted p-adically and certified, once,
     the left kernel is {0} by the rank read off it, so conservation needs
     no simplex, and the fixed network's rank is the number of steps plus
-    the rank of S, certified mod p from S's entries (S was eliminated
-    once, for its right kernel, before the lifting)."""
+    the rank of S, recomputed from S's entries by a second lift, of S's
+    left kernel, whose elimination mod p leaves no row free (S was
+    eliminated once, for its right kernel, before the lifting)."""
     path = tmp_path / "large.crn"
     path.write_text(serialize_network(make_network(random.Random(0), (30, 30), (80, 80))))
     seen, simplex, lifts = [], [], []
@@ -131,7 +132,7 @@ def test_analyze_of_a_full_row_rank_network_eliminates_only_the_right_kernel(
     monkeypatch.setattr(exactla, "_phase1_simplex", lambda *a: simplex.append(a))
     body = _run_json(capsys, "analyze", str(path))
     assert seen == []
-    assert lifts == [(30, 80, "right", True)]
+    assert lifts == [(30, 80, "right", True), (30, 80, "left", True)]
     assert simplex == []
     assert body["kernels"]["conserving"] is False
     assert body["kernels"]["left_exact"] == []
@@ -157,15 +158,16 @@ class _LoggedCache(dict):
 
 def test_analyze_enumerates_the_bad_classes_of_s_once(capsys, monkeypatch):
     """The bad-classes section enumerates S's classes and keeps them on S;
-    ``sign_fix``, the bordered-form certificate of the fixed S (run by
-    ``sign_fix`` and by the audit) and the single-positive-column check
-    read them from there (one enumeration of S per command, four before)."""
+    ``sign_fix``, which checks the fixed S's steps against them, and the
+    single-positive-column check read them from there (one enumeration of
+    S per command, four before); the bordered-form certificate reads
+    none."""
     net = parse_network(Path(DEF_JUMP).read_text(encoding="utf-8"))
     S = stoichiometric_matrix(net)
     S._cache = _LoggedCache("bad_classes")
     monkeypatch.setattr(cli, "_load_network", lambda args: net)
     body = _run_json(capsys, "analyze", DEF_JUMP)
-    assert S._cache.log == ["get", "set", "get", "get", "get", "get"]
+    assert S._cache.log == ["get", "set", "get", "get"]
     classes = S._cache["bad_classes"]
     assert [c["positive_entry"] for c in body["badclasses"]] == [list(c.positive_entry) for c in classes]
     assert len(body["fixreport"]["steps"]) == len(classes) == 3
@@ -474,6 +476,20 @@ def test_zero_samples_is_an_input_error(capsys, command):
         ["equilibria", CONSERVING, "--t-end", "nan"],
         ["equilibria", CONSERVING, "--t-end", "-5"],
         ["equilibria", CONSERVING, "--dt", "inf"],
+        # empty values, never taken for an absent flag
+        ["analyze", ONE_AMBIGUOUS, "--rates="],
+        ["analyze", ONE_AMBIGUOUS, "--x0="],
+        ["analyze", DEF_JUMP, "--k-grid="],
+        ["equilibria", CONSERVING, "--rates=", "--plain"],
+        ["equilibria", CONSERVING, "--x0="],
+        ["spectra", ONE_AMBIGUOUS, "--rates="],
+        ["spectra", ONE_AMBIGUOUS, "--x0="],
+        ["decompose", CONSERVING, "--rates="],
+        ["equilibria", CONSERVING, "--traj-csv="],
+        ["equilibria", CONSERVING, "--simulate", "--t-end", "0.01", "--traj-csv="],
+        ["analyze", ONE_AMBIGUOUS, "-o="],
+        ["deficiency", CONSERVING, "--output="],
+        ["signfix", CONSERVING, "-o="],
     ],
     ids=[
         "rates-nan", "rates-inf", "x0-nan", "x0-inf", "t-end-negative", "dt-nan", "k-grid-inf",
@@ -481,6 +497,10 @@ def test_zero_samples_is_an_input_error(capsys, command):
         "step-count-over-cap", "spectra-k-grid-extra-part", "analyze-k-grid-extra-part",
         "unused-x0-nan", "unused-x0-count", "unused-x0-negative", "unused-rates-abc",
         "unused-rates-count", "unused-t-end-nan", "unused-t-end-negative", "unused-dt-inf",
+        "analyze-rates-empty", "analyze-x0-empty", "analyze-k-grid-empty",
+        "equilibria-rates-empty", "equilibria-x0-empty", "spectra-rates-empty",
+        "spectra-x0-empty", "decompose-rates-empty", "traj-csv-empty-unused",
+        "traj-csv-empty", "output-empty", "output-long-empty", "signfix-output-empty",
     ],
 )
 def test_non_finite_or_non_positive_flag_is_an_input_error(capsys, argv):

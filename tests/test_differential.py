@@ -11,13 +11,14 @@ reactions a species pair shares, each against the implementation it
 replaced (``oracles``)."""
 
 import dataclasses
+import importlib
 import random
 import string
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -26,7 +27,6 @@ from conftest import FIXTURES, fixture_text, is_canonical, load, network_text
 from crnsign.textio import parse_network
 from crnsign import exactla, kinetics, signfix, spectra, textio
 from crnsign.deficiency import (
-    _final_rank,
     check_single_positive_column,
     complexes_decomposition,
     complexes_of,
@@ -49,7 +49,6 @@ from crnsign.signcheck import (
 from crnsign.signfix import (
     FixReport,
     _bordered_form,
-    _check_no_class_left,
     fix_one_report,
     sign_fix,
     verify_permutation_relation,
@@ -197,14 +196,14 @@ def _fresh(M):
 def _assert_certified_like_recomputed(net):
     """The bordered-form certificate accepts the fixed S of the run, and
     what it certifies equals the full recomputation on a fresh copy: the
-    audit's final rank that of ``exactla.rank``, and "no bad class" the
-    enumeration's."""
+    audit's final rank, the number of steps plus S's recomputed rank,
+    that of ``exactla.rank``, and "no bad class" the enumeration's."""
     report = sign_fix(net)
     S, fixed = stoichiometric_matrix(net), stoichiometric_matrix(report.result)
     assert _bordered_form(S, fixed, report.steps)
-    assert _final_rank(S, fixed, report.steps) == rank(_fresh(fixed))
+    assert len(report.steps) + exactla._recomputed_rank(S) == rank(_fresh(fixed))
     assert _bad_classes(_fresh(fixed)) == ()
-    _check_no_class_left(S, fixed, report.steps)
+    delta_audit(report)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.crn")))
@@ -222,6 +221,67 @@ def test_certificate_matches_recomputation_on_large_networks(large_networks):
         _assert_certified_like_recomputed(net)
 
 
+_TERM_COEFFICIENTS = ["", "2 ", "3", "1/2 ", "3/2 ", "2/3 ", "7/4", "0.5 "]
+
+
+@st.composite
+def network_texts(draw, catalysts):
+    """``.crn`` text of up to 8 lines over up to 5 species: fractional
+    coefficients, a species repeated within a complex, the zero complex
+    and reversible pairs.  With ``catalysts`` a species may sit on both
+    sides of a reaction; otherwise each reaction's two sides draw from
+    disjoint species."""
+    names = [f"X{i}" for i in range(draw(st.integers(2, 5)))]
+
+    def side(pool):
+        if not pool or draw(st.integers(0, 7)) == 0:
+            return "0"
+        terms = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        return " + ".join(draw(st.sampled_from(_TERM_COEFFICIENTS)) + name for name in terms)
+
+    lines = []
+    for _ in range(draw(st.integers(2, 8))):
+        if catalysts:
+            left = right = names
+        else:
+            shuffled = draw(st.permutations(names))
+            cut = draw(st.integers(0, len(names)))
+            left, right = shuffled[:cut], shuffled[cut:]
+        reactant, product = side(left), side(right)
+        if reactant == product == "0":  # not a reaction
+            product = (right or left)[0]
+        lines.append(f"{reactant} {draw(st.sampled_from(['->', '<->']))} {product}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans().flatmap(lambda c: st.tuples(st.just(c), network_texts(c))))
+def test_a_genuine_run_is_never_refused(drawn):
+    """Over generated networks of the whole input grammar, catalysts
+    included where ``sign_fix`` accepts the network, the certificate
+    accepts every full run and every one-step report, and the audit,
+    which raises on a refused certificate, gives the oracle's records;
+    enumerating the fixed S finds no class."""
+    catalysts, text = drawn
+    try:
+        net = parse_network(text, allow_catalysts=catalysts)
+    except (textio.ParseError, ValueError):
+        assume(False)
+    try:
+        report = sign_fix(net)
+    except ValueError:
+        # a class's species consumed by its own reaction (a catalyst)
+        assume(False)
+    S, fixed = stoichiometric_matrix(net), stoichiometric_matrix(report.result)
+    assert _bordered_form(S, fixed, report.steps)
+    assert _bad_classes(_fresh(fixed)) == ()
+    assert delta_audit(report) == oracles.delta_audit(report)
+    if report.steps:
+        one = fix_one_report(net)
+        assert _bordered_form(S, stoichiometric_matrix(one.result), one.steps)
+        assert delta_audit(one) == oracles.delta_audit(one)
+
+
 def _with_rows(M, changes):
     """M with the rows in ``changes`` ({row: {column: value}}) updated; a
     value of 0 removes the entry."""
@@ -233,9 +293,12 @@ def _with_rows(M, changes):
 
 
 def _forgeries(report):
-    """Forged (kind, fixed S, steps) from a run of at least two steps."""
-    S, fixed, steps = (
-        stoichiometric_matrix(report.original), stoichiometric_matrix(report.result), report.steps
+    """Forged (kind, fixed S, steps, chain) from a run of at least two
+    steps: the chain holds the networks the forged steps are replayed on,
+    its last network's S read as the forged fixed S."""
+    S, fixed, steps, chain = (
+        stoichiometric_matrix(report.original), stoichiometric_matrix(report.result),
+        report.steps, report.networks,
     )
     d, n = S.rows, S.cols
     (q, p2), ell = steps[0].zeroed_entry, steps[0].modified_column
@@ -243,51 +306,96 @@ def _forgeries(report):
     free = 1 if ell == 0 else 0  # a column < n where added row d is 0
     targets = {(step.zeroed_entry[0], step.modified_column) for step in steps}
     positive = [(i, j) for i, row in enumerate(S.nonzeros()) for j, x in row if x > 0]
-    yield "zeroed entry restored", _with_rows(fixed, {q: {ell: p2}}), steps
-    yield "top-row entry doubled", _with_rows(fixed, {top: {j: 2 * v}}), steps
-    yield "top-row entry negated", _with_rows(fixed, {top: {j: -v}}), steps
-    yield "added row with an extra nonzero", _with_rows(fixed, {d: {free: -1}}), steps
-    yield "added row with a nonzero in another added column", _with_rows(fixed, {d: {n + 1: 1}}), steps
-    yield "wrong p2 in an added column", _with_rows(fixed, {q: {n: p2 + 1}}), steps
-    yield "added column nonzero in another top row", _with_rows(fixed, {(q + 1) % d: {n: 1}}), steps
+    yield "zeroed entry restored", _with_rows(fixed, {q: {ell: p2}}), steps, chain
+    yield "top-row entry doubled", _with_rows(fixed, {top: {j: 2 * v}}), steps, chain
+    yield "top-row entry negated", _with_rows(fixed, {top: {j: -v}}), steps, chain
+    yield "added row with an extra nonzero", _with_rows(fixed, {d: {free: -1}}), steps, chain
+    yield "added row with a nonzero in another added column", _with_rows(fixed, {d: {n + 1: 1}}), steps, chain
+    yield "wrong p2 in an added column", _with_rows(fixed, {q: {n: p2 + 1}}), steps, chain
+    yield "added column nonzero in another top row", _with_rows(fixed, {(q + 1) % d: {n: 1}}), steps, chain
     yield "zeroed entry not a class entry", fixed, (
         dataclasses.replace(steps[0], modified_column=free),
-    ) + steps[1:]
+    ) + steps[1:], chain
     for i, j in [e for e in positive if e not in targets][:1]:
         yield "zeroed entry another positive entry", fixed, (
             dataclasses.replace(steps[0], zeroed_entry=(i, p2), modified_column=j),
-        ) + steps[1:]
+        ) + steps[1:], chain
         # A true bordering whose last step zeroes that entry instead of its class's
-        current = report.networks[-2]
-        current, step = signfix._rewrite(current, BadClass((i, j), ()), 1.0)
-        yield "bordered at an entry of no class", stoichiometric_matrix(current), steps[:-1] + (step,)
-    yield "a step dropped", stoichiometric_matrix(report.networks[-2]), steps[:-1]
-    yield "a step repeated", fixed, steps[:1] + steps[:-1]
+        current, step = signfix._rewrite(chain[-2], BadClass((i, j), ()), 1.0)
+        yield TRUE_BORDERINGS[0], stoichiometric_matrix(current), steps[:-1] + (step,), chain[:-1] + (current,)
+    yield TRUE_BORDERINGS[1], stoichiometric_matrix(chain[-2]), steps[:-1], chain[:-1]
+    yield "a step repeated", fixed, steps[:1] + steps[:-1], chain
 
 
-def test_forged_fixed_s_is_refused_and_recomputed(large_networks):
-    """Each forgery of the fixed S, or of the steps it is read against,
-    makes the certificate refuse, and the fallback then gives the full
-    recomputation's verdict: the final rank is ``exactla.rank`` of the
-    forged matrix, and the end-of-run check raises exactly when the
-    enumeration finds a bad class.  Both verdicts occur."""
-    verdicts = set()
+# The forgeries that are true borderings of S, at entries other than
+# exactly S's classes: only ``sign_fix``'s class condition refuses them.
+TRUE_BORDERINGS = ("bordered at an entry of no class", "a step dropped")
+
+
+def _raised(run):
+    """The message of the AssertionError that ``run()`` raises, or None."""
+    try:
+        run()
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def _replayed(net, fixed, steps, chain, monkeypatch):
+    """What ``sign_fix`` of net and ``delta_audit`` of the chain raise
+    when the forged steps are the run's and the chain's last network has
+    the forged fixed S: ``sign_fix``'s rewrites hand out the chain's
+    networks and the forged steps, so it replays only as many steps as
+    the network has classes, and both modules read the forged S in place
+    of the last network's own."""
+    real = stoichiometric_matrix
+    with monkeypatch.context() as patch:
+        # the package exports the function ``deficiency``, not the module
+        for module in (signfix, importlib.import_module("crnsign.deficiency")):
+            patch.setattr(module, "stoichiometric_matrix", lambda m: fixed if m is chain[-1] else real(m))
+        replay = iter(zip(chain[1:], steps))
+        patch.setattr(signfix, "_rewrite", lambda current, target, rate: next(replay))
+        fixing = _raised(lambda: sign_fix(net)) if len(steps) == _class_count(net) else None
+        report = FixReport(tuple(steps), tuple(chain), tuple(range(len(steps))))
+        return fixing, _raised(lambda: delta_audit(report))
+
+
+def test_forged_fixed_s_is_refused_and_raises(large_networks, monkeypatch):
+    """Each forgery of the fixed S, or of the steps it is read against, is
+    refused: ``sign_fix`` raises, and so does ``delta_audit``, at its
+    check of a step's bordering or at the certificate of the fixed S,
+    never ranking the forged S instead.  Two forgeries are true
+    borderings of S at entries other than exactly S's classes, one of
+    them replayed on one step fewer than the network has classes: the
+    certificate accepts them, S's classes refuse them in ``sign_fix``
+    (each leaves a bad class), and the audit certifies them with the
+    oracle's rank."""
+    kinds = set()
     nets = [load(name) for name in ("two_ambiguous.crn", "deficiency_jump.crn", "conserving_family.crn")]
     for net in nets + [large_networks[0]]:
         report = sign_fix(net)
         assert len(report.steps) >= 2
         S = stoichiometric_matrix(net)
-        for kind, fixed, steps in _forgeries(report):
-            assert not _bordered_form(S, fixed, steps), kind
-            assert _final_rank(S, fixed, steps) == rank(_fresh(fixed)) == oracles.rank(fixed), kind
-            remaining = bool(_bad_classes(_fresh(fixed)))
-            verdicts.add(remaining)
-            if remaining:
-                with pytest.raises(AssertionError, match="bad classes remaining"):
-                    _check_no_class_left(S, fixed, steps)
+        classes = [cls.positive_entry for cls in find_bad_submatrices(S)]
+        for kind, fixed, steps, chain in _forgeries(report):
+            kinds.add(kind)
+            fixing, auditing = _replayed(net, fixed, steps, chain, monkeypatch)
+            targets = sorted((step.zeroed_entry[0], step.modified_column) for step in steps)
+            if kind in TRUE_BORDERINGS:
+                assert _bordered_form(S, fixed, steps), kind
+                assert targets != classes and _bad_classes(_fresh(fixed)), kind
+                assert auditing is None, kind
+                assert len(steps) + exactla._recomputed_rank(S) == oracles.rank(fixed), kind
             else:
-                _check_no_class_left(S, fixed, steps)
-    assert verdicts == {True, False}
+                assert not _bordered_form(S, fixed, steps), kind
+                assert auditing is not None, kind
+                if steps == report.steps:
+                    assert auditing == "final network's S is not S bordered by the steps", kind
+            if kind == TRUE_BORDERINGS[1]:
+                assert fixing is None  # fewer steps than classes: not replayed
+            else:
+                assert fixing == "fixed matrix is not S bordered at its classes: bad classes may remain", kind
+    assert len(kinds) == 12
 
 
 # ------------------------------------------------------------ exact core
@@ -457,12 +565,39 @@ def threshold_matrices(draw):
     return RationalMatrix(a)
 
 
+def _threshold_examples():
+    """Fixed inputs for the rank differential, all at or above
+    ``exactla.MOD_P_MIN_ENTRIES`` entries: a 20 x 30 matrix of full row
+    rank whose pivot block holds PRIME on its diagonal (rank mod p 19, and
+    a lift that fails its certificate), and wide and tall matrices with
+    entries beyond int64, of full rank (certified by the elimination mod p
+    alone) and of short rank (a lift refused by its int64 bound)."""
+    rng, p, big = random.Random(1), exactla.PRIME, 10**30
+    p_led = [[p if j == i == 7 else int(j == i) for j in range(20)]
+             + [rng.randint(-3, 3) * (p if i == 7 else 1) for _ in range(10)] for i in range(20)]
+    full = [[big * rng.randint(-2, 2) + rng.randint(-1, 1) for _ in range(25)] for _ in range(20)]
+    short = list(full)
+    short[5] = [x + 2 * y for x, y in zip(full[1], full[2])]
+    short[6] = [Fraction(x, big + 7) for x in full[3]]
+    out = [RationalMatrix(p_led)]
+    for a in (full, short):
+        out += [RationalMatrix(a), RationalMatrix([list(column) for column in zip(*a)])]
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(threshold_matrices(), st.permutations(["rank", "right", "left"]))
+@example(_threshold_examples()[0], ["rank", "right", "left"])
+@example(_threshold_examples()[1], ["left", "rank", "right"])
+@example(_threshold_examples()[2], ["right", "left", "rank"])
+@example(_threshold_examples()[3], ["rank", "left", "right"])
+@example(_threshold_examples()[4], ["left", "right", "rank"])
 def test_rank_and_kernels_match_oracle_across_the_mod_p_threshold(S, order):
     """In any call order on a fresh matrix, the rank and both kernels,
-    whether answered mod p, from the cache or by Bareiss, equal the
-    Fraction oracle's."""
+    whether lifted, read from the cache or eliminated by Bareiss, equal
+    the Fraction oracle's.  So does every route to the rank: ``rank`` of
+    a fresh matrix, of one with only its right or only its left kernel
+    cached (read off it, with no rank cached), and ``_recomputed_rank``."""
     expected = {
         "rank": oracles.rank(S),
         "right": oracles.kernel_basis(S, "right"),
@@ -472,6 +607,13 @@ def test_rank_and_kernels_match_oracle_across_the_mod_p_threshold(S, order):
     for what in order:
         got = rank(fresh) if what == "rank" else kernel_basis(fresh, what)
         assert got == expected[what], what
+    assert rank(RationalMatrix(S.entries())) == expected["rank"]
+    assert exactla._recomputed_rank(RationalMatrix(S.entries())) == expected["rank"]
+    for side, other in (("right", "left"), ("left", "right")):
+        cached = RationalMatrix(S.entries())
+        assert kernel_basis(cached, side) == expected[side]
+        assert "rank" not in cached._cache and ("kernel", other) not in cached._cache
+        assert rank(cached) == expected["rank"], side
 
 
 def _assert_same_elimination(rows):

@@ -225,7 +225,8 @@ def _isolation_inputs():
     """S and the fixed S of every fixture, and the square S S^t of each
     (a determinant with row swaps and rank deficiency), a fractional
     square matrix, and one 30 x 80 S of full row rank, at or above
-    ``MOD_P_MIN_ENTRIES``, whose rank is certified mod p."""
+    ``MOD_P_MIN_ENTRIES``, whose rank the lift's elimination mod p
+    certifies."""
     out = []
     for path in sorted(FIXTURES.glob("*.crn")):
         net = load(path.name)
@@ -302,29 +303,31 @@ def _echelon_rank(M):
     return len(exactla._eliminate(oracles._cleared_rows(M.entries()), reduce=False)[1])
 
 
-def test_rank_reads_only_its_own_slot_the_right_kernel_and_the_right_image():
-    """Rank equals a fresh echelon rank with and without a cached right
-    kernel or right integer image (the image is what the rank mod p
-    eliminates); a wrong left kernel or a planted key of another name
-    (such as a chain basis, which only the kernel correspondence check
-    reads) is not read.  No input here has a short rank mod p, the one
-    case in which the rank reads the smaller side's kernel, left or
-    right: each is below ``MOD_P_MIN_ENTRIES`` entries or of full rank
-    mod p."""
+def test_rank_reads_only_its_own_slot_and_the_cached_kernels():
+    """Rank equals a fresh echelon rank with and without a cached right or
+    left kernel or integer image of either side (the images are what
+    Bareiss and the lift eliminate).  A planted key of another name, such
+    as a chain basis, which only the kernel correspondence check reads,
+    is not read; a planted left kernel is, since a cached kernel is exact:
+    the rank is rows less its dimension."""
     for M in _isolation_inputs():
         expected = _echelon_rank(M)
         assert rank(_fresh(M)) == expected
-        with_kernel = _fresh(M)
-        kernel_basis(with_kernel, "right")
-        assert rank(with_kernel) == expected
-        with_image = _fresh(M)
-        exactla._sparse_image(with_image, "right")
-        assert rank(with_image) == expected
+        for side in ("right", "left"):
+            with_kernel = _fresh(M)
+            kernel_basis(with_kernel, side)
+            assert rank(with_kernel) == expected
+            with_image = _fresh(M)
+            exactla._sparse_image(with_image, side)
+            assert rank(with_image) == expected
         planted = _fresh(M)
         bogus = ((1,) * M.cols,) * min(M.rows, M.cols)
-        planted._cache[("kernel", "left")] = bogus
         planted._cache[("chain", "right")] = bogus
+        planted._cache[("chain", "left")] = bogus
         assert rank(planted) == expected
+        read = _fresh(M)
+        read._cache[("kernel", "left")] = ((1,) * M.rows,)
+        assert rank(read) == M.rows - 1
 
 
 def _p_led(rows, cols, at, rng):
@@ -338,6 +341,14 @@ def _p_led(rows, cols, at, rng):
         tail = [rng.randint(-3, 3) * (p if i == at else 1) for _ in range(cols - rows)]
         out.append(head + tail)
     return RationalMatrix(out)
+
+
+def _rank_mod_p(M):
+    """Rank modulo ``PRIME`` of the matrix's cleared rows, a lower bound
+    on its rank over Q: the pivots ``_eliminate_mod_p`` finds in their
+    residues, on a fresh copy."""
+    image = exactla._sparse_image(_fresh(M), "right")
+    return len(exactla._eliminate_mod_p(exactla._int64(image, M.cols, residues=True))[0])
 
 
 def _counted_eliminate(monkeypatch):
@@ -356,17 +367,21 @@ def _counted_eliminate(monkeypatch):
 def test_rank_mod_p_below_min_falls_back_to_the_exact_rank(monkeypatch):
     """A 20 x 30 matrix of full row rank with a pivot equal to p: the rank
     mod p is 19, below min(rows, cols), so it certifies nothing.  The rank
-    goes to the smaller side's kernel, the left one, whose lift fails its
-    certificate, so Bareiss of the columns decides; both kernels and
-    conservation come from Bareiss and the simplex, equal to the Fraction
-    oracle's."""
+    is min(rows, cols) less the smaller side's kernel, the left one, whose
+    lift fails its certificate, so Bareiss of the columns decides; only
+    the rank is cached, and it then makes the left kernel {0} with no
+    elimination.  Both kernels of a fresh copy and conservation come from
+    Bareiss and the simplex, equal to the Fraction oracle's."""
     M = _p_led(20, 30, 7, random.Random(1))
     assert M.rows * M.cols >= exactla.MOD_P_MIN_ENTRIES
-    assert exactla._rank_mod_p(exactla._sparse_image(M, "right"), M.cols) == 19
+    assert _rank_mod_p(M) == 19
     seen = _counted_eliminate(monkeypatch)
     assert rank(M) == 20 == oracles.rank(M)
     assert seen == [(30, 20)]
-    assert M._cache[("kernel", "left")] == () and ("kernel", "right") not in M._cache
+    assert M._cache["rank"] == 20
+    assert ("kernel", "left") not in M._cache and ("kernel", "right") not in M._cache
+    assert kernel_basis(M, "left").dim == 0
+    assert seen == [(30, 20)]
     fresh = _fresh(M)
     assert kernel_basis(fresh, "left") == oracles.kernel_basis(M, "left")
     assert kernel_basis(fresh, "left").dim == 0
@@ -382,8 +397,9 @@ def test_a_short_rank_mod_p_is_settled_by_the_smaller_sides_kernel(monkeypatch, 
     min(rows, cols), so it certifies nothing, and the rank is
     min(rows, cols) less the lifted kernel of the smaller side (left when
     wide, right when tall).  On a fresh copy it equals the oracle's, makes
-    no elimination over Q, and caches that side's kernel, equal to the
-    oracle's, and the rank; the other side is not read."""
+    no elimination over Q, and caches the rank and no kernel; that side's
+    kernel, lifted again when asked for, equals the oracle's, still with
+    no elimination, and the other side is not read."""
     net = parse_network(record_cli_golden.conserving_text(60, 160, 1))
     M = stoichiometric_matrix(sign_fix(net).result)
     if transpose:
@@ -392,20 +408,24 @@ def test_a_short_rank_mod_p_is_settled_by_the_smaller_sides_kernel(monkeypatch, 
     assert min(M.rows, M.cols) == 76 and max(M.rows, M.cols) == 176
     expected = oracles.rank(M)
     assert expected == 75
-    assert exactla._rank_mod_p(exactla._sparse_image(_fresh(M), "right"), M.cols) < 76
+    assert _rank_mod_p(M) < 76
     fresh = _fresh(M)
     seen = _counted_eliminate(monkeypatch)
     assert rank(fresh) == expected
     assert seen == []
     assert fresh._cache["rank"] == expected
-    assert fresh._cache[("kernel", side)] == oracles.kernel_basis(M, side).integers
+    assert ("kernel", side) not in fresh._cache and ("kernel", other) not in fresh._cache
+    assert kernel_basis(fresh, side) == oracles.kernel_basis(M, side)
+    assert seen == []
     assert ("kernel", other) not in fresh._cache
 
 
-def test_rank_mod_p_reduces_entries_beyond_int64():
+def test_rank_mod_p_reduces_entries_beyond_int64(monkeypatch):
     """Rows scaled to 10^30 and fractional rows whose cleared entries pass
-    int64 are reduced in Python integers before the int64 elimination;
-    the certified rank and kernels equal the oracle's."""
+    int64 are reduced in Python integers before the int64 elimination
+    mod p.  It leaves no column of the smaller side free, so the rank is
+    certified full before any entry is bounded, with no Bareiss
+    elimination; the rank and kernels equal the oracle's."""
     rng = random.Random(2)
     big = 10**30
     for rows, cols in ((20, 25), (25, 20)):
@@ -414,7 +434,10 @@ def test_rank_mod_p_reduces_entries_beyond_int64():
         entries[3] = [Fraction(x, big + 7) for x in entries[3]]
         M = RationalMatrix(entries)
         assert max(abs(x) for row in exactla._sparse_image(M, "right") for _, x in row) > 2**63
+        seen = _counted_eliminate(monkeypatch)
         assert rank(M) == oracles.rank(M) == min(rows, cols)
+        assert seen == []
+        monkeypatch.undo()
         assert M._cache["rank"] == min(rows, cols)
         for side in ("left", "right"):
             assert kernel_basis(_fresh(M), side) == oracles.kernel_basis(M, side)
@@ -437,16 +460,18 @@ def test_network_with_a_1e400_coefficient():
 
 
 def test_is_conserving_on_a_fresh_full_row_rank_s_needs_no_elimination(monkeypatch):
-    """A library call on a fresh 30 x 80 S: the rank mod p certifies full
-    row rank, so the left kernel is {0} and the answer is "not
-    conserving", with no Bareiss elimination and no simplex."""
+    """A library call on a fresh 30 x 80 S: the lift of its left kernel
+    finds no free row in its elimination mod p, so the left kernel is {0}
+    and the answer is "not conserving", with no Bareiss elimination and no
+    simplex; the rank is then read off that kernel."""
     S = _fresh(stoichiometric_matrix(make_network(random.Random(0), (30, 30), (80, 80))))
     calls = []
     monkeypatch.setattr(exactla, "_eliminate", lambda *a, **k: calls.append("eliminate"))
     monkeypatch.setattr(exactla, "_phase1_simplex", lambda *a, **k: calls.append("simplex"))
     assert is_conserving(S) == exactla.ConservationResult(False, None)
     assert calls == []
-    assert S._cache[("kernel", "left")] == () and S._cache["rank"] == 30
+    assert S._cache[("kernel", "left")] == () and rank(S) == 30
+    assert calls == []
 
 
 def test_is_conserving_stops_where_phase_1_is_decided(monkeypatch):
@@ -590,8 +615,7 @@ def test_kernel_correspondence_certificate_closes_when_the_rank_mod_p_is_short(m
     assert len(report.steps) == 3
     seen = _counted_eliminate(monkeypatch)
     for S, S_check, step in zip(matrices, matrices[1:], report.steps):
-        image = exactla._sparse_image(_fresh(S_check), "right")
-        assert exactla._rank_mod_p(image, S_check.cols) < oracles.rank(S_check)
+        assert _rank_mod_p(S_check) < oracles.rank(S_check)
         bad = oracles.with_entry(S_check, S.rows, step.modified_column, Fraction(5))
         assert kernel_correspondence_check(S, bad, step) is False
         assert oracles.kernel_correspondence_check(S, bad, step) is False
@@ -606,15 +630,15 @@ def test_kernel_correspondence_certificate_closes_when_the_rank_mod_p_is_short(m
 def test_kernel_correspondence_chain_across_the_mod_p_threshold(monkeypatch):
     """A 15 x 22 network (330 entries) whose first fixed matrix has 368
     entries and every later one at least ``MOD_P_MIN_ENTRIES``: every
-    certificate closes with no rank mod p (only S_0 is eliminated), no
-    fixed matrix gets an integer image of its rows or columns, and every
-    bool is the oracle's."""
+    certificate closes with no elimination mod p (only S_0 is eliminated,
+    by Bareiss), no fixed matrix gets an integer image of its rows or
+    columns, and every bool is the oracle's."""
     report = sign_fix(make_network(random.Random(2), (15, 15), (22, 22)))
     matrices = report.matrices()
     sizes = [M.rows * M.cols for M in matrices]
     assert sizes[1] < exactla.MOD_P_MIN_ENTRIES <= sizes[2] and len(report.steps) == 12
     mod_p_calls = []
-    monkeypatch.setattr(exactla, "_rank_mod_p", lambda *args: mod_p_calls.append(args))
+    monkeypatch.setattr(exactla, "_eliminate_mod_p", lambda *args, **kw: mod_p_calls.append(args))
     seen = _counted_eliminate(monkeypatch)
     for S, S_check, step in zip(matrices, matrices[1:], report.steps):
         assert kernel_correspondence_check(S, S_check, step) is True
@@ -675,16 +699,16 @@ def test_kernel_correspondence_rejects_a_zeroed_row_of_a_full_row_rank_network(m
 
 def test_rank_mod_p_is_the_same_in_python_integers_and_numpy():
     """Random sparse integer rows, some entries multiples of p or beyond
-    int64: ``_rank_mod_p`` in numpy gives the rank of a dense elimination
-    mod p in Python integers, at most the rank over Q."""
+    int64: ``_eliminate_mod_p`` of their residues in numpy finds as many
+    pivots as a dense elimination mod p in Python integers, at most the
+    rank over Q."""
     rng = random.Random(8)
     p = exactla.PRIME
     values = [0, 0, 0, 1, -1, 2, 3, p, -2 * p, p + 1, 10**30]
     for _ in range(80):
         rows, cols = rng.randint(1, 9), rng.randint(1, 9)
         M = RationalMatrix([[rng.choice(values) for _ in range(cols)] for _ in range(rows)])
-        image = exactla._sparse_image(M, "right")
-        assert exactla._rank_mod_p(image, cols) == _dense_rank_mod_p(M) <= oracles.rank(M)
+        assert _rank_mod_p(M) == _dense_rank_mod_p(M) <= oracles.rank(M)
 
 
 def _dense_rank_mod_p(M):
@@ -845,7 +869,7 @@ def test_pivots_that_differ_mod_p_are_rejected_by_the_support_rule(monkeypatch):
     rng = random.Random(5)
     a = [[p * (i == 0), int(i == 0)] + [rng.randint(-3, 3) for _ in range(28)] for i in range(20)]
     M = RationalMatrix(a)
-    assert exactla._rank_mod_p(exactla._sparse_image(M, "right"), 30) == oracles.rank(M) == 20
+    assert _rank_mod_p(M) == oracles.rank(M) == 20
     candidate = (1, -p) + (0,) * 28
     assert exactla._in_kernel(M, "right", [candidate])
     assert exactla._lifted_kernel(_fresh(M), "right") is None

@@ -205,8 +205,9 @@ def test_sign_fix_rejects_target_no_longer_bad(monkeypatch, deficiency_jump):
 def test_sign_fix_raises_when_bad_classes_remain(monkeypatch, two_ambiguous):
     """A rewrite that keeps p2*B in reaction l's product, beside the fresh
     B', zeroes nothing, so every class is still bad at the end: the
-    bordered-form certificate refuses the fixed S, and the enumeration it
-    falls back to finds the classes and raises."""
+    bordered-form certificate refuses the fixed S and ``sign_fix`` raises,
+    having enumerated S alone; there is no enumeration of the fixed S to
+    fall back on."""
     rewrite = signfix._rewrite
 
     def keeping(net, cls, rate):
@@ -216,20 +217,33 @@ def test_sign_fix_raises_when_bad_classes_remain(monkeypatch, two_ambiguous):
         kept = Reaction(old.reactant, Complex.from_dict({**dict(old.product.terms), q: p2}),
                         old.rate, old.label)
         reactions = fixed.reactions[:ell] + (kept,) + fixed.reactions[ell + 1:]
-        return dataclasses.replace(fixed, reactions=reactions), step
+        made.append(dataclasses.replace(fixed, reactions=reactions))
+        return made[-1], step
 
-    certified = []
+    made, certified = [], []
     bordered_form = signfix._bordered_form
 
     def recorded(*args):
         certified.append(bordered_form(*args))
         return certified[-1]
 
+    enumerated = []
+    find = signfix.find_bad_submatrices
+
+    def counted(S):
+        enumerated.append((S.rows, S.cols))
+        return find(S)
+
     monkeypatch.setattr(signfix, "_rewrite", keeping)
     monkeypatch.setattr(signfix, "_bordered_form", recorded)
-    with pytest.raises(AssertionError, match="fixing run finished with bad classes remaining"):
+    monkeypatch.setattr(signfix, "find_bad_submatrices", counted)
+    with pytest.raises(AssertionError, match="not S bordered at its classes: bad classes may remain"):
         sign_fix(two_ambiguous)
     assert certified == [False]
+    S = stoichiometric_matrix(two_ambiguous)
+    assert enumerated == [(S.rows, S.cols)]
+    monkeypatch.undo()
+    assert find_bad_submatrices(stoichiometric_matrix(made[-1]))
 
 
 def test_clean_network_gives_identity_report(two_ambiguous):
