@@ -33,8 +33,9 @@ nothing.  The final rank is read from the final S by certificate
 (``signfix._bordered_form``): one pass over its nonzeros checks that it
 is S bordered by the steps, [[S_z, P], [E, -I]] up to column order with
 S_z + P E = S, whose rank is the number of steps plus rank(S), and
-rank(S) is then recomputed from S's entries, never read from a cached
-rank or kernel, so a wrong cached kernel of S is still caught.  A
+rank(S) is then ``exactla.rank`` of a copy of S that shares its nonzero
+tuples and starts with an empty cache: nothing cached on S is read or
+written, so a wrong rank or kernel cached on S is still caught.  A
 refused certificate raises; nothing ranks the final S instead.
 
 Also here: the decomposition S v(x) = Y A_k psi(x) of the right-hand
@@ -268,11 +269,12 @@ def delta_audit(report: FixReport) -> List[DeltaAudit]:
     final rank is read by certificate: one pass over the final S's
     nonzeros must find it S bordered by the steps
     (``signfix._bordered_form``), or the audit raises.  Its rank is then
-    the number of steps plus rank(S), with rank(S) recomputed from S's
-    entries (``exactla._recomputed_rank``), not read from any cached rank
-    or kernel, so a wrong one cached on S is caught.  The class condition
-    of ``sign_fix`` is not needed for the rank, so a one-step report of
-    ``fix_one_report`` is certified too.
+    the number of steps plus rank(S), with rank(S) the ``exactla.rank``
+    of a copy of S built from its nonzeros with an empty cache
+    (``RationalMatrix._of_nonzeros``): no rank or kernel cached on S is
+    read, so a wrong one is caught, and nothing is written to S.  The
+    class condition of ``sign_fix`` is not needed for the rank, so a
+    one-step report of ``fix_one_report`` is certified too.
 
     Raises:
         AssertionError: on any disagreement (internal-consistency
@@ -339,7 +341,9 @@ def delta_audit(report: FixReport) -> List[DeltaAudit]:
 
     if not _bordered_form(S, stoichiometric_matrix(report.result), report.steps):
         raise AssertionError("final network's S is not S bordered by the steps")
-    final = len(report.steps) + exactla._recomputed_rank(S)
+    # a copy of S with an empty cache: nothing cached on S is read or written
+    copy = RationalMatrix._of_nonzeros(S.rows, S.cols, S.nonzeros())
+    final = len(report.steps) + exactla.rank(copy)
     if final != s0 + len(report.steps):
         raise AssertionError(
             f"final rank {final} is not the original {s0} plus "

@@ -35,13 +35,13 @@ A rank is counted by the echelon-only elimination below
 ``MOD_P_MIN_ENTRIES`` entries.  From there up it is min(rows, cols) less
 the dimension of the smaller side's kernel, the left one when
 rows <= cols and the right one otherwise, lifted and certified as below,
-or eliminated by Bareiss when its certificate fails.  The lift starts
-with an elimination mod p, which can only lose rank, so when it leaves
-no column free, rank_p = min(rows, cols) <= rank_Q and the kernel is {0}
-at the cost of that one elimination (the modular idea of Cabay 1971).  A
-matrix with conservation laws has one left kernel vector per law, so its
-rank costs one short lift, and an unlucky prime costs time, never
-exactness.
+or eliminated by Bareiss when its certificate fails, and cached as any
+kernel is.  The lift starts with an elimination mod p, which can only
+lose rank, so when it leaves no column free, rank_p = min(rows, cols)
+<= rank_Q and the kernel is {0} at the cost of that one elimination (the
+modular idea of Cabay 1971).  A matrix with conservation laws has one
+left kernel vector per law, so its rank costs one short lift, and an
+unlucky prime costs time, never exactness.
 
 From ``MOD_P_MIN_ENTRIES`` entries up a kernel basis is lifted
 p-adically (Dixon 1982) and certified, with Bareiss as the fallback.  Let
@@ -85,12 +85,17 @@ matrix.  Every cached value is computed from, or certified on, that
 matrix's own entries, and only an exact one is stored.  The cached
 tuples are never handed to the elimination, which works on a copy.
 
-An exact rank in hand answers two questions without an elimination: it
-is the rank, and a rank equal to the row (column) count means the left
-(right) kernel is {0}.  "In hand" means the cached rank or a cached
-kernel (rank = cols - right nullity = rows - left nullity); no
-elimination is ever run just to look for it.  ``is_conserving`` then
-answers "not conserving" from an empty left kernel without a simplex.
+Each answer has one route and one cache slot.  ``rank`` reads only
+"rank", and ("kernel", side) is read only by ``_kernel_vectors``, which
+writes the rank whenever it computes a kernel: the side's length less
+the kernel's dimension (rank = cols - right nullity = rows - left
+nullity), the pairing the certified chain step also writes.  A cached
+rank equal to the row (column) count means the left (right) kernel is
+{0} without an elimination, and ``is_conserving`` then answers "not
+conserving" from an empty left kernel without a simplex.  Nothing in
+this module bypasses the cache: a rank that must not come from a
+matrix's cache is the rank of a copy built from its nonzeros, which
+starts with an empty cache (``deficiency.delta_audit``).
 
 The paper's kernel bijection is checked by certificate, on the lines a
 fixing step changed.  For a step from S (d x n) to S_check, a row of
@@ -110,10 +115,9 @@ returns, for the next step to read as its S's kernels.  So a chain of
 one-step checks (S_0, S_1), (S_1, S_2), ... over the same matrix objects
 eliminates S_0 only, once per side, and builds no integer image of a
 later matrix, unless a certificate fails; a step whose certificate fails
-takes the exact rank of S_check from its right kernel, eliminated over
-Q, and checks the counts against it.  Each padded left vector is divided
-by the gcd of its entries, so a chain's entries do not gain a
-denominator factor at every step.
+takes the exact rank of S_check (``rank``) and checks the counts against
+it.  Each padded left vector is divided by the gcd of its entries, so a
+chain's entries do not gain a denominator factor at every step.
 ``determinant`` and ``char_poly`` are uncached.
 """
 
@@ -248,17 +252,18 @@ def _eliminate(
     below each pivot are updated: the pivots, D and the sign are the same,
     but the rows are left in echelon form.
 
-    Its callers: kernels and ranks below ``MOD_P_MIN_ENTRIES`` entries,
-    and kernels and ranks whose lifting certificate fails
-    (``_recomputed_rank``); ``determinant`` and ``char_poly``.  One pass
-    of each benchmark workload at seed 0 runs it 1,031 times on
-    ``corpus`` (670 kernels, and 361 ranks of S for the audit's final
-    rank) and 49 times on ``verify`` (the kernels of each chain's S_0:
+    Its callers: ``rank`` below ``MOD_P_MIN_ENTRIES`` entries (echelon
+    only); ``_eliminated_kernel``, for kernels below it and kernels whose
+    lifting certificate fails, and so for ranks from there up read off
+    such a kernel; ``determinant`` and ``char_poly``.  One pass of each
+    benchmark workload at seed 0 runs it 1,031 times on ``corpus`` (670
+    kernels, and 361 echelon-only ranks of the audit's cache-free copies
+    of S) and 49 times on ``verify`` (the kernels of each chain's S_0:
     all 255 steps of its chain checks are certified), all below the
     threshold, and never on ``large`` or ``kinetics``.  ``large`` lifts 4
-    kernels per pass: the right kernel of each S, and for the audit's
-    rank of each S its left kernel, which the elimination mod p finds
-    {0}.
+    kernels per pass: the right kernel of each S, and for the rank of the
+    audit's copy of each S its left kernel, which the elimination mod p
+    finds {0}.
     """
     height = len(a)
     pivots: List[int] = []
@@ -410,46 +415,26 @@ def _eliminate_mod_p(
     return pivots, order
 
 
-def _rank_in_hand(matrix: RationalMatrix) -> Optional[int]:
-    """The exact rank when it costs no elimination, else None: the cached
-    rank, else columns less the cached right kernel's dimension, else rows
-    less the cached left kernel's.  A rank found here is cached."""
-    value = matrix._cache.get("rank")
-    if value is not None:
-        return value
-    right, left = matrix._cache.get(("kernel", "right")), matrix._cache.get(("kernel", "left"))
-    if right is not None:
-        value = matrix._cache["rank"] = matrix.cols - len(right)
-    elif left is not None:
-        value = matrix._cache["rank"] = matrix.rows - len(left)
-    return value
-
-
 def rank(matrix: RationalMatrix) -> int:
-    """Exact rank, cached on the matrix: read from the cache or from either
-    side's cached kernel (``_rank_in_hand``), else ``_recomputed_rank``.
-    Every source is this matrix's own entries.
-    """
-    value = _rank_in_hand(matrix)
-    if value is None:
-        value = matrix._cache["rank"] = _recomputed_rank(matrix)
-    return value
-
-
-def _recomputed_rank(matrix: RationalMatrix) -> int:
-    """The exact rank from the matrix's entries, reading and writing no
-    cached rank or kernel of it, so a wrong one planted there cannot reach
-    it.  Below ``MOD_P_MIN_ENTRIES`` entries it counts the pivots of the
+    """Exact rank, cached on the matrix under "rank", the one slot it
+    reads.  Below ``MOD_P_MIN_ENTRIES`` entries it counts the pivots of the
     echelon-only elimination of the cleared rows.  From there up it is
     min(rows, cols) less the dimension of the smaller side's kernel, the
-    left one when rows <= cols and the right one otherwise, lifted and
-    certified, or eliminated when the certificate fails: a full rank costs
-    the lift's one elimination mod p and no more (``_lifted_kernel``)."""
-    if matrix.rows * matrix.cols < MOD_P_MIN_ENTRIES:
-        rows = _sparse_image(matrix, "right")
-        return len(_eliminate(_dense(rows, matrix.cols), reduce=False)[1])
-    side = "left" if matrix.rows <= matrix.cols else "right"
-    return min(matrix.rows, matrix.cols) - len(_computed_kernel(matrix, side))
+    left one when rows <= cols and the right one otherwise, which
+    ``_kernel_vectors`` computes and caches together with the rank: a full
+    rank costs the lift's one elimination mod p and no more
+    (``_lifted_kernel``), and a later ``kernel_basis`` of that side costs
+    nothing.
+    """
+    value = matrix._cache.get("rank")
+    if value is None:
+        if matrix.rows * matrix.cols < MOD_P_MIN_ENTRIES:
+            rows = _dense(_sparse_image(matrix, "right"), matrix.cols)
+            value = matrix._cache["rank"] = len(_eliminate(rows, reduce=False)[1])
+        else:
+            side = "left" if matrix.rows <= matrix.cols else "right"
+            value = min(matrix.rows, matrix.cols) - len(_kernel_vectors(matrix, side))
+    return value
 
 
 def _integer_determinant(a: List[List[int]]) -> int:
@@ -473,27 +458,26 @@ def _kernel_vectors(matrix: RationalMatrix, side: str) -> IntRows:
     """Integer basis of the right ("right") or left ("left") kernel of the
     matrix, one vector per free column of the reduced row echelon form in
     order, each coprime with a positive leading entry; cached on the
-    matrix.  An exact rank in hand equal to the side's length leaves no
-    free column, so the kernel is () without an elimination; otherwise
-    ``_computed_kernel`` finds it."""
+    matrix.  A cached rank equal to the side's length leaves no free
+    column, so the kernel is () without an elimination.  Otherwise, from
+    ``MOD_P_MIN_ENTRIES`` entries up, it is lifted p-adically and
+    certified (``_lifted_kernel``); below it, or when the certificate
+    fails, it is read off ``_eliminate``.  A computed kernel caches the
+    rank with it: the side's length less its dimension."""
     key = ("kernel", side)
     vectors = matrix._cache.get(key)
     if vectors is None:
-        full = _rank_in_hand(matrix) == (matrix.rows if side == "left" else matrix.cols)
-        vectors = matrix._cache[key] = () if full else _computed_kernel(matrix, side)
+        length = matrix.rows if side == "left" else matrix.cols
+        if matrix._cache.get("rank") == length:
+            vectors = ()
+        else:
+            if matrix.rows * matrix.cols >= MOD_P_MIN_ENTRIES:
+                vectors = _lifted_kernel(matrix, side)
+            if vectors is None:
+                vectors = _eliminated_kernel(matrix, side)
+            matrix._cache["rank"] = length - len(vectors)
+        matrix._cache[key] = vectors
     return vectors
-
-
-def _computed_kernel(matrix: RationalMatrix, side: str) -> IntRows:
-    """The basis of ``_kernel_vectors`` from the matrix's entries alone,
-    reading and writing no cached kernel or rank: from
-    ``MOD_P_MIN_ENTRIES`` entries up lifted p-adically and certified
-    (``_lifted_kernel``); below it, or when the certificate fails, read
-    off ``_eliminate``."""
-    vectors = None
-    if matrix.rows * matrix.cols >= MOD_P_MIN_ENTRIES:
-        vectors = _lifted_kernel(matrix, side)
-    return _eliminated_kernel(matrix, side) if vectors is None else vectors
 
 
 def _normalized(v: List[int]) -> Tuple[int, ...]:
@@ -673,11 +657,11 @@ def kernel_basis(matrix: RationalMatrix, side: str = "right") -> KernelBasis:
     p-adically and certified (see the module docstring), with the same
     result.  The integer vectors are cached on the matrix, so a second
     call on the same object does not compute them again, and the basis
-    holds them as they are (``KernelBasis.integers``).  When the exact
-    rank is already in hand (cached, or read off either cached kernel) and
-    equals the side's length, the kernel is {0} and no elimination runs:
-    the left kernel of a matrix of full row rank is free once its right
-    kernel or its rank is known.
+    holds them as they are (``KernelBasis.integers``).  A computed kernel
+    caches the rank with it, and when the cached rank equals the side's
+    length the kernel is {0} and no elimination runs: the left kernel of a
+    matrix of full row rank is free once its right kernel or its rank is
+    known.
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
@@ -833,14 +817,13 @@ def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixs
     rank, so the next step of a chain (S_check passed as S) starts from
     them: a chain of steps over the same matrix objects eliminates S_0
     only, unless a certificate fails.  When it fails, the exact rank of
-    ``S_check``, read off its right kernel eliminated over Q, decides
-    whether the counts are its nullities.  Every bound comes from the
-    entries of ``S_check``; nothing is inferred from the bordering
-    theorem.  (Non)negativity is checked by its reason, on each padded
-    vector: its added coordinate is v[l] on the right and w[q] * p2 on
-    the left.  The ratio, 1 or p2 > 0, is the same for every vector, so
-    strict and weak positivity transfer both ways for every combination
-    of the vectors, their sum included.
+    ``S_check`` (``rank``) decides whether the counts are its nullities.
+    Every bound comes from the entries of ``S_check``; nothing is inferred
+    from the bordering theorem.  (Non)negativity is checked by its reason,
+    on each padded vector: its added coordinate is v[l] on the right and
+    w[q] * p2 on the left.  The ratio, 1 or p2 > 0, is the same for every
+    vector, so strict and weak positivity transfer both ways for every
+    combination of the vectors, their sum included.
 
     Args:
         S: Original d x d' matrix.
@@ -919,9 +902,9 @@ def kernel_correspondence_check(S: RationalMatrix, S_check: RationalMatrix, fixs
         S_check._cache[("chain", "left")] = padded_left
         S_check._cache["rank"] = check_rank
     else:
-        # The exact rank of S_check, from its right kernel eliminated over
-        # Q, decides whether the counts are the nullities.
-        check_rank = S_check.cols - len(_kernel_vectors(S_check, "right"))
+        # The exact rank of S_check decides whether the counts are the
+        # nullities.
+        check_rank = rank(S_check)
         if (
             check_rank + len(padded_right) != S_check.cols
             or check_rank + len(padded_left) != S_check.rows

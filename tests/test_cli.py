@@ -108,10 +108,10 @@ def test_analyze_of_a_full_row_rank_network_eliminates_only_the_right_kernel(
 ):
     """On a 30 x 80 network of full row rank, analyze eliminates nothing
     over Q: the right kernel of S is lifted p-adically and certified, once,
-    the left kernel is {0} by the rank read off it, so conservation needs
-    no simplex, and the fixed network's rank is the number of steps plus
-    the rank of S, recomputed from S's entries by a second lift, of S's
-    left kernel, whose elimination mod p leaves no row free (S was
+    the left kernel is {0} by the rank cached with it, so conservation
+    needs no simplex, and the fixed network's rank is the number of steps
+    plus the rank of a cache-free copy of S, from a second lift, of the
+    copy's left kernel, whose elimination mod p leaves no row free (S was
     eliminated once, for its right kernel, before the lifting)."""
     path = tmp_path / "large.crn"
     path.write_text(serialize_network(make_network(random.Random(0), (30, 30), (80, 80))))
@@ -179,17 +179,21 @@ def test_analyze_enumerates_the_bad_classes_of_s_once(capsys, monkeypatch):
 def test_two_builds_of_s_per_command(capsys, monkeypatch, argv):
     """S is built for the input network and for the fixed one, and kept
     on each; every other reader gets the same matrix (7 and 5 builds
-    before S was kept on the network)."""
-    seen = []
+    before S was kept on the network).  The third call is the audit's
+    cache-free copy of S, which shares S's nonzero tuples and builds
+    none."""
+    seen, given = [], []
     build = RationalMatrix._of_nonzeros.__func__
 
     def counted(cls, rows, cols, nonzeros):
         seen.append((rows, cols))
+        given.append(nonzeros)
         return build(cls, rows, cols, nonzeros)
 
     monkeypatch.setattr(RationalMatrix, "_of_nonzeros", classmethod(counted))
     _run_json(capsys, *argv)
-    assert seen == [(7, 6), (9, 8)]
+    assert seen == [(7, 6), (9, 8), (7, 6)]
+    assert given[2] is given[0]
 
 
 def test_analyze_of_a_large_network_reads_s_through_its_nonzeros(

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import load
+from conftest import FIXTURES, load
 from crnsign import exactla
 from crnsign.deficiency import (
     check_single_positive_column,
@@ -245,8 +245,9 @@ def test_audit_rejects_species_no_step_added(deficiency_jump):
 
 def test_audit_catches_a_wrong_cached_rank():
     """The original rank is read through S's cache: a correct cached right
-    kernel changes nothing, and a wrong one planted on S is caught by the
-    final rank, which is read from the fixed network's own S."""
+    kernel changes nothing, and a wrong rank planted in S's "rank" slot,
+    the one ``exactla.rank`` reads, is caught by the final rank, which is
+    read from a copy of S with an empty cache."""
     for name in ("two_ambiguous.crn", "deficiency_jump.crn", "conserving_family.crn"):
         expected = delta_audit(sign_fix(load(name)))
         net = load(name)
@@ -254,11 +255,29 @@ def test_audit_catches_a_wrong_cached_rank():
         exactla.kernel_basis(S, "right")
         assert delta_audit(sign_fix(net)) == expected
         forged = load(name)
-        stoichiometric_matrix(forged)._cache[("kernel", "right")] = (
-            exactla._kernel_vectors(S, "right") + ((0,) * S.cols,)
-        )
+        stoichiometric_matrix(forged)._cache["rank"] = exactla.rank(S) - 1
         with pytest.raises(AssertionError, match="final rank"):
             delta_audit(sign_fix(forged))
+
+
+def test_audit_adds_nothing_to_the_cache_of_s(large_networks):
+    """Once S's right kernel and rank are known and the network is fixed,
+    the audit reads the original rank from S's cache and ranks a
+    cache-free copy of S for the final rank: it adds no key to S's
+    cache, on the two ``large`` networks (at or above
+    ``MOD_P_MIN_ENTRIES``) and on every fixture."""
+    # copies of the session's ``large`` networks, whose S other tests fill
+    networks = [dataclasses.replace(net) for net in large_networks]
+    networks += [load(path.name) for path in sorted(FIXTURES.glob("*.crn"))]
+    assert len(networks) == 8
+    for net in networks:
+        S = stoichiometric_matrix(net)
+        exactla.kernel_basis(S, "right")
+        exactla.rank(S)
+        report = sign_fix(net)
+        before = set(S._cache)
+        delta_audit(report)
+        assert set(S._cache) == before
 
 
 def test_audit_over_corpus(corpus):

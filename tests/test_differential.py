@@ -196,12 +196,13 @@ def _fresh(M):
 def _assert_certified_like_recomputed(net):
     """The bordered-form certificate accepts the fixed S of the run, and
     what it certifies equals the full recomputation on a fresh copy: the
-    audit's final rank, the number of steps plus S's recomputed rank,
-    that of ``exactla.rank``, and "no bad class" the enumeration's."""
+    audit's final rank, the number of steps plus the rank of a cache-free
+    copy of S, that of ``exactla.rank``, and "no bad class" the
+    enumeration's."""
     report = sign_fix(net)
     S, fixed = stoichiometric_matrix(net), stoichiometric_matrix(report.result)
     assert _bordered_form(S, fixed, report.steps)
-    assert len(report.steps) + exactla._recomputed_rank(S) == rank(_fresh(fixed))
+    assert len(report.steps) + rank(_fresh(S)) == rank(_fresh(fixed))
     assert _bad_classes(_fresh(fixed)) == ()
     delta_audit(report)
 
@@ -385,7 +386,7 @@ def test_forged_fixed_s_is_refused_and_raises(large_networks, monkeypatch):
                 assert _bordered_form(S, fixed, steps), kind
                 assert targets != classes and _bad_classes(_fresh(fixed)), kind
                 assert auditing is None, kind
-                assert len(steps) + exactla._recomputed_rank(S) == oracles.rank(fixed), kind
+                assert len(steps) + rank(_fresh(S)) == oracles.rank(fixed), kind
             else:
                 assert not _bordered_form(S, fixed, steps), kind
                 assert auditing is not None, kind
@@ -595,9 +596,9 @@ def _threshold_examples():
 def test_rank_and_kernels_match_oracle_across_the_mod_p_threshold(S, order):
     """In any call order on a fresh matrix, the rank and both kernels,
     whether lifted, read from the cache or eliminated by Bareiss, equal
-    the Fraction oracle's.  So does every route to the rank: ``rank`` of
-    a fresh matrix, of one with only its right or only its left kernel
-    cached (read off it, with no rank cached), and ``_recomputed_rank``."""
+    the Fraction oracle's.  So does ``rank`` of a fresh matrix, and the
+    rank a computed kernel stores with it, on a matrix with only its right
+    or only its left kernel computed, which ``rank`` then reads."""
     expected = {
         "rank": oracles.rank(S),
         "right": oracles.kernel_basis(S, "right"),
@@ -608,11 +609,11 @@ def test_rank_and_kernels_match_oracle_across_the_mod_p_threshold(S, order):
         got = rank(fresh) if what == "rank" else kernel_basis(fresh, what)
         assert got == expected[what], what
     assert rank(RationalMatrix(S.entries())) == expected["rank"]
-    assert exactla._recomputed_rank(RationalMatrix(S.entries())) == expected["rank"]
     for side, other in (("right", "left"), ("left", "right")):
         cached = RationalMatrix(S.entries())
         assert kernel_basis(cached, side) == expected[side]
-        assert "rank" not in cached._cache and ("kernel", other) not in cached._cache
+        assert cached._cache["rank"] == expected["rank"], side
+        assert ("kernel", other) not in cached._cache
         assert rank(cached) == expected["rank"], side
 
 

@@ -303,13 +303,15 @@ def _echelon_rank(M):
     return len(exactla._eliminate(oracles._cleared_rows(M.entries()), reduce=False)[1])
 
 
-def test_rank_reads_only_its_own_slot_and_the_cached_kernels():
+def test_rank_reads_only_its_own_slot():
     """Rank equals a fresh echelon rank with and without a cached right or
     left kernel or integer image of either side (the images are what
     Bareiss and the lift eliminate).  A planted key of another name, such
     as a chain basis, which only the kernel correspondence check reads,
-    is not read; a planted left kernel is, since a cached kernel is exact:
-    the rank is rows less its dimension."""
+    is not read, nor is a planted kernel, except the smaller side's from
+    ``MOD_P_MIN_ENTRIES`` entries up, since the rank is then read off that
+    side's kernel; a planted rank is, since "rank" is the one slot
+    ``rank`` reads."""
     for M in _isolation_inputs():
         expected = _echelon_rank(M)
         assert rank(_fresh(M)) == expected
@@ -325,9 +327,19 @@ def test_rank_reads_only_its_own_slot_and_the_cached_kernels():
         planted._cache[("chain", "right")] = bogus
         planted._cache[("chain", "left")] = bogus
         assert rank(planted) == expected
+        routed = None
+        if M.rows * M.cols >= exactla.MOD_P_MIN_ENTRIES:
+            routed = "left" if M.rows <= M.cols else "right"
+        for side, length in (("right", M.cols), ("left", M.rows)):
+            planted = _fresh(M)
+            planted._cache[("kernel", side)] = ((1,) * length,)
+            if side == routed:
+                assert rank(planted) == min(M.rows, M.cols) - 1
+            else:
+                assert rank(planted) == expected
         read = _fresh(M)
-        read._cache[("kernel", "left")] = ((1,) * M.rows,)
-        assert rank(read) == M.rows - 1
+        read._cache["rank"] = expected + 1
+        assert rank(read) == expected + 1
 
 
 def _p_led(rows, cols, at, rng):
@@ -368,10 +380,10 @@ def test_rank_mod_p_below_min_falls_back_to_the_exact_rank(monkeypatch):
     """A 20 x 30 matrix of full row rank with a pivot equal to p: the rank
     mod p is 19, below min(rows, cols), so it certifies nothing.  The rank
     is min(rows, cols) less the smaller side's kernel, the left one, whose
-    lift fails its certificate, so Bareiss of the columns decides; only
-    the rank is cached, and it then makes the left kernel {0} with no
-    elimination.  Both kernels of a fresh copy and conservation come from
-    Bareiss and the simplex, equal to the Fraction oracle's."""
+    lift fails its certificate, so Bareiss of the columns decides; that
+    kernel, {0}, is cached together with the rank, so asking for it again
+    makes no elimination.  Both kernels of a fresh copy and conservation
+    come from Bareiss and the simplex, equal to the Fraction oracle's."""
     M = _p_led(20, 30, 7, random.Random(1))
     assert M.rows * M.cols >= exactla.MOD_P_MIN_ENTRIES
     assert _rank_mod_p(M) == 19
@@ -379,7 +391,7 @@ def test_rank_mod_p_below_min_falls_back_to_the_exact_rank(monkeypatch):
     assert rank(M) == 20 == oracles.rank(M)
     assert seen == [(30, 20)]
     assert M._cache["rank"] == 20
-    assert ("kernel", "left") not in M._cache and ("kernel", "right") not in M._cache
+    assert M._cache[("kernel", "left")] == () and ("kernel", "right") not in M._cache
     assert kernel_basis(M, "left").dim == 0
     assert seen == [(30, 20)]
     fresh = _fresh(M)
@@ -390,16 +402,29 @@ def test_rank_mod_p_below_min_falls_back_to_the_exact_rank(monkeypatch):
     assert is_conserving(_fresh(M)) == oracles.is_conserving(M)
 
 
+def _counted_lifts(monkeypatch):
+    """Record the side of every ``exactla._lifted_kernel`` call."""
+    seen = []
+    lifted = exactla._lifted_kernel
+
+    def counted(matrix, side):
+        seen.append(side)
+        return lifted(matrix, side)
+
+    monkeypatch.setattr(exactla, "_lifted_kernel", counted)
+    return seen
+
+
 @pytest.mark.parametrize("transpose", [False, True], ids=["wide", "tall"])
 def test_a_short_rank_mod_p_is_settled_by_the_smaller_sides_kernel(monkeypatch, transpose):
     """The fixed S of a 60 x 160 ``conserving_text`` network (76 x 176,
     one conservation law) and its transpose: the rank mod p is short of
     min(rows, cols), so it certifies nothing, and the rank is
     min(rows, cols) less the lifted kernel of the smaller side (left when
-    wide, right when tall).  On a fresh copy it equals the oracle's, makes
-    no elimination over Q, and caches the rank and no kernel; that side's
-    kernel, lifted again when asked for, equals the oracle's, still with
-    no elimination, and the other side is not read."""
+    wide, right when tall).  On a fresh copy ``rank`` and then that
+    side's ``kernel_basis`` both equal the oracle's, from one lift and no
+    elimination over Q: the rank caches the kernel it was read off, and
+    the other side is not read."""
     net = parse_network(record_cli_golden.conserving_text(60, 160, 1))
     M = stoichiometric_matrix(sign_fix(net).result)
     if transpose:
@@ -411,12 +436,12 @@ def test_a_short_rank_mod_p_is_settled_by_the_smaller_sides_kernel(monkeypatch, 
     assert _rank_mod_p(M) < 76
     fresh = _fresh(M)
     seen = _counted_eliminate(monkeypatch)
+    lifts = _counted_lifts(monkeypatch)
     assert rank(fresh) == expected
+    assert kernel_basis(fresh, side) == oracles.kernel_basis(M, side)
+    assert lifts == [side]
     assert seen == []
     assert fresh._cache["rank"] == expected
-    assert ("kernel", side) not in fresh._cache and ("kernel", other) not in fresh._cache
-    assert kernel_basis(fresh, side) == oracles.kernel_basis(M, side)
-    assert seen == []
     assert ("kernel", other) not in fresh._cache
 
 
@@ -463,7 +488,7 @@ def test_is_conserving_on_a_fresh_full_row_rank_s_needs_no_elimination(monkeypat
     """A library call on a fresh 30 x 80 S: the lift of its left kernel
     finds no free row in its elimination mod p, so the left kernel is {0}
     and the answer is "not conserving", with no Bareiss elimination and no
-    simplex; the rank is then read off that kernel."""
+    simplex; the rank is cached with that kernel."""
     S = _fresh(stoichiometric_matrix(make_network(random.Random(0), (30, 30), (80, 80))))
     calls = []
     monkeypatch.setattr(exactla, "_eliminate", lambda *a, **k: calls.append("eliminate"))
